@@ -7,7 +7,8 @@ smooths across shot boundaries with a FIFO queue of latents at staggered
 noise levels. Every numeric stage runs against an analytic Gaussian
 denoiser, so the whole pipeline is verifiable by hand algebra and Monte
 Carlo rather than by eyeballing generations; real models plug in through
-the denoiser, encoder, decoder, and extractor adapter interfaces.
+the denoiser, text/image encoder, feature extractor and LLM client
+adapter interfaces.
 """
 
 from .casting import (
@@ -66,7 +67,6 @@ from .smoothing import (
     LatentQueue,
     SmoothConfig,
     VideoTimeline,
-    decode,
     init_queue,
     run_timeline,
     tick,

@@ -13,11 +13,9 @@ from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .metrics import PAIRINGS, MetricsSettings
 from .seeds import derive_seed
-from .smoothing import MODES, SmoothConfig
+from .smoothing import SmoothConfig
 
 LLM_BACKENDS = ("mock", "http")
-ENCODERS = ("mock", "external")
-EXTRACTORS = ("toy", "external")
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,6 @@ class PipelineConfig:
     seed: int = 0
     llm: str = "mock"
     llm_endpoint: str = ""
-    encoder: str = "mock"
-    extractors: str = "toy"
 
     def __post_init__(self):
         self.validate()
@@ -64,16 +60,9 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
+        self.smooth_config()  # mode, eta and reset_boundary
         if self.llm not in LLM_BACKENDS:
             raise ConfigError(f"llm must be one of {LLM_BACKENDS}, got '{self.llm}'")
-        if self.encoder not in ENCODERS:
-            raise ConfigError(f"encoder must be one of {ENCODERS}, got '{self.encoder}'")
-        if self.extractors not in EXTRACTORS:
-            raise ConfigError(
-                f"extractors must be one of {EXTRACTORS}, got '{self.extractors}'"
-            )
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{self.pairing}'")
         if not (0.0 < self.beta_start <= self.beta_end < 1.0):
@@ -87,14 +76,10 @@ class PipelineConfig:
             raise ConfigError("embed_dim must be divisible by n_tokens")
         if self.sigma0 < 0:
             raise ConfigError(f"sigma0 must be nonnegative, got {self.sigma0}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.ip_scale < 0:
             raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
         if self.psnr_max <= 0:
             raise ConfigError(f"psnr_max must be positive, got {self.psnr_max}")
-        if self.reset_boundary is not None and self.reset_boundary < 1:
-            raise ConfigError(f"reset_boundary must be >= 1, got {self.reset_boundary}")
 
     # -- derived pieces -----------------------------------------------------
 
@@ -118,10 +103,6 @@ class PipelineConfig:
         return make_schedule(self.steps, self.beta_start, self.beta_end)
 
     def world(self) -> GaussianWorld:
-        if self.encoder != "mock":
-            raise ConfigError(
-                "encoder='external' requires adapter embeddings supplied by the caller"
-            )
         mean_map = make_condition_mean(
             self.projector_seed,
             self.latent_shape,

@@ -1,4 +1,4 @@
-"""Consistency metrics over decoded frames.
+"""Consistency metrics over frames.
 
 Face consistency (FC) compares identity features within a shot (mean
 pairwise cosine among its frames) and across shots (cosine between shot
@@ -10,8 +10,8 @@ shared embedding space.
 
 The toy extractors are deliberately simple: identity features are the
 spatial means of the identity channels, style features are mean-centered
-channel Grams. Real face or style networks plug in through the extractor
-protocol without touching the scoring code.
+channel Grams. Real face or style networks plug in to consistency_scores
+through the extractor protocol without touching the scoring code.
 """
 
 from __future__ import annotations
@@ -89,22 +89,6 @@ class StyleGram:
         feats = feats - feats.mean(axis=0, keepdims=True)
         gram = feats.T @ feats / (h * w)
         return gram.ravel()
-
-
-class InceptionScorer(Protocol):
-    """Adapter hook for a real classifier-based score: frame batch -> real.
-
-    No toy implementation exists; the score is meaningless without a real
-    classifier, so only the contract is provided."""
-
-    def __call__(self, frames: Sequence[np.ndarray]) -> float:
-        ...
-
-
-def inception_score(frames: Sequence[np.ndarray], scorer: Optional[InceptionScorer]) -> float:
-    if scorer is None:
-        raise ConfigError("inception-style scoring requires a real classifier adapter")
-    return float(scorer(frames))
 
 
 def _mean_pairwise(features: List[np.ndarray]) -> float:
@@ -261,8 +245,6 @@ def build_report(
     timeline: VideoTimeline,
     story: Story,
     settings: MetricsSettings = MetricsSettings(),
-    face_extractor: Optional[FeatureExtractor] = None,
-    style_extractor: Optional[FeatureExtractor] = None,
 ) -> MetricsReport:
     """Compute every report field; pure, writes nothing."""
     if not timeline.frames:
@@ -272,8 +254,8 @@ def build_report(
             f"timeline has {timeline.n_shots} shots, story declares {story.n_shots} "
             f"with {len(story.scripts)} scripts"
         )
-    face = face_extractor or IdentityChannelMean(d_id=settings.identity_channels)
-    style = style_extractor or StyleGram(seed=settings.style_seed, channels=settings.style_channels)
+    face = IdentityChannelMean(d_id=settings.identity_channels)
+    style = StyleGram(seed=settings.style_seed, channels=settings.style_channels)
     avatar_ids = [s.avatar_id for s in story.scripts] if settings.pairing == "same-avatar" else None
 
     fc_within, fc_cross = consistency_scores(

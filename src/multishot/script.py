@@ -97,8 +97,6 @@ class Story:
 class LlmClient(Protocol):
     """Completion contract: (instruction, context) -> completion text."""
 
-    deterministic: bool
-
     def complete(self, instruction: str, context: str) -> str:
         ...
 
@@ -153,8 +151,6 @@ class MockLlmClient:
     Renders the same completion formats a real model is instructed to
     produce, so the parsing path is identical in mock and HTTP modes.
     """
-
-    deterministic = True
 
     def complete(self, instruction: str, context: str) -> str:
         payload = json.loads(context)
@@ -231,8 +227,6 @@ class HttpLlmClient:
     endpoint; response: {"content": string}. The API key is read from the
     VGOT_LLM_KEY environment variable unless given explicitly.
     """
-
-    deterministic = False
 
     def __init__(self, endpoint: str, api_key: Optional[str] = None, session=None, timeout: float = 60.0):
         if not endpoint:

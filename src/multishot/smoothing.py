@@ -23,7 +23,7 @@ modes agree elementwise, which is the engine's main correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,12 @@ MODES = ("windowed", "fifo-reset")
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Knobs of the smoothing engine; the reset boundary defaults to k."""
+    """Knobs of the smoothing engine and the single home of their rules.
+
+    The reset boundary L defaults to k and lies in [1, k]. eta and L act
+    on the fifo-reset queue only; windowed mode samples at eta = 0 with
+    L = k and rejects any other value.
+    """
 
     mode: str = "fifo-reset"
     k: int = 8
@@ -61,10 +66,15 @@ class SmoothConfig:
             raise ConfigError(f"k and T must be >= 1, got k={self.k}, T={self.T}")
         if self.L is None:
             object.__setattr__(self, "L", self.k)
-        if self.L < 1:
-            raise ConfigError(f"reset boundary must be >= 1, got {self.L}")
+        if not 1 <= self.L <= self.k:
+            raise ConfigError(f"reset boundary must lie in [1, k={self.k}], got {self.L}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
+        if self.mode == "windowed" and (self.eta != 0.0 or self.L != self.k):
+            raise ConfigError(
+                f"eta and the reset boundary apply to fifo-reset only; windowed "
+                f"mode needs eta=0 and L=k, got eta={self.eta}, L={self.L}, k={self.k}"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,12 +169,6 @@ def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
     return min(base, n_shots - 1)
 
 
-def decode(latent: np.ndarray, decoder: Optional[Callable] = None) -> np.ndarray:
-    """Latent to frame. The toy decoder is the identity map; a real decoder
-    can be substituted through the adapter argument."""
-    return latent if decoder is None else decoder(latent)
-
-
 def init_queue(
     plan: List[Condition],
     config: SmoothConfig,
@@ -220,17 +224,14 @@ def tick(
     config: SmoothConfig,
     seed: int,
     trace: Optional[DenoiseTrace] = None,
-    decoder: Optional[Callable] = None,
-    parallel: bool = False,
 ) -> Optional[Tuple[int, np.ndarray]]:
     """One engine step: denoise every slot once, emit the head, enqueue
     fresh noise.
 
-    Returns (global_frame, decoded frame) when a story frame is emitted,
-    None while warm-up dummies are being discarded. Once the plan is
-    exhausted the queue drains (no enqueue) until empty. The per-slot
-    updates are pure and order-independent; ``parallel=True`` applies them
-    as one stacked array operation with bitwise-identical results.
+    Returns (global_frame, frame) when a story frame is emitted, None
+    while warm-up dummies are being discarded; frames are the latents
+    themselves. Once the plan is exhausted the queue drains (no enqueue)
+    until empty. The per-slot updates are pure and order-independent.
     """
     queue.check_invariant()
     tick_no = queue.ticks + 1
@@ -256,29 +257,18 @@ def tick(
             slot.latent.shape
         )
 
-    if parallel and config.eta == 0.0:
-        stacked = np.stack([s.latent for s in queue.slots])
-        eps = np.stack(eps_list)
-        a_t = np.array([schedule.alpha_bar(s.level) for s in queue.slots])
-        a_p = np.array([schedule.alpha_bar(s.level - 1) for s in queue.slots])
-        extra = (1,) * (stacked.ndim - 1)
-        a_t = a_t.reshape(-1, *extra)
-        a_p = a_p.reshape(-1, *extra)
-        x0_pred = (stacked - np.sqrt(1.0 - a_t) * eps) / np.sqrt(a_t)
-        new_latents = list(np.sqrt(a_p) * x0_pred + np.sqrt(1.0 - a_p) * eps)
-    else:
-        new_latents = [
-            ddim_step(
-                slot.latent,
-                eps,
-                slot.level,
-                slot.level - 1,
-                schedule,
-                eta=config.eta,
-                noise=eta_noise(slot),
-            )
-            for slot, eps in zip(queue.slots, eps_list)
-        ]
+    new_latents = [
+        ddim_step(
+            slot.latent,
+            eps,
+            slot.level,
+            slot.level - 1,
+            schedule,
+            eta=config.eta,
+            noise=eta_noise(slot),
+        )
+        for slot, eps in zip(queue.slots, eps_list)
+    ]
 
     stepped = [
         replace(slot, latent=latent, level=slot.level - 1)
@@ -288,7 +278,7 @@ def tick(
     head, rest = stepped[0], stepped[1:]
     emitted = None
     if not head.dummy:
-        emitted = (head.global_frame, decode(head.latent, decoder))
+        emitted = (head.global_frame, head.latent)
 
     next_frame = stepped[-1].global_frame + 1
     if next_frame < n_frames:
@@ -318,26 +308,19 @@ def build_plan(
     ip_scale: float = 1.0,
     d_e: int = DEFAULT_EMBED_DIM,
     encoder_seed: int = 0,
-    text_encoder=None,
-    image_encoder=None,
 ) -> List[Condition]:
     """Per-shot conditions from short descriptions and keyframes."""
     if len(story.descriptions) != story.n_shots:
         raise StateError("story descriptions are not fully populated")
     by_shot = {kf.shot_index: kf for kf in keyframes}
     plan = []
-    kwargs = {}
-    if text_encoder is not None:
-        kwargs["text_encoder"] = text_encoder
-    if image_encoder is not None:
-        kwargs["image_encoder"] = image_encoder
     for desc in story.descriptions:
         keyframe = by_shot.get(desc.index)
         if keyframe is None:
             raise StateError(f"no keyframe rendered for shot {desc.index}")
         plan.append(
             build_shot_condition(
-                desc, keyframe, ip_scale=ip_scale, d_e=d_e, encoder_seed=encoder_seed, **kwargs
+                desc, keyframe, ip_scale=ip_scale, d_e=d_e, encoder_seed=encoder_seed
             )
         )
     return plan
@@ -355,8 +338,6 @@ def run_timeline(
     d_e: int = DEFAULT_EMBED_DIM,
     encoder_seed: int = 0,
     trace: Optional[DenoiseTrace] = None,
-    decoder: Optional[Callable] = None,
-    parallel: bool = False,
 ) -> VideoTimeline:
     """Produce all N*k frames in global order, labeled by shot."""
     n_shots = story.n_shots
@@ -382,7 +363,7 @@ def run_timeline(
                 d_e=d_e,
                 encoder_seed=encoder_seed,
             )
-            frames.extend(decode(f, decoder) for f in clip.frames)
+            frames.extend(clip.frames)
             shots.extend([desc.index] * config.k)
         return VideoTimeline(frames=frames, shots=shots, mode=config.mode)
 
@@ -400,10 +381,7 @@ def run_timeline(
         if queue.ticks >= max_ticks:
             raise StateError("queue failed to emit all frames (engine bug)")
         before = {s.global_frame for s in queue.slots}
-        result = tick(
-            queue, denoiser, schedule, plan, config, seed,
-            trace=trace, decoder=decoder, parallel=parallel,
-        )
+        result = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
         for slot in queue.slots:
             if slot.global_frame not in before and slot.shot not in switch_ticks:
                 switch_ticks[slot.shot] = queue.ticks

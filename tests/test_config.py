@@ -29,8 +29,9 @@ def test_defaults_are_valid():
         {"llm": "oracle"},
         {"pairing": "random"},
         {"reset_boundary": 0},
-        {"encoder": "neural"},
-        {"extractors": "learned"},
+        {"reset_boundary": 9},
+        {"mode": "windowed", "eta": 0.5},
+        {"mode": "windowed", "reset_boundary": 4},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -13,7 +13,6 @@ from multishot.metrics import (
     clip_score_mock,
     consistency_scores,
     cosine,
-    inception_score,
     psnr,
 )
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
@@ -274,12 +273,3 @@ def test_avatar_group_cosine_gap():
                 (same if avatars[i] == avatars[j] else diff).append(sim)
         gap = np.mean(same) - np.mean(diff)
         assert gap > 0.1, f"seed {seed}: gap {gap:.3f}"
-
-
-# --- inception hook -----------------------------------------------------------------
-
-
-def test_inception_hook_requires_adapter():
-    with pytest.raises(ConfigError):
-        inception_score([np.zeros((2, 2, 2))], None)
-    assert inception_score([np.zeros((2, 2, 2))], lambda frames: 7.25) == 7.25
