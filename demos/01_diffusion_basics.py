@@ -10,7 +10,7 @@ Run: python3 demos/01_diffusion_basics.py
 
 import numpy as np
 
-from multishot.conditioning import Condition, encode_text_mock, make_condition_mean
+from multishot.conditioning import Condition, encode_text_mock, get_projector
 from multishot.diffusion import (
     AnalyticDenoiser,
     GaussianWorld,
@@ -36,7 +36,7 @@ print("  max |recovered - x0| =", np.abs(recovered - x0).max())
 
 # the analytic world: x0 ~ N(mu(c), sigma0^2 I) with a condition-driven mean
 shape = (8, 8, 8)
-mean_map = make_condition_mean(projector_seed=0, shape=shape)
+mean_map = get_projector(0, shape).mean
 world = GaussianWorld(sigma0=0.5, mean_map=mean_map)
 cond = Condition(text=encode_text_mock("a harbor town at first light", 16, 0))
 mu = mean_map(cond)

@@ -19,7 +19,7 @@ def report_for(ip_scale, seed=0):
     _, keyframes = render_keyframes(story, config)
     timeline = generate_timeline(story, keyframes, config)
     timeline.frames = [f.astype(np.float32) for f in timeline.frames]
-    return build_report(timeline, story, config.metrics_settings())
+    return build_report(timeline, story, config)
 
 
 with_ip = report_for(1.0)

@@ -27,7 +27,6 @@ from .conditioning import (
     compose_condition,
     condition_mean,
     encode_text_mock,
-    make_condition_mean,
 )
 from .config import PipelineConfig
 from .diffusion import (

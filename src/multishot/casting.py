@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,10 +22,13 @@ from .conditioning import (
     Embedding,
     encode_text_mock,
 )
-from .diffusion import DEFAULT_SHAPE, AnalyticDenoiser, GaussianWorld, NoiseSchedule, sample_reverse
+from .diffusion import AnalyticDenoiser, sample_reverse
 from .errors import InputError, ParseError, StateError, TransportError, ValidationError
 from .script import DOMAIN_FIELDS, DomainPrompt, LlmClient, ShotDescription, ShotScript
 from .seeds import derive_seed, spawn_rng
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 DEFAULT_SHOTS_PER_AVATAR = 6  # mirrors a 30-shot story split across 5 recurring figures
 
@@ -147,40 +150,34 @@ def encode_image_mock(
     return Embedding(data=vec, kind="image", source=f"latent:{flat.size}")
 
 
-def render_avatar(
-    profile: AvatarProfile,
-    schedule: NoiseSchedule,
-    world: GaussianWorld,
-    shape: tuple = DEFAULT_SHAPE,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
-) -> AvatarProfile:
+def render_avatar(profile: AvatarProfile, config: PipelineConfig) -> AvatarProfile:
     """Render the avatar portrait and attach its image embedding."""
+    d_e, encoder_seed = config.embed_dim, config.encoder_seed
     cond = Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
-    portrait = sample_reverse(AnalyticDenoiser(world), cond, schedule, profile.seed, shape)
+    portrait = sample_reverse(
+        AnalyticDenoiser(config.world()), cond, config.schedule(), profile.seed,
+        config.latent_shape,
+    )
     return replace(profile, ip_embedding=encode_image_mock(portrait, d_e, encoder_seed))
 
 
 def generate_keyframe(
     script: ShotScript,
     avatar: AvatarProfile,
-    ip_scale: float,
-    schedule: NoiseSchedule,
-    world: GaussianWorld,
+    config: PipelineConfig,
     seed: int,
     shot_index: int,
-    shape: tuple = DEFAULT_SHAPE,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
 ) -> Keyframe:
     """Sample the shot keyframe under the full five-domain script text plus
     the avatar's identity embedding."""
     if avatar.ip_embedding is None:
         raise StateError(f"avatar '{avatar.id}' has not been rendered")
     cond = Condition(
-        text=encode_text_mock(script.as_text(), d_e, encoder_seed),
+        text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
         ip=avatar.ip_embedding,
-        ip_scale=ip_scale,
+        ip_scale=config.ip_scale,
     )
-    latent = sample_reverse(AnalyticDenoiser(world), cond, schedule, seed, shape)
+    latent = sample_reverse(
+        AnalyticDenoiser(config.world()), cond, config.schedule(), seed, config.latent_shape
+    )
     return Keyframe(latent=latent, shot_index=shot_index, avatar_id=avatar.id)

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages:
 
     script     expand a one-sentence input into a story file
     keyframes  render per-shot keyframe tensors from a story file
-    generate   produce frames + timeline from a story file
+    generate   produce frames + timeline (and a manifest) from a story file
     metrics    score a run directory and write report.json
     run        everything end to end
 
@@ -31,6 +31,7 @@ from .pipeline import (
     run_lock,
     run_pipeline,
     write_generation_artifacts,
+    write_manifest,
 )
 from .script import DOMAIN_FIELDS, parse_story, serialize_story
 from .tensorio import write_tensor_file
@@ -135,8 +136,11 @@ def _cmd_generate(args) -> int:
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
+        # a report from an earlier run would describe other frames
+        (run_dir / REPORT_FILE).unlink(missing_ok=True)
         (run_dir / STORY_FILE).write_bytes(serialize_story(story))
         write_generation_artifacts(story, config, run_dir, user_input=story.user_input)
+        write_manifest(run_dir)
     print(f"wrote frames and timeline to {run_dir} (mode={config.mode})")
     return 0
 
@@ -212,3 +216,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

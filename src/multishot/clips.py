@@ -14,16 +14,19 @@ engine owns the denoising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import TYPE_CHECKING, Callable, List
 
 import numpy as np
 
 from .casting import Keyframe, encode_image_mock
-from .conditioning import DEFAULT_EMBED_DIM, Condition, encode_text_mock
-from .diffusion import DEFAULT_SHAPE, AnalyticDenoiser, GaussianWorld, NoiseSchedule, sample_reverse
-from .errors import ConfigError, ValidationError
+from .conditioning import Condition, encode_text_mock
+from .diffusion import AnalyticDenoiser, sample_reverse
+from .errors import ValidationError
 from .script import ShotDescription
 from .seeds import derive_seed
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,7 @@ class ShotClip:
 def build_shot_condition(
     short: ShotDescription,
     keyframe: Keyframe,
-    ip_scale: float = 1.0,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
+    config: PipelineConfig,
     text_encoder: Callable = encode_text_mock,
     image_encoder: Callable = encode_image_mock,
 ) -> Condition:
@@ -50,10 +51,11 @@ def build_shot_condition(
         raise ValidationError(
             f"keyframe belongs to shot {keyframe.shot_index}, description to {short.index}"
         )
+    d_e, encoder_seed = config.embed_dim, config.encoder_seed
     return Condition(
         text=text_encoder(short.text, d_e, encoder_seed),
         ip=image_encoder(keyframe.latent, d_e, encoder_seed),
-        ip_scale=ip_scale,
+        ip_scale=config.ip_scale,
     )
 
 
@@ -65,30 +67,17 @@ def frame_seed(seed: int, shot_index: int, frame: int) -> int:
 def generate_shot_clip(
     short: ShotDescription,
     keyframe: Keyframe,
-    k: int,
-    schedule: NoiseSchedule,
-    world: GaussianWorld,
+    config: PipelineConfig,
     seed: int,
-    ip_scale: float = 1.0,
-    shape: tuple = DEFAULT_SHAPE,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
     text_encoder: Callable = encode_text_mock,
     image_encoder: Callable = encode_image_mock,
 ) -> ShotClip:
     """Sample the k-frame clip for one shot; deterministic given inputs."""
-    if k < 1:
-        raise ConfigError(f"frames per shot must be >= 1, got {k}")
     cond = build_shot_condition(
-        short,
-        keyframe,
-        ip_scale=ip_scale,
-        d_e=d_e,
-        encoder_seed=encoder_seed,
-        text_encoder=text_encoder,
-        image_encoder=image_encoder,
+        short, keyframe, config, text_encoder=text_encoder, image_encoder=image_encoder
     )
-    denoiser = AnalyticDenoiser(world)
+    denoiser = AnalyticDenoiser(config.world())
+    schedule, shape, k = config.schedule(), config.latent_shape, config.frames_per_shot
     frames = [
         sample_reverse(denoiser, cond, schedule, frame_seed(seed, short.index, f), shape)
         for f in range(k)

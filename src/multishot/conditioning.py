@@ -251,9 +251,3 @@ def condition_mean(
     """
     proj = get_projector(projector_seed, tuple(shape), **projector_kwargs)
     return proj.mean(cond)
-
-
-def make_condition_mean(projector_seed: int, shape: Tuple[int, int, int], **projector_kwargs):
-    """Factory for the GaussianWorld mean_map closure."""
-    proj = get_projector(projector_seed, tuple(shape), **projector_kwargs)
-    return proj.mean

@@ -1,6 +1,7 @@
 """Run-level configuration: every knob of the pipeline in one serializable
 dataclass, with the single-seed fan-out that makes one flag reproduce a
-whole run."""
+whole run. Stage functions take the config itself and derive the schedule,
+world, shapes and seeds they need from it."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
-from .conditioning import make_condition_mean
+from .conditioning import MeanProjector, get_projector
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
-from .metrics import PAIRINGS, MetricsSettings
+from .metrics import PAIRINGS
 from .seeds import derive_seed
 from .smoothing import SmoothConfig
 
@@ -102,8 +103,8 @@ class PipelineConfig:
     def schedule(self) -> NoiseSchedule:
         return make_schedule(self.steps, self.beta_start, self.beta_end)
 
-    def world(self) -> GaussianWorld:
-        mean_map = make_condition_mean(
+    def projector(self) -> MeanProjector:
+        return get_projector(
             self.projector_seed,
             self.latent_shape,
             d_e=self.embed_dim,
@@ -112,7 +113,9 @@ class PipelineConfig:
             identity_gain=self.identity_gain,
             content_gain=self.content_gain,
         )
-        return GaussianWorld(sigma0=self.sigma0, mean_map=mean_map)
+
+    def world(self) -> GaussianWorld:
+        return GaussianWorld(sigma0=self.sigma0, mean_map=self.projector().mean)
 
     def smooth_config(self) -> SmoothConfig:
         return SmoothConfig(
@@ -121,22 +124,6 @@ class PipelineConfig:
             T=self.steps,
             L=self.reset_boundary,
             eta=self.eta,
-        )
-
-    def metrics_settings(self) -> MetricsSettings:
-        return MetricsSettings(
-            identity_channels=self.identity_channels,
-            style_seed=self.style_seed,
-            style_channels=self.style_channels,
-            pairing=self.pairing,
-            psnr_max=self.psnr_max,
-            projector_seed=self.projector_seed,
-            encoder_seed=self.encoder_seed,
-            shape=self.latent_shape,
-            d_e=self.embed_dim,
-            n_tokens=self.n_tokens,
-            identity_gain=self.identity_gain,
-            content_gain=self.content_gain,
         )
 
     # -- (de)serialization --------------------------------------------------

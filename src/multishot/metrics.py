@@ -18,24 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .conditioning import (
-    DEFAULT_CONTENT_GAIN,
-    DEFAULT_EMBED_DIM,
-    DEFAULT_IDENTITY_CHANNELS,
-    DEFAULT_IDENTITY_GAIN,
-    DEFAULT_TOKENS,
-    encode_text_mock,
-    get_projector,
-)
-from .diffusion import DEFAULT_SHAPE
+from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock
 from .errors import ConfigError, InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
 from .seeds import spawn_rng
 from .smoothing import VideoTimeline
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 PSNR_CAP_DB = 100.0
 PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
@@ -160,17 +154,7 @@ def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 1.0) -> float:
 
 
 def clip_score_mock(
-    frames: Sequence[np.ndarray],
-    script,
-    domain: str,
-    projector_seed: int = 0,
-    shape: tuple = DEFAULT_SHAPE,
-    d_e: int = DEFAULT_EMBED_DIM,
-    n_tokens: int = DEFAULT_TOKENS,
-    d_id: int = DEFAULT_IDENTITY_CHANNELS,
-    identity_gain: float = DEFAULT_IDENTITY_GAIN,
-    content_gain: float = DEFAULT_CONTENT_GAIN,
-    encoder_seed: int = 0,
+    frames: Sequence[np.ndarray], script, domain: str, config: PipelineConfig
 ) -> float:
     """Per-domain text/frame alignment in the shared token space.
 
@@ -184,37 +168,11 @@ def clip_score_mock(
     frames = list(frames)
     if not frames:
         raise InputError("cannot score an empty frame list")
-    proj = get_projector(
-        projector_seed,
-        tuple(shape),
-        d_e=d_e,
-        n_tokens=n_tokens,
-        d_id=d_id,
-        identity_gain=identity_gain,
-        content_gain=content_gain,
-    )
+    proj = config.projector()
     text = getattr(script, domain)
-    target = proj.attend(encode_text_mock(text, d_e, encoder_seed).data)
+    target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed).data)
     scores = [cosine(proj.recover_composed(f), target) for f in frames]
     return float(np.mean(scores))
-
-
-@dataclass(frozen=True)
-class MetricsSettings:
-    """Everything build_report needs beyond the timeline and story."""
-
-    identity_channels: int = DEFAULT_IDENTITY_CHANNELS
-    style_seed: int = 0
-    style_channels: int = 6
-    pairing: str = "consecutive"
-    psnr_max: float = 1.0
-    projector_seed: int = 0
-    encoder_seed: int = 0
-    shape: tuple = DEFAULT_SHAPE
-    d_e: int = DEFAULT_EMBED_DIM
-    n_tokens: int = DEFAULT_TOKENS
-    identity_gain: float = DEFAULT_IDENTITY_GAIN
-    content_gain: float = DEFAULT_CONTENT_GAIN
 
 
 @dataclass
@@ -241,11 +199,7 @@ class MetricsReport:
         }
 
 
-def build_report(
-    timeline: VideoTimeline,
-    story: Story,
-    settings: MetricsSettings = MetricsSettings(),
-) -> MetricsReport:
+def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) -> MetricsReport:
     """Compute every report field; pure, writes nothing."""
     if not timeline.frames:
         raise InputError("timeline has no frames")
@@ -254,22 +208,22 @@ def build_report(
             f"timeline has {timeline.n_shots} shots, story declares {story.n_shots} "
             f"with {len(story.scripts)} scripts"
         )
-    face = IdentityChannelMean(d_id=settings.identity_channels)
-    style = StyleGram(seed=settings.style_seed, channels=settings.style_channels)
-    avatar_ids = [s.avatar_id for s in story.scripts] if settings.pairing == "same-avatar" else None
+    face = IdentityChannelMean(d_id=config.identity_channels)
+    style = StyleGram(seed=config.style_seed, channels=config.style_channels)
+    avatar_ids = [s.avatar_id for s in story.scripts] if config.pairing == "same-avatar" else None
 
     fc_within, fc_cross = consistency_scores(
-        timeline, face, pairing=settings.pairing, avatar_ids=avatar_ids
+        timeline, face, pairing=config.pairing, avatar_ids=avatar_ids
     )
     sc_within, sc_cross = consistency_scores(
-        timeline, style, pairing=settings.pairing, avatar_ids=avatar_ids
+        timeline, style, pairing=config.pairing, avatar_ids=avatar_ids
     )
 
     pair_values = []
     for j in range(story.n_shots):
         shot_frames = timeline.frames_for_shot(j)
         pair_values.extend(
-            psnr(shot_frames[i], shot_frames[i + 1], settings.psnr_max)
+            psnr(shot_frames[i], shot_frames[i + 1], config.psnr_max)
             for i in range(len(shot_frames) - 1)
         )
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None
@@ -277,19 +231,7 @@ def build_report(
     clip_by_domain = {}
     for domain in DOMAIN_FIELDS:
         per_shot = [
-            clip_score_mock(
-                timeline.frames_for_shot(j),
-                story.scripts[j],
-                domain,
-                projector_seed=settings.projector_seed,
-                shape=settings.shape,
-                d_e=settings.d_e,
-                n_tokens=settings.n_tokens,
-                d_id=settings.identity_channels,
-                identity_gain=settings.identity_gain,
-                content_gain=settings.content_gain,
-                encoder_seed=settings.encoder_seed,
-            )
+            clip_score_mock(timeline.frames_for_shot(j), story.scripts[j], domain, config)
             for j in range(story.n_shots)
         ]
         clip_by_domain[domain] = float(np.mean(per_shot))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -94,18 +95,7 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
 
 def render_keyframes(story: Story, config: PipelineConfig) -> Tuple[list, list]:
     """Casting stage: render every avatar, then one keyframe per shot."""
-    schedule = config.schedule()
-    world = config.world()
-    rendered = {}
-    for avatar in story.avatars:
-        rendered[avatar.id] = render_avatar(
-            avatar,
-            schedule,
-            world,
-            shape=config.latent_shape,
-            d_e=config.embed_dim,
-            encoder_seed=config.encoder_seed,
-        )
+    rendered = {avatar.id: render_avatar(avatar, config) for avatar in story.avatars}
     keyframes = []
     for desc, script in zip(story.descriptions, story.scripts):
         avatar = rendered.get(script.avatar_id)
@@ -116,14 +106,9 @@ def render_keyframes(story: Story, config: PipelineConfig) -> Tuple[list, list]:
             generate_keyframe(
                 script,
                 avatar,
-                config.ip_scale,
-                schedule,
-                world,
+                config,
                 derive_seed("keyframe", config.seed, desc.index),
                 shot_index=desc.index,
-                shape=config.latent_shape,
-                d_e=config.embed_dim,
-                encoder_seed=config.encoder_seed,
             )
         )
     return list(rendered.values()), keyframes
@@ -136,19 +121,7 @@ def generate_timeline(
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
     """Generation stage: windowed clips or the fifo-reset queue."""
-    return run_timeline(
-        story,
-        keyframes,
-        config.smooth_config(),
-        config.schedule(),
-        config.world(),
-        derive_seed("timeline", config.seed),
-        shape=config.latent_shape,
-        ip_scale=config.ip_scale,
-        d_e=config.embed_dim,
-        encoder_seed=config.encoder_seed,
-        trace=trace,
-    )
+    return run_timeline(story, keyframes, config, derive_seed("timeline", config.seed), trace=trace)
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +199,9 @@ def verify_manifest(run_dir: Path) -> bool:
 @contextlib.contextmanager
 def run_lock(run_dir: Path):
     """Exclusive ownership of a run directory; fails fast when the
-    directory is unwritable or already locked."""
+    directory is unwritable or already locked. Taking the lock clears the
+    failure marker of an earlier run, which no longer describes the
+    directory."""
     lock_path = Path(run_dir) / LOCK_FILE
     try:
         handle = open(lock_path, "x")
@@ -234,6 +209,7 @@ def run_lock(run_dir: Path):
         raise StateError(f"run directory is locked: {lock_path}") from None
     try:
         handle.close()
+        shutil.rmtree(Path(run_dir) / FAILED_DIR, ignore_errors=True)
         yield
     finally:
         with contextlib.suppress(OSError):
@@ -285,7 +261,7 @@ def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())
     timeline = load_timeline(run_dir)
-    report = build_report(timeline, story, config.metrics_settings())
+    report = build_report(timeline, story, config)
     write_report(Path(report_path) if report_path else run_dir / REPORT_FILE, report)
     return report
 

@@ -23,23 +23,19 @@ modes agree elementwise, which is the engine's main correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .clips import build_shot_condition, generate_shot_clip
-from .conditioning import DEFAULT_EMBED_DIM, Condition
-from .diffusion import (
-    DEFAULT_SHAPE,
-    AnalyticDenoiser,
-    DenoiserBackend,
-    GaussianWorld,
-    NoiseSchedule,
-    ddim_step,
-)
+from .conditioning import Condition
+from .diffusion import DEFAULT_SHAPE, AnalyticDenoiser, DenoiserBackend, NoiseSchedule, ddim_step
 from .errors import ConfigError, StateError
 from .script import Story
 from .seeds import spawn_rng
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 MODES = ("windowed", "fifo-reset")
 
@@ -302,13 +298,7 @@ def tick(
     return emitted
 
 
-def build_plan(
-    story: Story,
-    keyframes: List,
-    ip_scale: float = 1.0,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
-) -> List[Condition]:
+def build_plan(story: Story, keyframes: List, config: PipelineConfig) -> List[Condition]:
     """Per-shot conditions from short descriptions and keyframes."""
     if len(story.descriptions) != story.n_shots:
         raise StateError("story descriptions are not fully populated")
@@ -318,32 +308,23 @@ def build_plan(
         keyframe = by_shot.get(desc.index)
         if keyframe is None:
             raise StateError(f"no keyframe rendered for shot {desc.index}")
-        plan.append(
-            build_shot_condition(
-                desc, keyframe, ip_scale=ip_scale, d_e=d_e, encoder_seed=encoder_seed
-            )
-        )
+        plan.append(build_shot_condition(desc, keyframe, config))
     return plan
 
 
 def run_timeline(
     story: Story,
     keyframes: List,
-    config: SmoothConfig,
-    schedule: NoiseSchedule,
-    world: GaussianWorld,
+    config: PipelineConfig,
     seed: int,
-    shape: tuple = DEFAULT_SHAPE,
-    ip_scale: float = 1.0,
-    d_e: int = DEFAULT_EMBED_DIM,
-    encoder_seed: int = 0,
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
     """Produce all N*k frames in global order, labeled by shot."""
+    smooth = config.smooth_config()
     n_shots = story.n_shots
-    total = n_shots * config.k
+    total = n_shots * smooth.k
 
-    if config.mode == "windowed":
+    if smooth.mode == "windowed":
         frames: List[np.ndarray] = []
         shots: List[int] = []
         by_shot = {kf.shot_index: kf for kf in keyframes}
@@ -351,37 +332,25 @@ def run_timeline(
             keyframe = by_shot.get(desc.index)
             if keyframe is None:
                 raise StateError(f"no keyframe rendered for shot {desc.index}")
-            clip = generate_shot_clip(
-                desc,
-                keyframe,
-                config.k,
-                schedule,
-                world,
-                seed,
-                ip_scale=ip_scale,
-                shape=shape,
-                d_e=d_e,
-                encoder_seed=encoder_seed,
-            )
+            clip = generate_shot_clip(desc, keyframe, config, seed)
             frames.extend(clip.frames)
-            shots.extend([desc.index] * config.k)
-        return VideoTimeline(frames=frames, shots=shots, mode=config.mode)
+            shots.extend([desc.index] * smooth.k)
+        return VideoTimeline(frames=frames, shots=shots, mode=smooth.mode)
 
-    plan = build_plan(
-        story, keyframes, ip_scale=ip_scale, d_e=d_e, encoder_seed=encoder_seed
-    )
-    denoiser = AnalyticDenoiser(world)
-    queue = init_queue(plan, config, schedule, seed, shape)
+    plan = build_plan(story, keyframes, config)
+    schedule = config.schedule()
+    denoiser = AnalyticDenoiser(config.world())
+    queue = init_queue(plan, smooth, schedule, seed, config.latent_shape)
     switch_ticks: Dict[int, int] = {0: 0}
     frames = [None] * total
     emission_ticks = [0] * total
     produced = 0
-    max_ticks = total + config.T + 4
+    max_ticks = total + smooth.T + 4
     while produced < total:
         if queue.ticks >= max_ticks:
             raise StateError("queue failed to emit all frames (engine bug)")
         before = {s.global_frame for s in queue.slots}
-        result = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
+        result = tick(queue, denoiser, schedule, plan, smooth, seed, trace=trace)
         for slot in queue.slots:
             if slot.global_frame not in before and slot.shot not in switch_ticks:
                 switch_ticks[slot.shot] = queue.ticks
@@ -392,11 +361,11 @@ def run_timeline(
             frames[global_frame] = frame
             emission_ticks[global_frame] = queue.ticks
             produced += 1
-    shots = [shot_for_frame(f, config.k, config.k, n_shots) for f in range(total)]
+    shots = [shot_for_frame(f, smooth.k, smooth.k, n_shots) for f in range(total)]
     return VideoTimeline(
         frames=frames,
         shots=shots,
-        mode=config.mode,
+        mode=smooth.mode,
         emission_ticks=emission_ticks,
         switch_ticks=switch_ticks,
     )

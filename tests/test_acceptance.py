@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from multishot.casting import derive_avatars
-from multishot.conditioning import Condition, attention, encode_text_mock, make_condition_mean
+from multishot.conditioning import Condition, attention, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import (
     AnalyticDenoiser,
@@ -71,7 +71,7 @@ def test_criterion_2_sampling_fidelity():
     schedule = config.schedule()
     world = GaussianWorld(
         sigma0=0.5,
-        mean_map=make_condition_mean(config.projector_seed, config.latent_shape),
+        mean_map=config.projector().mean,
     )
     cond = Condition(text=encode_text_mock("a quiet meadow at dawn", 16, config.encoder_seed))
     mu = world.mean_map(cond)
@@ -160,7 +160,7 @@ def five_seed_reports():
             _, keyframes = render_keyframes(story, config)
             timeline = generate_timeline(story, keyframes, config)
             timeline.frames = [f.astype(np.float32) for f in timeline.frames]
-            reports[(seed, ip_scale)] = build_report(timeline, story, config.metrics_settings())
+            reports[(seed, ip_scale)] = build_report(timeline, story, config)
     return reports, time.perf_counter() - start
 
 

@@ -136,52 +136,41 @@ def toy_setup():
 
 def test_render_avatar_deterministic(toy_setup):
     config, story = toy_setup
-    schedule, world = config.schedule(), config.world()
-    a = render_avatar(story.avatars[0], schedule, world, encoder_seed=config.encoder_seed)
-    b = render_avatar(story.avatars[0], schedule, world, encoder_seed=config.encoder_seed)
+    a = render_avatar(story.avatars[0], config)
+    b = render_avatar(story.avatars[0], config)
     assert np.array_equal(a.ip_embedding.data, b.ip_embedding.data)
     assert abs(np.linalg.norm(a.ip_embedding.data) - 1.0) < 1e-9
 
 
 def test_same_prompt_different_seed_different_embedding(toy_setup):
     config, story = toy_setup
-    schedule, world = config.schedule(), config.world()
     base = story.avatars[0]
     twin = type(base)(id=base.id, prompt=base.prompt, seed=base.seed + 1)
-    a = render_avatar(base, schedule, world, encoder_seed=config.encoder_seed)
-    b = render_avatar(twin, schedule, world, encoder_seed=config.encoder_seed)
+    a = render_avatar(base, config)
+    b = render_avatar(twin, config)
     assert cosine(a.ip_embedding.data, b.ip_embedding.data) < 1.0 - 1e-6
 
 
 def test_keyframe_requires_rendered_avatar(toy_setup):
     config, story = toy_setup
     with pytest.raises(StateError):
-        generate_keyframe(
-            story.scripts[0], story.avatars[0], 1.0,
-            config.schedule(), config.world(), seed=0, shot_index=0,
-        )
+        generate_keyframe(story.scripts[0], story.avatars[0], config, seed=0, shot_index=0)
 
 
 def test_keyframe_ip_scale_zero_ignores_avatar(toy_setup):
     config, story = toy_setup
-    schedule, world = config.schedule(), config.world()
-    av0 = render_avatar(story.avatars[0], schedule, world, encoder_seed=config.encoder_seed)
-    av1 = render_avatar(story.avatars[1], schedule, world, encoder_seed=config.encoder_seed)
-    kf_a = generate_keyframe(story.scripts[0], av0, 0.0, schedule, world, 7, shot_index=0,
-                             encoder_seed=config.encoder_seed)
-    kf_b = generate_keyframe(story.scripts[0], av1, 0.0, schedule, world, 7, shot_index=0,
-                             encoder_seed=config.encoder_seed)
+    av0 = render_avatar(story.avatars[0], config)
+    av1 = render_avatar(story.avatars[1], config)
+    kf_a = generate_keyframe(story.scripts[0], av0, config.merged(ip_scale=0.0), 7, shot_index=0)
+    kf_b = generate_keyframe(story.scripts[0], av1, config.merged(ip_scale=0.0), 7, shot_index=0)
     assert np.array_equal(kf_a.latent, kf_b.latent)
 
 
 def test_keyframe_deterministic(toy_setup):
     config, story = toy_setup
-    schedule, world = config.schedule(), config.world()
-    avatar = render_avatar(story.avatars[0], schedule, world, encoder_seed=config.encoder_seed)
-    kf1 = generate_keyframe(story.scripts[0], avatar, 1.0, schedule, world, 5, shot_index=0,
-                            encoder_seed=config.encoder_seed)
-    kf2 = generate_keyframe(story.scripts[0], avatar, 1.0, schedule, world, 5, shot_index=0,
-                            encoder_seed=config.encoder_seed)
+    avatar = render_avatar(story.avatars[0], config)
+    kf1 = generate_keyframe(story.scripts[0], avatar, config, 5, shot_index=0)
+    kf2 = generate_keyframe(story.scripts[0], avatar, config, 5, shot_index=0)
     assert np.array_equal(kf1.latent, kf2.latent)
     assert kf1.avatar_id == avatar.id
 

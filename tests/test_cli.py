@@ -1,8 +1,13 @@
 """The command-line surface: subcommands, flags, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from multishot.cli import cli
+from multishot.pipeline import verify_manifest
 from multishot.script import parse_story
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
@@ -51,6 +56,35 @@ def test_generate_modes_share_labels(tmp_path):
     fifo, windowed = load("fifo-reset"), load("windowed")
     assert [f["shot"] for f in fifo["frames"]] == [f["shot"] for f in windowed["frames"]]
     assert fifo["mode"] == "fifo-reset" and windowed["mode"] == "windowed"
+
+
+def test_generate_writes_verifiable_manifest(tmp_path):
+    story_path = tmp_path / "story.json"
+    assert cli(["script", "--input", STORY_INPUT, "--out", str(story_path)]) == 0
+    out = tmp_path / "gen"
+    assert cli(["generate", "--story", str(story_path), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    assert verify_manifest(out)
+
+
+def test_generate_over_run_refreshes_manifest_and_drops_report(tmp_path):
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--out", str(out)]) == 0
+    assert cli(["generate", "--story", str(out / "story.json"), "--mode", "windowed",
+                "--out", str(out)]) == 0
+    assert not (out / "report.json").exists()
+    assert verify_manifest(out)
+
+
+def test_module_entry_point_runs_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "multishot.cli", "run", "--help"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert result.returncode == 0
+    assert "usage: multishot run" in result.stdout
 
 
 def test_metrics_single_shot_prints_null_cross(tmp_path, capsys):

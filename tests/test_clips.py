@@ -25,14 +25,8 @@ def _clip(config, story, keyframes, shot=0, k=8, seed=0, **kw):
     return generate_shot_clip(
         story.descriptions[shot],
         keyframes[shot],
-        k,
-        config.schedule(),
-        config.world(),
+        config.merged(frames_per_shot=k),
         seed,
-        ip_scale=config.ip_scale,
-        shape=config.latent_shape,
-        d_e=config.embed_dim,
-        encoder_seed=config.encoder_seed,
         **kw,
     )
 
@@ -103,4 +97,4 @@ def test_frame_identity_stays_near_keyframe_identity(chain):
 def test_keyframe_shot_mismatch_rejected(chain):
     config, story, keyframes = chain
     with pytest.raises(ValidationError):
-        build_shot_condition(story.descriptions[0], keyframes[1])
+        build_shot_condition(story.descriptions[0], keyframes[1], config)

@@ -162,36 +162,20 @@ def toy_chain():
     return config, story, keyframes
 
 
-def _score_kwargs(config):
-    return dict(
-        projector_seed=config.projector_seed,
-        shape=config.latent_shape,
-        d_e=config.embed_dim,
-        n_tokens=config.n_tokens,
-        d_id=config.identity_channels,
-        identity_gain=config.identity_gain,
-        content_gain=config.content_gain,
-        encoder_seed=config.encoder_seed,
-    )
-
-
 def test_clip_score_bounded(toy_chain):
     config, story, keyframes = toy_chain
     timeline = generate_timeline(story, keyframes, config)
     for domain in ("character", "background", "relations", "camera", "hdr"):
-        value = clip_score_mock(
-            timeline.frames_for_shot(0), story.scripts[0], domain, **_score_kwargs(config)
-        )
+        value = clip_score_mock(timeline.frames_for_shot(0), story.scripts[0], domain, config)
         assert -1.0 <= value <= 1.0
 
 
 def test_clip_score_input_errors(toy_chain):
     config, story, _ = toy_chain
     with pytest.raises(InputError):
-        clip_score_mock([], story.scripts[0], "character", **_score_kwargs(config))
+        clip_score_mock([], story.scripts[0], "character", config)
     with pytest.raises(InputError):
-        clip_score_mock([np.zeros((8, 8, 8))], story.scripts[0], "plot",
-                        **_score_kwargs(config))
+        clip_score_mock([np.zeros((8, 8, 8))], story.scripts[0], "plot", config)
 
 
 def test_clip_score_prefers_own_script():
@@ -205,17 +189,13 @@ def test_clip_score_prefers_own_script():
         shot = seed % config.n_shots
         other = (shot + 2) % config.n_shots
         clip = generate_shot_clip(
-            story.descriptions[shot], keyframes[shot], 4,
-            config.schedule(), config.world(), seed,
-            ip_scale=config.ip_scale, shape=config.latent_shape,
-            d_e=config.embed_dim, encoder_seed=config.encoder_seed,
+            story.descriptions[shot], keyframes[shot], config.merged(frames_per_shot=4), seed
         )
-        kwargs = _score_kwargs(config)
         own_scores.append(
-            clip_score_mock(clip.frames, story.scripts[shot], "character", **kwargs)
+            clip_score_mock(clip.frames, story.scripts[shot], "character", config)
         )
         other_scores.append(
-            clip_score_mock(clip.frames, story.scripts[other], "character", **kwargs)
+            clip_score_mock(clip.frames, story.scripts[other], "character", config)
         )
     assert np.mean(own_scores) > np.mean(other_scores)
 
@@ -229,7 +209,7 @@ def test_report_single_shot_has_null_cross(toy_chain):
     story1 = build_story(STORY_INPUT, cfg1)
     _, kfs1 = render_keyframes(story1, cfg1)
     timeline = generate_timeline(story1, kfs1, cfg1)
-    report = build_report(timeline, story1, cfg1.metrics_settings())
+    report = build_report(timeline, story1, cfg1)
     assert report.fc_cross is None and report.sc_cross is None
     assert report.fc_within is not None
     assert report.counts == {"shots": 1, "frames": 8}
@@ -238,8 +218,8 @@ def test_report_single_shot_has_null_cross(toy_chain):
 def test_report_deterministic_and_complete(toy_chain):
     config, story, keyframes = toy_chain
     timeline = generate_timeline(story, keyframes, config)
-    a = build_report(timeline, story, config.metrics_settings())
-    b = build_report(timeline, story, config.metrics_settings())
+    a = build_report(timeline, story, config)
+    b = build_report(timeline, story, config)
     assert a.to_dict() == b.to_dict()
     assert set(a.clip_by_domain) == {"character", "background", "relations", "camera", "hdr"}
     assert a.psnr_pairs is not None
@@ -252,7 +232,7 @@ def test_report_rejects_mismatched_story(toy_chain):
     timeline = generate_timeline(story, keyframes, config)
     other = build_story(STORY_INPUT, PipelineConfig(n_shots=3, shots_per_avatar=2))
     with pytest.raises(ValidationError):
-        build_report(timeline, other, config.metrics_settings())
+        build_report(timeline, other, config)
 
 
 def test_avatar_group_cosine_gap():

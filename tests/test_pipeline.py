@@ -125,6 +125,11 @@ def test_stage_failure_named_and_marked(tmp_path, monkeypatch):
     assert (out / "failed" / "stage.txt").read_text().strip() == "keyframes"
     assert (out / "story.json").exists()  # earlier artifacts retained
     assert not (out / LOCK_FILE).exists()
+    # a later successful run into the same directory clears the marker
+    monkeypatch.undo()
+    run_pipeline(STORY_INPUT, PipelineConfig(), out)
+    assert not (out / "failed").exists()
+    assert verify_manifest(out)
 
 
 def test_windowed_mode_run(tmp_path):

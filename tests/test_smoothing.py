@@ -1,9 +1,15 @@
 """The FIFO queue engine: structure, conditioning purity, reset boundary,
 emission order, and mode agreement."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multishot.clips import frame_seed
+from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import AnalyticDenoiser, make_schedule
 from multishot.errors import ConfigError, StateError
@@ -17,7 +23,7 @@ from multishot.smoothing import (
     shot_for_frame,
     tick,
 )
-from multishot.seeds import spawn_rng
+from multishot.seeds import derive_seed, spawn_rng
 
 STORY_INPUT = "the orchard year of a beekeeper named Wren"
 
@@ -28,8 +34,7 @@ def small_chain():
     config = PipelineConfig(n_shots=2, frames_per_shot=3, steps=4, seed=1)
     story = build_story(STORY_INPUT, config)
     _, keyframes = render_keyframes(story, config)
-    plan = build_plan(story, keyframes, ip_scale=config.ip_scale,
-                      d_e=config.embed_dim, encoder_seed=config.encoder_seed)
+    plan = build_plan(story, keyframes, config)
     return config, story, keyframes, plan
 
 
@@ -188,6 +193,45 @@ def test_tick_on_empty_queue_raises(small_chain):
              config.schedule(), plan, config.smooth_config(), seed=0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    T=st.integers(min_value=1, max_value=6),
+    eta=st.sampled_from([0.0, 0.5]),
+    data=st.data(),
+)
+def test_queue_properties_over_shapes(n, k, T, eta, data):
+    # any (n, k, T, L <= k, eta): frames leave in order after n*k + T - 1
+    # ticks, each visits levels T..1 under the shot shot_for_frame names
+    L = data.draw(st.integers(min_value=1, max_value=k), label="L")
+    config = PipelineConfig(n_shots=n, frames_per_shot=k, steps=T, reset_boundary=L,
+                            eta=eta, height=2, width=2)
+    plan = [
+        Condition(text=encode_text_mock(f"shot {j}", config.embed_dim, config.encoder_seed))
+        for j in range(n)
+    ]
+    smooth, schedule = config.smooth_config(), config.schedule()
+    denoiser = AnalyticDenoiser(config.world())
+    queue = init_queue(plan, smooth, schedule, seed=0, shape=config.latent_shape)
+    trace = DenoiseTrace()
+    emitted = []
+    while queue.emitted < n * k and queue.ticks < n * k + T + 4:
+        result = tick(queue, denoiser, schedule, plan, smooth, seed=0, trace=trace)
+        if queue.slots:
+            queue.check_invariant()
+        if result is not None:
+            emitted.append(result[0])
+    assert emitted == list(range(n * k))
+    assert queue.ticks == n * k + T - 1
+    assert queue.slots == []
+    for gf in range(n * k):
+        records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
+        assert [r.level for r in records] == list(range(T, 0, -1))
+    assert all(r.condition_shot == shot_for_frame(r.global_frame, k, L, n)
+               for r in trace.records)
+
+
 # --- run_timeline ---------------------------------------------------------------
 
 
@@ -253,8 +297,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
         _, keyframes = render_keyframes(story, config)
-        plan = build_plan(story, keyframes, ip_scale=config.ip_scale,
-                          d_e=config.embed_dim, encoder_seed=config.encoder_seed)
+        plan = build_plan(story, keyframes, config)
         world = config.world()
         timeline = generate_timeline(story, keyframes, config)
         for j in range(config.n_shots):
@@ -267,8 +310,7 @@ def test_mode_agreement_at_convergence():
     config = PipelineConfig(sigma0=0.0)
     story = build_story(STORY_INPUT, config)
     _, keyframes = render_keyframes(story, config)
-    plan = build_plan(story, keyframes, ip_scale=config.ip_scale,
-                      d_e=config.embed_dim, encoder_seed=config.encoder_seed)
+    plan = build_plan(story, keyframes, config)
     world = config.world()
     fifo = generate_timeline(story, keyframes, config)
     windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
@@ -278,3 +320,45 @@ def test_mode_agreement_at_convergence():
             assert np.abs(frame - world.mean_map(plan[shot])).max() < 1e-4
     for a, b in zip(fifo.frames, windowed.frames):
         assert np.abs(a - b).max() < 2e-4
+
+
+def _chain_scalars(schedule, sigma0):
+    # (A_T, B_T) of the collapsed eta = 0 chain: each analytic DDIM step maps
+    # x_t to alpha x_t + beta mu(c), so x0 = A_T x_T + B_T mu(c)
+    A, B = 1.0, 0.0
+    s2 = sigma0**2
+    for t in range(schedule.T, 0, -1):
+        a = schedule.alpha_bar(t)
+        a_prev = schedule.alpha_bar(t - 1)
+        denom = a * s2 + 1.0 - a
+        p = math.sqrt(a) * s2 / denom
+        q = (1.0 - a) / denom
+        c = math.sqrt(1.0 - a_prev) / math.sqrt(1.0 - a)
+        alpha = math.sqrt(a_prev) * p + c * (1.0 - math.sqrt(a) * p)
+        beta = math.sqrt(a_prev) * q - c * math.sqrt(a) * q
+        A, B = alpha * A, alpha * B + beta
+    return A, B
+
+
+@pytest.mark.parametrize("sigma0", [0.5, 2.0])
+@pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
+def test_frames_match_closed_form_chain(mode, sigma0):
+    # away from the degenerate sigma0 = 0 world, every frame is still the
+    # closed form A_T x_T + B_T mu(c) of its own seeded noise and shot
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=20, sigma0=sigma0, mode=mode)
+    story = build_story(STORY_INPUT, config)
+    _, keyframes = render_keyframes(story, config)
+    plan = build_plan(story, keyframes, config)
+    timeline = generate_timeline(story, keyframes, config)
+    A, B = _chain_scalars(config.schedule(), sigma0)
+    mean_map = config.world().mean_map
+    seed, k = derive_seed("timeline", config.seed), config.frames_per_shot
+    assert len(timeline.frames) == 12
+    for g, (frame, shot) in enumerate(zip(timeline.frames, timeline.shots)):
+        if mode == "fifo-reset":
+            rng = spawn_rng("queue-noise", seed, g)
+        else:
+            rng = spawn_rng("reverse-init", frame_seed(seed, shot, g % k))
+        expected = A * rng.standard_normal(config.latent_shape) + B * mean_map(plan[shot])
+        error = np.max(np.abs(frame - expected) / np.maximum(1.0, np.abs(expected)))
+        assert error < 1e-12, f"frame {g}: {error:.2e}"
