@@ -30,8 +30,6 @@ from .seeds import derive_seed, spawn_rng
 if TYPE_CHECKING:
     from .config import PipelineConfig
 
-DEFAULT_SHOTS_PER_AVATAR = 6  # mirrors a 30-shot story split across 5 recurring figures
-
 
 @dataclass(frozen=True)
 class AvatarProfile:
@@ -64,7 +62,7 @@ _AVATARS_INSTRUCTION = (
 def derive_avatars(
     descriptions: List[ShotDescription],
     llm: LlmClient,
-    shots_per_avatar: int = DEFAULT_SHOTS_PER_AVATAR,
+    shots_per_avatar: int,
     seed: int = 0,
 ) -> Tuple[List[AvatarProfile], List[str]]:
     """Propose avatars and a total per-shot assignment.

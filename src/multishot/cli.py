@@ -31,10 +31,10 @@ from .pipeline import (
     run_lock,
     run_pipeline,
     write_generation_artifacts,
+    write_keyframes,
     write_manifest,
 )
 from .script import DOMAIN_FIELDS, parse_story, serialize_story
-from .tensorio import write_tensor_file
 
 
 class UsageError(Exception):
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--story", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True, help="directory for shot_%%04d.vgt files")
+    p.add_argument("--out", required=True, help="directory for one .vgt keyframe per shot")
 
     p = sub.add_parser("generate", help="generate frames and timeline from a story file")
     p.add_argument("--story", required=True)
@@ -121,10 +121,8 @@ def _cmd_keyframes(args) -> int:
     config, _ = _load_config(args)
     config = config.merged(n_shots=story.n_shots)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _, keyframes = render_keyframes(story, config)
-    for keyframe in keyframes:
-        write_tensor_file(out / f"shot_{keyframe.shot_index:04d}.vgt", keyframe.latent)
+    write_keyframes(keyframes, out)
     print(f"wrote {len(keyframes)} keyframes to {out}")
     return 0
 

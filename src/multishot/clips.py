@@ -44,7 +44,6 @@ def build_shot_condition(
     keyframe: Keyframe,
     config: PipelineConfig,
     text_encoder: Callable = encode_text_mock,
-    image_encoder: Callable = encode_image_mock,
 ) -> Condition:
     """The single condition a shot's frames are denoised under."""
     if keyframe.shot_index != short.index:
@@ -54,7 +53,7 @@ def build_shot_condition(
     d_e, encoder_seed = config.embed_dim, config.encoder_seed
     return Condition(
         text=text_encoder(short.text, d_e, encoder_seed),
-        ip=image_encoder(keyframe.latent, d_e, encoder_seed),
+        ip=encode_image_mock(keyframe.latent, d_e, encoder_seed),
         ip_scale=config.ip_scale,
     )
 
@@ -70,12 +69,9 @@ def generate_shot_clip(
     config: PipelineConfig,
     seed: int,
     text_encoder: Callable = encode_text_mock,
-    image_encoder: Callable = encode_image_mock,
 ) -> ShotClip:
     """Sample the k-frame clip for one shot; deterministic given inputs."""
-    cond = build_shot_condition(
-        short, keyframe, config, text_encoder=text_encoder, image_encoder=image_encoder
-    )
+    cond = build_shot_condition(short, keyframe, config, text_encoder=text_encoder)
     denoiser = AnalyticDenoiser(config.world())
     schedule, shape, k = config.schedule(), config.latent_shape, config.frames_per_shot
     frames = [

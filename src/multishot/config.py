@@ -1,7 +1,12 @@
 """Run-level configuration: every knob of the pipeline in one serializable
 dataclass, with the single-seed fan-out that makes one flag reproduce a
 whole run. Stage functions take the config itself and derive the schedule,
-world, shapes and seeds they need from it."""
+world, shapes and seeds they need from it.
+
+The toy world's fixed constants are not knobs: the schedule ends live in
+make_schedule, the token count and gains in conditioning, the style
+feature width in StyleGram and the PSNR peak in psnr, each as the default
+of the primitive that uses it."""
 
 from __future__ import annotations
 
@@ -9,7 +14,13 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
-from .conditioning import MeanProjector, get_projector
+from .conditioning import (
+    DEFAULT_EMBED_DIM,
+    DEFAULT_IDENTITY_CHANNELS,
+    DEFAULT_TOKENS,
+    MeanProjector,
+    get_projector,
+)
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .metrics import PAIRINGS
@@ -27,23 +38,16 @@ class PipelineConfig:
     frames_per_shot: int = 8
     mode: str = "fifo-reset"
     steps: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 0.3
     eta: float = 0.0
     height: int = 8
     width: int = 8
     channels: int = 8
-    identity_channels: int = 4
-    embed_dim: int = 16
-    n_tokens: int = 4
+    identity_channels: int = DEFAULT_IDENTITY_CHANNELS
+    embed_dim: int = DEFAULT_EMBED_DIM
     ip_scale: float = 1.0
-    identity_gain: float = 6.0
-    content_gain: float = 5.0
     sigma0: float = 0.5
     shots_per_avatar: int = 2
-    style_channels: int = 6
     pairing: str = "consecutive"
-    psnr_max: float = 1.0
     reset_boundary: Optional[int] = None
     seed: int = 0
     llm: str = "mock"
@@ -55,8 +59,7 @@ class PipelineConfig:
     def validate(self):
         positive = (
             "n_shots", "frames_per_shot", "steps", "height", "width", "channels",
-            "identity_channels", "embed_dim", "n_tokens", "shots_per_avatar",
-            "style_channels",
+            "identity_channels", "embed_dim", "shots_per_avatar",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -66,21 +69,14 @@ class PipelineConfig:
             raise ConfigError(f"llm must be one of {LLM_BACKENDS}, got '{self.llm}'")
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{self.pairing}'")
-        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
-            raise ConfigError(
-                f"betas must satisfy 0 < start <= end < 1, got "
-                f"[{self.beta_start}, {self.beta_end}]"
-            )
         if self.identity_channels > self.channels:
             raise ConfigError("identity_channels cannot exceed channels")
-        if self.embed_dim % self.n_tokens != 0:
-            raise ConfigError("embed_dim must be divisible by n_tokens")
+        if self.embed_dim % DEFAULT_TOKENS != 0:
+            raise ConfigError(f"embed_dim must be divisible by {DEFAULT_TOKENS} tokens")
         if self.sigma0 < 0:
             raise ConfigError(f"sigma0 must be nonnegative, got {self.sigma0}")
         if self.ip_scale < 0:
             raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
-        if self.psnr_max <= 0:
-            raise ConfigError(f"psnr_max must be positive, got {self.psnr_max}")
 
     # -- derived pieces -----------------------------------------------------
 
@@ -101,17 +97,14 @@ class PipelineConfig:
         return derive_seed("style", self.seed)
 
     def schedule(self) -> NoiseSchedule:
-        return make_schedule(self.steps, self.beta_start, self.beta_end)
+        return make_schedule(self.steps)
 
     def projector(self) -> MeanProjector:
         return get_projector(
             self.projector_seed,
             self.latent_shape,
             d_e=self.embed_dim,
-            n_tokens=self.n_tokens,
             d_id=self.identity_channels,
-            identity_gain=self.identity_gain,
-            content_gain=self.content_gain,
         )
 
     def world(self) -> GaussianWorld:

@@ -17,7 +17,7 @@ through the extractor protocol without touching the scoring code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -188,15 +188,7 @@ class MetricsReport:
     counts: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "fc_within": self.fc_within,
-            "fc_cross": self.fc_cross,
-            "sc_within": self.sc_within,
-            "sc_cross": self.sc_cross,
-            "psnr_pairs": self.psnr_pairs,
-            "clip_by_domain": dict(self.clip_by_domain),
-            "counts": dict(self.counts),
-        }
+        return asdict(self)
 
 
 def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) -> MetricsReport:
@@ -209,7 +201,7 @@ def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) 
             f"with {len(story.scripts)} scripts"
         )
     face = IdentityChannelMean(d_id=config.identity_channels)
-    style = StyleGram(seed=config.style_seed, channels=config.style_channels)
+    style = StyleGram(seed=config.style_seed)
     avatar_ids = [s.avatar_id for s in story.scripts] if config.pairing == "same-avatar" else None
 
     fc_within, fc_cross = consistency_scores(
@@ -223,8 +215,7 @@ def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) 
     for j in range(story.n_shots):
         shot_frames = timeline.frames_for_shot(j)
         pair_values.extend(
-            psnr(shot_frames[i], shot_frames[i + 1], config.psnr_max)
-            for i in range(len(shot_frames) - 1)
+            psnr(shot_frames[i], shot_frames[i + 1]) for i in range(len(shot_frames) - 1)
         )
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None
 

@@ -158,16 +158,20 @@ def write_report(path: Path, report: MetricsReport) -> None:
 
 
 def read_report(path) -> MetricsReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricsReport(
-        fc_within=doc["fc_within"],
-        fc_cross=doc["fc_cross"],
-        sc_within=doc["sc_within"],
-        sc_cross=doc["sc_cross"],
-        psnr_pairs=doc["psnr_pairs"],
-        clip_by_domain=doc["clip_by_domain"],
-        counts=doc["counts"],
-    )
+    return MetricsReport(**json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def write_keyframes(keyframes: list, out_dir: Path) -> List[Path]:
+    """Write one shot_NNNN.vgt per keyframe and delete every other
+    shot_*.vgt in out_dir, so a rerun into the directory of a larger run
+    leaves no keyframe of a shot the story no longer has."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"shot_{keyframe.shot_index:04d}.vgt" for keyframe in keyframes]
+    for stale in set(out_dir.glob("shot_*.vgt")) - set(paths):
+        stale.unlink()
+    for keyframe, path in zip(keyframes, paths):
+        write_tensor_file(path, keyframe.latent)
+    return paths
 
 
 def _sha256(path: Path) -> str:
@@ -234,16 +238,9 @@ def write_generation_artifacts(
     """Casting plus generation stages with persistence; returns keyframe
     paths and the in-memory timeline."""
     run_dir = Path(run_dir)
-    keyframe_dir = run_dir / KEYFRAME_DIR
-    keyframe_dir.mkdir(exist_ok=True)
-
     with _stage(run_dir, "keyframes"):
         _, keyframes = render_keyframes(story, config)
-        keyframe_paths = []
-        for keyframe in keyframes:
-            path = keyframe_dir / f"shot_{keyframe.shot_index:04d}.vgt"
-            write_tensor_file(path, keyframe.latent)
-            keyframe_paths.append(path)
+        keyframe_paths = write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
 
     with _stage(run_dir, "generate"):
         timeline = generate_timeline(story, keyframes, config)

@@ -1,5 +1,9 @@
 """Pipeline configuration: validation, precedence, serialization."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from multishot.config import PipelineConfig, config_from_json, config_to_json
@@ -18,14 +22,14 @@ def test_defaults_are_valid():
     [
         {"n_shots": 0},
         {"mode": "sideways"},
-        {"beta_start": 0.0},
-        {"beta_end": 1.0},
+        {"frames_per_shot": 0},
+        {"steps": 0},
         {"identity_channels": 9},
         {"embed_dim": 15},
         {"sigma0": -1.0},
         {"eta": 1.5},
         {"ip_scale": -0.5},
-        {"psnr_max": 0.0},
+        {"shots_per_avatar": 0},
         {"llm": "oracle"},
         {"pairing": "random"},
         {"reset_boundary": 0},
@@ -66,6 +70,8 @@ def test_json_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_json(b'{"n_shots": 4, "frames": 9}')
     with pytest.raises(ConfigError):
+        config_from_json(b'{"psnr_max": 1.0}')
+    with pytest.raises(ConfigError):
         config_from_json(b"[1, 2]")
     with pytest.raises(ConfigError):
         config_from_json(b"{nope")
@@ -74,3 +80,13 @@ def test_json_rejects_unknown_keys():
 def test_out_dir_extra_is_tolerated():
     _, extras = config_from_json(b'{"seed": 1, "out_dir": "somewhere"}')
     assert extras["out_dir"] == "somewhere"
+
+
+def test_readme_configuration_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([a-z_0-9]+)`", section))
+    assert {f.name for f in fields(PipelineConfig)} <= named
+    deleted = {"beta_start", "beta_end", "n_tokens", "identity_gain", "content_gain",
+               "style_channels", "psnr_max"}
+    assert not deleted & named

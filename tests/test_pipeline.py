@@ -132,6 +132,19 @@ def test_stage_failure_named_and_marked(tmp_path, monkeypatch):
     assert verify_manifest(out)
 
 
+def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):
+    out = tmp_path / "shrinking"
+    run_pipeline(STORY_INPUT, PipelineConfig(n_shots=4), out)
+    artifacts = run_pipeline(STORY_INPUT, PipelineConfig(n_shots=2), out)
+    assert sorted(p.name for p in (out / "keyframes").iterdir()) == [
+        "shot_0000.vgt", "shot_0001.vgt"
+    ]
+    assert sorted(name for name in artifacts.manifest if name.startswith("keyframes/")) == [
+        "keyframes/shot_0000.vgt", "keyframes/shot_0001.vgt"
+    ]
+    assert verify_manifest(out)
+
+
 def test_windowed_mode_run(tmp_path):
     artifacts = run_pipeline(
         STORY_INPUT, PipelineConfig(mode="windowed"), tmp_path / "windowed"
