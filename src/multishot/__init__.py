@@ -64,7 +64,6 @@ from .script import (
 from .smoothing import (
     DenoiseTrace,
     LatentQueue,
-    SmoothConfig,
     VideoTimeline,
     init_queue,
     run_timeline,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,13 +22,11 @@ from .conditioning import (
     Embedding,
     encode_text_mock,
 )
+from .config import PipelineConfig
 from .diffusion import AnalyticDenoiser, sample_reverse
-from .errors import InputError, ParseError, StateError, TransportError, ValidationError
-from .script import DOMAIN_FIELDS, DomainPrompt, LlmClient, ShotDescription, ShotScript
+from .errors import InputError, ParseError, StateError, ValidationError
+from .script import DOMAIN_FIELDS, DomainPrompt, LlmClient, ShotDescription, ShotScript, call_llm
 from .seeds import derive_seed, spawn_rng
-
-if TYPE_CHECKING:
-    from .config import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,7 @@ def derive_avatars(
             "shots_per_avatar": shots_per_avatar,
         }
     )
-    try:
-        completion = llm.complete(_AVATARS_INSTRUCTION, context)
-    except (ParseError, ValidationError, TransportError):
-        raise
-    except Exception as exc:
-        raise TransportError(f"LLM client failed while proposing avatars: {exc}") from exc
+    completion = call_llm(llm, _AVATARS_INSTRUCTION, context, "while proposing avatars")
 
     try:
         payload = json.loads(completion)

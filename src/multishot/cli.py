@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import PipelineConfig, config_from_json
+from .config import LLM_BACKENDS, MODES, PipelineConfig, config_from_json
 from .errors import MultishotError, StageFailure, TransportError
 from .pipeline import (
     REPORT_FILE,
@@ -27,6 +27,7 @@ from .pipeline import (
     build_story,
     compute_metrics_for_run,
     read_report,
+    record_in_manifest,
     render_keyframes,
     run_lock,
     run_pipeline,
@@ -53,7 +54,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("script", parents=[], help="expand input into a story file")
     p.add_argument("--input", required=True, help="one-sentence story input")
     p.add_argument("--shots", type=int, default=None, help="number of shots")
-    p.add_argument("--llm", choices=["mock", "http"], default=None)
+    p.add_argument("--llm", choices=LLM_BACKENDS, default=None)
     p.add_argument("--llm-endpoint", default=None)
     p.add_argument("--shots-per-avatar", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="generate frames and timeline from a story file")
     p.add_argument("--story", required=True)
-    p.add_argument("--mode", choices=["fifo-reset", "windowed"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
-    p.add_argument("--mode", choices=["fifo-reset", "windowed"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="run directory (default 'run')")
     return parser
@@ -165,8 +166,9 @@ def _render_table(report) -> str:
 
 def _cmd_metrics(args) -> int:
     report = compute_metrics_for_run(args.run, args.report)
-    print(_render_table(report))
     target = args.report or str(Path(args.run) / REPORT_FILE)
+    record_in_manifest(args.run, target)
+    print(_render_table(report))
     print(f"wrote {target}")
     return 0
 

@@ -14,19 +14,17 @@ engine owns the denoising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List
+from typing import Callable, List
 
 import numpy as np
 
 from .casting import Keyframe, encode_image_mock
 from .conditioning import Condition, encode_text_mock
+from .config import PipelineConfig
 from .diffusion import AnalyticDenoiser, sample_reverse
 from .errors import ValidationError
 from .script import ShotDescription
 from .seeds import derive_seed
-
-if TYPE_CHECKING:
-    from .config import PipelineConfig
 
 
 @dataclass(frozen=True)

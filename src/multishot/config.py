@@ -23,10 +23,10 @@ from .conditioning import (
 )
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
-from .metrics import PAIRINGS
 from .seeds import derive_seed
-from .smoothing import SmoothConfig
 
+MODES = ("windowed", "fifo-reset")
+PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
 LLM_BACKENDS = ("mock", "http")
 
 
@@ -64,7 +64,21 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        self.smooth_config()  # mode, eta and reset_boundary
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
+        if not 1 <= self.boundary <= self.frames_per_shot:
+            raise ConfigError(
+                f"reset_boundary must lie in [1, frames_per_shot={self.frames_per_shot}], "
+                f"got {self.reset_boundary}"
+            )
+        if not 0.0 <= self.eta <= 1.0:
+            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
+        if self.mode == "windowed" and (self.eta != 0.0 or self.boundary != self.frames_per_shot):
+            raise ConfigError(
+                "eta and reset_boundary apply to fifo-reset only; windowed mode needs eta=0 "
+                f"and reset_boundary=frames_per_shot, got eta={self.eta}, "
+                f"reset_boundary={self.reset_boundary}"
+            )
         if self.llm not in LLM_BACKENDS:
             raise ConfigError(f"llm must be one of {LLM_BACKENDS}, got '{self.llm}'")
         if self.pairing not in PAIRINGS:
@@ -79,6 +93,12 @@ class PipelineConfig:
             raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
 
     # -- derived pieces -----------------------------------------------------
+
+    @property
+    def boundary(self) -> int:
+        """The reset boundary L: reset_boundary, or frames_per_shot when unset.
+        eta and L act on the fifo-reset queue only."""
+        return self.frames_per_shot if self.reset_boundary is None else self.reset_boundary
 
     @property
     def latent_shape(self) -> tuple:
@@ -109,15 +129,6 @@ class PipelineConfig:
 
     def world(self) -> GaussianWorld:
         return GaussianWorld(sigma0=self.sigma0, mean_map=self.projector().mean)
-
-    def smooth_config(self) -> SmoothConfig:
-        return SmoothConfig(
-            mode=self.mode,
-            k=self.frames_per_shot,
-            T=self.steps,
-            L=self.reset_boundary,
-            eta=self.eta,
-        )
 
     # -- (de)serialization --------------------------------------------------
 

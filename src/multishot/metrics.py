@@ -18,21 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock
+from .config import PAIRINGS, PipelineConfig
 from .errors import ConfigError, InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
 from .seeds import spawn_rng
 from .smoothing import VideoTimeline
 
-if TYPE_CHECKING:
-    from .config import PipelineConfig
-
 PSNR_CAP_DB = 100.0
-PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .casting import generate_keyframe, render_avatar
-from .config import PipelineConfig, config_from_json, config_to_json
-from .errors import ConfigError, StageFailure, StateError, ValidationError
+from .config import MODES, PipelineConfig, config_from_json, config_to_json
+from .errors import ConfigError, ParseError, StageFailure, StateError, ValidationError
 from .metrics import MetricsReport, build_report
 from .script import (
     HttpLlmClient,
@@ -41,6 +41,7 @@ from .script import (
     expand_story,
     generate_script_sequence,
     parse_story,
+    require_field,
     serialize_story,
 )
 from .casting import derive_avatars
@@ -143,14 +144,30 @@ def write_timeline_json(path: Path, timeline: VideoTimeline) -> None:
 
 
 def load_timeline(run_dir: Path) -> VideoTimeline:
-    doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
+    """Frames and shot labels of a run; a malformed timeline.json fails
+    with the JSON path of the bad entry."""
+    try:
+        doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"timeline document is not valid UTF-8 JSON: {exc}") from exc
+    mode = require_field(doc, "mode", str, "")
+    if mode not in MODES:
+        raise ValidationError(f"field mode must be one of {MODES}, got '{mode}'")
+    labels = []
+    for i, entry in enumerate(require_field(doc, "frames", list, "")):
+        path = f"frames[{i}]"
+        if require_field(entry, "global_frame", int, path) != i:
+            raise ValidationError(f"field {path}.global_frame must equal its position {i}")
+        shot = require_field(entry, "shot", int, path)
+        if shot < 0:
+            raise ValidationError(f"field {path}.shot must be >= 0, got {shot}")
+        labels.append(shot)
     stacked = read_tensor_file(run_dir / FRAMES_FILE)
-    labels = [entry["shot"] for entry in doc["frames"]]
     if stacked.shape[0] != len(labels):
         raise ValidationError(
             f"frames.vgt holds {stacked.shape[0]} frames, timeline lists {len(labels)}"
         )
-    return VideoTimeline(frames=list(stacked), shots=labels, mode=doc["mode"])
+    return VideoTimeline(frames=list(stacked), shots=labels, mode=mode)
 
 
 def write_report(path: Path, report: MetricsReport) -> None:
@@ -198,6 +215,24 @@ def verify_manifest(run_dir: Path) -> bool:
     return all(
         _sha256(run_dir / name) == digest for name, digest in doc["files"].items()
     )
+
+
+def record_in_manifest(run_dir: Path, path: Path) -> None:
+    """Add or update the hash of one file inside run_dir in its existing
+    manifest. Every other entry is kept as recorded: rehashing them all
+    would bless an artifact corrupted since the manifest was written. Does
+    nothing when run_dir has no manifest or path lies outside it."""
+    run_dir = Path(run_dir)
+    manifest_path = run_dir / MANIFEST_FILE
+    try:
+        name = Path(path).resolve().relative_to(run_dir.resolve()).as_posix()
+    except ValueError:
+        return
+    if not manifest_path.exists():
+        return
+    files = json.loads(manifest_path.read_text(encoding="utf-8"))["files"]
+    files[name] = _sha256(run_dir / name)
+    _write_json(manifest_path, {"files": dict(sorted(files.items()))})
 
 
 @contextlib.contextmanager

@@ -21,7 +21,15 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
-from .errors import InputError, ParseError, SchemaError, StateError, TransportError, ValidationError
+from .errors import (
+    InputError,
+    MultishotError,
+    ParseError,
+    SchemaError,
+    StateError,
+    TransportError,
+    ValidationError,
+)
 from .seeds import derive_seed
 
 DOMAIN_FIELDS = ("character", "background", "relations", "camera", "hdr")
@@ -99,6 +107,18 @@ class LlmClient(Protocol):
 
     def complete(self, instruction: str, context: str) -> str:
         ...
+
+
+def call_llm(llm: LlmClient, instruction: str, context: str, task: str) -> str:
+    """The one error policy of LLM calls: errors of this package (a parse,
+    schema or transport error a client raises itself) pass through, and any
+    other exception becomes a TransportError naming the task."""
+    try:
+        return llm.complete(instruction, context)
+    except MultishotError:
+        raise
+    except Exception as exc:
+        raise TransportError(f"LLM client failed {task}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -293,14 +313,7 @@ def expand_story(user_input: str, n_shots: int, llm: LlmClient) -> List[ShotDesc
     if n_shots < 1:
         raise InputError(f"need at least one shot, got {n_shots}")
     context = json.dumps({"task": "expand", "user_input": stripped, "n_shots": n_shots})
-    try:
-        completion = llm.complete(_EXPAND_INSTRUCTION, context)
-    except (ParseError, SchemaError):
-        raise
-    except TransportError:
-        raise
-    except Exception as exc:
-        raise TransportError(f"LLM client failed while expanding the story: {exc}") from exc
+    completion = call_llm(llm, _EXPAND_INSTRUCTION, context, "while expanding the story")
 
     descriptions = []
     for line in completion.splitlines():
@@ -345,12 +358,7 @@ def generate_shot_script(
     context = json.dumps(
         {"task": "script", "short": s.text, "index": s.index, "prev": prev_payload}
     )
-    try:
-        completion = llm.complete(_SCRIPT_INSTRUCTION, context)
-    except (ParseError, SchemaError, TransportError):
-        raise
-    except Exception as exc:
-        raise TransportError(f"LLM client failed on shot {s.index}: {exc}") from exc
+    completion = call_llm(llm, _SCRIPT_INSTRUCTION, context, f"on shot {s.index}")
     domains = parse_domains(completion)
     return ShotScript(avatar_id=avatar_id, short=s.text, **domains)
 
@@ -388,7 +396,8 @@ def generate_script_sequence(
 # Canonical story document.
 
 
-def _require(mapping: dict, key: str, kind, path: str):
+def require_field(mapping: dict, key: str, kind, path: str):
+    """mapping[key], checked to be a `kind`; a ParseError names its JSON path."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"missing field at {path}.{key}" if path else f"missing field {key}")
     value = mapping[key]
@@ -451,19 +460,19 @@ def parse_story(data: bytes) -> Story:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"story document is not valid UTF-8 JSON: {exc}") from exc
-    user_input = _require(doc, "user_input", str, "")
-    n_shots = _require(doc, "n_shots", int, "")
-    raw_avatars = _require(doc, "avatars", list, "")
-    raw_shots = _require(doc, "shots", list, "")
+    user_input = require_field(doc, "user_input", str, "")
+    n_shots = require_field(doc, "n_shots", int, "")
+    raw_avatars = require_field(doc, "avatars", list, "")
+    raw_shots = require_field(doc, "shots", list, "")
 
     avatars = []
     for i, entry in enumerate(raw_avatars):
         path = f"avatars[{i}]"
-        aid = _require(entry, "id", str, path)
-        prompt_doc = _require(entry, "prompt", dict, path)
-        seed = _require(entry, "seed", int, path)
+        aid = require_field(entry, "id", str, path)
+        prompt_doc = require_field(entry, "prompt", dict, path)
+        seed = require_field(entry, "seed", int, path)
         prompt = DomainPrompt(
-            **{f: _require(prompt_doc, f, str, f"{path}.prompt") for f in DOMAIN_FIELDS}
+            **{f: require_field(prompt_doc, f, str, f"{path}.prompt") for f in DOMAIN_FIELDS}
         )
         avatars.append(AvatarProfile(id=aid, prompt=prompt, seed=seed))
     ids = [a.id for a in avatars]
@@ -473,12 +482,12 @@ def parse_story(data: bytes) -> Story:
     descriptions, scripts, seen = [], [], set()
     for i, entry in enumerate(raw_shots):
         path = f"shots[{i}]"
-        index = _require(entry, "index", int, path)
-        short = _require(entry, "short", str, path)
-        script_doc = _require(entry, "script", dict, path)
-        avatar_id = _require(entry, "avatar_id", str, path)
+        index = require_field(entry, "index", int, path)
+        short = require_field(entry, "short", str, path)
+        script_doc = require_field(entry, "script", dict, path)
+        avatar_id = require_field(entry, "avatar_id", str, path)
         domains = {
-            f: _require(script_doc, f, str, f"{path}.script") for f in DOMAIN_FIELDS
+            f: require_field(script_doc, f, str, f"{path}.script") for f in DOMAIN_FIELDS
         }
         if index in seen:
             raise ValidationError(f"duplicate shot index {index}")

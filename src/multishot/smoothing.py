@@ -23,54 +23,17 @@ modes agree elementwise, which is the engine's main correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .clips import build_shot_condition, generate_shot_clip
 from .conditioning import Condition
-from .diffusion import DEFAULT_SHAPE, AnalyticDenoiser, DenoiserBackend, NoiseSchedule, ddim_step
+from .config import PipelineConfig
+from .diffusion import AnalyticDenoiser, DenoiserBackend, NoiseSchedule, ddim_step
 from .errors import ConfigError, StateError
 from .script import Story
 from .seeds import spawn_rng
-
-if TYPE_CHECKING:
-    from .config import PipelineConfig
-
-MODES = ("windowed", "fifo-reset")
-
-
-@dataclass(frozen=True)
-class SmoothConfig:
-    """Knobs of the smoothing engine and the single home of their rules.
-
-    The reset boundary L defaults to k and lies in [1, k]. eta and L act
-    on the fifo-reset queue only; windowed mode samples at eta = 0 with
-    L = k and rejects any other value.
-    """
-
-    mode: str = "fifo-reset"
-    k: int = 8
-    T: int = 50
-    L: Optional[int] = None
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if self.k < 1 or self.T < 1:
-            raise ConfigError(f"k and T must be >= 1, got k={self.k}, T={self.T}")
-        if self.L is None:
-            object.__setattr__(self, "L", self.k)
-        if not 1 <= self.L <= self.k:
-            raise ConfigError(f"reset boundary must lie in [1, k={self.k}], got {self.L}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.mode == "windowed" and (self.eta != 0.0 or self.L != self.k):
-            raise ConfigError(
-                f"eta and the reset boundary apply to fifo-reset only; windowed "
-                f"mode needs eta=0 and L=k, got eta={self.eta}, L={self.L}, k={self.k}"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,13 +128,7 @@ def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
     return min(base, n_shots - 1)
 
 
-def init_queue(
-    plan: List[Condition],
-    config: SmoothConfig,
-    schedule: NoiseSchedule,
-    seed: int,
-    shape: tuple = DEFAULT_SHAPE,
-) -> LatentQueue:
+def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> LatentQueue:
     """Fill the queue with T slots: warm-up dummies (negative frames) plus
     the first story frame at the tail.
 
@@ -181,9 +138,7 @@ def init_queue(
     """
     if not plan:
         raise ConfigError("conditioning plan is empty")
-    if schedule.T != config.T:
-        raise ConfigError(f"schedule has T={schedule.T}, config expects {config.T}")
-    T = config.T
+    schedule, shape, T = config.schedule(), config.latent_shape, config.steps
     slots = []
     for pos in range(T):
         level = pos + 1
@@ -217,7 +172,7 @@ def tick(
     denoiser: DenoiserBackend,
     schedule: NoiseSchedule,
     plan: List[Condition],
-    config: SmoothConfig,
+    config: PipelineConfig,
     seed: int,
     trace: Optional[DenoiseTrace] = None,
 ) -> Optional[Tuple[int, np.ndarray]]:
@@ -231,7 +186,7 @@ def tick(
     """
     queue.check_invariant()
     tick_no = queue.ticks + 1
-    n_frames = len(plan) * config.k
+    n_frames = len(plan) * config.frames_per_shot
 
     eps_list = []
     for slot in queue.slots:
@@ -278,13 +233,13 @@ def tick(
 
     next_frame = stepped[-1].global_frame + 1
     if next_frame < n_frames:
-        shot = shot_for_frame(next_frame, config.k, config.L, len(plan))
+        shot = shot_for_frame(next_frame, config.frames_per_shot, config.boundary, len(plan))
         rest.append(
             QueueSlot(
                 latent=spawn_rng("queue-noise", seed, next_frame).standard_normal(
                     head.latent.shape
                 ),
-                level=config.T,
+                level=schedule.T,
                 global_frame=next_frame,
                 shot=shot,
                 condition=plan[shot],
@@ -320,11 +275,10 @@ def run_timeline(
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
     """Produce all N*k frames in global order, labeled by shot."""
-    smooth = config.smooth_config()
-    n_shots = story.n_shots
-    total = n_shots * smooth.k
+    n_shots, k = story.n_shots, config.frames_per_shot
+    total = n_shots * k
 
-    if smooth.mode == "windowed":
+    if config.mode == "windowed":
         frames: List[np.ndarray] = []
         shots: List[int] = []
         by_shot = {kf.shot_index: kf for kf in keyframes}
@@ -334,23 +288,23 @@ def run_timeline(
                 raise StateError(f"no keyframe rendered for shot {desc.index}")
             clip = generate_shot_clip(desc, keyframe, config, seed)
             frames.extend(clip.frames)
-            shots.extend([desc.index] * smooth.k)
-        return VideoTimeline(frames=frames, shots=shots, mode=smooth.mode)
+            shots.extend([desc.index] * k)
+        return VideoTimeline(frames=frames, shots=shots, mode=config.mode)
 
     plan = build_plan(story, keyframes, config)
     schedule = config.schedule()
     denoiser = AnalyticDenoiser(config.world())
-    queue = init_queue(plan, smooth, schedule, seed, config.latent_shape)
+    queue = init_queue(plan, config, seed)
     switch_ticks: Dict[int, int] = {0: 0}
     frames = [None] * total
     emission_ticks = [0] * total
     produced = 0
-    max_ticks = total + smooth.T + 4
+    max_ticks = total + config.steps + 4
     while produced < total:
         if queue.ticks >= max_ticks:
             raise StateError("queue failed to emit all frames (engine bug)")
         before = {s.global_frame for s in queue.slots}
-        result = tick(queue, denoiser, schedule, plan, smooth, seed, trace=trace)
+        result = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
         for slot in queue.slots:
             if slot.global_frame not in before and slot.shot not in switch_ticks:
                 switch_ticks[slot.shot] = queue.ticks
@@ -361,11 +315,11 @@ def run_timeline(
             frames[global_frame] = frame
             emission_ticks[global_frame] = queue.ticks
             produced += 1
-    shots = [shot_for_frame(f, smooth.k, smooth.k, n_shots) for f in range(total)]
+    shots = [shot_for_frame(f, k, k, n_shots) for f in range(total)]
     return VideoTimeline(
         frames=frames,
         shots=shots,
-        mode=smooth.mode,
+        mode=config.mode,
         emission_ticks=emission_ticks,
         switch_ticks=switch_ticks,
     )

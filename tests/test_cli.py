@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from multishot.cli import cli
 from multishot.pipeline import verify_manifest
 from multishot.script import parse_story
@@ -106,6 +108,49 @@ def test_metrics_reproduces_report_byte_identically(tmp_path):
     assert cli(["metrics", "--run", str(out)]) == 0
     assert (out / "report.json").read_bytes() == original
 
+
+
+def test_metrics_after_generate_records_report_in_manifest(tmp_path):
+    out = tmp_path / "gen"
+    assert cli(["script", "--input", STORY_INPUT, "--out", str(tmp_path / "story.json")]) == 0
+    assert cli(["generate", "--story", str(tmp_path / "story.json"), "--out", str(out)]) == 0
+    # a frame corrupted after generate must stay caught: only report.json is hashed anew
+    original = (out / "frames.vgt").read_bytes()
+    (out / "frames.vgt").write_bytes(original[:-1] + bytes([original[-1] ^ 0xFF]))
+    assert cli(["metrics", "--run", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["files"]
+    assert "report.json" in recorded
+    assert not verify_manifest(out)
+    (out / "frames.vgt").write_bytes(original)
+    assert verify_manifest(out)
+    with open(out / "report.json", "ab") as handle:
+        handle.write(b" ")
+    assert not verify_manifest(out)
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda doc: doc.pop("frames"), "frames"),
+        (lambda doc: doc["frames"][3].update(shot="1"), "frames[3].shot"),
+        (lambda doc: doc.update(mode="sideways"), "mode"),
+        (lambda doc: doc["frames"][2].update(global_frame=5), "frames[2].global_frame"),
+        (lambda doc: doc["frames"][0].update(shot=-1), "frames[0].shot"),
+    ],
+    ids=["no-frames", "string-shot", "unknown-mode", "skipped-frame", "negative-shot"],
+)
+def test_metrics_rejects_malformed_timeline(tmp_path, capsys, edit, path):
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "timeline.json").read_text())
+    edit(doc)
+    (out / "timeline.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["metrics", "--run", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert path in err[0]
 
 def test_unknown_flag_prints_usage_exit_one(capsys):
     code = cli(["generate", "--bogus-flag", "x"])

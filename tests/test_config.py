@@ -14,7 +14,7 @@ def test_defaults_are_valid():
     cfg = PipelineConfig()
     assert cfg.n_shots == 4 and cfg.frames_per_shot == 8
     assert cfg.latent_shape == (8, 8, 8)
-    assert cfg.smooth_config().L == cfg.frames_per_shot
+    assert cfg.boundary == cfg.frames_per_shot
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,24 @@ def test_expand_wraps_client_failure():
         expand_story(STORY_INPUT, 2, ScriptedClient([RuntimeError("socket closed")]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda llm: expand_story(STORY_INPUT, 2, llm),
+        lambda llm: generate_shot_script(ShotDescription(0, "a shot"), None, llm),
+        lambda llm: derive_avatars([ShotDescription(0, "a shot")], llm, 1),
+    ],
+    ids=["expand_story", "generate_shot_script", "derive_avatars"],
+)
+def test_llm_calls_share_one_error_policy(call):
+    # errors of this package pass through unchanged, any other becomes TransportError
+    for error in (InputError, ParseError, SchemaError, ValidationError, TransportError):
+        with pytest.raises(error, match="from the client"):
+            call(ScriptedClient([error("from the client")]))
+    with pytest.raises(TransportError, match="boom"):
+        call(ScriptedClient([KeyError("boom")]))
+
+
 # --- parse_domains / generate_shot_script -----------------------------------
 
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from multishot.clips import frame_seed
 from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
-from multishot.diffusion import AnalyticDenoiser, make_schedule
+from multishot.diffusion import AnalyticDenoiser
 from multishot.errors import ConfigError, StateError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import (
     DenoiseTrace,
-    SmoothConfig,
     build_plan,
     init_queue,
     shot_for_frame,
@@ -38,22 +37,6 @@ def small_chain():
     return config, story, keyframes, plan
 
 
-# --- SmoothConfig -------------------------------------------------------------
-
-
-def test_smooth_config_defaults_and_validation():
-    cfg = SmoothConfig(k=8, T=20)
-    assert cfg.L == 8  # reset boundary defaults to the frame count
-    with pytest.raises(ConfigError):
-        SmoothConfig(mode="zigzag")
-    with pytest.raises(ConfigError):
-        SmoothConfig(k=0)
-    with pytest.raises(ConfigError):
-        SmoothConfig(L=0)
-    with pytest.raises(ConfigError):
-        SmoothConfig(eta=2.0)
-
-
 def test_shot_for_frame_default_boundary():
     assert [shot_for_frame(f, 8, 8, 3) for f in (0, 7, 8, 15, 16, 23)] == [0, 0, 1, 1, 2, 2]
 
@@ -69,9 +52,7 @@ def test_shot_for_frame_short_boundary_switches_late():
 
 def test_init_queue_structure(small_chain):
     config, _, _, plan = small_chain
-    schedule = config.schedule()
-    queue = init_queue(plan, config.smooth_config(), schedule, seed=0,
-                       shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=0)
     assert [s.level for s in queue.slots] == [1, 2, 3, 4]
     assert [s.global_frame for s in queue.slots] == [-3, -2, -1, 0]
     assert [s.dummy for s in queue.slots] == [True, True, True, False]
@@ -82,8 +63,7 @@ def test_init_queue_structure(small_chain):
 def test_init_queue_noise_scaling(small_chain):
     config, _, _, plan = small_chain
     schedule = config.schedule()
-    queue = init_queue(plan, config.smooth_config(), schedule, seed=9,
-                       shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=9)
     # level T slots are unit noise; warm-up slots are scaled to their level
     tail = queue.slots[-1]
     expected_tail = spawn_rng("queue-noise", 9, 0).standard_normal(config.latent_shape)
@@ -98,9 +78,7 @@ def test_init_queue_noise_scaling(small_chain):
 def test_init_queue_rejects_bad_inputs(small_chain):
     config, _, _, plan = small_chain
     with pytest.raises(ConfigError):
-        init_queue([], config.smooth_config(), config.schedule(), 0)
-    with pytest.raises(ConfigError):
-        init_queue(plan, config.smooth_config(), make_schedule(5), 0)
+        init_queue([], config, 0)
 
 
 # --- tick ----------------------------------------------------------------------
@@ -110,11 +88,10 @@ def _drive(config, plan, trace=None):
     schedule = config.schedule()
     world = config.world()
     denoiser = AnalyticDenoiser(world)
-    smooth = config.smooth_config()
-    queue = init_queue(plan, smooth, schedule, seed=0, shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=0)
     emitted = []
     while queue.emitted < config.n_shots * config.frames_per_shot:
-        result = tick(queue, denoiser, schedule, plan, smooth, seed=0, trace=trace)
+        result = tick(queue, denoiser, schedule, plan, config, seed=0, trace=trace)
         if queue.slots:
             queue.check_invariant()
         if result is not None:
@@ -154,11 +131,10 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
     # never derived from queue contents
     config, _, _, plan = small_chain
     schedule = config.schedule()
-    smooth = config.smooth_config()
     denoiser = AnalyticDenoiser(config.world())
-    queue = init_queue(plan, smooth, schedule, seed=0, shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=0)
     for expected_gf in range(1, 6):
-        tick(queue, denoiser, schedule, plan, smooth, seed=0)
+        tick(queue, denoiser, schedule, plan, config, seed=0)
         tail = queue.slots[-1]
         assert tail.global_frame == expected_gf
         assert tail.level == config.steps
@@ -166,18 +142,17 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
             config.latent_shape
         )
         assert np.array_equal(tail.latent, expected)
-        assert tail.condition is plan[shot_for_frame(expected_gf, smooth.k, smooth.L, 2)]
+        assert tail.condition is plan[shot_for_frame(expected_gf, config.frames_per_shot, config.boundary, 2)]
 
 
 def test_queue_drains_after_plan_exhausted(small_chain):
     config, _, _, plan = small_chain
     schedule = config.schedule()
-    smooth = config.smooth_config()
     denoiser = AnalyticDenoiser(config.world())
-    queue = init_queue(plan, smooth, schedule, seed=0, shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=0)
     sizes = []
     while queue.emitted < 6:
-        tick(queue, denoiser, schedule, plan, smooth, seed=0)
+        tick(queue, denoiser, schedule, plan, config, seed=0)
         sizes.append(len(queue.slots))
     # enqueues stop at the last planned frame, then the queue shrinks to zero
     assert sizes[-1] == 0 and sizes[-2] == 1
@@ -190,7 +165,7 @@ def test_tick_on_empty_queue_raises(small_chain):
 
     with pytest.raises(StateError):
         tick(LatentQueue(slots=[]), AnalyticDenoiser(config.world()),
-             config.schedule(), plan, config.smooth_config(), seed=0)
+             config.schedule(), plan, config, seed=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,13 +186,13 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
         Condition(text=encode_text_mock(f"shot {j}", config.embed_dim, config.encoder_seed))
         for j in range(n)
     ]
-    smooth, schedule = config.smooth_config(), config.schedule()
+    schedule = config.schedule()
     denoiser = AnalyticDenoiser(config.world())
-    queue = init_queue(plan, smooth, schedule, seed=0, shape=config.latent_shape)
+    queue = init_queue(plan, config, seed=0)
     trace = DenoiseTrace()
     emitted = []
     while queue.emitted < n * k and queue.ticks < n * k + T + 4:
-        result = tick(queue, denoiser, schedule, plan, smooth, seed=0, trace=trace)
+        result = tick(queue, denoiser, schedule, plan, config, seed=0, trace=trace)
         if queue.slots:
             queue.check_invariant()
         if result is not None:
