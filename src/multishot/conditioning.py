@@ -72,6 +72,14 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+@lru_cache(maxsize=4096)
+def _token_vector(token: str, d_e: int, seed: int) -> np.ndarray:
+    """The seeded Gaussian vector of one text token, shared read-only."""
+    vector = spawn_rng("text-token", seed, d_e, token).standard_normal(d_e)
+    vector.flags.writeable = False
+    return vector
+
+
 def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -> Embedding:
     """Deterministic text featurizer: hash each token to a seeded Gaussian
     vector, sum, and normalize.
@@ -85,7 +93,7 @@ def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -
         raise InputError("prompt is empty after trimming")
     total = np.zeros(d_e)
     for token in stripped.split():
-        total += spawn_rng("text-token", seed, d_e, token).standard_normal(d_e)
+        total += _token_vector(token, d_e, seed)
     digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()[:12]
     return Embedding(data=_normalized(total), kind="text", source=f"prompt:{digest}")
 

@@ -128,7 +128,25 @@ class PipelineConfig:
         )
 
     def world(self) -> GaussianWorld:
-        return GaussianWorld(sigma0=self.sigma0, mean_map=self.projector().mean)
+        """The Gaussian world, computing each condition's mean once.
+
+        mu(c) is memoised per condition object for this world's lifetime,
+        so every denoiser call of a chain or queue after the first reuses
+        it. A Condition holds ndarrays and cannot be hashed, so the memo is
+        keyed on id(cond) and keeps cond alive so that its id is not
+        reused. The cached means are read-only."""
+        mean = self.projector().mean
+        means = {}
+
+        def mean_map(cond):
+            hit = means.get(id(cond))
+            if hit is None:
+                mu = mean(cond)
+                mu.flags.writeable = False
+                hit = means[id(cond)] = (cond, mu)
+            return hit[1]
+
+        return GaussianWorld(sigma0=self.sigma0, mean_map=mean_map)
 
     # -- (de)serialization --------------------------------------------------
 

@@ -143,7 +143,11 @@ class DenoiserBackend(Protocol):
 
 @dataclass(frozen=True)
 class GaussianWorld:
-    """The toy data distribution x0 ~ N(mean_map(c), sigma0^2 I)."""
+    """The toy data distribution x0 ~ N(mean_map(c), sigma0^2 I).
+
+    ``mean_map`` must be pure: the same condition always maps to the same
+    mean, and callers must not write to the array it returns. That is what
+    lets :meth:`PipelineConfig.world` memoise it per condition."""
 
     sigma0: float
     mean_map: Callable[[object], np.ndarray]

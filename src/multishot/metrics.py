@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +62,16 @@ class IdentityChannelMean:
         return np.asarray(frame)[:, :, : self.d_id].mean(axis=(0, 1))
 
 
+@lru_cache(maxsize=64)
+def _style_weights(seed: int, channels: int, d: int) -> np.ndarray:
+    """StyleGram's seeded (channels, d) feature map, shared read-only."""
+    weights = spawn_rng("style-features", seed, channels, d).standard_normal(
+        (channels, d)
+    ) / np.sqrt(d)
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True)
 class StyleGram:
     """Toy style features: flattened Gram of a fixed seeded linear feature
@@ -73,10 +84,7 @@ class StyleGram:
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         frame = np.asarray(frame)
         h, w, d = frame.shape
-        weights = spawn_rng("style-features", self.seed, self.channels, d).standard_normal(
-            (self.channels, d)
-        ) / np.sqrt(d)
-        feats = frame.reshape(h * w, d) @ weights.T
+        feats = frame.reshape(h * w, d) @ _style_weights(self.seed, self.channels, d).T
         feats = feats - feats.mean(axis=0, keepdims=True)
         gram = feats.T @ feats / (h * w)
         return gram.ravel()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from multishot.conditioning import (
     Condition,
+    _token_vector,
     attention,
     compose_condition,
     condition_mean,
@@ -57,6 +58,23 @@ def test_text_encoder_distinct_prompts_not_aligned():
         b = encode_text_mock(p2, 16, seed=0).data
         worst = max(worst, abs(float(a @ b)))
     assert worst < 0.9
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_text_encoder_sums_fresh_token_draws(seed):
+    # cached token vectors give the same bits as drawing every token afresh,
+    # repeated tokens included, and the cache cannot be written through
+    prompt = "the kite and the kite over the bay"
+    total = np.zeros(16)
+    for token in prompt.split():
+        total += spawn_rng("text-token", seed, 16, token).standard_normal(16)
+    expected = total / np.linalg.norm(total)
+    assert np.array_equal(encode_text_mock(prompt, 16, seed).data, expected)
+    assert np.array_equal(encode_text_mock(prompt, 16, seed).data, expected)
+    cached = _token_vector("kite", 16, seed)
+    assert _token_vector("kite", 16, seed) is cached
+    with pytest.raises(ValueError):
+        cached[0] = 0.0
 
 
 def test_text_encoder_rejects_empty():

@@ -9,6 +9,7 @@ from multishot.errors import ConfigError, InputError, ShapeError, ValidationErro
 from multishot.metrics import (
     IdentityChannelMean,
     StyleGram,
+    _style_weights,
     build_report,
     clip_score_mock,
     consistency_scores,
@@ -149,6 +150,22 @@ def test_style_gram_symmetric_psd():
     np.testing.assert_allclose(gram, gram.T, atol=1e-12)
     eigenvalues = np.linalg.eigvalsh(gram)
     assert (eigenvalues > -1e-9).all()
+
+
+def test_style_gram_matches_fresh_weights():
+    # the cached feature map gives the same bits as one drawn per frame
+    frame = spawn_rng("gram").standard_normal((8, 8, 8))
+    weights = spawn_rng("style-features", 1, 6, 8).standard_normal((6, 8)) / np.sqrt(8)
+    feats = frame.reshape(64, 8) @ weights.T
+    feats = feats - feats.mean(axis=0, keepdims=True)
+    expected = (feats.T @ feats / 64).ravel()
+    extractor = StyleGram(seed=1, channels=6)
+    assert np.array_equal(extractor(frame), expected)
+    assert np.array_equal(extractor(frame), expected)
+    cached = _style_weights(1, 6, 8)
+    assert _style_weights(1, 6, 8) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
 
 
 # --- clip_score_mock --------------------------------------------------------------

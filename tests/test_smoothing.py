@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multishot.clips import frame_seed
-from multishot.conditioning import Condition, encode_text_mock
+from multishot.conditioning import Condition, MeanProjector, encode_text_mock
 from multishot.config import PipelineConfig
-from multishot.diffusion import AnalyticDenoiser
+from multishot.diffusion import AnalyticDenoiser, GaussianWorld
 from multishot.errors import ConfigError, StateError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
@@ -19,6 +19,7 @@ from multishot.smoothing import (
     DenoiseTrace,
     build_plan,
     init_queue,
+    run_timeline,
     shot_for_frame,
     tick,
 )
@@ -337,3 +338,75 @@ def test_frames_match_closed_form_chain(mode, sigma0):
         expected = A * rng.standard_normal(config.latent_shape) + B * mean_map(plan[shot])
         error = np.max(np.abs(frame - expected) / np.maximum(1.0, np.abs(expected)))
         assert error < 1e-12, f"frame {g}: {error:.2e}"
+
+
+# --- the per-world mean memo -------------------------------------------------
+
+
+def _count_means(monkeypatch):
+    """Record every condition MeanProjector.mean is evaluated on."""
+    seen = []
+    original = MeanProjector.mean
+
+    def counted(self, cond):
+        seen.append(cond)
+        return original(self, cond)
+
+    monkeypatch.setattr(MeanProjector, "mean", counted)
+    return seen
+
+
+def _content(cond):
+    return cond.text.data.tobytes(), cond.ip.data.tobytes(), cond.ip_scale
+
+
+@pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
+def test_timeline_evaluates_each_condition_mean_once(small_chain, monkeypatch, mode):
+    config, story, keyframes, _ = small_chain
+    config = config.merged(mode=mode)
+    seen = _count_means(monkeypatch)
+    timeline = run_timeline(story, keyframes, config, seed=3)
+    assert len(timeline.frames) == 6
+    # one condition per shot, each evaluated once however many denoiser calls
+    assert len(seen) == len({id(c) for c in seen}) == config.n_shots
+    assert len({_content(c) for c in seen}) == config.n_shots
+
+
+def _memo_free_world(config):
+    return GaussianWorld(config.sigma0, config.projector().mean)
+
+
+@pytest.mark.parametrize("sigma0", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
+def test_memo_leaves_frames_bitwise_equal(monkeypatch, mode, sigma0):
+    config = PipelineConfig(n_shots=2, frames_per_shot=3, steps=6, seed=4, mode=mode,
+                            sigma0=sigma0)
+    story = build_story(STORY_INPUT, config)
+
+    def generate():
+        _, keyframes = render_keyframes(story, config)
+        return keyframes, generate_timeline(story, keyframes, config)
+
+    keyframes, timeline = generate()
+    monkeypatch.setattr(PipelineConfig, "world", _memo_free_world)
+    plain_keyframes, plain = generate()
+    for a, b in zip(keyframes, plain_keyframes):
+        assert np.array_equal(a.latent, b.latent)
+    assert len(timeline.frames) == len(plain.frames) == 6
+    for a, b in zip(timeline.frames, plain.frames):
+        assert np.array_equal(a, b)
+
+
+def test_memoised_mean_is_read_only_and_per_world(small_chain, monkeypatch):
+    config, _, _, plan = small_chain
+    seen = _count_means(monkeypatch)
+    first, second = config.world(), config.world()
+    mu = first.mean_map(plan[0])
+    assert first.mean_map(plan[0]) is mu
+    with pytest.raises(ValueError):
+        mu[0, 0, 0] = 1.0
+    # a second world starts empty: it evaluates the mean again
+    other = second.mean_map(plan[0])
+    assert other is not mu
+    assert np.array_equal(other, mu)
+    assert seen == [plan[0], plan[0]]
