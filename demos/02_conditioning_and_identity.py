@@ -12,8 +12,8 @@ from multishot.conditioning import (
     Embedding,
     attention,
     compose_condition,
-    condition_mean,
     encode_text_mock,
+    get_projector,
 )
 
 # the attention kernel on a case small enough to verify by hand
@@ -38,7 +38,7 @@ face = Embedding(data=face.data, kind="image", source="demo")
 
 def mean_for(prompt, ip, scale):
     cond = Condition(text=encode_text_mock(prompt, 16, 0), ip=ip, ip_scale=scale)
-    return condition_mean(cond, projector_seed=0, shape=shape)
+    return get_projector(0, shape).mean(cond)
 
 
 a = mean_for("walking the cliff path at dusk", face, 1.0)

@@ -25,7 +25,6 @@ from .conditioning import (
     Embedding,
     attention,
     compose_condition,
-    condition_mean,
     encode_text_mock,
 )
 from .config import PipelineConfig

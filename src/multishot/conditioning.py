@@ -153,7 +153,7 @@ def compose_condition(
 
 @dataclass(frozen=True)
 class MeanProjector:
-    """Fixed seeded linear machinery behind :func:`condition_mean`.
+    """Fixed seeded linear machinery behind the latent mean mu(c).
 
     ``basis`` columns are rank-1 spatial-field x channel-direction patterns
     with scalar fields shared between column pairs, so distinct composed
@@ -176,6 +176,11 @@ class MeanProjector:
         return attention(self.query, toks, toks)
 
     def mean(self, cond: Condition) -> np.ndarray:
+        """Deterministic latent mean mu(c) for the Gaussian world.
+
+        Identity channels (0..d_id-1) depend only on the image embedding and
+        ip_scale; the remaining channels depend on the full composed vector.
+        """
         text_toks = split_tokens(cond.text.data, self.n_tokens)
         ip_toks = None if cond.ip is None else split_tokens(cond.ip.data, self.n_tokens)
         composed = compose_condition(
@@ -244,18 +249,3 @@ def get_projector(
         identity_gain=identity_gain,
         content_gain=content_gain,
     )
-
-
-def condition_mean(
-    cond: Condition,
-    projector_seed: int,
-    shape: Tuple[int, int, int],
-    **projector_kwargs,
-) -> np.ndarray:
-    """Deterministic latent mean mu(c) for the Gaussian world.
-
-    Identity channels (0..d_id-1) depend only on the image embedding and
-    ip_scale; the remaining channels depend on the full composed vector.
-    """
-    proj = get_projector(projector_seed, tuple(shape), **projector_kwargs)
-    return proj.mean(cond)

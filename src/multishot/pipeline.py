@@ -159,8 +159,12 @@ def load_timeline(run_dir: Path) -> VideoTimeline:
         if require_field(entry, "global_frame", int, path) != i:
             raise ValidationError(f"field {path}.global_frame must equal its position {i}")
         shot = require_field(entry, "shot", int, path)
-        if shot < 0:
-            raise ValidationError(f"field {path}.shot must be >= 0, got {shot}")
+        # shots start at 0 and never skip or go back
+        allowed = (labels[-1], labels[-1] + 1) if labels else (0,)
+        if shot not in allowed:
+            raise ValidationError(
+                f"field {path}.shot must be {' or '.join(map(str, allowed))}, got {shot}"
+            )
         labels.append(shot)
     stacked = read_tensor_file(run_dir / FRAMES_FILE)
     if stacked.shape[0] != len(labels):

@@ -1,14 +1,23 @@
 """Cross-shot smoothing: a FIFO queue of latents at staggered noise levels.
 
-The queue holds exactly T slots, one per noise level, head at level 1 and
-tail at level T. Every tick denoises each slot one level under that slot's
-own condition, dequeues the head (now fully denoised) for emission, and
-enqueues a fresh unit-noise slot at level T carrying the condition of the
-shot that owns its global frame. Because each entering slot brings fresh
-noise and its own shot's embeddings, the enqueue rule IS the reset
-boundary: the next shot's conditioning starts participating k slots before
-the previous shot's last frame finishes denoising, which is what smooths
-the transition.
+The queue holds exactly T latents, one per noise level, head at level 1 and
+tail at level T. Every tick denoises each latent one level under the
+condition of the shot that owns its global frame, dequeues the head (now
+fully denoised) for emission, and enqueues fresh unit noise at level T for
+the next frame. Because each entering latent brings fresh noise and its own
+shot's embeddings, the enqueue rule IS the reset boundary.
+
+Position p is always at level p + 1 and frames enter in order, so the queue
+stores nothing but its latents and the frame at its head, and the schedule
+is closed-form. With N shots of k frames, reset boundary L and T steps:
+
+* frame f enters at the end of tick f and is emitted at tick f + T;
+* shot j >= 1's condition enters at the end of tick j*k + k - L, the first
+  frame shot_for_frame gives to shot j (shot 0's is in the queue at init);
+* a run takes N*k + T - 1 ticks.
+
+So shot j's condition shares the queue with shot j - 1's for T - 1 ticks,
+whatever k and L are: that overlap is what smooths the transition.
 
 Two inference modes share the frame-count contract:
 
@@ -16,13 +25,15 @@ Two inference modes share the frame-count contract:
                 (each shot a separate temporal window);
 * fifo-reset  - the continuous queue described above.
 
-With the analytic backend and a deterministic world (sigma0 = 0) the two
-modes agree elementwise, which is the engine's main correctness oracle.
+With the analytic backend and eta = 0, every frame of either mode is the
+closed form A_T x_T + B_T mu(c) of its own seeded noise and its shot's
+condition. That chain is the engine's main correctness oracle; at
+sigma0 = 0 it also makes the two modes agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,41 +47,19 @@ from .script import Story
 from .seeds import spawn_rng
 
 
-@dataclass(frozen=True)
-class QueueSlot:
-    """One latent in flight: its level, owning frame/shot, and condition."""
-
-    latent: np.ndarray
-    level: int
-    global_frame: int
-    shot: int
-    condition: Condition
-
-    @property
-    def dummy(self) -> bool:
-        """Warm-up slots created at init carry negative frame numbers."""
-        return self.global_frame < 0
-
-
 @dataclass
 class LatentQueue:
-    """Ordered slots, head = lowest level; levels are exactly 1..T."""
+    """The latents in flight, head first: position p is at level p + 1 and
+    holds global frame head + p. Warm-up dummies have negative frames."""
 
-    slots: List[QueueSlot]
-    emitted: int = 0
+    latents: List[np.ndarray]
+    head: int
     ticks: int = 0
 
-    def check_invariant(self):
-        if not self.slots:
-            raise StateError("queue is empty")
-        for pos, slot in enumerate(self.slots):
-            expected = self.slots[0].level + pos
-            if slot.level != expected:
-                raise StateError(
-                    f"slot {pos} at level {slot.level}, expected {expected}"
-                )
-            if pos and slot.global_frame != self.slots[pos - 1].global_frame + 1:
-                raise StateError("global frames are not consecutive in the queue")
+    @property
+    def emitted(self) -> int:
+        """Story frames emitted so far."""
+        return max(self.head, 0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,14 @@ class DenoiseTrace:
 
 @dataclass
 class VideoTimeline:
-    """The ordered, shot-labeled sequence of all emitted frames."""
+    """The ordered, shot-labeled sequence of all emitted frames.
+
+    A fifo-reset run also records its schedule. ``emission_ticks[f]`` is
+    the tick that emits frame f (f + T). ``switch_ticks[j]`` is the tick at
+    whose end shot j's condition is enqueued (0 for shot 0, which is in the
+    queue from the start); the queue first denoises it one tick later.
+    Windowed runs leave both None.
+    """
 
     frames: List[np.ndarray]
     shots: List[int]
@@ -117,10 +113,9 @@ class VideoTimeline:
 def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
     """Which shot's condition an entering slot carries.
 
-    With L = k (the default and the only value exercised by acceptance)
-    every frame carries its own shot's condition. With L < k the switch
-    happens later: the first k - L frames of a shot keep the previous
-    shot's condition.
+    With L = k (the default) every frame carries its own shot's condition.
+    With L < k the switch happens later: the first k - L frames of a shot
+    keep the previous shot's condition.
     """
     base = global_frame // k
     if L < k and base > 0 and global_frame % k < k - L:
@@ -129,42 +124,22 @@ def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
 
 
 def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> LatentQueue:
-    """Fill the queue with T slots: warm-up dummies (negative frames) plus
-    the first story frame at the tail.
+    """Fill the queue with T latents: warm-up dummies (frames 1 - T .. -1)
+    plus the first story frame at the tail.
 
-    Slots at level T hold unit noise, matching every later enqueue; warm-up
-    slots at level t < T hold noise scaled to that level's marginal,
-    sqrt(1 - alpha_bar(t)) * eps. All carry shot 0's condition.
+    The level-T tail holds unit noise, matching every later enqueue; a
+    warm-up latent at level t < T holds noise scaled to that level's
+    marginal, sqrt(1 - alpha_bar(t)) * eps. Dummies carry shot 0's
+    condition.
     """
     if not plan:
         raise ConfigError("conditioning plan is empty")
     schedule, shape, T = config.schedule(), config.latent_shape, config.steps
-    slots = []
-    for pos in range(T):
-        level = pos + 1
-        global_frame = pos - T + 1
-        noise = spawn_rng("queue-noise", seed, global_frame).standard_normal(shape)
-        if level < T:
-            latent = np.sqrt(1.0 - schedule.alpha_bar(level)) * noise
-        else:
-            latent = noise
-        slots.append(
-            QueueSlot(
-                latent=latent,
-                level=level,
-                global_frame=global_frame,
-                shot=0,
-                condition=plan[0],
-            )
-        )
-    return LatentQueue(slots=slots)
-
-
-def _condition_shot(plan: List[Condition], cond: Condition) -> int:
-    for j, candidate in enumerate(plan):
-        if candidate is cond:
-            return j
-    raise StateError("slot condition is not one of the plan's conditions")
+    latents = []
+    for level in range(1, T + 1):
+        noise = spawn_rng("queue-noise", seed, level - T).standard_normal(shape)
+        latents.append(noise if level == T else np.sqrt(1.0 - schedule.alpha_bar(level)) * noise)
+    return LatentQueue(latents=latents, head=1 - T)
 
 
 def tick(
@@ -176,80 +151,40 @@ def tick(
     seed: int,
     trace: Optional[DenoiseTrace] = None,
 ) -> Optional[Tuple[int, np.ndarray]]:
-    """One engine step: denoise every slot once, emit the head, enqueue
+    """One engine step: denoise every latent once, emit the head, enqueue
     fresh noise.
 
     Returns (global_frame, frame) when a story frame is emitted, None
     while warm-up dummies are being discarded; frames are the latents
     themselves. Once the plan is exhausted the queue drains (no enqueue)
-    until empty. The per-slot updates are pure and order-independent.
+    until empty. The per-latent updates are pure and order-independent.
     """
-    queue.check_invariant()
+    if not queue.latents:
+        raise StateError("queue is empty")
     tick_no = queue.ticks + 1
-    n_frames = len(plan) * config.frames_per_shot
+    k, L, n = config.frames_per_shot, config.boundary, len(plan)
+    stepped = []
+    for pos, latent in enumerate(queue.latents):
+        level, frame = pos + 1, queue.head + pos
+        shot = 0 if frame < 0 else shot_for_frame(frame, k, L, n)
+        eps = denoiser(latent, level, plan[shot], schedule)
+        if trace is not None and frame >= 0:
+            trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
+                                     condition_shot=shot))
+        noise = None
+        if config.eta != 0.0:
+            noise = spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(latent.shape)
+        stepped.append(ddim_step(latent, eps, level, level - 1, schedule, eta=config.eta,
+                                 noise=noise))
 
-    eps_list = []
-    for slot in queue.slots:
-        eps_list.append(denoiser(slot.latent, slot.level, slot.condition, schedule))
-        if trace is not None and not slot.dummy:
-            trace.append(
-                TraceRecord(
-                    tick=tick_no,
-                    global_frame=slot.global_frame,
-                    level=slot.level,
-                    condition_shot=_condition_shot(plan, slot.condition),
-                )
-            )
-
-    def eta_noise(slot):
-        if config.eta == 0.0:
-            return None
-        return spawn_rng("queue-eta", seed, tick_no, slot.global_frame).standard_normal(
-            slot.latent.shape
-        )
-
-    new_latents = [
-        ddim_step(
-            slot.latent,
-            eps,
-            slot.level,
-            slot.level - 1,
-            schedule,
-            eta=config.eta,
-            noise=eta_noise(slot),
-        )
-        for slot, eps in zip(queue.slots, eps_list)
-    ]
-
-    stepped = [
-        replace(slot, latent=latent, level=slot.level - 1)
-        for slot, latent in zip(queue.slots, new_latents)
-    ]
-
-    head, rest = stepped[0], stepped[1:]
-    emitted = None
-    if not head.dummy:
-        emitted = (head.global_frame, head.latent)
-
-    next_frame = stepped[-1].global_frame + 1
-    if next_frame < n_frames:
-        shot = shot_for_frame(next_frame, config.frames_per_shot, config.boundary, len(plan))
-        rest.append(
-            QueueSlot(
-                latent=spawn_rng("queue-noise", seed, next_frame).standard_normal(
-                    head.latent.shape
-                ),
-                level=schedule.T,
-                global_frame=next_frame,
-                shot=shot,
-                condition=plan[shot],
-            )
-        )
-
-    queue.slots = rest
+    next_frame = queue.head + len(stepped)
+    if next_frame < n * k:
+        fresh = spawn_rng("queue-noise", seed, next_frame).standard_normal(config.latent_shape)
+        stepped.append(fresh)
+    emitted = None if queue.head < 0 else (queue.head, stepped[0])
+    queue.latents = stepped[1:]
+    queue.head += 1
     queue.ticks = tick_no
-    if emitted is not None:
-        queue.emitted += 1
     return emitted
 
 
@@ -295,31 +230,15 @@ def run_timeline(
     schedule = config.schedule()
     denoiser = AnalyticDenoiser(config.world())
     queue = init_queue(plan, config, seed)
-    switch_ticks: Dict[int, int] = {0: 0}
-    frames = [None] * total
-    emission_ticks = [0] * total
-    produced = 0
-    max_ticks = total + config.steps + 4
-    while produced < total:
-        if queue.ticks >= max_ticks:
-            raise StateError("queue failed to emit all frames (engine bug)")
-        before = {s.global_frame for s in queue.slots}
-        result = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
-        for slot in queue.slots:
-            if slot.global_frame not in before and slot.shot not in switch_ticks:
-                switch_ticks[slot.shot] = queue.ticks
-        if result is not None:
-            global_frame, frame = result
-            if frames[global_frame] is not None:
-                raise StateError(f"frame {global_frame} emitted twice")
-            frames[global_frame] = frame
-            emission_ticks[global_frame] = queue.ticks
-            produced += 1
-    shots = [shot_for_frame(f, k, k, n_shots) for f in range(total)]
+    frames = []
+    for _ in range(total + config.steps - 1):
+        emitted = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
+        if emitted is not None:
+            frames.append(emitted[1])
     return VideoTimeline(
         frames=frames,
-        shots=shots,
+        shots=[f // k for f in range(total)],
         mode=config.mode,
-        emission_ticks=emission_ticks,
-        switch_ticks=switch_ticks,
+        emission_ticks=[f + config.steps for f in range(total)],
+        switch_ticks={0: 0, **{j: j * k + k - config.boundary for j in range(1, n_shots)}},
     )

@@ -128,6 +128,11 @@ def test_metrics_after_generate_records_report_in_manifest(tmp_path):
     assert not verify_manifest(out)
 
 
+def _relabel(doc, shots):
+    for entry, shot in zip(doc["frames"], shots, strict=True):
+        entry["shot"] = shot
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -136,12 +141,15 @@ def test_metrics_after_generate_records_report_in_manifest(tmp_path):
         (lambda doc: doc.update(mode="sideways"), "mode"),
         (lambda doc: doc["frames"][2].update(global_frame=5), "frames[2].global_frame"),
         (lambda doc: doc["frames"][0].update(shot=-1), "frames[0].shot"),
+        (lambda doc: _relabel(doc, [0, 0, 2, 2, 2, 2]), "frames[2].shot"),
+        (lambda doc: _relabel(doc, [0, 1, 0, 1, 2, 2]), "frames[2].shot"),
     ],
-    ids=["no-frames", "string-shot", "unknown-mode", "skipped-frame", "negative-shot"],
+    ids=["no-frames", "string-shot", "unknown-mode", "skipped-frame", "negative-shot",
+         "skipped-shot", "backward-shot"],
 )
 def test_metrics_rejects_malformed_timeline(tmp_path, capsys, edit, path):
     out = tmp_path / "run"
-    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "3", "--frames-per-shot", "2",
                 "--out", str(out)]) == 0
     doc = json.loads((out / "timeline.json").read_text())
     edit(doc)

@@ -13,7 +13,6 @@ from multishot.conditioning import (
     _token_vector,
     attention,
     compose_condition,
-    condition_mean,
     encode_text_mock,
     get_projector,
     split_tokens,
@@ -210,7 +209,7 @@ def test_condition_requires_zero_scale_without_ip():
     Condition(text=text, ip=None, ip_scale=0.0)  # fine
 
 
-# --- condition_mean ---------------------------------------------------------
+# --- the projector's mean -----------------------------------------------------
 
 SHAPE = (8, 8, 8)
 
@@ -225,28 +224,28 @@ def _cond(prompt, ip_prompt=None, scale=1.0, seed=0):
 
 
 def test_identity_channels_zero_without_ip():
-    mu = condition_mean(_cond("just text"), projector_seed=1, shape=SHAPE)
+    mu = get_projector(1, SHAPE).mean(_cond("just text"))
     np.testing.assert_array_equal(mu[:, :, :4], np.zeros((8, 8, 4)))
     assert np.abs(mu[:, :, 4:]).max() > 0
 
 
 def test_identity_channels_ignore_text():
-    a = condition_mean(_cond("first text", "the face", 1.0), projector_seed=1, shape=SHAPE)
-    b = condition_mean(_cond("totally different words", "the face", 1.0), projector_seed=1, shape=SHAPE)
+    a = get_projector(1, SHAPE).mean(_cond("first text", "the face", 1.0))
+    b = get_projector(1, SHAPE).mean(_cond("totally different words", "the face", 1.0))
     np.testing.assert_array_equal(a[:, :, :4], b[:, :, :4])
     assert np.abs(a[:, :, 4:] - b[:, :, 4:]).max() > 1e-6
 
 
 def test_identity_channels_spatially_constant():
-    mu = condition_mean(_cond("text", "face", 1.0), projector_seed=2, shape=SHAPE)
+    mu = get_projector(2, SHAPE).mean(_cond("text", "face", 1.0))
     for c in range(4):
         assert np.ptp(mu[:, :, c]) == 0.0
 
 
-def test_condition_mean_bitwise_stable():
+def test_projector_mean_bitwise_stable():
     cond = _cond("stable prompt", "stable face", 0.7)
-    a = condition_mean(cond, projector_seed=5, shape=SHAPE)
-    b = condition_mean(cond, projector_seed=5, shape=SHAPE)
+    a = get_projector(5, SHAPE).mean(cond)
+    b = get_projector(5, SHAPE).mean(cond)
     assert np.array_equal(a, b)
 
 

@@ -54,11 +54,9 @@ def test_shot_for_frame_short_boundary_switches_late():
 def test_init_queue_structure(small_chain):
     config, _, _, plan = small_chain
     queue = init_queue(plan, config, seed=0)
-    assert [s.level for s in queue.slots] == [1, 2, 3, 4]
-    assert [s.global_frame for s in queue.slots] == [-3, -2, -1, 0]
-    assert [s.dummy for s in queue.slots] == [True, True, True, False]
-    assert all(s.condition is plan[0] for s in queue.slots)
-    queue.check_invariant()
+    assert len(queue.latents) == 4
+    assert queue.head == -3
+    assert queue.emitted == 0
 
 
 def test_init_queue_noise_scaling(small_chain):
@@ -66,14 +64,14 @@ def test_init_queue_noise_scaling(small_chain):
     schedule = config.schedule()
     queue = init_queue(plan, config, seed=9)
     # level T slots are unit noise; warm-up slots are scaled to their level
-    tail = queue.slots[-1]
+    tail = queue.latents[-1]
     expected_tail = spawn_rng("queue-noise", 9, 0).standard_normal(config.latent_shape)
-    assert np.array_equal(tail.latent, expected_tail)
-    head = queue.slots[0]
+    assert np.array_equal(tail, expected_tail)
+    head = queue.latents[0]
     expected_head = np.sqrt(1.0 - schedule.alpha_bar(1)) * spawn_rng(
         "queue-noise", 9, -3
     ).standard_normal(config.latent_shape)
-    assert np.array_equal(head.latent, expected_head)
+    assert np.array_equal(head, expected_head)
 
 
 def test_init_queue_rejects_bad_inputs(small_chain):
@@ -93,8 +91,6 @@ def _drive(config, plan, trace=None):
     emitted = []
     while queue.emitted < config.n_shots * config.frames_per_shot:
         result = tick(queue, denoiser, schedule, plan, config, seed=0, trace=trace)
-        if queue.slots:
-            queue.check_invariant()
         if result is not None:
             emitted.append(result)
     return emitted, queue
@@ -136,14 +132,12 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
     queue = init_queue(plan, config, seed=0)
     for expected_gf in range(1, 6):
         tick(queue, denoiser, schedule, plan, config, seed=0)
-        tail = queue.slots[-1]
-        assert tail.global_frame == expected_gf
-        assert tail.level == config.steps
+        assert queue.head + len(queue.latents) - 1 == expected_gf
+        assert len(queue.latents) == config.steps
         expected = spawn_rng("queue-noise", 0, expected_gf).standard_normal(
             config.latent_shape
         )
-        assert np.array_equal(tail.latent, expected)
-        assert tail.condition is plan[shot_for_frame(expected_gf, config.frames_per_shot, config.boundary, 2)]
+        assert np.array_equal(queue.latents[-1], expected)
 
 
 def test_queue_drains_after_plan_exhausted(small_chain):
@@ -154,7 +148,7 @@ def test_queue_drains_after_plan_exhausted(small_chain):
     sizes = []
     while queue.emitted < 6:
         tick(queue, denoiser, schedule, plan, config, seed=0)
-        sizes.append(len(queue.slots))
+        sizes.append(len(queue.latents))
     # enqueues stop at the last planned frame, then the queue shrinks to zero
     assert sizes[-1] == 0 and sizes[-2] == 1
     assert max(sizes) == config.steps
@@ -165,7 +159,7 @@ def test_tick_on_empty_queue_raises(small_chain):
     from multishot.smoothing import LatentQueue
 
     with pytest.raises(StateError):
-        tick(LatentQueue(slots=[]), AnalyticDenoiser(config.world()),
+        tick(LatentQueue(latents=[], head=0), AnalyticDenoiser(config.world()),
              config.schedule(), plan, config, seed=0)
 
 
@@ -194,18 +188,24 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
     emitted = []
     while queue.emitted < n * k and queue.ticks < n * k + T + 4:
         result = tick(queue, denoiser, schedule, plan, config, seed=0, trace=trace)
-        if queue.slots:
-            queue.check_invariant()
         if result is not None:
             emitted.append(result[0])
+            # frame f leaves on tick f + T
+            assert queue.ticks == result[0] + T
     assert emitted == list(range(n * k))
     assert queue.ticks == n * k + T - 1
-    assert queue.slots == []
+    assert queue.latents == []
     for gf in range(n * k):
         records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
         assert [r.level for r in records] == list(range(T, 0, -1))
     assert all(r.condition_shot == shot_for_frame(r.global_frame, k, L, n)
                for r in trace.records)
+    # shot j's condition is first denoised the tick after frame first_j
+    # enters: first_0 = 0, first_j = j*k + k - L
+    for j in range(n):
+        first = 0 if j == 0 else j * k + k - L
+        first_record = next(r for r in trace.records if r.condition_shot == j)
+        assert first_record.tick == first + 1
 
 
 # --- run_timeline ---------------------------------------------------------------
@@ -238,6 +238,9 @@ def test_switch_ticks_logged_at_shot_boundaries(default_chain):
     config, story, keyframes = default_chain
     timeline = generate_timeline(story, keyframes, config)
     assert timeline.switch_ticks == {0: 0, 1: 8, 2: 16, 3: 24}
+    # with L < k shot j's condition enters at j*k + k - L
+    short = generate_timeline(story, keyframes, config.merged(reset_boundary=5))
+    assert short.switch_ticks == {0: 0, 1: 11, 2: 19, 3: 27}
 
 
 def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
@@ -316,12 +319,18 @@ def _chain_scalars(schedule, sigma0):
     return A, B
 
 
-@pytest.mark.parametrize("sigma0", [0.5, 2.0])
-@pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
-def test_frames_match_closed_form_chain(mode, sigma0):
+@pytest.mark.parametrize(
+    "mode,sigma0,boundary",
+    [("fifo-reset", 0.5, None), ("fifo-reset", 2.0, None), ("windowed", 0.5, None),
+     ("windowed", 2.0, None), ("fifo-reset", 0.5, 2)],
+    ids=["fifo-reset-0.5", "fifo-reset-2.0", "windowed-0.5", "windowed-2.0", "fifo-reset-0.5-L2"],
+)
+def test_frames_match_closed_form_chain(mode, sigma0, boundary):
     # away from the degenerate sigma0 = 0 world, every frame is still the
-    # closed form A_T x_T + B_T mu(c) of its own seeded noise and shot
-    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=20, sigma0=sigma0, mode=mode)
+    # closed form A_T x_T + B_T mu(c) of its own seeded noise and the
+    # condition shot_for_frame gives it (with L < k, not always its label)
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=20, sigma0=sigma0, mode=mode,
+                            reset_boundary=boundary)
     story = build_story(STORY_INPUT, config)
     _, keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
@@ -335,7 +344,8 @@ def test_frames_match_closed_form_chain(mode, sigma0):
             rng = spawn_rng("queue-noise", seed, g)
         else:
             rng = spawn_rng("reverse-init", frame_seed(seed, shot, g % k))
-        expected = A * rng.standard_normal(config.latent_shape) + B * mean_map(plan[shot])
+        cond = plan[shot_for_frame(g, k, config.boundary, config.n_shots)]
+        expected = A * rng.standard_normal(config.latent_shape) + B * mean_map(cond)
         error = np.max(np.abs(frame - expected) / np.maximum(1.0, np.abs(expected)))
         assert error < 1e-12, f"frame {g}: {error:.2e}"
 
@@ -361,7 +371,7 @@ def _content(cond):
 
 
 @pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
-def test_timeline_evaluates_each_condition_mean_once(small_chain, monkeypatch, mode):
+def test_timeline_evaluates_each_mean_once(small_chain, monkeypatch, mode):
     config, story, keyframes, _ = small_chain
     config = config.merged(mode=mode)
     seen = _count_means(monkeypatch)
