@@ -6,26 +6,27 @@ Run: python3 demos/04_keyframes_and_avatars.py
 
 import numpy as np
 
+from multishot.casting import render_avatar
 from multishot.config import PipelineConfig
 from multishot.metrics import IdentityChannelMean, cosine
 from multishot.pipeline import build_story, render_keyframes
 
 config = PipelineConfig(seed=7)
 story = build_story("the life of a lighthouse keeper named Edda", config)
-avatars, keyframes = render_keyframes(story, config)
+keyframes = render_keyframes(story, config)
 
-print(f"{len(avatars)} avatars rendered (portrait sampled from the avatar prompt,")
+print(f"{len(story.avatars)} avatars rendered (portrait sampled from the avatar prompt,")
 print(" then encoded to a unit-norm identity embedding):")
-for avatar in avatars:
-    head = avatar.ip_embedding.data[:4].round(3)
+for avatar in story.avatars:
+    head = render_avatar(avatar, config).data[:4].round(3)
     print(f"  {avatar.id}: seed={avatar.seed}, embedding[:4]={head}")
 
 print(f"\n{len(keyframes)} keyframes, one per shot, conditioned on the full")
 print("five-domain script text plus the shot's avatar embedding")
 
 feature = IdentityChannelMean(config.identity_channels)
-features = [feature(kf.latent) for kf in keyframes]
-by_avatar = [kf.avatar_id for kf in keyframes]
+features = [feature(kf) for kf in keyframes]
+by_avatar = [script.avatar_id for script in story.scripts]
 
 print("\npairwise identity-feature cosine between keyframes:")
 print("      " + "  ".join(f"shot{j}" for j in range(4)))

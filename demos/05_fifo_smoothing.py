@@ -15,7 +15,7 @@ from multishot.smoothing import DenoiseTrace
 
 config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=8, seed=0)
 story = build_story("the life of a lighthouse keeper named Edda", config)
-_, keyframes = render_keyframes(story, config)
+keyframes = render_keyframes(story, config)
 
 trace = DenoiseTrace()
 timeline = generate_timeline(story, keyframes, config, trace=trace)

@@ -16,7 +16,7 @@ USER_INPUT = "the life of a lighthouse keeper named Edda"
 def report_for(ip_scale, seed=0):
     config = PipelineConfig(seed=seed, ip_scale=ip_scale)
     story = build_story(USER_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     timeline = generate_timeline(story, keyframes, config)
     timeline.frames = [f.astype(np.float32) for f in timeline.frames]
     return build_report(timeline, story, config)

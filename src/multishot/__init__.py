@@ -11,15 +11,8 @@ the denoiser, text encoder, feature extractor and LLM client adapter
 interfaces.
 """
 
-from .casting import (
-    AvatarProfile,
-    Keyframe,
-    derive_avatars,
-    encode_image_mock,
-    generate_keyframe,
-    render_avatar,
-)
-from .clips import ShotClip, build_shot_condition, generate_shot_clip
+from .casting import derive_avatars, encode_image_mock, generate_keyframe, render_avatar
+from .clips import build_shot_condition, generate_shot_clip
 from .conditioning import (
     Condition,
     Embedding,
@@ -49,6 +42,7 @@ from .metrics import (
 )
 from .pipeline import RunArtifacts, compute_metrics_for_run, run_pipeline
 from .script import (
+    AvatarProfile,
     HttpLlmClient,
     MockLlmClient,
     ShotDescription,

@@ -2,17 +2,16 @@
 
 Avatars are recurring characters proposed from the shot descriptions; each
 shot is assigned exactly one. Rendering an avatar samples a portrait latent
-from its prompt (text-only condition, per-avatar seed) and encodes it into
-a unit-norm image embedding. Keyframes are then sampled under the full
-five-domain script text plus that identity embedding, so keyframes sharing
-an avatar share identity channels up to sampler noise.
+from its prompt (text-only condition, per-avatar seed) and returns its
+unit-norm image embedding, the identity. A keyframe is the latent sampled
+under the full five-domain script text plus that identity, so keyframes
+sharing an avatar share identity channels up to sampler noise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,29 +23,17 @@ from .conditioning import (
 )
 from .config import PipelineConfig
 from .diffusion import AnalyticDenoiser, sample_reverse
-from .errors import InputError, ParseError, StateError, ValidationError
-from .script import DOMAIN_FIELDS, DomainPrompt, LlmClient, ShotDescription, ShotScript, call_llm
+from .errors import InputError, ParseError, ValidationError
+from .script import (
+    DOMAIN_FIELDS,
+    AvatarProfile,
+    DomainPrompt,
+    LlmClient,
+    ShotDescription,
+    ShotScript,
+    call_llm,
+)
 from .seeds import derive_seed, spawn_rng
-
-
-@dataclass(frozen=True)
-class AvatarProfile:
-    """A recurring character: prompt, render seed, and (once rendered) the
-    identity-preserving image embedding."""
-
-    id: str
-    prompt: DomainPrompt
-    seed: int
-    ip_embedding: Optional[Embedding] = None
-
-
-@dataclass(frozen=True)
-class Keyframe:
-    """The anchoring latent for one shot."""
-
-    latent: np.ndarray
-    shot_index: int
-    avatar_id: str
 
 
 _AVATARS_INSTRUCTION = (
@@ -141,34 +128,27 @@ def encode_image_mock(
     return Embedding(data=vec, kind="image", source=f"latent:{flat.size}")
 
 
-def render_avatar(profile: AvatarProfile, config: PipelineConfig) -> AvatarProfile:
-    """Render the avatar portrait and attach its image embedding."""
+def render_avatar(profile: AvatarProfile, config: PipelineConfig) -> Embedding:
+    """Render the avatar portrait and return its image embedding."""
     d_e, encoder_seed = config.embed_dim, config.encoder_seed
     cond = Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
     portrait = sample_reverse(
         AnalyticDenoiser(config.world()), cond, config.schedule(), profile.seed,
         config.latent_shape,
     )
-    return replace(profile, ip_embedding=encode_image_mock(portrait, d_e, encoder_seed))
+    return encode_image_mock(portrait, d_e, encoder_seed)
 
 
 def generate_keyframe(
-    script: ShotScript,
-    avatar: AvatarProfile,
-    config: PipelineConfig,
-    seed: int,
-    shot_index: int,
-) -> Keyframe:
-    """Sample the shot keyframe under the full five-domain script text plus
-    the avatar's identity embedding."""
-    if avatar.ip_embedding is None:
-        raise StateError(f"avatar '{avatar.id}' has not been rendered")
+    script: ShotScript, identity: Embedding, config: PipelineConfig, seed: int
+) -> np.ndarray:
+    """Sample the shot keyframe latent under the full five-domain script
+    text plus the avatar's identity embedding."""
     cond = Condition(
         text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
-        ip=avatar.ip_embedding,
+        ip=identity,
         ip_scale=config.ip_scale,
     )
-    latent = sample_reverse(
+    return sample_reverse(
         AnalyticDenoiser(config.world()), cond, config.schedule(), seed, config.latent_shape
     )
-    return Keyframe(latent=latent, shot_index=shot_index, avatar_id=avatar.id)

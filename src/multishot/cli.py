@@ -122,7 +122,7 @@ def _cmd_keyframes(args) -> int:
     config, _ = _load_config(args)
     config = config.merged(n_shots=story.n_shots)
     out = Path(args.out)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     write_keyframes(keyframes, out)
     print(f"wrote {len(keyframes)} keyframes to {out}")
     return 0

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .casting import generate_keyframe, render_avatar
+from .casting import derive_avatars, generate_keyframe, render_avatar
 from .config import MODES, PipelineConfig, config_from_json, config_to_json
 from .errors import ConfigError, ParseError, StageFailure, StateError, ValidationError
 from .metrics import MetricsReport, build_report
@@ -44,7 +44,6 @@ from .script import (
     require_field,
     serialize_story,
 )
-from .casting import derive_avatars
 from .seeds import derive_seed
 from .smoothing import DenoiseTrace, VideoTimeline, run_timeline
 from .tensorio import read_tensor_file, write_tensor_file
@@ -94,30 +93,23 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
     return generate_script_sequence(story, llm, assignment=assignment, avatars=avatars)
 
 
-def render_keyframes(story: Story, config: PipelineConfig) -> Tuple[list, list]:
-    """Casting stage: render every avatar, then one keyframe per shot."""
-    rendered = {avatar.id: render_avatar(avatar, config) for avatar in story.avatars}
+def render_keyframes(story: Story, config: PipelineConfig) -> List[np.ndarray]:
+    """Casting stage: render every avatar's identity embedding, then one
+    keyframe latent per shot, keyframe j for shot j."""
+    identities = {avatar.id: render_avatar(avatar, config) for avatar in story.avatars}
     keyframes = []
-    for desc, script in zip(story.descriptions, story.scripts):
-        avatar = rendered.get(script.avatar_id)
-        if avatar is None:
-            raise ValidationError(f"shot {desc.index} references unknown avatar "
-                                  f"'{script.avatar_id}'")
-        keyframes.append(
-            generate_keyframe(
-                script,
-                avatar,
-                config,
-                derive_seed("keyframe", config.seed, desc.index),
-                shot_index=desc.index,
-            )
-        )
-    return list(rendered.values()), keyframes
+    for j, script in enumerate(story.scripts):
+        identity = identities.get(script.avatar_id)
+        if identity is None:
+            raise ValidationError(f"shot {j} references unknown avatar '{script.avatar_id}'")
+        seed = derive_seed("keyframe", config.seed, j)
+        keyframes.append(generate_keyframe(script, identity, config, seed))
+    return keyframes
 
 
 def generate_timeline(
     story: Story,
-    keyframes: list,
+    keyframes: List[np.ndarray],
     config: PipelineConfig,
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
@@ -143,9 +135,10 @@ def write_timeline_json(path: Path, timeline: VideoTimeline) -> None:
     _write_json(path, payload)
 
 
-def load_timeline(run_dir: Path) -> VideoTimeline:
-    """Frames and shot labels of a run; a malformed timeline.json fails
-    with the JSON path of the bad entry."""
+def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
+    """Frames and shot labels of a run made with ``config``; a malformed
+    timeline.json fails with the JSON path of the bad entry. It must list
+    n_shots * frames_per_shot frames, and frame f belongs to shot f // k."""
     try:
         doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -153,19 +146,19 @@ def load_timeline(run_dir: Path) -> VideoTimeline:
     mode = require_field(doc, "mode", str, "")
     if mode not in MODES:
         raise ValidationError(f"field mode must be one of {MODES}, got '{mode}'")
-    labels = []
-    for i, entry in enumerate(require_field(doc, "frames", list, "")):
+    entries = require_field(doc, "frames", list, "")
+    k = config.frames_per_shot
+    total = config.n_shots * k
+    if len(entries) != total:
+        raise ValidationError(f"field frames must list {total} frames, got {len(entries)}")
+    labels = [i // k for i in range(total)]
+    for i, entry in enumerate(entries):
         path = f"frames[{i}]"
         if require_field(entry, "global_frame", int, path) != i:
             raise ValidationError(f"field {path}.global_frame must equal its position {i}")
         shot = require_field(entry, "shot", int, path)
-        # shots start at 0 and never skip or go back
-        allowed = (labels[-1], labels[-1] + 1) if labels else (0,)
-        if shot not in allowed:
-            raise ValidationError(
-                f"field {path}.shot must be {' or '.join(map(str, allowed))}, got {shot}"
-            )
-        labels.append(shot)
+        if shot != labels[i]:
+            raise ValidationError(f"field {path}.shot must be {labels[i]}, got {shot}")
     stacked = read_tensor_file(run_dir / FRAMES_FILE)
     if stacked.shape[0] != len(labels):
         raise ValidationError(
@@ -182,16 +175,16 @@ def read_report(path) -> MetricsReport:
     return MetricsReport(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def write_keyframes(keyframes: list, out_dir: Path) -> List[Path]:
-    """Write one shot_NNNN.vgt per keyframe and delete every other
+def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> List[Path]:
+    """Write keyframe j to shot_{j:04d}.vgt and delete every other
     shot_*.vgt in out_dir, so a rerun into the directory of a larger run
     leaves no keyframe of a shot the story no longer has."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / f"shot_{keyframe.shot_index:04d}.vgt" for keyframe in keyframes]
+    paths = [out_dir / f"shot_{j:04d}.vgt" for j in range(len(keyframes))]
     for stale in set(out_dir.glob("shot_*.vgt")) - set(paths):
         stale.unlink()
     for keyframe, path in zip(keyframes, paths):
-        write_tensor_file(path, keyframe.latent)
+        write_tensor_file(path, keyframe)
     return paths
 
 
@@ -278,7 +271,7 @@ def write_generation_artifacts(
     paths and the in-memory timeline."""
     run_dir = Path(run_dir)
     with _stage(run_dir, "keyframes"):
-        _, keyframes = render_keyframes(story, config)
+        keyframes = render_keyframes(story, config)
         keyframe_paths = write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
 
     with _stage(run_dir, "generate"):
@@ -296,7 +289,7 @@ def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     run_dir = Path(run_dir)
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())
-    timeline = load_timeline(run_dir)
+    timeline = load_timeline(run_dir, config)
     report = build_report(timeline, story, config)
     write_report(Path(report_path) if report_path else run_dir / REPORT_FILE, report)
     return report

@@ -76,6 +76,15 @@ class DomainPrompt:
 
 
 @dataclass(frozen=True)
+class AvatarProfile:
+    """A recurring character: its portrait prompt and render seed."""
+
+    id: str
+    prompt: DomainPrompt
+    seed: int
+
+
+@dataclass(frozen=True)
 class ShotScript:
     """The filled five-domain script for one shot."""
 
@@ -93,13 +102,14 @@ class ShotScript:
 
 @dataclass
 class Story:
-    """A full narrative plan: descriptions, scripts, and avatar roster."""
+    """A full narrative plan: descriptions, scripts, and avatar roster.
+    Shot j is position j of ``descriptions`` and ``scripts``."""
 
     user_input: str
     n_shots: int
     descriptions: List[ShotDescription] = field(default_factory=list)
     scripts: List[ShotScript] = field(default_factory=list)
-    avatars: list = field(default_factory=list)  # list[AvatarProfile]
+    avatars: List[AvatarProfile] = field(default_factory=list)
 
 
 class LlmClient(Protocol):
@@ -367,7 +377,7 @@ def generate_script_sequence(
     story: Story,
     llm: LlmClient,
     assignment: Optional[List[str]] = None,
-    avatars: Optional[list] = None,
+    avatars: Optional[List[AvatarProfile]] = None,
 ) -> Story:
     """Generate all scripts in index order, each conditioned on its
     predecessor; optionally attach avatar assignments and the roster."""
@@ -453,9 +463,8 @@ def serialize_story(story: Story) -> bytes:
 
 
 def parse_story(data: bytes) -> Story:
-    """Parse and validate a story document; errors carry the JSON path."""
-    from .casting import AvatarProfile  # local import to avoid a cycle
-
+    """Parse and validate a story document; errors carry the JSON path.
+    Shots are listed in index order: shots[i].index must be i."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -479,24 +488,21 @@ def parse_story(data: bytes) -> Story:
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate avatar ids")
 
-    descriptions, scripts, seen = [], [], set()
+    descriptions, scripts = [], []
     for i, entry in enumerate(raw_shots):
         path = f"shots[{i}]"
         index = require_field(entry, "index", int, path)
+        if index != i:
+            raise ValidationError(f"field {path}.index must be {i}, got {index}")
         short = require_field(entry, "short", str, path)
         script_doc = require_field(entry, "script", dict, path)
         avatar_id = require_field(entry, "avatar_id", str, path)
         domains = {
             f: require_field(script_doc, f, str, f"{path}.script") for f in DOMAIN_FIELDS
         }
-        if index in seen:
-            raise ValidationError(f"duplicate shot index {index}")
-        seen.add(index)
         descriptions.append(ShotDescription(index=index, text=short))
         scripts.append(ShotScript(avatar_id=avatar_id, short=short, **domains))
 
-    if sorted(seen) != list(range(len(raw_shots))):
-        raise ValidationError("shot indices are not contiguous from 0")
     if n_shots != len(raw_shots):
         raise ValidationError(f"n_shots={n_shots} but document has {len(raw_shots)} shots")
     id_set = set(ids)

@@ -188,45 +188,37 @@ def tick(
     return emitted
 
 
-def build_plan(story: Story, keyframes: List, config: PipelineConfig) -> List[Condition]:
-    """Per-shot conditions from short descriptions and keyframes."""
-    if len(story.descriptions) != story.n_shots:
-        raise StateError("story descriptions are not fully populated")
-    by_shot = {kf.shot_index: kf for kf in keyframes}
-    plan = []
-    for desc in story.descriptions:
-        keyframe = by_shot.get(desc.index)
-        if keyframe is None:
-            raise StateError(f"no keyframe rendered for shot {desc.index}")
-        plan.append(build_shot_condition(desc, keyframe, config))
-    return plan
+def build_plan(
+    story: Story, keyframes: List[np.ndarray], config: PipelineConfig
+) -> List[Condition]:
+    """Per-shot conditions: plan[j] pairs shot j's short description with
+    keyframe j's latent."""
+    if len(keyframes) != len(story.descriptions):
+        raise StateError(f"{len(keyframes)} keyframes for {len(story.descriptions)} shots")
+    return [
+        build_shot_condition(desc, keyframe, config)
+        for desc, keyframe in zip(story.descriptions, keyframes)
+    ]
 
 
 def run_timeline(
     story: Story,
-    keyframes: List,
+    keyframes: List[np.ndarray],
     config: PipelineConfig,
     seed: int,
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
     """Produce all N*k frames in global order, labeled by shot."""
-    n_shots, k = story.n_shots, config.frames_per_shot
+    plan = build_plan(story, keyframes, config)
+    n_shots, k = len(plan), config.frames_per_shot
     total = n_shots * k
+    shots = [f // k for f in range(total)]
 
     if config.mode == "windowed":
-        frames: List[np.ndarray] = []
-        shots: List[int] = []
-        by_shot = {kf.shot_index: kf for kf in keyframes}
-        for desc in story.descriptions:
-            keyframe = by_shot.get(desc.index)
-            if keyframe is None:
-                raise StateError(f"no keyframe rendered for shot {desc.index}")
-            clip = generate_shot_clip(desc, keyframe, config, seed)
-            frames.extend(clip.frames)
-            shots.extend([desc.index] * k)
+        frames = [frame for j, cond in enumerate(plan)
+                  for frame in generate_shot_clip(cond, j, config, seed)]
         return VideoTimeline(frames=frames, shots=shots, mode=config.mode)
 
-    plan = build_plan(story, keyframes, config)
     schedule = config.schedule()
     denoiser = AnalyticDenoiser(config.world())
     queue = init_queue(plan, config, seed)
@@ -237,7 +229,7 @@ def run_timeline(
             frames.append(emitted[1])
     return VideoTimeline(
         frames=frames,
-        shots=[f // k for f in range(total)],
+        shots=shots,
         mode=config.mode,
         emission_ticks=[f + config.steps for f in range(total)],
         switch_ticks={0: 0, **{j: j * k + k - config.boundary for j in range(1, n_shots)}},

@@ -95,7 +95,7 @@ def test_criterion_3_fifo_structural_invariants():
     start = time.perf_counter()
     config = PipelineConfig(n_shots=3, frames_per_shot=8, steps=20)
     story = build_story(TOY_STORY, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     trace = DenoiseTrace()
     timeline = generate_timeline(story, keyframes, config, trace=trace)
     elapsed = time.perf_counter() - start
@@ -135,7 +135,7 @@ def test_criterion_5_mode_agreement_at_convergence():
     start = time.perf_counter()
     config = PipelineConfig(sigma0=0.0)
     story = build_story(TOY_STORY, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     fifo = generate_timeline(story, keyframes, config)
     windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
     elapsed = time.perf_counter() - start
@@ -157,7 +157,7 @@ def five_seed_reports():
         for ip_scale in (1.0, 0.0):
             config = PipelineConfig(seed=seed, ip_scale=ip_scale)
             story = build_story(TOY_STORY, config)
-            _, keyframes = render_keyframes(story, config)
+            keyframes = render_keyframes(story, config)
             timeline = generate_timeline(story, keyframes, config)
             timeline.frames = [f.astype(np.float32) for f in timeline.frames]
             reports[(seed, ip_scale)] = build_report(timeline, story, config)

@@ -142,10 +142,11 @@ def _relabel(doc, shots):
         (lambda doc: doc["frames"][2].update(global_frame=5), "frames[2].global_frame"),
         (lambda doc: doc["frames"][0].update(shot=-1), "frames[0].shot"),
         (lambda doc: _relabel(doc, [0, 0, 2, 2, 2, 2]), "frames[2].shot"),
-        (lambda doc: _relabel(doc, [0, 1, 0, 1, 2, 2]), "frames[2].shot"),
+        (lambda doc: _relabel(doc, [0, 1, 0, 1, 2, 2]), "frames[1].shot"),
+        (lambda doc: _relabel(doc, [0, 0, 0, 1, 2, 2]), "frames[2].shot"),
     ],
     ids=["no-frames", "string-shot", "unknown-mode", "skipped-frame", "negative-shot",
-         "skipped-shot", "backward-shot"],
+         "skipped-shot", "backward-shot", "uneven-shots"],
 )
 def test_metrics_rejects_malformed_timeline(tmp_path, capsys, edit, path):
     out = tmp_path / "run"

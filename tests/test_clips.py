@@ -6,7 +6,7 @@ import pytest
 from multishot.clips import build_shot_condition, frame_seed, generate_shot_clip
 from multishot.conditioning import encode_text_mock
 from multishot.config import PipelineConfig
-from multishot.errors import ConfigError, ValidationError
+from multishot.errors import ConfigError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, render_keyframes
 
@@ -17,24 +17,19 @@ STORY_INPUT = "the return of a glassblower named Soren"
 def chain():
     config = PipelineConfig()
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     return config, story, keyframes
 
 
 def _clip(config, story, keyframes, shot=0, k=8, seed=0, **kw):
-    return generate_shot_clip(
-        story.descriptions[shot],
-        keyframes[shot],
-        config.merged(frames_per_shot=k),
-        seed,
-        **kw,
-    )
+    cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config, **kw)
+    return generate_shot_clip(cond, shot, config.merged(frames_per_shot=k), seed)
 
 
 def test_frame_count_contract(chain):
     clip = _clip(*chain, k=8)
-    assert clip.k == 8 and len(clip.frames) == 8
-    assert all(f.shape == (8, 8, 8) for f in clip.frames)
+    assert len(clip) == 8
+    assert all(f.shape == (8, 8, 8) for f in clip)
 
 
 def test_zero_frames_rejected(chain):
@@ -46,13 +41,13 @@ def test_zero_frames_rejected(chain):
 def test_clip_deterministic(chain):
     a = _clip(*chain, seed=11)
     b = _clip(*chain, seed=11)
-    for fa, fb in zip(a.frames, b.frames):
+    for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
 
 
 def test_frames_differ_within_clip(chain):
     clip = _clip(*chain)
-    assert not np.array_equal(clip.frames[0], clip.frames[1])
+    assert not np.array_equal(clip[0], clip[1])
     assert frame_seed(0, 0, 0) != frame_seed(0, 0, 1)
     assert frame_seed(0, 0, 0) != frame_seed(0, 1, 0)
 
@@ -74,9 +69,8 @@ def test_text_condition_uses_short_description_not_script(chain):
 
 def test_clip_condition_single_identity(chain):
     config, story, keyframes = chain
-    clip = _clip(*chain)
     world = config.world()
-    mu = world.mean_map(clip.condition)
+    mu = world.mean_map(build_shot_condition(story.descriptions[0], keyframes[0], config))
     # one condition per clip: every frame's mean identity block is the same
     for c in range(config.identity_channels):
         assert np.ptp(mu[:, :, c]) == 0.0
@@ -88,13 +82,7 @@ def test_frame_identity_stays_near_keyframe_identity(chain):
     world = config.world()
     feat = IdentityChannelMean(config.identity_channels)
     clip = _clip(*chain, shot=1)
-    mu_id = feat(world.mean_map(clip.condition))
+    mu_id = feat(world.mean_map(build_shot_condition(story.descriptions[1], keyframes[1], config)))
     bound = 3.0 * config.sigma0 / np.sqrt(config.height * config.width)
-    for frame in clip.frames:
+    for frame in clip:
         assert np.abs(feat(frame) - mu_id).max() < bound
-
-
-def test_keyframe_shot_mismatch_rejected(chain):
-    config, story, keyframes = chain
-    with pytest.raises(ValidationError):
-        build_shot_condition(story.descriptions[0], keyframes[1], config)

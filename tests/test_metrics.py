@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multishot.clips import generate_shot_clip
+from multishot.clips import build_shot_condition, generate_shot_clip
 from multishot.config import PipelineConfig
 from multishot.errors import ConfigError, InputError, ShapeError, ValidationError
 from multishot.metrics import (
@@ -175,7 +175,7 @@ def test_style_gram_matches_fresh_weights():
 def toy_chain():
     config = PipelineConfig()
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     return config, story, keyframes
 
 
@@ -202,18 +202,13 @@ def test_clip_score_prefers_own_script():
     for seed in range(20):
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
-        _, keyframes = render_keyframes(story, config)
+        keyframes = render_keyframes(story, config)
         shot = seed % config.n_shots
         other = (shot + 2) % config.n_shots
-        clip = generate_shot_clip(
-            story.descriptions[shot], keyframes[shot], config.merged(frames_per_shot=4), seed
-        )
-        own_scores.append(
-            clip_score_mock(clip.frames, story.scripts[shot], "character", config)
-        )
-        other_scores.append(
-            clip_score_mock(clip.frames, story.scripts[other], "character", config)
-        )
+        cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config)
+        clip = generate_shot_clip(cond, shot, config.merged(frames_per_shot=4), seed)
+        own_scores.append(clip_score_mock(clip, story.scripts[shot], "character", config))
+        other_scores.append(clip_score_mock(clip, story.scripts[other], "character", config))
     assert np.mean(own_scores) > np.mean(other_scores)
 
 
@@ -224,7 +219,7 @@ def test_report_single_shot_has_null_cross(toy_chain):
     config, story, keyframes = toy_chain
     cfg1 = PipelineConfig(n_shots=1, shots_per_avatar=1)
     story1 = build_story(STORY_INPUT, cfg1)
-    _, kfs1 = render_keyframes(story1, cfg1)
+    kfs1 = render_keyframes(story1, cfg1)
     timeline = generate_timeline(story1, kfs1, cfg1)
     report = build_report(timeline, story1, cfg1)
     assert report.fc_cross is None and report.sc_cross is None
@@ -258,7 +253,7 @@ def test_avatar_group_cosine_gap():
     for seed in range(5):
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
-        _, keyframes = render_keyframes(story, config)
+        keyframes = render_keyframes(story, config)
         timeline = generate_timeline(story, keyframes, config)
         feat = IdentityChannelMean(config.identity_channels)
         features = [feat(f) for f in timeline.frames]

@@ -248,7 +248,15 @@ def test_parse_error_names_missing_field_path():
 def test_duplicate_shot_index_rejected():
     doc = json.loads(serialize_story(_full_story()).decode())
     doc["shots"][1]["index"] = 0
-    with pytest.raises(ValidationError, match="duplicate"):
+    with pytest.raises(ValidationError, match=r"shots\[1\]\.index"):
+        parse_story(json.dumps(doc).encode())
+
+
+def test_shots_out_of_index_order_rejected():
+    # shot j is position j: a story listing shot 1 before shot 0 is refused
+    doc = json.loads(serialize_story(_full_story()).decode())
+    doc["shots"][0], doc["shots"][1] = doc["shots"][1], doc["shots"][0]
+    with pytest.raises(ValidationError, match=r"shots\[0\]\.index"):
         parse_story(json.dumps(doc).encode())
 
 

@@ -33,7 +33,7 @@ def small_chain():
     # N=2 shots, k=3 frames, T=4 steps: small enough to trace by hand
     config = PipelineConfig(n_shots=2, frames_per_shot=3, steps=4, seed=1)
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
     return config, story, keyframes, plan
 
@@ -215,7 +215,7 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
 def default_chain():
     config = PipelineConfig(seed=2)
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     return config, story, keyframes
 
 
@@ -248,10 +248,10 @@ def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
     # and differ from eta = 0, while keyframes still sample at eta = 0
     config, story, keyframes, _ = small_chain
     noisy = config.merged(eta=0.5)
-    _, noisy_keyframes = render_keyframes(story, noisy)
+    noisy_keyframes = render_keyframes(story, noisy)
     assert len(noisy_keyframes) == len(keyframes)
     for a, b in zip(keyframes, noisy_keyframes):
-        assert np.array_equal(a.latent, b.latent)
+        assert np.array_equal(a, b)
     first = generate_timeline(story, noisy_keyframes, noisy)
     second = generate_timeline(story, noisy_keyframes, noisy)
     base = generate_timeline(story, keyframes, config)
@@ -261,10 +261,11 @@ def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
         assert not np.array_equal(a, c)
 
 
-def test_missing_keyframe_names_shot(default_chain):
+@pytest.mark.parametrize("mode", ["fifo-reset", "windowed"])
+def test_missing_keyframe_names_shot(default_chain, mode):
     config, story, keyframes = default_chain
-    with pytest.raises(StateError, match="shot 2"):
-        generate_timeline(story, keyframes[:2] + keyframes[3:], config)
+    with pytest.raises(StateError, match="3 keyframes for 4 shots"):
+        generate_timeline(story, keyframes[:2] + keyframes[3:], config.merged(mode=mode))
 
 
 def test_fifo_frames_converge_to_their_shots_mean(default_chain):
@@ -275,7 +276,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
     for seed in range(5):
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
-        _, keyframes = render_keyframes(story, config)
+        keyframes = render_keyframes(story, config)
         plan = build_plan(story, keyframes, config)
         world = config.world()
         timeline = generate_timeline(story, keyframes, config)
@@ -288,7 +289,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
 def test_mode_agreement_at_convergence():
     config = PipelineConfig(sigma0=0.0)
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
     world = config.world()
     fifo = generate_timeline(story, keyframes, config)
@@ -332,7 +333,7 @@ def test_frames_match_closed_form_chain(mode, sigma0, boundary):
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=20, sigma0=sigma0, mode=mode,
                             reset_boundary=boundary)
     story = build_story(STORY_INPUT, config)
-    _, keyframes = render_keyframes(story, config)
+    keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
     timeline = generate_timeline(story, keyframes, config)
     A, B = _chain_scalars(config.schedule(), sigma0)
@@ -394,14 +395,14 @@ def test_memo_leaves_frames_bitwise_equal(monkeypatch, mode, sigma0):
     story = build_story(STORY_INPUT, config)
 
     def generate():
-        _, keyframes = render_keyframes(story, config)
+        keyframes = render_keyframes(story, config)
         return keyframes, generate_timeline(story, keyframes, config)
 
     keyframes, timeline = generate()
     monkeypatch.setattr(PipelineConfig, "world", _memo_free_world)
     plain_keyframes, plain = generate()
     for a, b in zip(keyframes, plain_keyframes):
-        assert np.array_equal(a.latent, b.latent)
+        assert np.array_equal(a, b)
     assert len(timeline.frames) == len(plain.frames) == 6
     for a, b in zip(timeline.frames, plain.frames):
         assert np.array_equal(a, b)
