@@ -22,14 +22,14 @@ llm = MockLlmClient()
 
 descriptions = expand_story(USER_INPUT, 6, llm)
 print(f"input: {USER_INPUT!r} -> {len(descriptions)} short shot descriptions\n")
-for d in descriptions:
-    print(f"  s{d.index}: {d.text}")
+for j, d in enumerate(descriptions):
+    print(f"  s{j}: {d.text}")
 
 avatars, assignment = derive_avatars(descriptions, llm, shots_per_avatar=3)
 print(f"\n{len(avatars)} recurring avatars, shots assigned {assignment}")
 
-story = Story(user_input=USER_INPUT, n_shots=6, descriptions=descriptions)
-story = generate_script_sequence(story, llm, assignment, avatars)
+scripts = generate_script_sequence(descriptions, llm, assignment)
+story = Story(USER_INPUT, descriptions, scripts, avatars)
 
 print("\nshot 1 expanded across the five domains:")
 for domain in DOMAIN_FIELDS:

@@ -14,6 +14,7 @@ from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import DenoiseTrace
 
 config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=8, seed=0)
+k = config.frames_per_shot
 story = build_story("the life of a lighthouse keeper named Edda", config)
 keyframes = render_keyframes(story, config)
 
@@ -35,15 +36,15 @@ for tick in range(1, max(timeline.emission_ticks) + 1):
     marker = ""
     if tick in timeline.emission_ticks:
         gf = timeline.emission_ticks.index(tick)
-        marker = f"  -> emits frame {gf} (shot {timeline.shots[gf]})"
+        marker = f"  -> emits frame {gf} (shot {gf // k})"
     print(f"  tick {tick:2d}  levels 1..T: {' '.join(cells[1:])}{marker}")
 
 print("\nfirst tick each shot's condition appears:", timeline.switch_ticks)
 first_shot1 = min(r.tick for r in trace.records if r.condition_shot == 1)
-last_shot0 = max(t for t, s in zip(timeline.emission_ticks, timeline.shots) if s == 0)
+last_shot0 = max(t for gf, t in enumerate(timeline.emission_ticks) if gf // k == 0)
 print(f"shot 1 conditioning enters at tick {first_shot1}; "
       f"shot 0 finishes emitting at tick {last_shot0} (overlap = smooth handover)")
 
 windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
 print("\nwindowed mode produces the same frame count and labels:",
-      len(windowed.frames) == len(timeline.frames) and windowed.shots == timeline.shots)
+      [len(c) for c in windowed.clips] == [len(c) for c in timeline.clips])

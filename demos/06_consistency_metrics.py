@@ -18,7 +18,7 @@ def report_for(ip_scale, seed=0):
     story = build_story(USER_INPUT, config)
     keyframes = render_keyframes(story, config)
     timeline = generate_timeline(story, keyframes, config)
-    timeline.frames = [f.astype(np.float32) for f in timeline.frames]
+    timeline.clips = [[f.astype(np.float32) for f in clip] for clip in timeline.clips]
     return build_report(timeline, story, config)
 
 

@@ -32,6 +32,7 @@ from .script import (
     ShotDescription,
     ShotScript,
     call_llm,
+    require_field,
 )
 from .seeds import derive_seed, spawn_rng
 
@@ -73,22 +74,22 @@ def derive_avatars(
         payload = json.loads(completion)
     except json.JSONDecodeError as exc:
         raise ParseError(f"avatar completion is not valid JSON: {exc}") from exc
-    raw_avatars = payload.get("avatars")
-    assignment = payload.get("assignment")
-    if not isinstance(raw_avatars, list) or not isinstance(assignment, list):
-        raise ParseError("avatar completion needs 'avatars' and 'assignment' lists")
+    raw_avatars = require_field(payload, "avatars", list, "")
+    assignment = require_field(payload, "assignment", list, "")
 
     avatars = []
-    for entry in raw_avatars:
-        missing = [f for f in ("id",) + DOMAIN_FIELDS if not entry.get(f)]
-        if missing:
-            raise ParseError(f"avatar entry missing fields: {missing}")
-        prompt = DomainPrompt(**{f: entry[f] for f in DOMAIN_FIELDS})
+    for i, entry in enumerate(raw_avatars):
+        path = f"avatars[{i}]"
+        fields = {f: require_field(entry, f, str, path) for f in ("id",) + DOMAIN_FIELDS}
+        empty = [f for f, value in fields.items() if not value]
+        if empty:
+            raise ParseError(f"{path} has empty fields: {empty}")
+        aid = fields.pop("id")
         avatars.append(
             AvatarProfile(
-                id=entry["id"],
-                prompt=prompt,
-                seed=derive_seed("avatar-render", seed, entry["id"]) % (2**31),
+                id=aid,
+                prompt=DomainPrompt(**fields),
+                seed=derive_seed("avatar-render", seed, aid) % (2**31),
             )
         )
     ids = [a.id for a in avatars]
@@ -101,6 +102,8 @@ def derive_avatars(
         )
     id_set = set(ids)
     for i, aid in enumerate(assignment):
+        if not isinstance(aid, str):
+            raise ParseError(f"field assignment[{i}] has wrong type (expected str)")
         if aid not in id_set:
             raise ValidationError(f"shot {i} assigned to unknown avatar '{aid}'")
     return avatars, list(assignment)

@@ -113,14 +113,14 @@ def _cmd_script(args) -> int:
     config, _ = _load_config(args)
     story = build_story(args.input, config)
     Path(args.out).write_bytes(serialize_story(story))
-    print(f"wrote {args.out} ({story.n_shots} shots, {len(story.avatars)} avatars)")
+    print(f"wrote {args.out} ({len(story.scripts)} shots, {len(story.avatars)} avatars)")
     return 0
 
 
 def _cmd_keyframes(args) -> int:
     story = parse_story(Path(args.story).read_bytes())
     config, _ = _load_config(args)
-    config = config.merged(n_shots=story.n_shots)
+    config = config.merged(n_shots=len(story.scripts))
     out = Path(args.out)
     keyframes = render_keyframes(story, config)
     write_keyframes(keyframes, out)
@@ -131,7 +131,7 @@ def _cmd_keyframes(args) -> int:
 def _cmd_generate(args) -> int:
     story = parse_story(Path(args.story).read_bytes())
     config, _ = _load_config(args)
-    config = config.merged(n_shots=story.n_shots)
+    config = config.merged(n_shots=len(story.scripts))
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
@@ -165,9 +165,10 @@ def _render_table(report) -> str:
 
 
 def _cmd_metrics(args) -> int:
-    report = compute_metrics_for_run(args.run, args.report)
     target = args.report or str(Path(args.run) / REPORT_FILE)
-    record_in_manifest(args.run, target)
+    with run_lock(args.run):
+        report = compute_metrics_for_run(args.run, args.report)
+        record_in_manifest(args.run, target)
     print(_render_table(report))
     print(f"wrote {target}")
     return 0

@@ -112,13 +112,13 @@ def consistency_scores(
     cross: mean cosine between shot-mean feature vectors over the selected
     pairing (needs >= 2 shots, else None).
     """
-    if not timeline.frames:
+    if not any(timeline.clips):
         raise InputError("timeline has no frames")
     if pairing not in PAIRINGS:
         raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{pairing}'")
 
-    n_shots = timeline.n_shots
-    per_shot = [[extractor(f) for f in timeline.frames_for_shot(j)] for j in range(n_shots)]
+    per_shot = [[extractor(f) for f in clip] for clip in timeline.clips]
+    n_shots = len(per_shot)
 
     within_terms = [_mean_pairwise(feats) for feats in per_shot if len(feats) >= 2]
     within = float(np.mean(within_terms)) if within_terms else None
@@ -198,13 +198,11 @@ class MetricsReport:
 
 def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) -> MetricsReport:
     """Compute every report field; pure, writes nothing."""
-    if not timeline.frames:
+    if not any(timeline.clips):
         raise InputError("timeline has no frames")
-    if timeline.n_shots != story.n_shots or len(story.scripts) != story.n_shots:
-        raise ValidationError(
-            f"timeline has {timeline.n_shots} shots, story declares {story.n_shots} "
-            f"with {len(story.scripts)} scripts"
-        )
+    n_shots = len(story.scripts)
+    if len(timeline.clips) != n_shots:
+        raise ValidationError(f"timeline has {len(timeline.clips)} shots, story has {n_shots}")
     face = IdentityChannelMean(d_id=config.identity_channels)
     style = StyleGram(seed=config.style_seed)
     avatar_ids = [s.avatar_id for s in story.scripts] if config.pairing == "same-avatar" else None
@@ -216,19 +214,16 @@ def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) 
         timeline, style, pairing=config.pairing, avatar_ids=avatar_ids
     )
 
-    pair_values = []
-    for j in range(story.n_shots):
-        shot_frames = timeline.frames_for_shot(j)
-        pair_values.extend(
-            psnr(shot_frames[i], shot_frames[i + 1]) for i in range(len(shot_frames) - 1)
-        )
+    pair_values = [
+        psnr(clip[i], clip[i + 1]) for clip in timeline.clips for i in range(len(clip) - 1)
+    ]
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None
 
     clip_by_domain = {}
     for domain in DOMAIN_FIELDS:
         per_shot = [
-            clip_score_mock(timeline.frames_for_shot(j), story.scripts[j], domain, config)
-            for j in range(story.n_shots)
+            clip_score_mock(clip, script, domain, config)
+            for clip, script in zip(timeline.clips, story.scripts)
         ]
         clip_by_domain[domain] = float(np.mean(per_shot))
 
@@ -239,5 +234,5 @@ def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) 
         sc_cross=sc_cross,
         psnr_pairs=psnr_pairs,
         clip_by_domain=clip_by_domain,
-        counts={"shots": story.n_shots, "frames": len(timeline.frames)},
+        counts={"shots": n_shots, "frames": len(timeline.frames)},
     )

@@ -89,22 +89,20 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
     avatars, assignment = derive_avatars(
         descriptions, llm, config.shots_per_avatar, seed=config.seed
     )
-    story = Story(user_input=user_input.strip(), n_shots=config.n_shots, descriptions=descriptions)
-    return generate_script_sequence(story, llm, assignment=assignment, avatars=avatars)
+    scripts = generate_script_sequence(descriptions, llm, assignment=assignment)
+    return Story(user_input.strip(), descriptions, scripts, avatars)
 
 
 def render_keyframes(story: Story, config: PipelineConfig) -> List[np.ndarray]:
     """Casting stage: render every avatar's identity embedding, then one
     keyframe latent per shot, keyframe j for shot j."""
     identities = {avatar.id: render_avatar(avatar, config) for avatar in story.avatars}
-    keyframes = []
-    for j, script in enumerate(story.scripts):
-        identity = identities.get(script.avatar_id)
-        if identity is None:
-            raise ValidationError(f"shot {j} references unknown avatar '{script.avatar_id}'")
-        seed = derive_seed("keyframe", config.seed, j)
-        keyframes.append(generate_keyframe(script, identity, config, seed))
-    return keyframes
+    return [
+        generate_keyframe(
+            script, identities[script.avatar_id], config, derive_seed("keyframe", config.seed, j)
+        )
+        for j, script in enumerate(story.scripts)
+    ]
 
 
 def generate_timeline(
@@ -126,17 +124,16 @@ def _write_json(path: Path, payload) -> None:
 
 
 def write_timeline_json(path: Path, timeline: VideoTimeline) -> None:
+    labels = [j for j, clip in enumerate(timeline.clips) for _ in clip]
     payload = {
         "mode": timeline.mode,
-        "frames": [
-            {"global_frame": i, "shot": shot} for i, shot in enumerate(timeline.shots)
-        ],
+        "frames": [{"global_frame": f, "shot": j} for f, j in enumerate(labels)],
     }
     _write_json(path, payload)
 
 
 def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
-    """Frames and shot labels of a run made with ``config``; a malformed
+    """Frames of a run made with ``config``, k per shot; a malformed
     timeline.json fails with the JSON path of the bad entry. It must list
     n_shots * frames_per_shot frames, and frame f belongs to shot f // k."""
     try:
@@ -151,20 +148,18 @@ def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
     total = config.n_shots * k
     if len(entries) != total:
         raise ValidationError(f"field frames must list {total} frames, got {len(entries)}")
-    labels = [i // k for i in range(total)]
     for i, entry in enumerate(entries):
         path = f"frames[{i}]"
         if require_field(entry, "global_frame", int, path) != i:
             raise ValidationError(f"field {path}.global_frame must equal its position {i}")
         shot = require_field(entry, "shot", int, path)
-        if shot != labels[i]:
-            raise ValidationError(f"field {path}.shot must be {labels[i]}, got {shot}")
+        if shot != i // k:
+            raise ValidationError(f"field {path}.shot must be {i // k}, got {shot}")
     stacked = read_tensor_file(run_dir / FRAMES_FILE)
-    if stacked.shape[0] != len(labels):
-        raise ValidationError(
-            f"frames.vgt holds {stacked.shape[0]} frames, timeline lists {len(labels)}"
-        )
-    return VideoTimeline(frames=list(stacked), shots=labels, mode=mode)
+    if stacked.shape[0] != total:
+        raise ValidationError(f"frames.vgt holds {stacked.shape[0]} frames, timeline lists {total}")
+    clips = [list(stacked[j * k : (j + 1) * k]) for j in range(config.n_shots)]
+    return VideoTimeline(clips=clips, mode=mode)
 
 
 def write_report(path: Path, report: MetricsReport) -> None:
@@ -235,9 +230,7 @@ def record_in_manifest(run_dir: Path, path: Path) -> None:
 @contextlib.contextmanager
 def run_lock(run_dir: Path):
     """Exclusive ownership of a run directory; fails fast when the
-    directory is unwritable or already locked. Taking the lock clears the
-    failure marker of an earlier run, which no longer describes the
-    directory."""
+    directory is unwritable or already locked."""
     lock_path = Path(run_dir) / LOCK_FILE
     try:
         handle = open(lock_path, "x")
@@ -245,7 +238,6 @@ def run_lock(run_dir: Path):
         raise StateError(f"run directory is locked: {lock_path}") from None
     try:
         handle.close()
-        shutil.rmtree(Path(run_dir) / FAILED_DIR, ignore_errors=True)
         yield
     finally:
         with contextlib.suppress(OSError):
@@ -254,13 +246,17 @@ def run_lock(run_dir: Path):
 
 @contextlib.contextmanager
 def _stage(run_dir: Path, name: str):
+    """Run one stage; on failure write failed/stage.txt: the stage name,
+    then ``ExceptionType: message``."""
     try:
         yield
     except Exception as exc:
         marker_dir = run_dir / FAILED_DIR
         with contextlib.suppress(OSError):
             marker_dir.mkdir(exist_ok=True)
-            (marker_dir / "stage.txt").write_text(f"{name}\n", encoding="utf-8")
+            (marker_dir / "stage.txt").write_text(
+                f"{name}\n{type(exc).__name__}: {exc}\n", encoding="utf-8"
+            )
         raise StageFailure(name, exc) from exc
 
 
@@ -268,8 +264,10 @@ def write_generation_artifacts(
     story: Story, config: PipelineConfig, run_dir: Path, user_input: Optional[str] = None
 ) -> Tuple[List[Path], VideoTimeline]:
     """Casting plus generation stages with persistence; returns keyframe
-    paths and the in-memory timeline."""
+    paths and the in-memory timeline. Clears the failure marker of an
+    earlier run, which no longer describes the directory."""
     run_dir = Path(run_dir)
+    shutil.rmtree(run_dir / FAILED_DIR, ignore_errors=True)
     with _stage(run_dir, "keyframes"):
         keyframes = render_keyframes(story, config)
         keyframe_paths = write_keyframes(keyframes, run_dir / KEYFRAME_DIR)

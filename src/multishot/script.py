@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Protocol
 
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
     MultishotError,
     ParseError,
     SchemaError,
-    StateError,
     TransportError,
     ValidationError,
 )
@@ -57,13 +56,12 @@ LLM_KEY_ENV = "VGOT_LLM_KEY"
 class ShotDescription:
     """One-sentence description of a single shot."""
 
-    index: int
     text: str
 
 
 @dataclass(frozen=True)
 class DomainPrompt:
-    """A five-domain prompt block (used for avatar portraits)."""
+    """A five-domain prompt block: an avatar's portrait or a shot's script."""
 
     character: str
     background: str
@@ -73,6 +71,9 @@ class DomainPrompt:
 
     def as_text(self) -> str:
         return " ".join(getattr(self, f) for f in DOMAIN_FIELDS)
+
+    def domains(self) -> dict:
+        return {f: getattr(self, f) for f in DOMAIN_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -85,31 +86,40 @@ class AvatarProfile:
 
 
 @dataclass(frozen=True)
-class ShotScript:
-    """The filled five-domain script for one shot."""
+class ShotScript(DomainPrompt):
+    """The filled five-domain script for one shot, and the avatar it shows."""
 
-    character: str
-    background: str
-    relations: str
-    camera: str
-    hdr: str
     avatar_id: str
-    short: str
-
-    def as_text(self) -> str:
-        return " ".join(getattr(self, f) for f in DOMAIN_FIELDS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Story:
     """A full narrative plan: descriptions, scripts, and avatar roster.
-    Shot j is position j of ``descriptions`` and ``scripts``."""
+
+    Shot j is position j of ``descriptions`` and ``scripts``. A story is
+    built fully populated: both lists have one entry per shot, avatar ids
+    are unique, and every script's avatar is on the roster.
+    """
 
     user_input: str
-    n_shots: int
-    descriptions: List[ShotDescription] = field(default_factory=list)
-    scripts: List[ShotScript] = field(default_factory=list)
-    avatars: List[AvatarProfile] = field(default_factory=list)
+    descriptions: List[ShotDescription]
+    scripts: List[ShotScript]
+    avatars: List[AvatarProfile]
+
+    def __post_init__(self):
+        if len(self.scripts) != len(self.descriptions):
+            raise ValidationError(
+                f"story is not fully populated: {len(self.descriptions)} descriptions, "
+                f"{len(self.scripts)} scripts"
+            )
+        ids = {a.id for a in self.avatars}
+        if len(ids) != len(self.avatars):
+            raise ValidationError("duplicate avatar ids")
+        for j, script in enumerate(self.scripts):
+            if script.avatar_id not in ids:
+                raise ValidationError(
+                    f"shots[{j}].avatar_id '{script.avatar_id}' does not resolve"
+                )
 
 
 class LlmClient(Protocol):
@@ -292,7 +302,7 @@ class HttpLlmClient:
             raise
         except Exception as exc:  # connection errors, bad JSON, timeouts
             raise TransportError(f"LLM request failed: {exc}") from exc
-        content = payload.get("content")
+        content = payload.get("content") if isinstance(payload, dict) else None
         if not isinstance(content, str):
             raise ParseError("LLM response missing string 'content' field")
         return content
@@ -332,7 +342,7 @@ def expand_story(user_input: str, n_shots: int, llm: LlmClient) -> List[ShotDesc
         match = _NUMBERED_LINE.match(line)
         if match is None:
             raise ParseError(f"expected numbered shot lines, got: {line!r}")
-        descriptions.append(ShotDescription(index=len(descriptions), text=match.group(2)))
+        descriptions.append(ShotDescription(match.group(2)))
     if len(descriptions) != n_shots:
         raise ParseError(f"expected {n_shots} shot lines, parsed {len(descriptions)}")
     return descriptions
@@ -357,49 +367,37 @@ def parse_domains(completion: str) -> dict:
 
 def generate_shot_script(
     s: ShotDescription,
+    index: int,
     prev: Optional[ShotScript],
     llm: LlmClient,
     avatar_id: str = "",
 ) -> ShotScript:
-    """Fill the five domains for one shot, conditioned on the previous script."""
-    prev_payload = (
-        None if prev is None else {f: getattr(prev, f) for f in DOMAIN_FIELDS}
-    )
+    """Fill the five domains for shot ``index``, conditioned on the previous
+    script."""
+    prev_payload = None if prev is None else prev.domains()
     context = json.dumps(
-        {"task": "script", "short": s.text, "index": s.index, "prev": prev_payload}
+        {"task": "script", "short": s.text, "index": index, "prev": prev_payload}
     )
-    completion = call_llm(llm, _SCRIPT_INSTRUCTION, context, f"on shot {s.index}")
-    domains = parse_domains(completion)
-    return ShotScript(avatar_id=avatar_id, short=s.text, **domains)
+    completion = call_llm(llm, _SCRIPT_INSTRUCTION, context, f"on shot {index}")
+    return ShotScript(avatar_id=avatar_id, **parse_domains(completion))
 
 
 def generate_script_sequence(
-    story: Story,
+    descriptions: List[ShotDescription],
     llm: LlmClient,
     assignment: Optional[List[str]] = None,
-    avatars: Optional[List[AvatarProfile]] = None,
-) -> Story:
-    """Generate all scripts in index order, each conditioned on its
-    predecessor; optionally attach avatar assignments and the roster."""
-    if not story.descriptions:
-        raise StateError("story has no descriptions populated")
+) -> List[ShotScript]:
+    """Generate all scripts in shot order, each conditioned on its
+    predecessor; script j shows avatar ``assignment[j]`` when given."""
     scripts: List[ShotScript] = []
-    prev: Optional[ShotScript] = None
-    for s in story.descriptions:
-        avatar_id = assignment[s.index] if assignment is not None else ""
+    for j, s in enumerate(descriptions):
+        avatar_id = assignment[j] if assignment is not None else ""
+        prev = scripts[-1] if scripts else None
         try:
-            script = generate_shot_script(s, prev, llm, avatar_id=avatar_id)
+            scripts.append(generate_shot_script(s, j, prev, llm, avatar_id=avatar_id))
         except TransportError as exc:
-            raise TransportError(f"script generation aborted at shot {s.index}: {exc}") from exc
-        scripts.append(script)
-        prev = script
-    return Story(
-        user_input=story.user_input,
-        n_shots=story.n_shots,
-        descriptions=list(story.descriptions),
-        scripts=scripts,
-        avatars=list(avatars) if avatars is not None else list(story.avatars),
-    )
+            raise TransportError(f"script generation aborted at shot {j}: {exc}") from exc
+    return scripts
 
 
 # --------------------------------------------------------------------------
@@ -419,40 +417,15 @@ def require_field(mapping: dict, key: str, kind, path: str):
 
 def story_to_document(story: Story) -> dict:
     """Build the canonical JSON document (fixed key order)."""
-    if len(story.scripts) != len(story.descriptions) or len(story.descriptions) != story.n_shots:
-        raise ValidationError(
-            f"story is not fully populated: {len(story.descriptions)} descriptions, "
-            f"{len(story.scripts)} scripts, n_shots={story.n_shots}"
-        )
-    avatar_ids = {a.id for a in story.avatars}
-    doc_avatars = []
-    for a in story.avatars:
-        doc_avatars.append(
-            {
-                "id": a.id,
-                "prompt": {f: getattr(a.prompt, f) for f in DOMAIN_FIELDS},
-                "seed": a.seed,
-            }
-        )
-    shots = []
-    for desc, script in zip(story.descriptions, story.scripts):
-        if script.avatar_id not in avatar_ids:
-            raise ValidationError(
-                f"shots[{desc.index}].avatar_id '{script.avatar_id}' does not resolve"
-            )
-        shots.append(
-            {
-                "index": desc.index,
-                "short": desc.text,
-                "script": {f: getattr(script, f) for f in DOMAIN_FIELDS},
-                "avatar_id": script.avatar_id,
-            }
-        )
     return {
         "user_input": story.user_input,
-        "n_shots": story.n_shots,
-        "avatars": doc_avatars,
-        "shots": shots,
+        "avatars": [
+            {"id": a.id, "prompt": a.prompt.domains(), "seed": a.seed} for a in story.avatars
+        ],
+        "shots": [
+            {"short": desc.text, "script": script.domains(), "avatar_id": script.avatar_id}
+            for desc, script in zip(story.descriptions, story.scripts)
+        ],
     }
 
 
@@ -462,15 +435,18 @@ def serialize_story(story: Story) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _read_domains(mapping: dict, path: str) -> dict:
+    return {f: require_field(mapping, f, str, path) for f in DOMAIN_FIELDS}
+
+
 def parse_story(data: bytes) -> Story:
     """Parse and validate a story document; errors carry the JSON path.
-    Shots are listed in index order: shots[i].index must be i."""
+    Shot j is shots[j]; keys the schema does not name are ignored."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"story document is not valid UTF-8 JSON: {exc}") from exc
     user_input = require_field(doc, "user_input", str, "")
-    n_shots = require_field(doc, "n_shots", int, "")
     raw_avatars = require_field(doc, "avatars", list, "")
     raw_shots = require_field(doc, "shots", list, "")
 
@@ -480,41 +456,16 @@ def parse_story(data: bytes) -> Story:
         aid = require_field(entry, "id", str, path)
         prompt_doc = require_field(entry, "prompt", dict, path)
         seed = require_field(entry, "seed", int, path)
-        prompt = DomainPrompt(
-            **{f: require_field(prompt_doc, f, str, f"{path}.prompt") for f in DOMAIN_FIELDS}
-        )
+        prompt = DomainPrompt(**_read_domains(prompt_doc, f"{path}.prompt"))
         avatars.append(AvatarProfile(id=aid, prompt=prompt, seed=seed))
-    ids = [a.id for a in avatars]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate avatar ids")
 
     descriptions, scripts = [], []
     for i, entry in enumerate(raw_shots):
         path = f"shots[{i}]"
-        index = require_field(entry, "index", int, path)
-        if index != i:
-            raise ValidationError(f"field {path}.index must be {i}, got {index}")
         short = require_field(entry, "short", str, path)
         script_doc = require_field(entry, "script", dict, path)
         avatar_id = require_field(entry, "avatar_id", str, path)
-        domains = {
-            f: require_field(script_doc, f, str, f"{path}.script") for f in DOMAIN_FIELDS
-        }
-        descriptions.append(ShotDescription(index=index, text=short))
-        scripts.append(ShotScript(avatar_id=avatar_id, short=short, **domains))
-
-    if n_shots != len(raw_shots):
-        raise ValidationError(f"n_shots={n_shots} but document has {len(raw_shots)} shots")
-    id_set = set(ids)
-    for script, desc in zip(scripts, descriptions):
-        if script.avatar_id not in id_set:
-            raise ValidationError(
-                f"shots[{desc.index}].avatar_id '{script.avatar_id}' does not resolve"
-            )
-    return Story(
-        user_input=user_input,
-        n_shots=n_shots,
-        descriptions=descriptions,
-        scripts=scripts,
-        avatars=avatars,
-    )
+        descriptions.append(ShotDescription(short))
+        domains = _read_domains(script_doc, f"{path}.script")
+        scripts.append(ShotScript(avatar_id=avatar_id, **domains))
+    return Story(user_input, descriptions, scripts, avatars)

@@ -87,7 +87,8 @@ class DenoiseTrace:
 
 @dataclass
 class VideoTimeline:
-    """The ordered, shot-labeled sequence of all emitted frames.
+    """All emitted frames, by shot: ``clips[j]`` holds shot j's frames in
+    order, so global frame f is frame f % k of clip f // k.
 
     A fifo-reset run also records its schedule. ``emission_ticks[f]`` is
     the tick that emits frame f (f + T). ``switch_ticks[j]`` is the tick at
@@ -96,18 +97,15 @@ class VideoTimeline:
     Windowed runs leave both None.
     """
 
-    frames: List[np.ndarray]
-    shots: List[int]
+    clips: List[List[np.ndarray]]
     mode: str
     emission_ticks: Optional[List[int]] = None
     switch_ticks: Optional[Dict[int, int]] = None
 
-    def frames_for_shot(self, shot: int) -> List[np.ndarray]:
-        return [f for f, s in zip(self.frames, self.shots) if s == shot]
-
     @property
-    def n_shots(self) -> int:
-        return max(self.shots) + 1 if self.shots else 0
+    def frames(self) -> List[np.ndarray]:
+        """Every frame in global order."""
+        return [frame for clip in self.clips for frame in clip]
 
 
 def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
@@ -208,16 +206,14 @@ def run_timeline(
     seed: int,
     trace: Optional[DenoiseTrace] = None,
 ) -> VideoTimeline:
-    """Produce all N*k frames in global order, labeled by shot."""
+    """Produce all N*k frames, k per shot."""
     plan = build_plan(story, keyframes, config)
     n_shots, k = len(plan), config.frames_per_shot
     total = n_shots * k
-    shots = [f // k for f in range(total)]
 
     if config.mode == "windowed":
-        frames = [frame for j, cond in enumerate(plan)
-                  for frame in generate_shot_clip(cond, j, config, seed)]
-        return VideoTimeline(frames=frames, shots=shots, mode=config.mode)
+        clips = [generate_shot_clip(cond, j, config, seed) for j, cond in enumerate(plan)]
+        return VideoTimeline(clips=clips, mode=config.mode)
 
     schedule = config.schedule()
     denoiser = AnalyticDenoiser(config.world())
@@ -228,8 +224,7 @@ def run_timeline(
         if emitted is not None:
             frames.append(emitted[1])
     return VideoTimeline(
-        frames=frames,
-        shots=shots,
+        clips=[frames[j * k : (j + 1) * k] for j in range(n_shots)],
         mode=config.mode,
         emission_ticks=[f + config.steps for f in range(total)],
         switch_ticks={0: 0, **{j: j * k + k - config.boundary for j in range(1, n_shots)}},

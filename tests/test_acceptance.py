@@ -120,7 +120,7 @@ def test_criterion_4_reset_boundary_overlap():
     timeline = _shared["timeline"]
     first_shot1_tick = min(r.tick for r in trace.records if r.condition_shot == 1)
     last_shot0_emit = max(
-        tick for tick, shot in zip(timeline.emission_ticks, timeline.shots) if shot == 0
+        timeline.emission_ticks[f] for f in range(len(timeline.clips[0]))
     )
     assert first_shot1_tick < last_shot0_emit
     overlap = last_shot0_emit - first_shot1_tick
@@ -141,7 +141,7 @@ def test_criterion_5_mode_agreement_at_convergence():
     elapsed = time.perf_counter() - start
     worst = max(float(np.abs(a - b).max()) for a, b in zip(fifo.frames, windowed.frames))
     assert worst < 2e-4
-    assert fifo.shots == windowed.shots
+    assert [len(c) for c in fifo.clips] == [len(c) for c in windowed.clips]
     assert elapsed < 10.0
     _report_pass(5, f"max elementwise gap {worst:.1e} (<2e-4), {elapsed:.1f}s")
 
@@ -159,7 +159,7 @@ def five_seed_reports():
             story = build_story(TOY_STORY, config)
             keyframes = render_keyframes(story, config)
             timeline = generate_timeline(story, keyframes, config)
-            timeline.frames = [f.astype(np.float32) for f in timeline.frames]
+            timeline.clips = [[f.astype(np.float32) for f in clip] for clip in timeline.clips]
             reports[(seed, ip_scale)] = build_report(timeline, story, config)
     return reports, time.perf_counter() - start
 
@@ -198,9 +198,8 @@ def test_criterion_8_metric_unit_values():
             return np.asarray(frame, dtype=float)
 
     three = VideoTimeline(
-        frames=[np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                np.array([math.sqrt(0.5), math.sqrt(0.5)])],
-        shots=[0, 0, 0],
+        clips=[[np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                np.array([math.sqrt(0.5), math.sqrt(0.5)])]],
         mode="windowed",
     )
     within, _ = consistency_scores(three, Identity())
@@ -240,8 +239,8 @@ def test_criterion_9_script_module():
     client = RecordingClient()
     descriptions = expand_story(TOY_STORY, 30, client)
     avatars, assignment = derive_avatars(descriptions, client, 6)
-    story = Story(user_input=TOY_STORY, n_shots=30, descriptions=descriptions)
-    story = generate_script_sequence(story, client, assignment, avatars)
+    scripts = generate_script_sequence(descriptions, client, assignment)
+    story = Story(TOY_STORY, descriptions, scripts, avatars)
 
     assert len(story.scripts) == 30
     for script in story.scripts:

@@ -92,9 +92,29 @@ def test_unknown_assignment_id_rejected():
         derive_avatars(_descriptions(2), client, 2)
 
 
-def test_malformed_completion_is_parse_error():
-    with pytest.raises(ParseError):
-        derive_avatars(_descriptions(2), CannedClient("not json at all"), 2)
+def _avatar(**fields):
+    avatar = {"id": "avatar_00", "character": "c", "background": "b", "relations": "r",
+              "camera": "cam", "hdr": "h"}
+    return {**avatar, **fields}
+
+
+@pytest.mark.parametrize(
+    "completion, path",
+    [
+        ("not json at all", "not valid JSON"),
+        (json.dumps([_avatar()]), "avatars"),
+        (json.dumps({"avatars": ["avatar_00"], "assignment": ["avatar_00"] * 2}),
+         r"avatars\[0\]\.id"),
+        (json.dumps({"avatars": [_avatar()], "assignment": [["a"], "avatar_00"]}),
+         r"assignment\[0\]"),
+        (json.dumps({"avatars": [_avatar(id=7)], "assignment": [7, 7]}), r"avatars\[0\]\.id"),
+        (json.dumps({"avatars": [_avatar(hdr="")], "assignment": ["avatar_00"] * 2}), "hdr"),
+    ],
+    ids=["not-json", "json-list", "avatar-string", "assignment-list", "integer-id", "empty-domain"],
+)
+def test_malformed_completion_is_parse_error(completion, path):
+    with pytest.raises(ParseError, match=path):
+        derive_avatars(_descriptions(2), CannedClient(completion), 2)
 
 
 # --- encode_image_mock -------------------------------------------------------

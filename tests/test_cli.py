@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from multishot.cli import cli
-from multishot.pipeline import verify_manifest
+from multishot.pipeline import run_lock, verify_manifest
 from multishot.script import parse_story
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
@@ -35,7 +35,7 @@ def test_script_subcommand_writes_parseable_story(tmp_path):
                 "--llm", "mock", "--out", str(target)])
     assert code == 0
     story = parse_story(target.read_bytes())
-    assert story.n_shots == 3
+    assert len(story.scripts) == 3
 
 
 def test_keyframes_subcommand(tmp_path):
@@ -126,6 +126,21 @@ def test_metrics_after_generate_records_report_in_manifest(tmp_path):
     with open(out / "report.json", "ab") as handle:
         handle.write(b" ")
     assert not verify_manifest(out)
+
+
+def test_metrics_refuses_locked_run(tmp_path, capsys):
+    # metrics holds the run lock: it leaves a directory another command owns alone
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    (out / "report.json").write_bytes(b"stale report")
+    manifest = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+    with run_lock(out):
+        assert cli(["metrics", "--run", str(out)]) == 1
+    assert "locked" in capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == b"stale report"
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def _relabel(doc, shots):

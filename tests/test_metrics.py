@@ -33,12 +33,8 @@ class VectorExtractor:
 
 
 def _timeline(features_by_shot):
-    frames, shots = [], []
-    for j, feats in enumerate(features_by_shot):
-        for f in feats:
-            frames.append(np.asarray(f, dtype=float))
-            shots.append(j)
-    return VideoTimeline(frames=frames, shots=shots, mode="windowed")
+    clips = [[np.asarray(f, dtype=float) for f in feats] for feats in features_by_shot]
+    return VideoTimeline(clips=clips, mode="windowed")
 
 
 # --- cosine -------------------------------------------------------------------
@@ -183,7 +179,7 @@ def test_clip_score_bounded(toy_chain):
     config, story, keyframes = toy_chain
     timeline = generate_timeline(story, keyframes, config)
     for domain in ("character", "background", "relations", "camera", "hdr"):
-        value = clip_score_mock(timeline.frames_for_shot(0), story.scripts[0], domain, config)
+        value = clip_score_mock(timeline.clips[0], story.scripts[0], domain, config)
         assert -1.0 <= value <= 1.0
 
 
@@ -257,7 +253,8 @@ def test_avatar_group_cosine_gap():
         timeline = generate_timeline(story, keyframes, config)
         feat = IdentityChannelMean(config.identity_channels)
         features = [feat(f) for f in timeline.frames]
-        avatars = [story.scripts[s].avatar_id for s in timeline.shots]
+        avatars = [script.avatar_id for script, clip in zip(story.scripts, timeline.clips)
+                   for _ in clip]
         same, diff = [], []
         for i in range(len(features)):
             for j in range(i + 1, len(features)):

@@ -122,7 +122,8 @@ def test_stage_failure_named_and_marked(tmp_path, monkeypatch):
     with pytest.raises(StageFailure) as excinfo:
         run_pipeline(STORY_INPUT, PipelineConfig(), out)
     assert excinfo.value.stage == "keyframes"
-    assert (out / "failed" / "stage.txt").read_text().strip() == "keyframes"
+    marker = (out / "failed" / "stage.txt").read_text().splitlines()
+    assert marker == ["keyframes", "RuntimeError: synthetic keyframe failure"]
     assert (out / "story.json").exists()  # earlier artifacts retained
     assert not (out / LOCK_FILE).exists()
     # a later successful run into the same directory clears the marker

@@ -223,15 +223,27 @@ def test_timeline_counts_and_labels(default_chain):
     config, story, keyframes = default_chain
     timeline = generate_timeline(story, keyframes, config)
     assert len(timeline.frames) == 32
-    assert timeline.shots == [j for j in range(4) for _ in range(8)]
+    assert [len(clip) for clip in timeline.clips] == [8] * 4
 
 
 def test_windowed_and_fifo_share_count_contract(default_chain):
     config, story, keyframes = default_chain
     fifo = generate_timeline(story, keyframes, config)
     windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
-    assert fifo.shots == windowed.shots
+    assert [len(c) for c in fifo.clips] == [len(c) for c in windowed.clips]
     assert len(fifo.frames) == len(windowed.frames)
+
+
+@pytest.mark.parametrize("n, k, T", [(1, 1, 2), (3, 2, 5), (2, 5, 3)])
+def test_modes_give_equal_clip_lengths(n, k, T):
+    # fifo-reset chunks its emitted frames by k; windowed samples k per shot
+    def clip_lengths(mode):
+        config = PipelineConfig(n_shots=n, frames_per_shot=k, steps=T, seed=6, mode=mode)
+        story = build_story(STORY_INPUT, config)
+        timeline = generate_timeline(story, render_keyframes(story, config), config)
+        return [len(clip) for clip in timeline.clips]
+
+    assert clip_lengths("fifo-reset") == clip_lengths("windowed") == [k] * n
 
 
 def test_switch_ticks_logged_at_shot_boundaries(default_chain):
@@ -282,7 +294,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
         timeline = generate_timeline(story, keyframes, config)
         for j in range(config.n_shots):
             mu_id = feat(world.mean_map(plan[j]))
-            shot_mean = np.mean([feat(f) for f in timeline.frames_for_shot(j)], axis=0)
+            shot_mean = np.mean([feat(f) for f in timeline.clips[j]], axis=0)
             assert np.abs(shot_mean - mu_id).max() < 0.1, f"seed {seed}, shot {j}"
 
 
@@ -296,8 +308,9 @@ def test_mode_agreement_at_convergence():
     windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
     # at sigma0=0 both modes land on the shot's latent mean, hence agree
     for timeline in (fifo, windowed):
-        for frame, shot in zip(timeline.frames, timeline.shots):
-            assert np.abs(frame - world.mean_map(plan[shot])).max() < 1e-4
+        for shot, clip in enumerate(timeline.clips):
+            for frame in clip:
+                assert np.abs(frame - world.mean_map(plan[shot])).max() < 1e-4
     for a, b in zip(fifo.frames, windowed.frames):
         assert np.abs(a - b).max() < 2e-4
 
@@ -340,7 +353,8 @@ def test_frames_match_closed_form_chain(mode, sigma0, boundary):
     mean_map = config.world().mean_map
     seed, k = derive_seed("timeline", config.seed), config.frames_per_shot
     assert len(timeline.frames) == 12
-    for g, (frame, shot) in enumerate(zip(timeline.frames, timeline.shots)):
+    for g, frame in enumerate(timeline.frames):
+        shot = g // k
         if mode == "fifo-reset":
             rng = spawn_rng("queue-noise", seed, g)
         else:
