@@ -5,7 +5,9 @@ shot is assigned exactly one. Rendering an avatar samples a portrait latent
 from its prompt (text-only condition, per-avatar seed) and returns its
 unit-norm image embedding, the identity. A keyframe is the latent sampled
 under the full five-domain script text plus that identity, so keyframes
-sharing an avatar share identity channels up to sampler noise.
+sharing an avatar share identity channels up to sampler noise. Both stages
+sample as one batch of chains in lockstep: all portraits together, all
+keyframes together.
 """
 
 from __future__ import annotations
@@ -131,27 +133,38 @@ def encode_image_mock(
     return Embedding(data=vec, kind="image", source=f"latent:{flat.size}")
 
 
-def render_avatar(profile: AvatarProfile, config: PipelineConfig) -> Embedding:
-    """Render the avatar portrait and return its image embedding."""
+def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List[Embedding]:
+    """Render the avatars' portraits in one batch and return their image
+    embeddings, in the order of ``profiles``."""
     d_e, encoder_seed = config.embed_dim, config.encoder_seed
-    cond = Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
-    portrait = sample_reverse(
-        AnalyticDenoiser(config.world()), cond, config.schedule(), profile.seed,
-        config.latent_shape,
+    conds = [
+        Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
+        for profile in profiles
+    ]
+    portraits = sample_reverse(
+        AnalyticDenoiser(config.world()), conds, config.schedule(),
+        [profile.seed for profile in profiles], config.latent_shape,
     )
-    return encode_image_mock(portrait, d_e, encoder_seed)
+    return [encode_image_mock(portrait, d_e, encoder_seed) for portrait in portraits]
 
 
 def generate_keyframe(
-    script: ShotScript, identity: Embedding, config: PipelineConfig, seed: int
-) -> np.ndarray:
-    """Sample the shot keyframe latent under the full five-domain script
-    text plus the avatar's identity embedding."""
-    cond = Condition(
-        text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
-        ip=identity,
-        ip_scale=config.ip_scale,
+    scripts: List[ShotScript],
+    identities: List[Embedding],
+    config: PipelineConfig,
+    seeds: List[int],
+) -> List[np.ndarray]:
+    """Sample keyframe b under scripts[b]'s full five-domain text plus
+    identities[b], from seeds[b]; all keyframes in one batch."""
+    conds = [
+        Condition(
+            text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
+            ip=identity,
+            ip_scale=config.ip_scale,
+        )
+        for script, identity in zip(scripts, identities, strict=True)
+    ]
+    batch = sample_reverse(
+        AnalyticDenoiser(config.world()), conds, config.schedule(), seeds, config.latent_shape
     )
-    return sample_reverse(
-        AnalyticDenoiser(config.world()), cond, config.schedule(), seed, config.latent_shape
-    )
+    return list(batch)

@@ -20,8 +20,10 @@ import sys
 from pathlib import Path
 
 from .config import LLM_BACKENDS, MODES, PipelineConfig, config_from_json
-from .errors import MultishotError, StageFailure, TransportError
+from .errors import MultishotError, StageFailure, StateError, TransportError
 from .pipeline import (
+    LOCK_FILE,
+    MANIFEST_FILE,
     REPORT_FILE,
     STORY_FILE,
     build_story,
@@ -122,6 +124,13 @@ def _cmd_keyframes(args) -> int:
     config, _ = _load_config(args)
     config = config.merged(n_shots=len(story.scripts))
     out = Path(args.out)
+    run_dir = out.resolve().parent
+    if any((run_dir / name).exists() for name in (MANIFEST_FILE, LOCK_FILE)):
+        # rewriting a run's keyframes would leave its manifest and frames stale
+        raise StateError(
+            f"{out} is inside run directory {run_dir}; "
+            "use `multishot generate` to regenerate a run"
+        )
     keyframes = render_keyframes(story, config)
     write_keyframes(keyframes, out)
     print(f"wrote {len(keyframes)} keyframes to {out}")

@@ -49,10 +49,11 @@ def generate_shot_clip(
     cond: Condition, shot: int, config: PipelineConfig, seed: int
 ) -> List[np.ndarray]:
     """Sample the k frames of shot ``shot`` under its condition;
-    deterministic given inputs."""
+    deterministic given inputs. Each frame is a chain of its own, so only
+    one frame's step buffers are alive at a time at large latent shapes."""
     denoiser = AnalyticDenoiser(config.world())
     schedule, shape = config.schedule(), config.latent_shape
     return [
-        sample_reverse(denoiser, cond, schedule, frame_seed(seed, shot, f), shape)
+        sample_reverse(denoiser, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
         for f in range(config.frames_per_shot)
     ]

@@ -16,6 +16,12 @@ where a_t is the cumulative product of per-step (1 - beta). The reverse
 update is the deterministic (eta = 0) limit of the usual non-Markovian
 sampler; a stochastic term can be enabled with eta > 0 and explicit noise.
 
+The reverse step works on batches: ``ddim_step`` takes a level vector, one
+level per row of axis 0, so a FIFO queue of latents at staggered levels or
+B chains in lockstep take one step per call. Both kernels compute through
+``out=`` buffers with the same operations in the same order as the
+textbook expressions above, so a batched row is bitwise the single step.
+
 The analytic backend treats clean data as x0 ~ N(mu(c), sigma0^2 I) for a
 condition-dependent mean mu(c). The posterior mean of x0 given x_t is then
 closed-form, so the "predicted noise" is exact:
@@ -29,8 +35,8 @@ Monte Carlo, with no trained model anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -48,12 +54,20 @@ class NoiseSchedule:
 
     ``betas``, ``alphas`` and ``alpha_bars`` all have length T and are
     indexed by t - 1 in storage; use :meth:`alpha_bar` for the 1-based view
-    with the alpha_bar(0) == 1 convention.
+    with the alpha_bar(0) == 1 convention. ``by_level`` is that view as a
+    read-only table of length T + 1, built once: ``by_level[t]`` is
+    alpha_bar(t), so a level vector looks all its rows up at once.
     """
 
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
+    by_level: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.concatenate(([1.0], self.alpha_bars))
+        table.flags.writeable = False
+        object.__setattr__(self, "by_level", table)
 
     @property
     def T(self) -> int:
@@ -61,11 +75,9 @@ class NoiseSchedule:
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative signal fraction at step t, with alpha_bar(0) == 1."""
-        if t == 0:
-            return 1.0
-        if not 1 <= t <= self.T:
+        if not 0 <= t <= self.T:
             raise ScheduleError(f"step {t} outside [0, {self.T}]")
-        return float(self.alpha_bars[t - 1])
+        return float(self.by_level[t])
 
 
 def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.3) -> NoiseSchedule:
@@ -98,46 +110,79 @@ def add_noise(x0: np.ndarray, eps: np.ndarray, t: int, schedule: NoiseSchedule) 
 def ddim_step(
     x_t: np.ndarray,
     eps_hat: np.ndarray,
-    t: int,
-    t_prev: int,
+    t,
+    t_prev,
     schedule: NoiseSchedule,
     eta: float = 0.0,
     noise: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One deterministic reverse step from t to t_prev via predicted x0.
+    """One reverse step from t to t_prev via predicted x0.
 
-    With eta = 0 (the engine default) the update is fully deterministic.
-    For eta > 0 the standard sigma_t term is added and ``noise`` must be
-    supplied explicitly so the function stays pure.
+    ``t`` and ``t_prev`` are ints, or int vectors giving each row of axis 0
+    its own levels (a scalar applies to every row). The checks run once per
+    call, whatever the batch size. With eta = 0 (the engine default) the
+    update is fully deterministic; for eta > 0 the standard sigma_t term is
+    added and ``noise`` must be supplied explicitly so the function stays
+    pure. The result is written to ``out`` when given, which may be
+    ``x_t`` itself but must not overlap ``eps_hat`` or ``noise``.
     """
-    if t_prev >= t:
-        raise ScheduleError(f"t_prev={t_prev} must be below t={t}")
-    if not (1 <= t <= schedule.T) or t_prev < 0:
-        raise ScheduleError(f"(t={t}, t_prev={t_prev}) outside schedule range")
+    if np.ndim(t) == 0 and np.ndim(t_prev) == 0:
+        if t_prev >= t:
+            raise ScheduleError(f"t_prev={t_prev} must be below t={t}")
+        if not (1 <= t <= schedule.T) or t_prev < 0:
+            raise ScheduleError(f"(t={t}, t_prev={t_prev}) outside schedule range")
+    else:
+        t, t_prev = np.broadcast_arrays(t, t_prev)
+        if t.shape != np.shape(x_t)[:1]:
+            raise ShapeError(f"levels {t.shape} vs x_t {np.shape(x_t)}: one level per row")
+        bad = np.flatnonzero((t_prev >= t) | (t < 1) | (t > schedule.T) | (t_prev < 0))
+        if bad.size:
+            row = bad[0]
+            raise ScheduleError(
+                f"row {row}: (t={t[row]}, t_prev={t_prev[row]}) must satisfy "
+                f"0 <= t_prev < t <= {schedule.T}"
+            )
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    if eta != 0.0 and noise is None:
+        raise ConfigError("eta > 0 requires an explicit noise array")
     if np.shape(x_t) != np.shape(eps_hat):
         raise ShapeError(f"x_t {np.shape(x_t)} vs eps_hat {np.shape(eps_hat)}")
     if not (np.isfinite(x_t).all() and np.isfinite(eps_hat).all()):
         raise NumericError("non-finite values in reverse step inputs")
 
-    a_t = schedule.alpha_bar(t)
-    a_p = schedule.alpha_bar(t_prev)
-    x0_pred = (x_t - np.sqrt(1.0 - a_t) * eps_hat) / np.sqrt(a_t)
+    a_t, a_p = schedule.by_level[t], schedule.by_level[t_prev]
+    if np.ndim(a_t):  # one level per row, broadcast over the row's axes
+        rows = (-1,) + (1,) * (np.ndim(x_t) - 1)
+        a_t, a_p = a_t.reshape(rows), a_p.reshape(rows)
+    if out is None:
+        out = np.empty(np.shape(x_t))
+    scratch = np.multiply(eps_hat, np.sqrt(1.0 - a_t), out=np.empty_like(out))
+    np.subtract(x_t, scratch, out=out)
+    out /= np.sqrt(a_t)  # x0_pred
+    out *= np.sqrt(a_p)
     if eta == 0.0:
-        return np.sqrt(a_p) * x0_pred + np.sqrt(1.0 - a_p) * eps_hat
+        out += np.multiply(eps_hat, np.sqrt(1.0 - a_p), out=scratch)
+        return out
 
     sigma = eta * np.sqrt((1.0 - a_p) / (1.0 - a_t)) * np.sqrt(1.0 - a_t / a_p)
-    if noise is None:
-        raise ConfigError("eta > 0 requires an explicit noise array")
-    direction = np.sqrt(max(1.0 - a_p - sigma**2, 0.0)) * eps_hat
-    return np.sqrt(a_p) * x0_pred + direction + sigma * noise
+    # Squared one row at a time: NumPy squares an array as sigma * sigma,
+    # which can round differently from the power a single step takes.
+    sigma2 = np.reshape([s**2 for s in np.ravel(sigma).tolist()], np.shape(sigma))
+    out += np.multiply(eps_hat, np.sqrt(np.maximum(1.0 - a_p - sigma2, 0.0)), out=scratch)
+    out += np.multiply(noise, sigma, out=scratch)
+    return out
 
 
 class DenoiserBackend(Protocol):
-    """Pure evaluation contract: (x_t, t, condition, schedule) -> eps_hat."""
+    """Pure evaluation contract: (x_t, t, condition, schedule) -> eps_hat,
+    written to ``out`` when given."""
 
-    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
+    def __call__(
+        self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         ...
 
 
@@ -158,9 +203,15 @@ class GaussianWorld:
 
 
 def analytic_eps(
-    x_t: np.ndarray, t: int, world: GaussianWorld, cond, schedule: NoiseSchedule
+    x_t: np.ndarray,
+    t: int,
+    world: GaussianWorld,
+    cond,
+    schedule: NoiseSchedule,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Exact noise prediction under the Gaussian world (see module header)."""
+    """Exact noise prediction under the Gaussian world (see module header),
+    written to ``out`` when given; ``out`` must not overlap ``x_t``."""
     if not 1 <= t <= schedule.T:
         raise ScheduleError(f"step {t} outside [1, {schedule.T}]")
     mu = world.mean_map(cond)
@@ -169,8 +220,15 @@ def analytic_eps(
     a = schedule.alpha_bar(t)
     s2 = world.sigma0**2
     denom = a * s2 + (1.0 - a)
-    x0_post = (np.sqrt(a) * s2 * x_t + (1.0 - a) * mu) / denom
-    return (x_t - np.sqrt(a) * x0_post) / np.sqrt(1.0 - a)
+    if out is None:
+        out = np.empty(np.shape(x_t))
+    np.multiply(x_t, np.sqrt(a) * s2, out=out)
+    out += np.multiply(mu, 1.0 - a)
+    out /= denom  # E[x0 | x_t]
+    out *= np.sqrt(a)
+    np.subtract(x_t, out, out=out)
+    out /= np.sqrt(1.0 - a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,24 +237,36 @@ class AnalyticDenoiser:
 
     world: GaussianWorld
 
-    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
-        return analytic_eps(x_t, t, self.world, cond, schedule)
+    def __call__(
+        self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        return analytic_eps(x_t, t, self.world, cond, schedule, out=out)
 
 
 def sample_reverse(
     denoiser: DenoiserBackend,
-    cond,
+    conds: Sequence,
     schedule: NoiseSchedule,
-    seed: int,
+    seeds: Sequence[int],
     shape: tuple = DEFAULT_SHAPE,
 ) -> np.ndarray:
-    """Full reverse chain from seeded x_T ~ N(0, I) down to a clean latent.
+    """B full reverse chains in lockstep, returned as a (B, *shape) array.
 
-    Deterministic given (seed, cond, schedule, denoiser). The chain visits
-    every step T..1 with the eta = 0 update.
+    Row b starts from x_T ~ N(0, I) drawn from ``seeds[b]`` and is denoised
+    under ``conds[b]`` through every step T..1 with the eta = 0 update, one
+    ``ddim_step`` per level for the whole batch. Each row is bitwise the
+    chain a batch of one would give, and deterministic given (seed, cond,
+    schedule, denoiser).
     """
-    x = spawn_rng("reverse-init", seed).standard_normal(shape)
+    if len(conds) != len(seeds):
+        raise ShapeError(f"{len(conds)} conditions for {len(seeds)} seeds")
+    x = np.empty((len(seeds),) + tuple(shape))
+    for row, seed in zip(x, seeds):
+        spawn_rng("reverse-init", seed).standard_normal(out=row)
+    eps = np.empty_like(x)
     for t in range(schedule.T, 0, -1):
-        eps_hat = denoiser(x, t, cond, schedule)
-        x = ddim_step(x, eps_hat, t, t - 1, schedule)
+        for row, cond, eps_row in zip(x, conds, eps):
+            denoiser(row, t, cond, schedule, out=eps_row)
+        ddim_step(x, eps, t, t - 1, schedule, out=x)
     return x

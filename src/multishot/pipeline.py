@@ -94,15 +94,17 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
 
 
 def render_keyframes(story: Story, config: PipelineConfig) -> List[np.ndarray]:
-    """Casting stage: render every avatar's identity embedding, then one
-    keyframe latent per shot, keyframe j for shot j."""
-    identities = {avatar.id: render_avatar(avatar, config) for avatar in story.avatars}
-    return [
-        generate_keyframe(
-            script, identities[script.avatar_id], config, derive_seed("keyframe", config.seed, j)
-        )
-        for j, script in enumerate(story.scripts)
-    ]
+    """Casting stage: render every avatar's identity embedding in one batch,
+    then one keyframe latent per shot in a second, keyframe j for shot j."""
+    identities = dict(
+        zip([avatar.id for avatar in story.avatars], render_avatar(story.avatars, config))
+    )
+    return generate_keyframe(
+        story.scripts,
+        [identities[script.avatar_id] for script in story.scripts],
+        config,
+        [derive_seed("keyframe", config.seed, j) for j in range(len(story.scripts))],
+    )
 
 
 def generate_timeline(

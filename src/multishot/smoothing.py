@@ -1,13 +1,15 @@
 """Cross-shot smoothing: a FIFO queue of latents at staggered noise levels.
 
-The queue holds exactly T latents, one per noise level, head at level 1 and
-tail at level T. Every tick denoises each latent one level under the
-condition of the shot that owns its global frame, dequeues the head (now
-fully denoised) for emission, and enqueues fresh unit noise at level T for
-the next frame. Because each entering latent brings fresh noise and its own
-shot's embeddings, the enqueue rule IS the reset boundary.
+The queue is one (n, h, w, d) array of latents, one row per noise level,
+head at level 1 and tail at level n = T until the story runs out of frames.
+Every tick denoises each latent one level under the condition of the shot
+that owns its global frame, with one batched reverse step over the level
+vector 1..n, dequeues the head (now fully denoised) for emission, and
+enqueues fresh unit noise at level T for the next frame. Because each
+entering latent brings fresh noise and its own shot's embeddings, the
+enqueue rule IS the reset boundary.
 
-Position p is always at level p + 1 and frames enter in order, so the queue
+Row p is always at level p + 1 and frames enter in order, so the queue
 stores nothing but its latents and the frame at its head, and the schedule
 is closed-form. With N shots of k frames, reset boundary L and T steps:
 
@@ -49,10 +51,11 @@ from .seeds import spawn_rng
 
 @dataclass
 class LatentQueue:
-    """The latents in flight, head first: position p is at level p + 1 and
-    holds global frame head + p. Warm-up dummies have negative frames."""
+    """The latents in flight as one (n, h, w, d) array, head first: row p
+    is at level p + 1 and holds global frame head + p. Warm-up dummies have
+    negative frames."""
 
-    latents: List[np.ndarray]
+    latents: np.ndarray
     head: int
     ticks: int = 0
 
@@ -132,11 +135,12 @@ def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> Late
     """
     if not plan:
         raise ConfigError("conditioning plan is empty")
-    schedule, shape, T = config.schedule(), config.latent_shape, config.steps
-    latents = []
-    for level in range(1, T + 1):
-        noise = spawn_rng("queue-noise", seed, level - T).standard_normal(shape)
-        latents.append(noise if level == T else np.sqrt(1.0 - schedule.alpha_bar(level)) * noise)
+    schedule, T = config.schedule(), config.steps
+    latents = np.empty((T,) + config.latent_shape)
+    for level, row in enumerate(latents, start=1):
+        spawn_rng("queue-noise", seed, level - T).standard_normal(out=row)
+        if level < T:
+            row *= np.sqrt(1.0 - schedule.alpha_bar(level))
     return LatentQueue(latents=latents, head=1 - T)
 
 
@@ -152,34 +156,38 @@ def tick(
     """One engine step: denoise every latent once, emit the head, enqueue
     fresh noise.
 
-    Returns (global_frame, frame) when a story frame is emitted, None
-    while warm-up dummies are being discarded; frames are the latents
-    themselves. Once the plan is exhausted the queue drains (no enqueue)
-    until empty. The per-latent updates are pure and order-independent.
+    The denoiser runs once per latent; the reverse step runs once for the
+    whole queue. Returns (global_frame, frame) when a story frame is
+    emitted, None while warm-up dummies are being discarded; the frame is
+    a copy, sharing no memory with the queue. Once the plan is exhausted
+    the queue drains (no enqueue) until empty.
     """
-    if not queue.latents:
+    rows = len(queue.latents)
+    if not rows:
         raise StateError("queue is empty")
     tick_no = queue.ticks + 1
     k, L, n = config.frames_per_shot, config.boundary, len(plan)
-    stepped = []
+    eps = np.empty_like(queue.latents)
+    noise = None if config.eta == 0.0 else np.empty_like(eps)
     for pos, latent in enumerate(queue.latents):
         level, frame = pos + 1, queue.head + pos
         shot = 0 if frame < 0 else shot_for_frame(frame, k, L, n)
-        eps = denoiser(latent, level, plan[shot], schedule)
+        denoiser(latent, level, plan[shot], schedule, out=eps[pos])
         if trace is not None and frame >= 0:
             trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
                                      condition_shot=shot))
-        noise = None
-        if config.eta != 0.0:
-            noise = spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(latent.shape)
-        stepped.append(ddim_step(latent, eps, level, level - 1, schedule, eta=config.eta,
-                                 noise=noise))
+        if noise is not None:
+            spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(out=noise[pos])
 
-    next_frame = queue.head + len(stepped)
-    if next_frame < n * k:
-        fresh = spawn_rng("queue-noise", seed, next_frame).standard_normal(config.latent_shape)
-        stepped.append(fresh)
-    emitted = None if queue.head < 0 else (queue.head, stepped[0])
+    next_frame = queue.head + rows
+    enqueue = next_frame < n * k
+    stepped = np.empty((rows + enqueue,) + queue.latents.shape[1:])
+    levels = np.arange(1, rows + 1)
+    ddim_step(queue.latents, eps, levels, levels - 1, schedule, eta=config.eta, noise=noise,
+              out=stepped[:rows])
+    if enqueue:
+        spawn_rng("queue-noise", seed, next_frame).standard_normal(out=stepped[rows])
+    emitted = None if queue.head < 0 else (queue.head, stepped[0].copy())
     queue.latents = stepped[1:]
     queue.head += 1
     queue.ticks = tick_no

@@ -77,7 +77,8 @@ def test_criterion_2_sampling_fidelity():
     mu = world.mean_map(cond)
     denoiser = AnalyticDenoiser(world)
     samples = np.stack(
-        [sample_reverse(denoiser, cond, schedule, seed, config.latent_shape) for seed in range(2000)]
+        [sample_reverse(denoiser, [cond], schedule, [seed], config.latent_shape)[0]
+         for seed in range(2000)]
     )
     elapsed = time.perf_counter() - start
     mean_err = float(np.abs(samples.mean(axis=0) - mu).max())

@@ -1,0 +1,42 @@
+"""The benchmark's tracer (perfbench/tracer.py) must be able to wrap the
+program as it stands: every function it names exists at module level, and
+no reference to one is left bound where the tracer cannot rebind it. A
+rename or a closure that would break the traced benchmark fails here."""
+
+import importlib.util
+from pathlib import Path
+
+import multishot  # noqa: F401  imports every module the tracer wraps
+from multishot import diffusion, smoothing
+from multishot.config import PipelineConfig
+from multishot.pipeline import build_story, render_keyframes
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    originals = (diffusion.ddim_step, diffusion.sample_reverse, smoothing.ddim_step)
+    config = PipelineConfig(n_shots=3, frames_per_shot=2, steps=4, shots_per_avatar=2)
+    story = build_story("the life of a lighthouse keeper named Edda", config)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        render_keyframes(story, config)
+        calls = tracer.profile()["calls"]
+    finally:
+        tracer.uninstall()
+    # two avatars in one batch, then three keyframes in a second
+    assert calls["casting.render_avatar"] == calls["casting.generate_keyframe"] == 1
+    assert calls["diffusion.sample_reverse"] == 2
+    assert calls["diffusion.ddim_step"] == 2 * config.steps
+    assert calls["diffusion.analytic_eps"] == (2 + 3) * config.steps
+    assert calls["casting.encode_image_mock"] == 2
+    assert (diffusion.ddim_step, diffusion.sample_reverse, smoothing.ddim_step) == originals

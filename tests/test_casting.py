@@ -11,12 +11,14 @@ from multishot.casting import (
     generate_keyframe,
     render_avatar,
 )
+from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
+from multishot.diffusion import analytic_eps, ddim_step
 from multishot.errors import InputError, ParseError, ValidationError
 from multishot.metrics import IdentityChannelMean, cosine
 from multishot.pipeline import build_story, render_keyframes
 from multishot.script import MockLlmClient, expand_story
-from multishot.seeds import spawn_rng
+from multishot.seeds import derive_seed, spawn_rng
 
 STORY_INPUT = "the long voyage of a cartographer called Imre"
 
@@ -155,8 +157,8 @@ def toy_setup():
 
 def test_render_avatar_deterministic(toy_setup):
     config, story = toy_setup
-    a = render_avatar(story.avatars[0], config)
-    b = render_avatar(story.avatars[0], config)
+    [a] = render_avatar([story.avatars[0]], config)
+    [b] = render_avatar([story.avatars[0]], config)
     assert np.array_equal(a.data, b.data)
     assert abs(np.linalg.norm(a.data) - 1.0) < 1e-9
 
@@ -165,26 +167,55 @@ def test_same_prompt_different_seed_different_embedding(toy_setup):
     config, story = toy_setup
     base = story.avatars[0]
     twin = type(base)(id=base.id, prompt=base.prompt, seed=base.seed + 1)
-    a = render_avatar(base, config)
-    b = render_avatar(twin, config)
+    [a] = render_avatar([base], config)
+    [b] = render_avatar([twin], config)
     assert cosine(a.data, b.data) < 1.0 - 1e-6
 
 
 def test_keyframe_ip_scale_zero_ignores_avatar(toy_setup):
     config, story = toy_setup
-    av0 = render_avatar(story.avatars[0], config)
-    av1 = render_avatar(story.avatars[1], config)
-    kf_a = generate_keyframe(story.scripts[0], av0, config.merged(ip_scale=0.0), 7)
-    kf_b = generate_keyframe(story.scripts[0], av1, config.merged(ip_scale=0.0), 7)
+    [av0] = render_avatar([story.avatars[0]], config)
+    [av1] = render_avatar([story.avatars[1]], config)
+    [kf_a] = generate_keyframe([story.scripts[0]], [av0], config.merged(ip_scale=0.0), [7])
+    [kf_b] = generate_keyframe([story.scripts[0]], [av1], config.merged(ip_scale=0.0), [7])
     assert np.array_equal(kf_a, kf_b)
 
 
 def test_keyframe_deterministic(toy_setup):
     config, story = toy_setup
-    identity = render_avatar(story.avatars[0], config)
-    kf1 = generate_keyframe(story.scripts[0], identity, config, 5)
-    kf2 = generate_keyframe(story.scripts[0], identity, config, 5)
+    [identity] = render_avatar([story.avatars[0]], config)
+    [kf1] = generate_keyframe([story.scripts[0]], [identity], config, [5])
+    [kf2] = generate_keyframe([story.scripts[0]], [identity], config, [5])
     assert np.array_equal(kf1, kf2)
+
+
+def _single_chain(cond, config, seed):
+    """One chain stepped alone, as casting sampled before it batched."""
+    schedule, world = config.schedule(), config.world()
+    x = spawn_rng("reverse-init", seed).standard_normal(config.latent_shape)
+    for t in range(schedule.T, 0, -1):
+        x = ddim_step(x, analytic_eps(x, t, world, cond, schedule), t, t - 1, schedule)
+    return x
+
+
+def test_batched_casting_equals_single_chains(toy_setup):
+    # all portraits in one batch and all keyframes in another give, row for
+    # row, the bits of one chain per avatar and per shot
+    config, story = toy_setup
+    d_e, encoder_seed = config.embed_dim, config.encoder_seed
+    identities = dict(zip([a.id for a in story.avatars], render_avatar(story.avatars, config)))
+    for avatar in story.avatars:
+        cond = Condition(text=encode_text_mock(avatar.prompt.as_text(), d_e, encoder_seed))
+        portrait = _single_chain(cond, config, avatar.seed)
+        expected = encode_image_mock(portrait, d_e, encoder_seed)
+        assert identities[avatar.id].data.tobytes() == expected.data.tobytes()
+    keyframes = render_keyframes(story, config)
+    assert len(keyframes) == len(story.scripts)
+    for j, (script, keyframe) in enumerate(zip(story.scripts, keyframes)):
+        cond = Condition(text=encode_text_mock(script.as_text(), d_e, encoder_seed),
+                         ip=identities[script.avatar_id], ip_scale=config.ip_scale)
+        expected = _single_chain(cond, config, derive_seed("keyframe", config.seed, j))
+        assert keyframe.tobytes() == expected.tobytes()
 
 
 def test_shared_avatar_keyframes_close_in_identity_channels():

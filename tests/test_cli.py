@@ -143,6 +143,33 @@ def test_metrics_refuses_locked_run(tmp_path, capsys):
     assert (out / "manifest.json").read_bytes() == manifest
 
 
+@pytest.mark.parametrize("locked", [False, True], ids=["finished", "locked"])
+def test_keyframes_refuses_run_directory(tmp_path, capsys, locked):
+    # keyframes into a run's keyframes/ would rewrite a finished run's files
+    # behind its manifest, or race the command that holds its lock
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    story_path = tmp_path / "s3.json"
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "3", "--out", str(story_path)]) == 0
+    files = lambda: {p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()}
+    before = files()
+    capsys.readouterr()
+    args = ["keyframes", "--story", str(story_path), "--seed", "9",
+            "--out", str(out / "keyframes")]
+    if locked:
+        (out / "manifest.json").unlink()
+        del before["manifest.json"]
+        with run_lock(out):
+            assert cli(args) == 1
+    else:
+        assert cli(args) == 1
+        assert verify_manifest(out)
+    assert "run directory" in capsys.readouterr().err
+    assert files() == before
+
+
 def _relabel(doc, shots):
     for entry, shot in zip(doc["frames"], shots, strict=True):
         entry["shot"] = shot

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multishot.conditioning import Condition, encode_text_mock
+from multishot.config import PipelineConfig
 from multishot.diffusion import (
     AnalyticDenoiser,
     GaussianWorld,
@@ -169,6 +170,94 @@ def test_ddim_eta_zero_at_final_step_matches_stochastic_formula():
     np.testing.assert_allclose(with_noise, ddim_step(x, eps, 1, 0, sched), atol=1e-12)
 
 
+def _textbook_step(x_t, eps_hat, t, t_prev, sched, eta=0.0, noise=None):
+    """The reverse step as plain expressions: the in-place kernel must
+    give these bits."""
+    a_t, a_p = sched.alpha_bar(t), sched.alpha_bar(t_prev)
+    x0_pred = (x_t - np.sqrt(1.0 - a_t) * eps_hat) / np.sqrt(a_t)
+    if eta == 0.0:
+        return np.sqrt(a_p) * x0_pred + np.sqrt(1.0 - a_p) * eps_hat
+    sigma = eta * np.sqrt((1.0 - a_p) / (1.0 - a_t)) * np.sqrt(1.0 - a_t / a_p)
+    direction = np.sqrt(max(1.0 - a_p - sigma**2, 0.0)) * eps_hat
+    return np.sqrt(a_p) * x0_pred + direction + sigma * noise
+
+
+def _textbook_eps(x_t, t, world, cond, sched):
+    """The analytic noise prediction as plain expressions."""
+    a, s2, mu = sched.alpha_bar(t), world.sigma0**2, world.mean_map(cond)
+    x0_post = (np.sqrt(a) * s2 * x_t + (1.0 - a) * mu) / (a * s2 + (1.0 - a))
+    return (x_t - np.sqrt(a) * x0_post) / np.sqrt(1.0 - a)
+
+
+def _frozen(*arrays):
+    """Marks the arrays read-only, so a kernel that writes to one raises."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    T=st.integers(min_value=1, max_value=50),
+    B=st.integers(min_value=1, max_value=6),
+    row_shape=st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(tuple),
+    eta=st.sampled_from([0.0, 0.3, 1.0]),
+    data=st.data(),
+)
+def test_level_vector_step_is_each_rows_scalar_step(T, B, row_shape, eta, data):
+    sched = make_schedule(T)
+    t = data.draw(st.lists(st.integers(1, T), min_size=B, max_size=B), label="t")
+    t_prev = [data.draw(st.integers(0, level - 1), label="t_prev") for level in t]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x, eps, noise = _frozen(*(rng.standard_normal((B,) + row_shape) for _ in range(3)))
+    before = [a.tobytes() for a in (x, eps, noise)]
+    batched = ddim_step(x, eps, np.array(t), np.array(t_prev), sched, eta=eta, noise=noise)
+    assert batched.shape == x.shape
+    for b in range(B):
+        single = ddim_step(x[b], eps[b], t[b], t_prev[b], sched, eta=eta, noise=noise[b])
+        expected = _textbook_step(x[b], eps[b], t[b], t_prev[b], sched, eta, noise[b])
+        assert np.asarray(single).tobytes() == np.asarray(expected).tobytes()
+        assert batched[b].tobytes() == np.asarray(expected).tobytes()
+    assert [a.tobytes() for a in (x, eps, noise)] == before
+    # a bad level in any row fails as the scalar step does
+    row = data.draw(st.integers(0, B - 1), label="bad row")
+    bad_t, bad_prev = data.draw(st.sampled_from(
+        [(t[row], t[row]), (T + 1, 0), (t[row], -1), (0, 0)]), label="bad levels")
+    with pytest.raises(ScheduleError):
+        ddim_step(x[row], eps[row], bad_t, bad_prev, sched, eta=eta, noise=noise[row])
+    t[row], t_prev[row] = bad_t, bad_prev
+    with pytest.raises(ScheduleError):
+        ddim_step(x, eps, np.array(t), np.array(t_prev), sched, eta=eta, noise=noise)
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+def test_queue_shaped_steps_match_scalar_steps_for_every_schedule(eta):
+    # levels 1..T, one row each, as a full FIFO queue steps them: on a few
+    # of these rows NumPy's array square of sigma rounds differently from
+    # the scalar power, which this comparison catches
+    rng = np.random.default_rng(1)
+    for T in range(1, 51):
+        sched = make_schedule(T)
+        x, eps, noise = rng.standard_normal((3, T, 2))
+        levels = np.arange(1, T + 1)
+        batched = ddim_step(x, eps, levels, levels - 1, sched, eta=eta, noise=noise)
+        for b, t in enumerate(range(1, T + 1)):
+            single = ddim_step(x[b], eps[b], t, t - 1, sched, eta=eta, noise=noise[b])
+            assert batched[b].tobytes() == single.tobytes(), f"T={T}, t={t}"
+
+
+def test_ddim_step_in_place_and_level_vector_shape():
+    sched = make_schedule(4, 0.1, 0.4)
+    rng = np.random.default_rng(0)
+    x, eps = rng.standard_normal((2, 2, 3))
+    expected = ddim_step(x, eps, 3, 2, sched)
+    # out may be x_t itself: the queue and the sampler step in place
+    assert ddim_step(x, eps, 3, 2, sched, out=x) is x
+    assert x.tobytes() == expected.tobytes()
+    with pytest.raises(ShapeError):
+        ddim_step(x, eps, np.array([3, 3, 3]), 2, sched)
+
+
 # --- analytic denoiser ------------------------------------------------------
 
 
@@ -221,6 +310,21 @@ def test_analytic_eps_range_check():
         analytic_eps(arr(1.0), 3, _const_world(0.0, 1.0), None, sched)
 
 
+def test_analytic_eps_out_buffer_matches_textbook_and_writes_no_input():
+    config = PipelineConfig(height=3, width=2, channels=4, embed_dim=16, identity_channels=2)
+    sched, world = make_schedule(10), config.world()
+    cond = Condition(text=encode_text_mock("a tide pool", 16, config.encoder_seed))
+    mu = world.mean_map(cond)  # the memo hands out read-only means
+    assert not mu.flags.writeable
+    [x_t] = _frozen(spawn_rng("eps-out").standard_normal(config.latent_shape))
+    for t in (1, 5, 10):
+        expected = _textbook_eps(x_t, t, world, cond, sched)
+        out = np.full(config.latent_shape, np.nan)
+        assert analytic_eps(x_t, t, world, cond, sched, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert analytic_eps(x_t, t, world, cond, sched).tobytes() == expected.tobytes()
+
+
 # --- sample_reverse ---------------------------------------------------------
 
 
@@ -229,7 +333,7 @@ def test_sample_reverse_collapses_to_mean_when_sigma0_zero():
     mu = spawn_rng("mu").standard_normal((4, 4, 2))
     world = GaussianWorld(sigma0=0.0, mean_map=lambda cond: mu)
     for seed in (0, 7, 123):
-        out = sample_reverse(AnalyticDenoiser(world), None, sched, seed, shape=mu.shape)
+        [out] = sample_reverse(AnalyticDenoiser(world), [None], sched, [seed], shape=mu.shape)
         np.testing.assert_allclose(out, mu, atol=1e-6)
 
 
@@ -238,11 +342,36 @@ def test_sample_reverse_deterministic():
     cond = Condition(text=encode_text_mock("north shore at dawn"))
     mu = spawn_rng("mu2").standard_normal((3, 3, 2))
     world = GaussianWorld(sigma0=0.5, mean_map=lambda c: mu)
-    a = sample_reverse(AnalyticDenoiser(world), cond, sched, 42, shape=mu.shape)
-    b = sample_reverse(AnalyticDenoiser(world), cond, sched, 42, shape=mu.shape)
+    [a] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [42], shape=mu.shape)
+    [b] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [42], shape=mu.shape)
     assert np.array_equal(a, b)
-    c = sample_reverse(AnalyticDenoiser(world), cond, sched, 43, shape=mu.shape)
+    [c] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [43], shape=mu.shape)
     assert not np.array_equal(a, c)
+
+
+def _single_chain(world, cond, sched, seed, shape):
+    """One chain, one textbook step at a time: the reference for every row
+    of a batched sample_reverse."""
+    x = spawn_rng("reverse-init", seed).standard_normal(shape)
+    for t in range(sched.T, 0, -1):
+        x = _textbook_step(x, _textbook_eps(x, t, world, cond, sched), t, t - 1, sched)
+    return x
+
+
+def test_sample_reverse_batch_rows_equal_single_chains():
+    config = PipelineConfig(height=4, width=3, channels=4, embed_dim=16, identity_channels=2)
+    sched, world = make_schedule(12), config.world()
+    conds = [Condition(text=encode_text_mock(f"shot {j}", 16, config.encoder_seed))
+             for j in range(3)]
+    conds.append(conds[0])  # a condition may repeat within a batch
+    seeds = [5, 6, 7, 5]
+    batch = sample_reverse(AnalyticDenoiser(world), conds, sched, seeds, config.latent_shape)
+    assert batch.shape == (4,) + config.latent_shape
+    for row, cond, seed in zip(batch, conds, seeds):
+        expected = _single_chain(world, cond, sched, seed, config.latent_shape)
+        assert row.tobytes() == expected.tobytes()
+    with pytest.raises(ShapeError):
+        sample_reverse(AnalyticDenoiser(world), conds, sched, seeds[:2], config.latent_shape)
 
 
 def test_gaussian_world_rejects_negative_std():

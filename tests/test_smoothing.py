@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multishot.clips import frame_seed
 from multishot.conditioning import Condition, MeanProjector, encode_text_mock
 from multishot.config import PipelineConfig
-from multishot.diffusion import AnalyticDenoiser, GaussianWorld
+from multishot.diffusion import AnalyticDenoiser, GaussianWorld, analytic_eps, ddim_step
 from multishot.errors import ConfigError, StateError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
@@ -154,6 +154,42 @@ def test_queue_drains_after_plan_exhausted(small_chain):
     assert max(sizes) == config.steps
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
+    # the batched tick equals stepping every latent on its own (the loop it
+    # replaced), and an emitted frame owns its memory: it shares none with
+    # the queue and later ticks leave it as it was
+    config, _, _, plan = small_chain
+    config = config.merged(eta=eta)
+    schedule, world = config.schedule(), config.world()
+    denoiser = AnalyticDenoiser(world)
+    k, n = config.frames_per_shot, config.n_shots
+    queue = init_queue(plan, config, seed=0)
+    emitted = []
+    while queue.emitted < n * k:
+        before, head, tick_no = queue.latents.copy(), queue.head, queue.ticks + 1
+        result = tick(queue, denoiser, schedule, plan, config, seed=0)
+        expected = []
+        for pos, latent in enumerate(before):
+            frame = head + pos
+            shot = 0 if frame < 0 else shot_for_frame(frame, k, config.boundary, n)
+            eps = analytic_eps(latent, pos + 1, world, plan[shot], schedule)
+            noise = spawn_rng("queue-eta", 0, tick_no, frame).standard_normal(latent.shape)
+            expected.append(ddim_step(latent, eps, pos + 1, pos, schedule, eta=eta, noise=noise))
+        assert len(queue.latents) == len(before) - (head + len(before) >= n * k)
+        for row, want in zip(queue.latents, expected[1:]):
+            assert row.tobytes() == want.tobytes()
+        if result is not None:
+            assert result[1].tobytes() == expected[0].tobytes()
+            assert not np.shares_memory(result[1], queue.latents)
+            # a view would keep the tick's whole batch buffer alive
+            assert result[1].base is None
+            emitted.append((result[1], result[1].copy()))
+    assert len(emitted) == n * k
+    for frame, snapshot in emitted:
+        assert frame.tobytes() == snapshot.tobytes()
+
+
 def test_tick_on_empty_queue_raises(small_chain):
     config, _, _, plan = small_chain
     from multishot.smoothing import LatentQueue
@@ -194,7 +230,7 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
             assert queue.ticks == result[0] + T
     assert emitted == list(range(n * k))
     assert queue.ticks == n * k + T - 1
-    assert queue.latents == []
+    assert len(queue.latents) == 0
     for gf in range(n * k):
         records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
         assert [r.level for r in records] == list(range(T, 0, -1))
