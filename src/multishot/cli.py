@@ -16,13 +16,14 @@ config is always persisted next to the artifacts it produced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
 from .config import LLM_BACKENDS, MODES, PipelineConfig, config_from_json
 from .errors import MultishotError, StageFailure, StateError, TransportError
 from .pipeline import (
-    LOCK_FILE,
+    KEYFRAME_DIR,
     MANIFEST_FILE,
     REPORT_FILE,
     STORY_FILE,
@@ -124,15 +125,19 @@ def _cmd_keyframes(args) -> int:
     config, _ = _load_config(args)
     config = config.merged(n_shots=len(story.scripts))
     out = Path(args.out)
-    run_dir = out.resolve().parent
-    if any((run_dir / name).exists() for name in (MANIFEST_FILE, LOCK_FILE)):
-        # rewriting a run's keyframes would leave its manifest and frames stale
-        raise StateError(
-            f"{out} is inside run directory {run_dir}; "
-            "use `multishot generate` to regenerate a run"
-        )
-    keyframes = render_keyframes(story, config)
-    write_keyframes(keyframes, out)
+    # DIR/keyframes is where a run in DIR keeps its keyframes: hold DIR's
+    # run lock while writing, so no command writing DIR races this one, and
+    # never rewrite a finished run behind its manifest
+    run_dir = out.parent
+    in_run = out.name == KEYFRAME_DIR and run_dir.is_dir()
+    with run_lock(run_dir) if in_run else contextlib.nullcontext():
+        if in_run and (run_dir / MANIFEST_FILE).exists():
+            raise StateError(
+                f"{out} belongs to the finished run in {run_dir}; "
+                "use `multishot generate` to regenerate a run"
+            )
+        keyframes = render_keyframes(story, config)
+        write_keyframes(keyframes, out)
     print(f"wrote {len(keyframes)} keyframes to {out}")
     return 0
 

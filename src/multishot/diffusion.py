@@ -127,22 +127,17 @@ def ddim_step(
     pure. The result is written to ``out`` when given, which may be
     ``x_t`` itself but must not overlap ``eps_hat`` or ``noise``.
     """
-    if np.ndim(t) == 0 and np.ndim(t_prev) == 0:
-        if t_prev >= t:
-            raise ScheduleError(f"t_prev={t_prev} must be below t={t}")
-        if not (1 <= t <= schedule.T) or t_prev < 0:
-            raise ScheduleError(f"(t={t}, t_prev={t_prev}) outside schedule range")
-    else:
-        t, t_prev = np.broadcast_arrays(t, t_prev)
-        if t.shape != np.shape(x_t)[:1]:
-            raise ShapeError(f"levels {t.shape} vs x_t {np.shape(x_t)}: one level per row")
-        bad = np.flatnonzero((t_prev >= t) | (t < 1) | (t > schedule.T) | (t_prev < 0))
-        if bad.size:
-            row = bad[0]
-            raise ScheduleError(
-                f"row {row}: (t={t[row]}, t_prev={t_prev[row]}) must satisfy "
-                f"0 <= t_prev < t <= {schedule.T}"
-            )
+    t, t_prev = np.broadcast_arrays(t, t_prev)
+    if t.ndim and t.shape != np.shape(x_t)[:1]:
+        raise ShapeError(f"levels {t.shape} vs x_t {np.shape(x_t)}: one level per row")
+    bad = np.flatnonzero((t_prev >= t) | (t < 1) | (t > schedule.T) | (t_prev < 0))
+    if bad.size:
+        row = bad[0]
+        raise ScheduleError(
+            f"(t={t.flat[row]}, t_prev={t_prev.flat[row]})"
+            + (f" in row {row}" if t.ndim else "")
+            + f" must satisfy 0 <= t_prev < t <= {schedule.T}"
+        )
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     if eta != 0.0 and noise is None:
@@ -153,7 +148,7 @@ def ddim_step(
         raise NumericError("non-finite values in reverse step inputs")
 
     a_t, a_p = schedule.by_level[t], schedule.by_level[t_prev]
-    if np.ndim(a_t):  # one level per row, broadcast over the row's axes
+    if t.ndim:  # one level per row, broadcast over the row's axes
         rows = (-1,) + (1,) * (np.ndim(x_t) - 1)
         a_t, a_p = a_t.reshape(rows), a_p.reshape(rows)
     if out is None:
@@ -176,13 +171,9 @@ def ddim_step(
 
 
 class DenoiserBackend(Protocol):
-    """Pure evaluation contract: (x_t, t, condition, schedule) -> eps_hat,
-    written to ``out`` when given."""
+    """Pure evaluation contract: (x_t, t, condition, schedule) -> eps_hat."""
 
-    def __call__(
-        self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
         ...
 
 
@@ -237,11 +228,20 @@ class AnalyticDenoiser:
 
     world: GaussianWorld
 
-    def __call__(
-        self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return analytic_eps(x_t, t, self.world, cond, schedule, out=out)
+    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
+        return analytic_eps(x_t, t, self.world, cond, schedule)
+
+
+def denoise_row(
+    denoiser: DenoiserBackend, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
+    out: np.ndarray,
+) -> None:
+    """Evaluate ``denoiser`` on one latent and copy its eps_hat into ``out``,
+    a row of a batch; an eps_hat of another shape is refused, not broadcast."""
+    eps_hat = denoiser(x_t, t, cond, schedule)
+    if np.shape(eps_hat) != np.shape(x_t):
+        raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {np.shape(x_t)}")
+    out[...] = eps_hat
 
 
 def sample_reverse(
@@ -267,6 +267,6 @@ def sample_reverse(
     eps = np.empty_like(x)
     for t in range(schedule.T, 0, -1):
         for row, cond, eps_row in zip(x, conds, eps):
-            denoiser(row, t, cond, schedule, out=eps_row)
+            denoise_row(denoiser, row, t, cond, schedule, out=eps_row)
         ddim_step(x, eps, t, t - 1, schedule, out=x)
     return x

@@ -43,7 +43,13 @@ import numpy as np
 from .clips import build_shot_condition, generate_shot_clip
 from .conditioning import Condition
 from .config import PipelineConfig
-from .diffusion import AnalyticDenoiser, DenoiserBackend, NoiseSchedule, ddim_step
+from .diffusion import (
+    AnalyticDenoiser,
+    DenoiserBackend,
+    NoiseSchedule,
+    ddim_step,
+    denoise_row,
+)
 from .errors import ConfigError, StateError
 from .script import Story
 from .seeds import spawn_rng
@@ -172,7 +178,7 @@ def tick(
     for pos, latent in enumerate(queue.latents):
         level, frame = pos + 1, queue.head + pos
         shot = 0 if frame < 0 else shot_for_frame(frame, k, L, n)
-        denoiser(latent, level, plan[shot], schedule, out=eps[pos])
+        denoise_row(denoiser, latent, level, plan[shot], schedule, out=eps[pos])
         if trace is not None and frame >= 0:
             trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
                                      condition_shot=shot))

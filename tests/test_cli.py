@@ -143,10 +143,12 @@ def test_metrics_refuses_locked_run(tmp_path, capsys):
     assert (out / "manifest.json").read_bytes() == manifest
 
 
-@pytest.mark.parametrize("locked", [False, True], ids=["finished", "locked"])
-def test_keyframes_refuses_run_directory(tmp_path, capsys, locked):
+@pytest.mark.parametrize("case", ["finished", "locked", "other-name"])
+def test_keyframes_refuses_run_directory(tmp_path, capsys, case):
     # keyframes into a run's keyframes/ would rewrite a finished run's files
-    # behind its manifest, or race the command that holds its lock
+    # behind its manifest, or race the command that holds its lock; only a
+    # directory named keyframes/ is a run's, so another name beside the
+    # same manifest.json is written as given
     out = tmp_path / "run"
     assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
                 "--out", str(out)]) == 0
@@ -156,17 +158,24 @@ def test_keyframes_refuses_run_directory(tmp_path, capsys, locked):
                      for p in out.rglob("*") if p.is_file()}
     before = files()
     capsys.readouterr()
-    args = ["keyframes", "--story", str(story_path), "--seed", "9",
-            "--out", str(out / "keyframes")]
-    if locked:
+    args = lambda name: ["keyframes", "--story", str(story_path), "--seed", "9",
+                         "--out", str(out / name)]
+    if case == "locked":
         (out / "manifest.json").unlink()
         del before["manifest.json"]
         with run_lock(out):
-            assert cli(args) == 1
-    else:
-        assert cli(args) == 1
+            assert cli(args("keyframes")) == 1
+        assert "run directory is locked" in capsys.readouterr().err
+    elif case == "finished":
+        assert cli(args("keyframes")) == 1
+        assert "finished run" in capsys.readouterr().err
         assert verify_manifest(out)
-    assert "run directory" in capsys.readouterr().err
+    else:
+        assert cli(args("kf")) == 0
+        written = files()
+        assert sorted(name for name in written if name.startswith("kf/")) == [
+            f"kf/shot_{j:04d}.vgt" for j in range(3)]
+        before.update((name, written[name]) for name in written if name.startswith("kf/"))
     assert files() == before
 
 

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 from multishot.clips import frame_seed
 from multishot.conditioning import Condition, MeanProjector, encode_text_mock
 from multishot.config import PipelineConfig
-from multishot.diffusion import AnalyticDenoiser, GaussianWorld, analytic_eps, ddim_step
-from multishot.errors import ConfigError, StateError
+from multishot.diffusion import (
+    AnalyticDenoiser,
+    GaussianWorld,
+    analytic_eps,
+    ddim_step,
+    sample_reverse,
+)
+from multishot.errors import ConfigError, ShapeError, StateError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import (
@@ -188,6 +194,37 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
     assert len(emitted) == n * k
     for frame, snapshot in emitted:
         assert frame.tobytes() == snapshot.tobytes()
+
+
+def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
+    # a backend written to the documented contract, (x_t, t, cond,
+    # schedule) -> eps_hat with nothing else, runs both batched samplers
+    # and gives what the reference backend gives
+    config, _, _, plan = small_chain
+    schedule, world = config.schedule(), config.world()
+
+    def plain(x_t, t, cond, schedule):
+        return analytic_eps(x_t, t, world, cond, schedule)
+
+    queues = [init_queue(plan, config, seed=0) for _ in range(2)]
+    while queues[0].emitted < config.n_shots * config.frames_per_shot:
+        a, b = (tick(q, d, schedule, plan, config, seed=0)
+                for q, d in zip(queues, (plain, AnalyticDenoiser(world))))
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
+    seeds, shape = [3, 4], config.latent_shape
+    assert (sample_reverse(plain, plan, schedule, seeds, shape).tobytes()
+            == sample_reverse(AnalyticDenoiser(world), plan, schedule, seeds, shape).tobytes())
+
+    # an eps_hat that would broadcast into the batch row is refused instead
+    def flat(x_t, t, cond, schedule):
+        return plain(x_t, t, cond, schedule)[..., :1]
+
+    with pytest.raises(ShapeError):
+        tick(init_queue(plan, config, seed=0), flat, schedule, plan, config, seed=0)
+    with pytest.raises(ShapeError):
+        sample_reverse(flat, plan, schedule, seeds, shape)
 
 
 def test_tick_on_empty_queue_raises(small_chain):
