@@ -149,7 +149,8 @@ def _cmd_generate(args) -> int:
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
-        # a report from an earlier run would describe other frames
+        # a manifest or report from an earlier run would describe other files
+        (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
         (run_dir / REPORT_FILE).unlink(missing_ok=True)
         (run_dir / STORY_FILE).write_bytes(serialize_story(story))
         write_generation_artifacts(story, config, run_dir, user_input=story.user_input)

@@ -26,7 +26,7 @@ import json
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -137,7 +137,9 @@ def write_timeline_json(path: Path, timeline: VideoTimeline) -> None:
 def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
     """Frames of a run made with ``config``, k per shot; a malformed
     timeline.json fails with the JSON path of the bad entry. It must list
-    n_shots * frames_per_shot frames, and frame f belongs to shot f // k."""
+    n_shots * frames_per_shot frames, and frame f belongs to shot f // k.
+    frames.vgt must hold that many finite frames of the config's latent
+    shape."""
     try:
         doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -160,6 +162,14 @@ def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
     stacked = read_tensor_file(run_dir / FRAMES_FILE)
     if stacked.shape[0] != total:
         raise ValidationError(f"frames.vgt holds {stacked.shape[0]} frames, timeline lists {total}")
+    if stacked.shape[1:] != config.latent_shape:
+        raise ValidationError(
+            f"frames.vgt holds frames of shape {stacked.shape[1:]}, "
+            f"config.json gives {config.latent_shape}"
+        )
+    for f, frame in enumerate(stacked):
+        if not np.isfinite(frame).all():
+            raise ValidationError(f"frames.vgt frame {f} holds non-finite values")
     clips = [list(stacked[j * k : (j + 1) * k]) for j in range(config.n_shots)]
     return VideoTimeline(clips=clips, mode=mode)
 
@@ -186,7 +196,11 @@ def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> List[Path]:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(run_dir: Path) -> Dict[str, str]:
@@ -203,11 +217,12 @@ def write_manifest(run_dir: Path) -> Dict[str, str]:
 
 
 def verify_manifest(run_dir: Path) -> bool:
-    """True when every artifact still matches its recorded hash."""
+    """True when every recorded artifact still exists and matches its hash."""
     run_dir = Path(run_dir)
     doc = json.loads((run_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
     return all(
-        _sha256(run_dir / name) == digest for name, digest in doc["files"].items()
+        (run_dir / name).is_file() and _sha256(run_dir / name) == digest
+        for name, digest in doc["files"].items()
     )
 
 
@@ -264,10 +279,10 @@ def _stage(run_dir: Path, name: str):
 
 def write_generation_artifacts(
     story: Story, config: PipelineConfig, run_dir: Path, user_input: Optional[str] = None
-) -> Tuple[List[Path], VideoTimeline]:
-    """Casting plus generation stages with persistence; returns keyframe
-    paths and the in-memory timeline. Clears the failure marker of an
-    earlier run, which no longer describes the directory."""
+) -> List[Path]:
+    """Casting plus generation stages with persistence; returns the
+    keyframe paths. Clears the failure marker of an earlier run, which no
+    longer describes the directory."""
     run_dir = Path(run_dir)
     shutil.rmtree(run_dir / FAILED_DIR, ignore_errors=True)
     with _stage(run_dir, "keyframes"):
@@ -276,10 +291,10 @@ def write_generation_artifacts(
 
     with _stage(run_dir, "generate"):
         timeline = generate_timeline(story, keyframes, config)
-        write_tensor_file(run_dir / FRAMES_FILE, np.stack(timeline.frames))
+        write_tensor_file(run_dir / FRAMES_FILE, timeline.frames)
         write_timeline_json(run_dir / TIMELINE_FILE, timeline)
         (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, user_input))
-    return keyframe_paths, timeline
+    return keyframe_paths
 
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
@@ -300,11 +315,13 @@ def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> RunArtifac
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
+        # a manifest from an earlier run would vouch for half-rewritten files
+        (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
         with _stage(run_dir, "script"):
             story = build_story(user_input, config)
             (run_dir / STORY_FILE).write_bytes(serialize_story(story))
 
-        keyframe_paths, _ = write_generation_artifacts(
+        keyframe_paths = write_generation_artifacts(
             story, config, run_dir, user_input=user_input.strip()
         )
 

@@ -8,13 +8,16 @@ Layout, all little-endian:
     then         rank x uint32 dims
     then         row-major float32 payload
 
-Round-trips are bitwise for float32 arrays.
+Round-trips are bitwise for float32 arrays. ``tensor_bytes`` and
+``parse_tensor`` are the in-memory codec; the file functions stream, so a
+tensor crosses the disk boundary without a whole-tensor copy.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,49 +26,84 @@ from .errors import ConfigError, FormatError, LengthError
 MAGIC = b"VGOT"
 VERSION = 1
 MAX_RANK = 8
+#: The longest header: magic, version, rank and MAX_RANK dims.
+MAX_HEADER = 6 + 4 * MAX_RANK
+
+
+def _header(shape: tuple) -> bytes:
+    if not 1 <= len(shape) <= MAX_RANK:
+        raise ConfigError(f"rank must be 1..{MAX_RANK}, got {len(shape)}")
+    if any(dim >= 2**32 for dim in shape):
+        raise ConfigError(f"dimension too large for uint32: {shape}")
+    return MAGIC + bytes([VERSION, len(shape)]) + struct.pack(f"<{len(shape)}I", *shape)
+
+
+def _parse_header(head: bytes, size: int) -> tuple:
+    """Shape and payload offset of a file of ``size`` bytes whose first
+    bytes (at least min(size, MAX_HEADER) of them) are ``head``."""
+    if size < 6:
+        raise LengthError(f"file too short for a header: {size} bytes")
+    if head[:4] != MAGIC:
+        raise FormatError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+    if head[4] != VERSION:
+        raise FormatError(f"unsupported version {head[4]}, expected {VERSION}")
+    rank = head[5]
+    if not 1 <= rank <= MAX_RANK:
+        raise FormatError(f"rank {rank} outside 1..{MAX_RANK}")
+    dims_end = 6 + 4 * rank
+    if size < dims_end:
+        raise LengthError("file truncated inside the dimension table")
+    shape = struct.unpack(f"<{rank}I", head[6:dims_end])
+    expected = dims_end + 4 * int(np.prod(shape, dtype=np.int64))
+    if size < expected:
+        raise LengthError(f"payload truncated: need {expected} bytes, have {size}")
+    if size > expected:
+        raise LengthError(f"trailing bytes after payload: {size - expected}")
+    return shape, dims_end
 
 
 def tensor_bytes(tensor: np.ndarray) -> bytes:
     """Serialize to the wire format (converting to float32 if needed)."""
-    arr = np.asarray(tensor)
-    if arr.ndim < 1 or arr.ndim > MAX_RANK:
-        raise ConfigError(f"rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    if any(dim >= 2**32 for dim in arr.shape):
-        raise ConfigError(f"dimension too large for uint32: {arr.shape}")
-    header = MAGIC + bytes([VERSION, arr.ndim])
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + dims + arr.tobytes()
+    arr = np.asarray(tensor, dtype="<f4")
+    return _header(arr.shape) + arr.tobytes()
 
 
 def parse_tensor(data: bytes) -> np.ndarray:
     """Inverse of :func:`tensor_bytes`; validates magic, version, length."""
-    if len(data) < 6:
-        raise LengthError(f"file too short for a header: {len(data)} bytes")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported version {data[4]}, expected {VERSION}")
-    rank = data[5]
-    if not 1 <= rank <= MAX_RANK:
-        raise FormatError(f"rank {rank} outside 1..{MAX_RANK}")
-    dims_end = 6 + 4 * rank
-    if len(data) < dims_end:
-        raise LengthError("file truncated inside the dimension table")
-    shape = struct.unpack(f"<{rank}I", data[6:dims_end])
-    count = int(np.prod(shape, dtype=np.int64))
-    expected = dims_end + 4 * count
-    if len(data) < expected:
-        raise LengthError(f"payload truncated: need {expected} bytes, have {len(data)}")
-    if len(data) > expected:
-        raise LengthError(f"trailing bytes after payload: {len(data) - expected}")
-    flat = np.frombuffer(data, dtype="<f4", count=count, offset=dims_end)
-    return flat.reshape(shape).copy()
+    shape, offset = _parse_header(data[:MAX_HEADER], len(data))
+    return np.frombuffer(data, dtype="<f4", offset=offset).reshape(shape).copy()
 
 
-def write_tensor_file(path, tensor: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_bytes(tensor))
+def write_tensor_file(path, tensor: Union[np.ndarray, Sequence[np.ndarray]]) -> None:
+    """Write ``tensor``, an array or a list of equal-shape rows that form
+    its axis 0, with the bytes of ``tensor_bytes``. Rows are converted to
+    float32 and written one at a time."""
+    if isinstance(tensor, (list, tuple)):
+        rows = [np.asarray(row) for row in tensor]
+        shapes = sorted({row.shape for row in rows})
+        if len(shapes) != 1:
+            raise ConfigError(f"rows must share one shape, got shapes {shapes}")
+        shape = (len(rows),) + shapes[0]
+    else:
+        rows = np.asarray(tensor)
+        shape = rows.shape
+        if rows.ndim == 1:  # a row of scalars is written as one block
+            rows = rows[None]
+    header = _header(shape)
+    with open(path, "wb") as handle:
+        handle.write(header)
+        for row in rows:
+            handle.write(np.ascontiguousarray(row, dtype="<f4"))
 
 
 def read_tensor_file(path) -> np.ndarray:
-    return parse_tensor(Path(path).read_bytes())
+    """Read a file written by :func:`write_tensor_file`, raising what
+    :func:`parse_tensor` raises for its bytes; the payload is read straight
+    into the returned float32 array."""
+    with open(path, "rb") as handle:
+        shape, offset = _parse_header(handle.read(MAX_HEADER), os.fstat(handle.fileno()).st_size)
+        out = np.empty(shape, dtype="<f4")
+        handle.seek(offset)
+        if handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise LengthError(f"{path} shrank while it was read")
+    return out

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multishot.cli import cli
 from multishot.pipeline import run_lock, verify_manifest
 from multishot.script import parse_story
+from multishot.tensorio import read_tensor_file, write_tensor_file
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -211,6 +213,51 @@ def test_metrics_rejects_malformed_timeline(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert path in err[0]
+
+
+def _wrong_shape(frames):
+    return frames[:, :4]
+
+
+def _nan_from_frame_3(frames):
+    frames[3:, 0, 0, 0] = np.nan
+    return frames
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_wrong_shape, "frames of shape (4, 8, 8), config.json gives (8, 8, 8)"),
+        (_nan_from_frame_3, "frame 3 holds non-finite values"),
+    ],
+    ids=["latent-shape", "non-finite"],
+)
+def test_metrics_rejects_frames_the_config_did_not_make(tmp_path, capsys, edit, message):
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "3", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    write_tensor_file(out / "frames.vgt", edit(read_tensor_file(out / "frames.vgt")))
+    (out / "report.json").unlink()
+    capsys.readouterr()
+    assert cli(["metrics", "--run", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not (out / "report.json").exists()
+
+
+def test_failed_generate_over_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    import multishot.pipeline as pipeline_module
+
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--out", str(out)]) == 0
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic generation failure")
+
+    monkeypatch.setattr(pipeline_module, "generate_timeline", broken)
+    assert cli(["generate", "--story", str(out / "story.json"), "--out", str(out)]) == 1
+    assert (out / "failed" / "stage.txt").read_text().splitlines()[0] == "generate"
+    assert not (out / "manifest.json").exists()
 
 def test_unknown_flag_prints_usage_exit_one(capsys):
     code = cli(["generate", "--bogus-flag", "x"])

@@ -1,5 +1,6 @@
 """End-to-end runs: artifacts, determinism, stage isolation, failure marks."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from multishot.pipeline import (
     LOCK_FILE,
     MANIFEST_FILE,
     REPORT_FILE,
+    _sha256,
     compute_metrics_for_run,
     run_lock,
     run_pipeline,
@@ -68,6 +70,19 @@ def test_manifest_verifies_and_detects_corruption(default_run, tmp_path):
     victim = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "victim")
     (victim.run_dir / REPORT_FILE).write_text("tampered")
     assert not verify_manifest(victim.run_dir)
+
+
+def test_manifest_fails_when_an_artifact_is_missing(tmp_path):
+    victim = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "victim")
+    (victim.run_dir / "timeline.json").unlink()
+    assert not verify_manifest(victim.run_dir)
+
+
+@pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 20) + 5], ids=["empty", "small", "blocks"])
+def test_sha256_hashes_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(i % 251 for i in range(size)))
+    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_metrics_stage_isolated(default_run):
@@ -131,6 +146,24 @@ def test_stage_failure_named_and_marked(tmp_path, monkeypatch):
     run_pipeline(STORY_INPUT, PipelineConfig(), out)
     assert not (out / "failed").exists()
     assert verify_manifest(out)
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    import multishot.pipeline as pipeline_module
+
+    out = tmp_path / "rerun"
+    run_pipeline(STORY_INPUT, PipelineConfig(), out)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic generation failure")
+
+    monkeypatch.setattr(pipeline_module, "generate_timeline", broken)
+    with pytest.raises(StageFailure):
+        run_pipeline(STORY_INPUT, PipelineConfig(seed=1), out)
+    assert (out / "failed" / "stage.txt").read_text().splitlines() == [
+        "generate", "RuntimeError: synthetic generation failure"
+    ]
+    assert not (out / MANIFEST_FILE).exists()
 
 
 def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):

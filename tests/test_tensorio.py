@@ -1,5 +1,7 @@
 """Binary tensor format: frozen header bytes, round trips, corruption."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ def test_frozen_header_example():
     assert data == bytes.fromhex("56474f54" "01" "01" "01000000" "0000803f")
 
 
+SHAPES = [(3,), (2, 5), (4, 4, 2), (2, 3, 2, 2)]
+
+
 def test_roundtrip_bitwise_many_shapes(tmp_path):
     rng = spawn_rng("tensor-roundtrip")
-    shapes = [(3,), (2, 5), (4, 4, 2), (2, 3, 2, 2)]
     for i in range(40):
-        shape = shapes[i % len(shapes)]
+        shape = SHAPES[i % len(SHAPES)]
         tensor = rng.standard_normal(shape).astype(np.float32)
         path = tmp_path / f"t{i}.vgt"
         write_tensor_file(path, tensor)
@@ -73,3 +77,67 @@ def test_rank_limits():
     bad_rank[5] = 9
     with pytest.raises(FormatError, match="rank"):
         parse_tensor(bytes(bad_rank))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_list_of_rows_writes_the_stacked_bytes(tmp_path, shape):
+    rng = spawn_rng("tensor-rows", len(shape))
+    rows = [rng.standard_normal(shape) for _ in range(3)]  # float64, cast on write
+    write_tensor_file(tmp_path / "rows.vgt", rows)
+    assert (tmp_path / "rows.vgt").read_bytes() == tensor_bytes(np.stack(rows))
+
+
+def test_rows_of_unequal_shape_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="one shape"):
+        write_tensor_file(tmp_path / "bad.vgt", [np.zeros((2, 3)), np.zeros((3, 2))])
+    with pytest.raises(ConfigError, match="one shape"):
+        write_tensor_file(tmp_path / "empty.vgt", [])
+
+
+_GOOD = tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+CORRUPT = {
+    "magic": b"VGOX" + _GOOD[4:],
+    "version": _GOOD[:4] + b"\x02" + _GOOD[5:],
+    "rank": _GOOD[:5] + b"\x09" + _GOOD[6:],
+    "header": _GOOD[:3],
+    "dims": _GOOD[:8],
+    "payload": _GOOD[:-3],
+    "trailing": _GOOD + b"\x00",
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT))
+def test_file_reader_raises_what_parse_tensor_raises(tmp_path, case):
+    data = CORRUPT[case]
+    with pytest.raises((FormatError, LengthError)) as from_bytes:
+        parse_tensor(data)
+    path = tmp_path / "corrupt.vgt"
+    path.write_bytes(data)
+    with pytest.raises(type(from_bytes.value)) as from_file:
+        read_tensor_file(path)
+    assert type(from_file.value) is type(from_bytes.value)
+    assert str(from_file.value) == str(from_bytes.value)
+
+
+FRAMES = (32, 64, 64, 16)
+PAYLOAD = 4 * int(np.prod(FRAMES))  # 8 MiB of float32
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn`` allocates at its peak beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_and_read_stream_without_whole_tensor_copies(tmp_path):
+    path = tmp_path / "frames.vgt"
+    rows = list(np.ones(FRAMES))  # 32 float64 rows, 16 MiB in all
+    assert _traced_peak(lambda: write_tensor_file(path, rows)) < 1 << 20
+    assert path.stat().st_size == 6 + 4 * len(FRAMES) + PAYLOAD
+    assert _traced_peak(lambda: read_tensor_file(path)) <= PAYLOAD + (64 << 10)
