@@ -11,7 +11,7 @@ Run: python3 demos/05_fifo_smoothing.py
 
 from multishot.config import PipelineConfig
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
-from multishot.smoothing import DenoiseTrace
+from multishot.smoothing import DenoiseTrace, run_timeline
 
 config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=8, seed=0)
 k = config.frames_per_shot
@@ -19,7 +19,7 @@ story = build_story("the life of a lighthouse keeper named Edda", config)
 keyframes = render_keyframes(story, config)
 
 trace = DenoiseTrace()
-timeline = generate_timeline(story, keyframes, config, trace=trace)
+timeline = run_timeline(generate_timeline(story, keyframes, config, trace=trace))
 
 print(f"{config.n_shots} shots x {config.frames_per_shot} frames, T={config.steps}")
 print(f"emitted {len(timeline.frames)} frames over {max(timeline.emission_ticks)} ticks\n")
@@ -45,6 +45,6 @@ last_shot0 = max(t for gf, t in enumerate(timeline.emission_ticks) if gf // k ==
 print(f"shot 1 conditioning enters at tick {first_shot1}; "
       f"shot 0 finishes emitting at tick {last_shot0} (overlap = smooth handover)")
 
-windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
+windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
 print("\nwindowed mode produces the same frame count and labels:",
       [len(c) for c in windowed.clips] == [len(c) for c in timeline.clips])

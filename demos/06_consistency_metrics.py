@@ -9,6 +9,7 @@ import numpy as np
 from multishot.config import PipelineConfig
 from multishot.metrics import build_report
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
+from multishot.smoothing import run_timeline
 
 USER_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -17,7 +18,7 @@ def report_for(ip_scale, seed=0):
     config = PipelineConfig(seed=seed, ip_scale=ip_scale)
     story = build_story(USER_INPUT, config)
     keyframes = render_keyframes(story, config)
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     timeline.clips = [[f.astype(np.float32) for f in clip] for clip in timeline.clips]
     return build_report(timeline, story, config)
 

@@ -56,6 +56,7 @@ from .script import (
 )
 from .smoothing import (
     DenoiseTrace,
+    FrameStream,
     LatentQueue,
     VideoTimeline,
     init_queue,

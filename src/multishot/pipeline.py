@@ -45,8 +45,8 @@ from .script import (
     serialize_story,
 )
 from .seeds import derive_seed
-from .smoothing import DenoiseTrace, VideoTimeline, run_timeline
-from .tensorio import read_tensor_file, write_tensor_file
+from .smoothing import DenoiseTrace, FrameStream, VideoTimeline, build_plan
+from .tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
 
 STORY_FILE = "story.json"
 CONFIG_FILE = "config.json"
@@ -112,9 +112,12 @@ def generate_timeline(
     keyframes: List[np.ndarray],
     config: PipelineConfig,
     trace: Optional[DenoiseTrace] = None,
-) -> VideoTimeline:
-    """Generation stage: windowed clips or the fifo-reset queue."""
-    return run_timeline(story, keyframes, config, derive_seed("timeline", config.seed), trace=trace)
+) -> FrameStream:
+    """Generation stage: build the conditioning plan and return the run's
+    frames as a stream that samples them, windowed clips or the fifo-reset
+    queue, as it is iterated. ``run_timeline`` collects it in memory."""
+    plan = build_plan(story, keyframes, config)
+    return FrameStream(plan, config, derive_seed("timeline", config.seed), trace)
 
 
 # --------------------------------------------------------------------------
@@ -125,11 +128,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_bytes((json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
-def write_timeline_json(path: Path, timeline: VideoTimeline) -> None:
-    labels = [j for j, clip in enumerate(timeline.clips) for _ in clip]
+def write_timeline_json(path: Path, config: PipelineConfig) -> None:
+    """The mode and each of the config's n_shots * k frames, labelled shot f // k."""
+    k = config.frames_per_shot
     payload = {
-        "mode": timeline.mode,
-        "frames": [{"global_frame": f, "shot": j} for f, j in enumerate(labels)],
+        "mode": config.mode,
+        "frames": [{"global_frame": f, "shot": f // k} for f in range(config.n_shots * k)],
     }
     _write_json(path, payload)
 
@@ -204,12 +208,13 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(run_dir: Path) -> Dict[str, str]:
-    """Hash every artifact (everything except the manifest and lock)."""
+    """Hash every artifact: everything except the manifest, the lock, the
+    failure marker and the temporary of an unfinished tensor write."""
     entries = {}
     for path in sorted(run_dir.rglob("*")):
         if path.is_dir() or path.name in (MANIFEST_FILE, LOCK_FILE):
             continue
-        if FAILED_DIR in path.relative_to(run_dir).parts:
+        if path.name.endswith(TEMP_SUFFIX) or FAILED_DIR in path.relative_to(run_dir).parts:
             continue
         entries[path.relative_to(run_dir).as_posix()] = _sha256(path)
     _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(entries.items()))})
@@ -217,13 +222,24 @@ def write_manifest(run_dir: Path) -> Dict[str, str]:
 
 
 def verify_manifest(run_dir: Path) -> bool:
-    """True when every recorded artifact still exists and matches its hash."""
+    """True when manifest.json is a valid manifest and every artifact it
+    records still exists inside run_dir and matches its hash. False, never
+    an exception, when the manifest is missing, is not JSON with a
+    ``files`` object, or names a file outside run_dir."""
     run_dir = Path(run_dir)
-    doc = json.loads((run_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-    return all(
-        (run_dir / name).is_file() and _sha256(run_dir / name) == digest
-        for name, digest in doc["files"].items()
-    )
+    try:
+        doc = json.loads((run_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return False
+    files = doc.get("files") if isinstance(doc, dict) else None
+    if not isinstance(files, dict):
+        return False
+    root = run_dir.resolve()
+    for name, digest in files.items():
+        path = (run_dir / name).resolve()
+        if not (path.is_relative_to(root) and path.is_file() and _sha256(path) == digest):
+            return False
+    return True
 
 
 def record_in_manifest(run_dir: Path, path: Path) -> None:
@@ -290,9 +306,10 @@ def write_generation_artifacts(
         keyframe_paths = write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
 
     with _stage(run_dir, "generate"):
-        timeline = generate_timeline(story, keyframes, config)
-        write_tensor_file(run_dir / FRAMES_FILE, timeline.frames)
-        write_timeline_json(run_dir / TIMELINE_FILE, timeline)
+        # the writer pulls each frame from the sampler and drops it once it
+        # is on disk, so no stage holds the run's frames
+        write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
+        write_timeline_json(run_dir / TIMELINE_FILE, config)
         (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, user_input))
     return keyframe_paths
 

@@ -27,6 +27,11 @@ Two inference modes share the frame-count contract:
                 (each shot a separate temporal window);
 * fifo-reset  - the continuous queue described above.
 
+Either mode's frames come out of one FrameStream in global order, each as
+soon as it is finished, so the pipeline writes every frame to disk and
+drops it; run_timeline collects a stream for callers that want the whole
+run in memory.
+
 With the analytic backend and eta = 0, every frame of either mode is the
 closed form A_T x_T + B_T mu(c) of its own seeded noise and its shot's
 condition. That chain is the engine's main correctness oracle; at
@@ -36,7 +41,7 @@ sigma0 = 0 it also makes the two modes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -213,33 +218,51 @@ def build_plan(
     ]
 
 
-def run_timeline(
-    story: Story,
-    keyframes: List[np.ndarray],
-    config: PipelineConfig,
-    seed: int,
-    trace: Optional[DenoiseTrace] = None,
-) -> VideoTimeline:
-    """Produce all N*k frames, k per shot."""
-    plan = build_plan(story, keyframes, config)
-    n_shots, k = len(plan), config.frames_per_shot
-    total = n_shots * k
+@dataclass(frozen=True, eq=False)
+class FrameStream:
+    """A run's frames in global order, sampled as they are iterated: each
+    windowed shot's clip in turn, or each frame as the fifo-reset queue
+    emits it. ``shape`` is the shape of all the frames stacked, known
+    before any frame is sampled, so a writer can put each frame on disk
+    and drop it. Every iteration samples afresh and, with a trace, appends
+    its denoise calls to it."""
 
-    if config.mode == "windowed":
-        clips = [generate_shot_clip(cond, j, config, seed) for j, cond in enumerate(plan)]
-        return VideoTimeline(clips=clips, mode=config.mode)
+    plan: List[Condition]
+    config: PipelineConfig
+    seed: int
+    trace: Optional[DenoiseTrace] = None
 
-    schedule = config.schedule()
-    denoiser = AnalyticDenoiser(config.world())
-    queue = init_queue(plan, config, seed)
-    frames = []
-    for _ in range(total + config.steps - 1):
-        emitted = tick(queue, denoiser, schedule, plan, config, seed, trace=trace)
-        if emitted is not None:
-            frames.append(emitted[1])
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (len(self.plan) * self.config.frames_per_shot,) + self.config.latent_shape
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        plan, config, seed = self.plan, self.config, self.seed
+        if config.mode == "windowed":
+            for j, cond in enumerate(plan):
+                yield from generate_shot_clip(cond, j, config, seed)
+            return
+        schedule = config.schedule()
+        denoiser = AnalyticDenoiser(config.world())
+        queue = init_queue(plan, config, seed)
+        for _ in range(self.shape[0] + config.steps - 1):
+            emitted = tick(queue, denoiser, schedule, plan, config, seed, trace=self.trace)
+            if emitted is not None:
+                yield emitted[1]
+
+
+def run_timeline(frames: FrameStream) -> VideoTimeline:
+    """Collect a stream's N*k frames, k per shot, for callers that want the
+    whole run in memory; a fifo-reset timeline also gets its schedule."""
+    config, n_shots = frames.config, len(frames.plan)
+    k, mode = config.frames_per_shot, config.mode
+    collected = list(frames)
+    clips = [collected[j * k : (j + 1) * k] for j in range(n_shots)]
+    if mode == "windowed":
+        return VideoTimeline(clips=clips, mode=mode)
     return VideoTimeline(
-        clips=[frames[j * k : (j + 1) * k] for j in range(n_shots)],
-        mode=config.mode,
-        emission_ticks=[f + config.steps for f in range(total)],
+        clips=clips,
+        mode=mode,
+        emission_ticks=[f + config.steps for f in range(len(collected))],
         switch_ticks={0: 0, **{j: j * k + k - config.boundary for j in range(1, n_shots)}},
     )

@@ -10,14 +10,17 @@ Layout, all little-endian:
 
 Round-trips are bitwise for float32 arrays. ``tensor_bytes`` and
 ``parse_tensor`` are the in-memory codec; the file functions stream, so a
-tensor crosses the disk boundary without a whole-tensor copy.
+tensor crosses the disk boundary without a whole-tensor copy, and a write
+either completes or leaves the target untouched.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-from typing import Sequence, Union
+from pathlib import Path
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -28,6 +31,9 @@ VERSION = 1
 MAX_RANK = 8
 #: The longest header: magic, version, rank and MAX_RANK dims.
 MAX_HEADER = 6 + 4 * MAX_RANK
+#: Ends the name of the temporary sibling a file is written to before it
+#: replaces its target.
+TEMP_SUFFIX = ".partial"
 
 
 def _header(shape: tuple) -> bytes:
@@ -74,26 +80,53 @@ def parse_tensor(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=offset).reshape(shape).copy()
 
 
-def write_tensor_file(path, tensor: Union[np.ndarray, Sequence[np.ndarray]]) -> None:
-    """Write ``tensor``, an array or a list of equal-shape rows that form
-    its axis 0, with the bytes of ``tensor_bytes``. Rows are converted to
-    float32 and written one at a time."""
+def write_tensor_file(path, tensor: Union[np.ndarray, Iterable[np.ndarray]]) -> None:
+    """Write ``tensor`` with the bytes of ``tensor_bytes``. It is an array,
+    a list of equal-shape rows that form its axis 0, or an iterable of rows
+    whose ``shape`` attribute gives the full stacked shape, such as a
+    stream that samples each row as it is pulled. Rows are converted to
+    float32 and written one at a time; a row of the wrong shape or a wrong
+    number of rows raises ``ConfigError``.
+
+    The bytes go to a temporary sibling (its name ends in ``TEMP_SUFFIX``)
+    that replaces ``path`` only once every row is written; on any error the
+    temporary is removed and ``path`` is left as it was."""
     if isinstance(tensor, (list, tuple)):
-        rows = [np.asarray(row) for row in tensor]
-        shapes = sorted({row.shape for row in rows})
+        tensor = [np.asarray(row) for row in tensor]
+        shapes = sorted({row.shape for row in tensor})
         if len(shapes) != 1:
             raise ConfigError(f"rows must share one shape, got shapes {shapes}")
-        shape = (len(rows),) + shapes[0]
+        shape = (len(tensor),) + shapes[0]
     else:
-        rows = np.asarray(tensor)
-        shape = rows.shape
-        if rows.ndim == 1:  # a row of scalars is written as one block
-            rows = rows[None]
+        if not hasattr(tensor, "shape"):
+            tensor = np.asarray(tensor)
+        shape = tuple(tensor.shape)
     header = _header(shape)
-    with open(path, "wb") as handle:
-        handle.write(header)
-        for row in rows:
-            handle.write(np.ascontiguousarray(row, dtype="<f4"))
+    if len(shape) == 1:  # a row of scalars is written as one block
+        rows, row_shape, n_rows = [tensor], shape, 1
+    else:
+        rows, row_shape, n_rows = tensor, shape[1:], shape[0]
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.write(header)
+            count = 0
+            for row in rows:
+                row = np.asarray(row)
+                if count == n_rows or row.shape != row_shape:
+                    raise ConfigError(
+                        f"row {count} of shape {row.shape} does not fit a tensor of shape {shape}"
+                    )
+                handle.write(np.ascontiguousarray(row, dtype="<f4"))
+                count += 1
+        if count != n_rows:
+            raise ConfigError(f"{count} rows for a tensor of shape {shape}")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor_file(path) -> np.ndarray:

@@ -28,7 +28,7 @@ from multishot.pipeline import build_story, generate_timeline, render_keyframes,
 from multishot.script import MockLlmClient, expand_story, generate_script_sequence
 from multishot.script import DOMAIN_FIELDS, Story, serialize_story, parse_story
 from multishot.seeds import spawn_rng
-from multishot.smoothing import DenoiseTrace, VideoTimeline
+from multishot.smoothing import DenoiseTrace, VideoTimeline, run_timeline
 from multishot.tensorio import parse_tensor, tensor_bytes
 
 TOY_STORY = "the life of a lighthouse keeper named Edda"
@@ -98,7 +98,7 @@ def test_criterion_3_fifo_structural_invariants():
     story = build_story(TOY_STORY, config)
     keyframes = render_keyframes(story, config)
     trace = DenoiseTrace()
-    timeline = generate_timeline(story, keyframes, config, trace=trace)
+    timeline = run_timeline(generate_timeline(story, keyframes, config, trace=trace))
     elapsed = time.perf_counter() - start
 
     T, k, total = 20, 8, 24
@@ -137,8 +137,8 @@ def test_criterion_5_mode_agreement_at_convergence():
     config = PipelineConfig(sigma0=0.0)
     story = build_story(TOY_STORY, config)
     keyframes = render_keyframes(story, config)
-    fifo = generate_timeline(story, keyframes, config)
-    windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
+    fifo = run_timeline(generate_timeline(story, keyframes, config))
+    windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
     elapsed = time.perf_counter() - start
     worst = max(float(np.abs(a - b).max()) for a, b in zip(fifo.frames, windowed.frames))
     assert worst < 2e-4
@@ -159,7 +159,7 @@ def five_seed_reports():
             config = PipelineConfig(seed=seed, ip_scale=ip_scale)
             story = build_story(TOY_STORY, config)
             keyframes = render_keyframes(story, config)
-            timeline = generate_timeline(story, keyframes, config)
+            timeline = run_timeline(generate_timeline(story, keyframes, config))
             timeline.clips = [[f.astype(np.float32) for f in clip] for clip in timeline.clips]
             reports[(seed, ip_scale)] = build_report(timeline, story, config)
     return reports, time.perf_counter() - start

@@ -18,7 +18,7 @@ from multishot.metrics import (
 )
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.seeds import spawn_rng
-from multishot.smoothing import VideoTimeline
+from multishot.smoothing import VideoTimeline, run_timeline
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -177,7 +177,7 @@ def toy_chain():
 
 def test_clip_score_bounded(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     for domain in ("character", "background", "relations", "camera", "hdr"):
         value = clip_score_mock(timeline.clips[0], story.scripts[0], domain, config)
         assert -1.0 <= value <= 1.0
@@ -216,7 +216,7 @@ def test_report_single_shot_has_null_cross(toy_chain):
     cfg1 = PipelineConfig(n_shots=1, shots_per_avatar=1)
     story1 = build_story(STORY_INPUT, cfg1)
     kfs1 = render_keyframes(story1, cfg1)
-    timeline = generate_timeline(story1, kfs1, cfg1)
+    timeline = run_timeline(generate_timeline(story1, kfs1, cfg1))
     report = build_report(timeline, story1, cfg1)
     assert report.fc_cross is None and report.sc_cross is None
     assert report.fc_within is not None
@@ -225,7 +225,7 @@ def test_report_single_shot_has_null_cross(toy_chain):
 
 def test_report_deterministic_and_complete(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     a = build_report(timeline, story, config)
     b = build_report(timeline, story, config)
     assert a.to_dict() == b.to_dict()
@@ -237,7 +237,7 @@ def test_report_deterministic_and_complete(toy_chain):
 
 def test_report_rejects_mismatched_story(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     other = build_story(STORY_INPUT, PipelineConfig(n_shots=3, shots_per_avatar=2))
     with pytest.raises(ValidationError):
         build_report(timeline, other, config)
@@ -250,7 +250,7 @@ def test_avatar_group_cosine_gap():
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
         keyframes = render_keyframes(story, config)
-        timeline = generate_timeline(story, keyframes, config)
+        timeline = run_timeline(generate_timeline(story, keyframes, config))
         feat = IdentityChannelMean(config.identity_channels)
         features = [feat(f) for f in timeline.frames]
         avatars = [script.avatar_id for script, clip in zip(story.scripts, timeline.clips)

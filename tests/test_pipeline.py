@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import multishot.smoothing as smoothing_module
 from multishot.config import PipelineConfig
 from multishot.errors import StageFailure, StateError
 from multishot.pipeline import (
@@ -12,13 +15,20 @@ from multishot.pipeline import (
     LOCK_FILE,
     MANIFEST_FILE,
     REPORT_FILE,
+    TIMELINE_FILE,
     _sha256,
+    build_story,
     compute_metrics_for_run,
+    generate_timeline,
+    render_keyframes,
     run_lock,
     run_pipeline,
     verify_manifest,
+    write_generation_artifacts,
+    write_manifest,
 )
-from multishot.tensorio import read_tensor_file
+from multishot.smoothing import run_timeline
+from multishot.tensorio import TEMP_SUFFIX, read_tensor_file, tensor_bytes, write_tensor_file
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -76,6 +86,34 @@ def test_manifest_fails_when_an_artifact_is_missing(tmp_path):
     victim = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "victim")
     (victim.run_dir / "timeline.json").unlink()
     assert not verify_manifest(victim.run_dir)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [b"{not json", b"\xff\xfe", b"[]", b"{}", b'{"files": ["frames.vgt"]}'],
+    ids=["invalid-json", "not-utf8", "not-an-object", "no-files", "files-not-an-object"],
+)
+def test_malformed_manifest_does_not_verify(tmp_path, doc):
+    (tmp_path / MANIFEST_FILE).write_bytes(doc)
+    assert not verify_manifest(tmp_path)
+
+
+def test_manifest_entry_outside_the_run_does_not_verify(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an artifact of the run")
+    for name in ("../outside.txt", str(outside)):
+        # the hash matches, but the entry names a file the run does not own
+        (run_dir / MANIFEST_FILE).write_text(json.dumps({"files": {name: _sha256(outside)}}))
+        assert not verify_manifest(run_dir)
+
+
+def test_manifest_never_lists_a_temporary(tmp_path):
+    write_tensor_file(tmp_path / FRAMES_FILE, np.zeros((2, 3)))
+    (tmp_path / f".{FRAMES_FILE}.1a2b3c4d{TEMP_SUFFIX}").write_bytes(b"VGOT")  # a killed write
+    assert write_manifest(tmp_path) == {FRAMES_FILE: _sha256(tmp_path / FRAMES_FILE)}
+    assert verify_manifest(tmp_path)
 
 
 @pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 20) + 5], ids=["empty", "small", "blocks"])
@@ -164,6 +202,69 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
         "generate", "RuntimeError: synthetic generation failure"
     ]
     assert not (out / MANIFEST_FILE).exists()
+    assert not verify_manifest(out)
+
+
+def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
+    # frames.vgt is open while the frames are sampled; a failure part-way
+    # must leave neither a truncated file nor its temporary behind
+    original = smoothing_module.generate_shot_clip
+
+    def fails_on_shot_2(cond, shot, config, seed):
+        if shot == 2:
+            raise RuntimeError("synthetic sampler failure")
+        return original(cond, shot, config, seed)
+
+    monkeypatch.setattr(smoothing_module, "generate_shot_clip", fails_on_shot_2)
+    out = tmp_path / "midstream"
+    with pytest.raises(StageFailure):
+        run_pipeline(STORY_INPUT, PipelineConfig(mode="windowed"), out)
+    assert (out / "failed" / "stage.txt").read_text().splitlines() == [
+        "generate", "RuntimeError: synthetic sampler failure"
+    ]
+    assert not (out / FRAMES_FILE).exists()
+    assert not any(path.name.endswith(TEMP_SUFFIX) for path in out.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "knobs", [dict(mode="fifo-reset", eta=0.4, reset_boundary=2), dict(mode="windowed")],
+    ids=["fifo-reset-eta-L2", "windowed"],
+)
+def test_streamed_frames_equal_the_collected_timeline(tmp_path, knobs):
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=10, seed=5, **knobs)
+    story = build_story(STORY_INPUT, config)
+    write_generation_artifacts(story, config, tmp_path)
+    timeline = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
+    frames = (tmp_path / FRAMES_FILE).read_bytes()
+    assert frames == tensor_bytes(np.stack(timeline.frames))
+    labels = [f["shot"] for f in json.loads((tmp_path / TIMELINE_FILE).read_text())["frames"]]
+    assert labels == [j for j, clip in enumerate(timeline.clips) for _ in clip]
+
+
+def test_generate_stage_never_holds_the_run_frames(tmp_path, monkeypatch):
+    # 8 shots x 16 frames at 16x16x8: 2 MiB of float64 frames, far more
+    # than one shot's clip and the stage's conditions and buffers
+    import multishot.pipeline as pipeline_module
+
+    config = PipelineConfig(n_shots=8, shots_per_avatar=4, frames_per_shot=16, steps=4,
+                            height=16, width=16, channels=8, mode="windowed")
+    story = build_story(STORY_INPUT, config)
+    frames_bytes = 8 * config.n_shots * config.frames_per_shot * int(np.prod(config.latent_shape))
+    original = pipeline_module.generate_timeline
+
+    def generate_from_here(*args, **kwargs):
+        tracemalloc.reset_peak()  # the keyframes stage is over
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "generate_timeline", generate_from_here)
+    tracemalloc.start()
+    try:
+        write_generation_artifacts(story, config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / FRAMES_FILE).stat().st_size == 6 + 16 + frames_bytes // 2
+    assert peak < frames_bytes / 2, f"peak {peak} B against {frames_bytes} B of frames"
 
 
 def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):

@@ -23,6 +23,7 @@ from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import (
     DenoiseTrace,
+    FrameStream,
     build_plan,
     init_queue,
     run_timeline,
@@ -294,15 +295,15 @@ def default_chain():
 
 def test_timeline_counts_and_labels(default_chain):
     config, story, keyframes = default_chain
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     assert len(timeline.frames) == 32
     assert [len(clip) for clip in timeline.clips] == [8] * 4
 
 
 def test_windowed_and_fifo_share_count_contract(default_chain):
     config, story, keyframes = default_chain
-    fifo = generate_timeline(story, keyframes, config)
-    windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
+    fifo = run_timeline(generate_timeline(story, keyframes, config))
+    windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
     assert [len(c) for c in fifo.clips] == [len(c) for c in windowed.clips]
     assert len(fifo.frames) == len(windowed.frames)
 
@@ -313,7 +314,7 @@ def test_modes_give_equal_clip_lengths(n, k, T):
     def clip_lengths(mode):
         config = PipelineConfig(n_shots=n, frames_per_shot=k, steps=T, seed=6, mode=mode)
         story = build_story(STORY_INPUT, config)
-        timeline = generate_timeline(story, render_keyframes(story, config), config)
+        timeline = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
         return [len(clip) for clip in timeline.clips]
 
     assert clip_lengths("fifo-reset") == clip_lengths("windowed") == [k] * n
@@ -321,10 +322,10 @@ def test_modes_give_equal_clip_lengths(n, k, T):
 
 def test_switch_ticks_logged_at_shot_boundaries(default_chain):
     config, story, keyframes = default_chain
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     assert timeline.switch_ticks == {0: 0, 1: 8, 2: 16, 3: 24}
     # with L < k shot j's condition enters at j*k + k - L
-    short = generate_timeline(story, keyframes, config.merged(reset_boundary=5))
+    short = run_timeline(generate_timeline(story, keyframes, config.merged(reset_boundary=5)))
     assert short.switch_ticks == {0: 0, 1: 11, 2: 19, 3: 27}
 
 
@@ -337,9 +338,9 @@ def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
     assert len(noisy_keyframes) == len(keyframes)
     for a, b in zip(keyframes, noisy_keyframes):
         assert np.array_equal(a, b)
-    first = generate_timeline(story, noisy_keyframes, noisy)
-    second = generate_timeline(story, noisy_keyframes, noisy)
-    base = generate_timeline(story, keyframes, config)
+    first = run_timeline(generate_timeline(story, noisy_keyframes, noisy))
+    second = run_timeline(generate_timeline(story, noisy_keyframes, noisy))
+    base = run_timeline(generate_timeline(story, keyframes, config))
     assert len(first.frames) == len(base.frames) == 6
     for a, b, c in zip(first.frames, second.frames, base.frames):
         assert np.array_equal(a, b)
@@ -364,7 +365,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
         keyframes = render_keyframes(story, config)
         plan = build_plan(story, keyframes, config)
         world = config.world()
-        timeline = generate_timeline(story, keyframes, config)
+        timeline = run_timeline(generate_timeline(story, keyframes, config))
         for j in range(config.n_shots):
             mu_id = feat(world.mean_map(plan[j]))
             shot_mean = np.mean([feat(f) for f in timeline.clips[j]], axis=0)
@@ -377,8 +378,8 @@ def test_mode_agreement_at_convergence():
     keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
     world = config.world()
-    fifo = generate_timeline(story, keyframes, config)
-    windowed = generate_timeline(story, keyframes, config.merged(mode="windowed"))
+    fifo = run_timeline(generate_timeline(story, keyframes, config))
+    windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
     # at sigma0=0 both modes land on the shot's latent mean, hence agree
     for timeline in (fifo, windowed):
         for shot, clip in enumerate(timeline.clips):
@@ -421,7 +422,7 @@ def test_frames_match_closed_form_chain(mode, sigma0, boundary):
     story = build_story(STORY_INPUT, config)
     keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
-    timeline = generate_timeline(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
     A, B = _chain_scalars(config.schedule(), sigma0)
     mean_map = config.world().mean_map
     seed, k = derive_seed("timeline", config.seed), config.frames_per_shot
@@ -463,7 +464,7 @@ def test_timeline_evaluates_each_mean_once(small_chain, monkeypatch, mode):
     config, story, keyframes, _ = small_chain
     config = config.merged(mode=mode)
     seen = _count_means(monkeypatch)
-    timeline = run_timeline(story, keyframes, config, seed=3)
+    timeline = run_timeline(FrameStream(build_plan(story, keyframes, config), config, seed=3))
     assert len(timeline.frames) == 6
     # one condition per shot, each evaluated once however many denoiser calls
     assert len(seen) == len({id(c) for c in seen}) == config.n_shots
@@ -483,7 +484,7 @@ def test_memo_leaves_frames_bitwise_equal(monkeypatch, mode, sigma0):
 
     def generate():
         keyframes = render_keyframes(story, config)
-        return keyframes, generate_timeline(story, keyframes, config)
+        return keyframes, run_timeline(generate_timeline(story, keyframes, config))
 
     keyframes, timeline = generate()
     monkeypatch.setattr(PipelineConfig, "world", _memo_free_world)

@@ -94,6 +94,55 @@ def test_rows_of_unequal_shape_rejected(tmp_path):
         write_tensor_file(tmp_path / "empty.vgt", [])
 
 
+class Rows:
+    """Rows pulled one at a time, with the stacked shape known up front."""
+
+    def __init__(self, rows, shape, fail_after=None):
+        self.rows, self.shape, self.fail_after = rows, shape, fail_after
+
+    def __iter__(self):
+        for i, row in enumerate(self.rows):
+            if i == self.fail_after:
+                raise RuntimeError("sampler failed")
+            yield row
+
+
+@pytest.mark.parametrize("shape", SHAPES[1:])
+def test_row_stream_writes_the_stacked_bytes(tmp_path, shape):
+    rng = spawn_rng("tensor-stream", len(shape))
+    rows = [rng.standard_normal(shape[1:]) for _ in range(shape[0])]
+    write_tensor_file(tmp_path / "stream.vgt", Rows(iter(rows), shape))
+    assert (tmp_path / "stream.vgt").read_bytes() == tensor_bytes(np.stack(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [([np.zeros((2, 3))] * 3, "row 2 of shape"),  # one row too many
+     ([np.zeros((2, 3))], "1 rows for a tensor of shape"),  # one row too few
+     ([np.zeros((2, 3)), np.zeros((3, 2))], "row 1 of shape")],
+    ids=["too-many", "too-few", "wrong-shape"],
+)
+def test_row_stream_that_misfits_its_shape_rejected(tmp_path, rows, match):
+    with pytest.raises(ConfigError, match=match):
+        write_tensor_file(tmp_path / "bad.vgt", Rows(rows, (2, 2, 3)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_file_and_no_temporary(tmp_path):
+    path = tmp_path / "frames.vgt"
+    rows = Rows([np.ones((4, 4))] * 3, (3, 4, 4), fail_after=2)
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        write_tensor_file(path, rows)
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite leaves the earlier file as it was
+    write_tensor_file(path, np.zeros((3, 4, 4)))
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        write_tensor_file(path, rows)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 _GOOD = tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
 CORRUPT = {
     "magic": b"VGOX" + _GOOD[4:],
