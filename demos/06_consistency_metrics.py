@@ -18,9 +18,9 @@ def report_for(ip_scale, seed=0):
     config = PipelineConfig(seed=seed, ip_scale=ip_scale)
     story = build_story(USER_INPUT, config)
     keyframes = render_keyframes(story, config)
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
-    timeline.clips = [[f.astype(np.float32) for f in clip] for clip in timeline.clips]
-    return build_report(timeline, story, config)
+    frames = run_timeline(generate_timeline(story, keyframes, config))
+    # score the float32 frames that frames.vgt stores, as `multishot metrics` does
+    return build_report(frames.astype(np.float32), story, config)
 
 
 with_ip = report_for(1.0)

@@ -40,7 +40,7 @@ from .metrics import (
     consistency_scores,
     psnr,
 )
-from .pipeline import RunArtifacts, compute_metrics_for_run, run_pipeline
+from .pipeline import compute_metrics_for_run, run_pipeline
 from .script import (
     AvatarProfile,
     HttpLlmClient,
@@ -58,7 +58,6 @@ from .smoothing import (
     DenoiseTrace,
     FrameStream,
     LatentQueue,
-    VideoTimeline,
     init_queue,
     run_timeline,
     tick,

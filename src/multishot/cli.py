@@ -29,6 +29,7 @@ from .pipeline import (
     STORY_FILE,
     build_story,
     compute_metrics_for_run,
+    read_manifest,
     read_report,
     record_in_manifest,
     render_keyframes,
@@ -182,6 +183,8 @@ def _render_table(report) -> str:
 def _cmd_metrics(args) -> int:
     target = args.report or str(Path(args.run) / REPORT_FILE)
     with run_lock(args.run):
+        # a malformed manifest fails here, before the report is rewritten
+        read_manifest(args.run)
         report = compute_metrics_for_run(args.run, args.report)
         record_in_manifest(args.run, target)
     print(_render_table(report))
@@ -191,10 +194,10 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_run(args) -> int:
     config, extras = _load_config(args)
-    out = args.out or extras.get("out_dir") or "run"
-    artifacts = run_pipeline(args.input, config, out)
-    print(_render_table(read_report(artifacts.report_path)))
-    print(f"run complete: {artifacts.run_dir}")
+    run_dir = Path(args.out or extras.get("out_dir") or "run")
+    run_pipeline(args.input, config, run_dir)
+    print(_render_table(read_report(run_dir / REPORT_FILE)))
+    print(f"run complete: {run_dir}")
     return 0
 
 

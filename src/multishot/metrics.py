@@ -28,7 +28,6 @@ from .config import PAIRINGS, PipelineConfig
 from .errors import ConfigError, InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
 from .seeds import spawn_rng
-from .smoothing import VideoTimeline
 
 PSNR_CAP_DB = 100.0
 
@@ -100,24 +99,25 @@ def _mean_pairwise(features: List[np.ndarray]) -> float:
 
 
 def consistency_scores(
-    timeline: VideoTimeline,
+    clips: np.ndarray,
     extractor: FeatureExtractor,
     pairing: str = "consecutive",
     avatar_ids: Optional[List[str]] = None,
 ) -> Tuple[Optional[float], Optional[float]]:
-    """(within, cross) consistency.
+    """(within, cross) consistency of a clips array, ``clips[j]`` shot j's
+    frames, shaped (n_shots, frames_per_shot, ...).
 
     within: mean over shots of the mean pairwise cosine among that shot's
     frame features (needs a shot with >= 2 frames, else None).
     cross: mean cosine between shot-mean feature vectors over the selected
     pairing (needs >= 2 shots, else None).
     """
-    if not any(timeline.clips):
-        raise InputError("timeline has no frames")
+    if not np.size(clips):
+        raise InputError("clips hold no frames")
     if pairing not in PAIRINGS:
         raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{pairing}'")
 
-    per_shot = [[extractor(f) for f in clip] for clip in timeline.clips]
+    per_shot = [[extractor(f) for f in clip] for clip in clips]
     n_shots = len(per_shot)
 
     within_terms = [_mean_pairwise(feats) for feats in per_shot if len(feats) >= 2]
@@ -196,34 +196,34 @@ class MetricsReport:
         return asdict(self)
 
 
-def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) -> MetricsReport:
-    """Compute every report field; pure, writes nothing."""
-    if not any(timeline.clips):
-        raise InputError("timeline has no frames")
-    n_shots = len(story.scripts)
-    if len(timeline.clips) != n_shots:
-        raise ValidationError(f"timeline has {len(timeline.clips)} shots, story has {n_shots}")
+def build_report(frames: np.ndarray, story: Story, config: PipelineConfig) -> MetricsReport:
+    """Compute every report field from a run's (n_shots * k, h, w, d)
+    frames, shot j at rows j*k .. j*k + k - 1; pure, writes nothing."""
+    n_shots, k = len(story.scripts), config.frames_per_shot
+    if len(frames) != n_shots * k:
+        raise ValidationError(
+            f"{len(frames)} frames for {n_shots} shots of {k}, expected {n_shots * k}"
+        )
+    clips = frames.reshape((n_shots, k) + frames.shape[1:])
     face = IdentityChannelMean(d_id=config.identity_channels)
     style = StyleGram(seed=config.style_seed)
     avatar_ids = [s.avatar_id for s in story.scripts] if config.pairing == "same-avatar" else None
 
     fc_within, fc_cross = consistency_scores(
-        timeline, face, pairing=config.pairing, avatar_ids=avatar_ids
+        clips, face, pairing=config.pairing, avatar_ids=avatar_ids
     )
     sc_within, sc_cross = consistency_scores(
-        timeline, style, pairing=config.pairing, avatar_ids=avatar_ids
+        clips, style, pairing=config.pairing, avatar_ids=avatar_ids
     )
 
-    pair_values = [
-        psnr(clip[i], clip[i + 1]) for clip in timeline.clips for i in range(len(clip) - 1)
-    ]
+    pair_values = [psnr(clip[i], clip[i + 1]) for clip in clips for i in range(k - 1)]
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None
 
     clip_by_domain = {}
     for domain in DOMAIN_FIELDS:
         per_shot = [
             clip_score_mock(clip, script, domain, config)
-            for clip, script in zip(timeline.clips, story.scripts)
+            for clip, script in zip(clips, story.scripts)
         ]
         clip_by_domain[domain] = float(np.mean(per_shot))
 
@@ -234,5 +234,5 @@ def build_report(timeline: VideoTimeline, story: Story, config: PipelineConfig) 
         sc_cross=sc_cross,
         psnr_pairs=psnr_pairs,
         clip_by_domain=clip_by_domain,
-        counts={"shots": n_shots, "frames": len(timeline.frames)},
+        counts={"shots": n_shots, "frames": len(frames)},
     )

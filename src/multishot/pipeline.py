@@ -24,14 +24,13 @@ import contextlib
 import hashlib
 import json
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .casting import derive_avatars, generate_keyframe, render_avatar
-from .config import MODES, PipelineConfig, config_from_json, config_to_json
+from .config import PipelineConfig, config_from_json, config_to_json
 from .errors import ConfigError, ParseError, StageFailure, StateError, ValidationError
 from .metrics import MetricsReport, build_report
 from .script import (
@@ -45,7 +44,7 @@ from .script import (
     serialize_story,
 )
 from .seeds import derive_seed
-from .smoothing import DenoiseTrace, FrameStream, VideoTimeline, build_plan
+from .smoothing import DenoiseTrace, FrameStream, build_plan
 from .tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
 
 STORY_FILE = "story.json"
@@ -57,21 +56,6 @@ MANIFEST_FILE = "manifest.json"
 KEYFRAME_DIR = "keyframes"
 LOCK_FILE = ".lock"
 FAILED_DIR = "failed"
-
-
-@dataclass
-class RunArtifacts:
-    """Paths and content hashes of everything a run produced."""
-
-    run_dir: Path
-    story_path: Path
-    config_path: Path
-    keyframe_paths: List[Path]
-    frames_path: Path
-    timeline_path: Path
-    report_path: Path
-    manifest_path: Path
-    manifest: Dict[str, str] = field(default_factory=dict)
 
 
 def make_llm(config: PipelineConfig):
@@ -115,7 +99,7 @@ def generate_timeline(
 ) -> FrameStream:
     """Generation stage: build the conditioning plan and return the run's
     frames as a stream that samples them, windowed clips or the fifo-reset
-    queue, as it is iterated. ``run_timeline`` collects it in memory."""
+    queue, as it is iterated. ``run_timeline`` collects it into one array."""
     plan = build_plan(story, keyframes, config)
     return FrameStream(plan, config, derive_seed("timeline", config.seed), trace)
 
@@ -138,19 +122,19 @@ def write_timeline_json(path: Path, config: PipelineConfig) -> None:
     _write_json(path, payload)
 
 
-def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
-    """Frames of a run made with ``config``, k per shot; a malformed
-    timeline.json fails with the JSON path of the bad entry. It must list
-    n_shots * frames_per_shot frames, and frame f belongs to shot f // k.
-    frames.vgt must hold that many finite frames of the config's latent
-    shape."""
+def load_timeline(run_dir: Path, config: PipelineConfig) -> np.ndarray:
+    """The float32 (n_shots * k, h, w, d) frames of a run made with
+    ``config``; a malformed timeline.json fails with the JSON path of the
+    bad entry. It must give the config's mode and list n_shots * k frames,
+    frame f belonging to shot f // k. frames.vgt must hold that many finite
+    frames of the config's latent shape."""
     try:
         doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"timeline document is not valid UTF-8 JSON: {exc}") from exc
     mode = require_field(doc, "mode", str, "")
-    if mode not in MODES:
-        raise ValidationError(f"field mode must be one of {MODES}, got '{mode}'")
+    if mode != config.mode:
+        raise ValidationError(f"field mode must be '{config.mode}', got '{mode}'")
     entries = require_field(doc, "frames", list, "")
     k = config.frames_per_shot
     total = config.n_shots * k
@@ -163,19 +147,18 @@ def load_timeline(run_dir: Path, config: PipelineConfig) -> VideoTimeline:
         shot = require_field(entry, "shot", int, path)
         if shot != i // k:
             raise ValidationError(f"field {path}.shot must be {i // k}, got {shot}")
-    stacked = read_tensor_file(run_dir / FRAMES_FILE)
-    if stacked.shape[0] != total:
-        raise ValidationError(f"frames.vgt holds {stacked.shape[0]} frames, timeline lists {total}")
-    if stacked.shape[1:] != config.latent_shape:
+    frames = read_tensor_file(run_dir / FRAMES_FILE)
+    if frames.shape[0] != total:
+        raise ValidationError(f"frames.vgt holds {frames.shape[0]} frames, timeline lists {total}")
+    if frames.shape[1:] != config.latent_shape:
         raise ValidationError(
-            f"frames.vgt holds frames of shape {stacked.shape[1:]}, "
+            f"frames.vgt holds frames of shape {frames.shape[1:]}, "
             f"config.json gives {config.latent_shape}"
         )
-    for f, frame in enumerate(stacked):
+    for f, frame in enumerate(frames):
         if not np.isfinite(frame).all():
             raise ValidationError(f"frames.vgt frame {f} holds non-finite values")
-    clips = [list(stacked[j * k : (j + 1) * k]) for j in range(config.n_shots)]
-    return VideoTimeline(clips=clips, mode=mode)
+    return frames
 
 
 def write_report(path: Path, report: MetricsReport) -> None:
@@ -186,7 +169,7 @@ def read_report(path) -> MetricsReport:
     return MetricsReport(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> List[Path]:
+def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> None:
     """Write keyframe j to shot_{j:04d}.vgt and delete every other
     shot_*.vgt in out_dir, so a rerun into the directory of a larger run
     leaves no keyframe of a shot the story no longer has."""
@@ -196,7 +179,6 @@ def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> List[Path]:
         stale.unlink()
     for keyframe, path in zip(keyframes, paths):
         write_tensor_file(path, keyframe)
-    return paths
 
 
 def _sha256(path: Path) -> str:
@@ -221,18 +203,34 @@ def write_manifest(run_dir: Path) -> Dict[str, str]:
     return entries
 
 
+def read_manifest(run_dir: Path) -> Optional[Dict[str, str]]:
+    """The ``files`` object of run_dir's manifest.json, name to sha256, or
+    None when run_dir has no manifest. A manifest that is not UTF-8 JSON
+    raises ``ParseError``; one that does not map names to digests raises
+    ``ValidationError``."""
+    try:
+        doc = json.loads((Path(run_dir) / MANIFEST_FILE).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{MANIFEST_FILE} is not valid UTF-8 JSON: {exc}") from exc
+    files = doc.get("files") if isinstance(doc, dict) else None
+    if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
+        raise ValidationError(f"{MANIFEST_FILE} must hold a files object of name: sha256 entries")
+    return files
+
+
 def verify_manifest(run_dir: Path) -> bool:
     """True when manifest.json is a valid manifest and every artifact it
     records still exists inside run_dir and matches its hash. False, never
-    an exception, when the manifest is missing, is not JSON with a
-    ``files`` object, or names a file outside run_dir."""
+    an exception, when the manifest is missing, is not one ``read_manifest``
+    accepts, or names a file outside run_dir."""
     run_dir = Path(run_dir)
     try:
-        doc = json.loads((run_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        files = read_manifest(run_dir)
+    except (OSError, ParseError, ValidationError):
         return False
-    files = doc.get("files") if isinstance(doc, dict) else None
-    if not isinstance(files, dict):
+    if files is None:
         return False
     root = run_dir.resolve()
     for name, digest in files.items():
@@ -246,18 +244,18 @@ def record_in_manifest(run_dir: Path, path: Path) -> None:
     """Add or update the hash of one file inside run_dir in its existing
     manifest. Every other entry is kept as recorded: rehashing them all
     would bless an artifact corrupted since the manifest was written. Does
-    nothing when run_dir has no manifest or path lies outside it."""
+    nothing when run_dir has no manifest or path lies outside it, and
+    raises what ``read_manifest`` raises for a malformed one."""
     run_dir = Path(run_dir)
-    manifest_path = run_dir / MANIFEST_FILE
     try:
         name = Path(path).resolve().relative_to(run_dir.resolve()).as_posix()
     except ValueError:
         return
-    if not manifest_path.exists():
+    files = read_manifest(run_dir)
+    if files is None:
         return
-    files = json.loads(manifest_path.read_text(encoding="utf-8"))["files"]
     files[name] = _sha256(run_dir / name)
-    _write_json(manifest_path, {"files": dict(sorted(files.items()))})
+    _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(files.items()))})
 
 
 @contextlib.contextmanager
@@ -295,15 +293,14 @@ def _stage(run_dir: Path, name: str):
 
 def write_generation_artifacts(
     story: Story, config: PipelineConfig, run_dir: Path, user_input: Optional[str] = None
-) -> List[Path]:
-    """Casting plus generation stages with persistence; returns the
-    keyframe paths. Clears the failure marker of an earlier run, which no
-    longer describes the directory."""
+) -> None:
+    """Casting plus generation stages with persistence. Clears the failure
+    marker of an earlier run, which no longer describes the directory."""
     run_dir = Path(run_dir)
     shutil.rmtree(run_dir / FAILED_DIR, ignore_errors=True)
     with _stage(run_dir, "keyframes"):
         keyframes = render_keyframes(story, config)
-        keyframe_paths = write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
+        write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
 
     with _stage(run_dir, "generate"):
         # the writer pulls each frame from the sampler and drops it once it
@@ -311,7 +308,6 @@ def write_generation_artifacts(
         write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
         write_timeline_json(run_dir / TIMELINE_FILE, config)
         (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, user_input))
-    return keyframe_paths
 
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
@@ -321,14 +317,15 @@ def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     run_dir = Path(run_dir)
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())
-    timeline = load_timeline(run_dir, config)
-    report = build_report(timeline, story, config)
+    report = build_report(load_timeline(run_dir, config), story, config)
     write_report(Path(report_path) if report_path else run_dir / REPORT_FILE, report)
     return report
 
 
-def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> RunArtifacts:
-    """The four-stage composition, end to end."""
+def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, str]:
+    """The four-stage composition, end to end; returns the manifest written
+    to out_dir, each artifact's path relative to out_dir mapped to its
+    sha256."""
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
@@ -338,23 +335,9 @@ def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> RunArtifac
             story = build_story(user_input, config)
             (run_dir / STORY_FILE).write_bytes(serialize_story(story))
 
-        keyframe_paths = write_generation_artifacts(
-            story, config, run_dir, user_input=user_input.strip()
-        )
+        write_generation_artifacts(story, config, run_dir, user_input=user_input.strip())
 
         with _stage(run_dir, "metrics"):
             compute_metrics_for_run(run_dir)
 
-        manifest = write_manifest(run_dir)
-
-    return RunArtifacts(
-        run_dir=run_dir,
-        story_path=run_dir / STORY_FILE,
-        config_path=run_dir / CONFIG_FILE,
-        keyframe_paths=keyframe_paths,
-        frames_path=run_dir / FRAMES_FILE,
-        timeline_path=run_dir / TIMELINE_FILE,
-        report_path=run_dir / REPORT_FILE,
-        manifest_path=run_dir / MANIFEST_FILE,
-        manifest=manifest,
-    )
+        return write_manifest(run_dir)

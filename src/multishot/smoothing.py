@@ -29,8 +29,8 @@ Two inference modes share the frame-count contract:
 
 Either mode's frames come out of one FrameStream in global order, each as
 soon as it is finished, so the pipeline writes every frame to disk and
-drops it; run_timeline collects a stream for callers that want the whole
-run in memory.
+drops it; run_timeline collects a stream into the (N*k, h, w, d) array
+that frames.vgt stores, for callers that want the whole run in memory.
 
 With the analytic backend and eta = 0, every frame of either mode is the
 closed form A_T x_T + B_T mu(c) of its own seeded noise and its shot's
@@ -41,7 +41,7 @@ sigma0 = 0 it also makes the two modes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,29 +97,6 @@ class DenoiseTrace:
 
     def for_frame(self, global_frame: int) -> List[TraceRecord]:
         return [r for r in self.records if r.global_frame == global_frame]
-
-
-@dataclass
-class VideoTimeline:
-    """All emitted frames, by shot: ``clips[j]`` holds shot j's frames in
-    order, so global frame f is frame f % k of clip f // k.
-
-    A fifo-reset run also records its schedule. ``emission_ticks[f]`` is
-    the tick that emits frame f (f + T). ``switch_ticks[j]`` is the tick at
-    whose end shot j's condition is enqueued (0 for shot 0, which is in the
-    queue from the start); the queue first denoises it one tick later.
-    Windowed runs leave both None.
-    """
-
-    clips: List[List[np.ndarray]]
-    mode: str
-    emission_ticks: Optional[List[int]] = None
-    switch_ticks: Optional[Dict[int, int]] = None
-
-    @property
-    def frames(self) -> List[np.ndarray]:
-        """Every frame in global order."""
-        return [frame for clip in self.clips for frame in clip]
 
 
 def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
@@ -251,18 +228,11 @@ class FrameStream:
                 yield emitted[1]
 
 
-def run_timeline(frames: FrameStream) -> VideoTimeline:
-    """Collect a stream's N*k frames, k per shot, for callers that want the
-    whole run in memory; a fifo-reset timeline also gets its schedule."""
-    config, n_shots = frames.config, len(frames.plan)
-    k, mode = config.frames_per_shot, config.mode
-    collected = list(frames)
-    clips = [collected[j * k : (j + 1) * k] for j in range(n_shots)]
-    if mode == "windowed":
-        return VideoTimeline(clips=clips, mode=mode)
-    return VideoTimeline(
-        clips=clips,
-        mode=mode,
-        emission_ticks=[f + config.steps for f in range(len(collected))],
-        switch_ticks={0: 0, **{j: j * k + k - config.boundary for j in range(1, n_shots)}},
-    )
+def run_timeline(frames: FrameStream) -> np.ndarray:
+    """Collect a stream into one float64 array of ``frames.shape``, for
+    callers that want the whole run in memory: shot j's frames are rows
+    j*k .. j*k + k - 1."""
+    collected = np.empty(frames.shape)
+    for f, frame in enumerate(frames):
+        collected[f] = frame
+    return collected

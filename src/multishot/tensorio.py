@@ -20,7 +20,6 @@ import os
 import secrets
 import struct
 from pathlib import Path
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -80,32 +79,20 @@ def parse_tensor(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=offset).reshape(shape).copy()
 
 
-def write_tensor_file(path, tensor: Union[np.ndarray, Iterable[np.ndarray]]) -> None:
+def write_tensor_file(path, tensor) -> None:
     """Write ``tensor`` with the bytes of ``tensor_bytes``. It is an array,
-    a list of equal-shape rows that form its axis 0, or an iterable of rows
-    whose ``shape`` attribute gives the full stacked shape, such as a
-    stream that samples each row as it is pulled. Rows are converted to
-    float32 and written one at a time; a row of the wrong shape or a wrong
-    number of rows raises ``ConfigError``.
+    or any iterable of rows whose ``shape`` attribute gives the full
+    stacked shape, such as a stream that samples each row as it is pulled:
+    the header comes from ``tensor.shape``, then each row along axis 0 is
+    converted to float32 and written in turn. A row of the wrong shape or a
+    wrong number of rows raises ``ConfigError``.
 
     The bytes go to a temporary sibling (its name ends in ``TEMP_SUFFIX``)
     that replaces ``path`` only once every row is written; on any error the
     temporary is removed and ``path`` is left as it was."""
-    if isinstance(tensor, (list, tuple)):
-        tensor = [np.asarray(row) for row in tensor]
-        shapes = sorted({row.shape for row in tensor})
-        if len(shapes) != 1:
-            raise ConfigError(f"rows must share one shape, got shapes {shapes}")
-        shape = (len(tensor),) + shapes[0]
-    else:
-        if not hasattr(tensor, "shape"):
-            tensor = np.asarray(tensor)
-        shape = tuple(tensor.shape)
+    shape = tuple(tensor.shape)
     header = _header(shape)
-    if len(shape) == 1:  # a row of scalars is written as one block
-        rows, row_shape, n_rows = [tensor], shape, 1
-    else:
-        rows, row_shape, n_rows = tensor, shape[1:], shape[0]
+    row_shape, n_rows = shape[1:], shape[0]
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
     handle = open(temp, "xb")
@@ -113,7 +100,7 @@ def write_tensor_file(path, tensor: Union[np.ndarray, Iterable[np.ndarray]]) -> 
         with handle:
             handle.write(header)
             count = 0
-            for row in rows:
+            for row in tensor:
                 row = np.asarray(row)
                 if count == n_rows or row.shape != row_shape:
                     raise ConfigError(

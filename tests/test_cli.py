@@ -192,14 +192,17 @@ def _relabel(doc, shots):
         (lambda doc: doc.pop("frames"), "frames"),
         (lambda doc: doc["frames"][3].update(shot="1"), "frames[3].shot"),
         (lambda doc: doc.update(mode="sideways"), "mode"),
+        # the frames come from a fifo-reset queue whatever timeline.json claims
+        (lambda doc: doc.update(mode="windowed"),
+         "field mode must be 'fifo-reset', got 'windowed'"),
         (lambda doc: doc["frames"][2].update(global_frame=5), "frames[2].global_frame"),
         (lambda doc: doc["frames"][0].update(shot=-1), "frames[0].shot"),
         (lambda doc: _relabel(doc, [0, 0, 2, 2, 2, 2]), "frames[2].shot"),
         (lambda doc: _relabel(doc, [0, 1, 0, 1, 2, 2]), "frames[1].shot"),
         (lambda doc: _relabel(doc, [0, 0, 0, 1, 2, 2]), "frames[2].shot"),
     ],
-    ids=["no-frames", "string-shot", "unknown-mode", "skipped-frame", "negative-shot",
-         "skipped-shot", "backward-shot", "uneven-shots"],
+    ids=["no-frames", "string-shot", "unknown-mode", "other-mode", "skipped-frame",
+         "negative-shot", "skipped-shot", "backward-shot", "uneven-shots"],
 )
 def test_metrics_rejects_malformed_timeline(tmp_path, capsys, edit, path):
     out = tmp_path / "run"
@@ -243,6 +246,21 @@ def test_metrics_rejects_frames_the_config_did_not_make(tmp_path, capsys, edit, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc", [b"[]", b"{not json"], ids=["list", "invalid-json"])
+def test_metrics_rejects_a_malformed_manifest_before_writing_the_report(tmp_path, capsys, doc):
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    (out / "manifest.json").write_bytes(doc)
+    (out / "report.json").unlink()
+    capsys.readouterr()
+    assert cli(["metrics", "--run", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest.json ")
+    assert not (out / "report.json").exists()
+    assert (out / "manifest.json").read_bytes() == doc
 
 
 def test_failed_generate_over_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):

@@ -18,7 +18,7 @@ from multishot.metrics import (
 )
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.seeds import spawn_rng
-from multishot.smoothing import VideoTimeline, run_timeline
+from multishot.smoothing import run_timeline
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -32,9 +32,9 @@ class VectorExtractor:
         return np.asarray(frame, dtype=float)
 
 
-def _timeline(features_by_shot):
-    clips = [[np.asarray(f, dtype=float) for f in feats] for feats in features_by_shot]
-    return VideoTimeline(clips=clips, mode="windowed")
+def _clips(features_by_shot):
+    """The (n_shots, k, dim) clips array of one feature vector per frame."""
+    return np.asarray(features_by_shot, dtype=float)
 
 
 # --- cosine -------------------------------------------------------------------
@@ -50,63 +50,65 @@ def test_cosine_zero_vector_rule():
 
 def test_hand_computed_within_case():
     # pairwise cosines of [1,0], [0,1], [1,1]/sqrt(2) are (0, 1/sqrt2, 1/sqrt2)
-    tl = _timeline([[[1, 0], [0, 1], [np.sqrt(0.5), np.sqrt(0.5)]]])
-    within, cross = consistency_scores(tl, VectorExtractor())
+    clips = _clips([[[1, 0], [0, 1], [np.sqrt(0.5), np.sqrt(0.5)]]])
+    within, cross = consistency_scores(clips, VectorExtractor())
     assert within == pytest.approx((0 + np.sqrt(0.5) + np.sqrt(0.5)) / 3, abs=1e-12)
     assert within == pytest.approx(0.4714, abs=1e-3)
     assert cross is None  # single shot
 
 
 def test_identical_frames_score_one():
-    tl = _timeline([[[1, 2], [1, 2]], [[1, 2], [1, 2]]])
-    within, cross = consistency_scores(tl, VectorExtractor())
+    clips = _clips([[[1, 2], [1, 2]], [[1, 2], [1, 2]]])
+    within, cross = consistency_scores(clips, VectorExtractor())
     assert within == pytest.approx(1.0)
     assert cross == pytest.approx(1.0)
 
 
 def test_orthogonal_shots_score_zero_cross():
-    tl = _timeline([[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
-    within, cross = consistency_scores(tl, VectorExtractor())
+    clips = _clips([[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
+    within, cross = consistency_scores(clips, VectorExtractor())
     assert within == pytest.approx(1.0)
     assert cross == pytest.approx(0.0, abs=1e-12)
 
 
 def test_within_invariant_under_frame_permutation():
     feats = [[0.3, 1.0], [1.0, -0.2], [0.5, 0.5], [2.0, 0.1]]
-    base, _ = consistency_scores(_timeline([feats]), VectorExtractor())
+    base, _ = consistency_scores(_clips([feats]), VectorExtractor())
     rng = spawn_rng("perm")
     for _ in range(5):
         shuffled = [feats[i] for i in rng.permutation(4)]
-        within, _ = consistency_scores(_timeline([shuffled]), VectorExtractor())
+        within, _ = consistency_scores(_clips([shuffled]), VectorExtractor())
         assert within == pytest.approx(base, abs=1e-12)
 
 
 def test_single_frame_shots_have_no_within():
-    tl = _timeline([[[1, 0]], [[0, 1]]])
-    within, cross = consistency_scores(tl, VectorExtractor())
+    clips = _clips([[[1, 0]], [[0, 1]]])
+    within, cross = consistency_scores(clips, VectorExtractor())
     assert within is None
     assert cross == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pairing_modes():
-    tl = _timeline([[[1, 0], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [1, 0]]])
-    _, consecutive = consistency_scores(tl, VectorExtractor(), pairing="consecutive")
-    _, all_pairs = consistency_scores(tl, VectorExtractor(), pairing="all-pairs")
+    clips = _clips([[[1, 0], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [1, 0]]])
+    _, consecutive = consistency_scores(clips, VectorExtractor(), pairing="consecutive")
+    _, all_pairs = consistency_scores(clips, VectorExtractor(), pairing="all-pairs")
     assert consecutive == pytest.approx(0.0, abs=1e-12)  # (0 + 0) / 2
     assert all_pairs == pytest.approx(1.0 / 3.0)  # (0 + 1 + 0) / 3
     _, same_avatar = consistency_scores(
-        tl, VectorExtractor(), pairing="same-avatar", avatar_ids=["a", "b", "a"]
+        clips, VectorExtractor(), pairing="same-avatar", avatar_ids=["a", "b", "a"]
     )
     assert same_avatar == pytest.approx(1.0)
     with pytest.raises(ConfigError):
-        consistency_scores(tl, VectorExtractor(), pairing="same-avatar")
+        consistency_scores(clips, VectorExtractor(), pairing="same-avatar")
     with pytest.raises(ConfigError):
-        consistency_scores(tl, VectorExtractor(), pairing="bogus")
+        consistency_scores(clips, VectorExtractor(), pairing="bogus")
 
 
 def test_empty_timeline_rejected():
     with pytest.raises(InputError):
-        consistency_scores(_timeline([]), VectorExtractor())
+        consistency_scores(_clips([]), VectorExtractor())
+    with pytest.raises(InputError):
+        consistency_scores(np.empty((2, 0, 3)), VectorExtractor())
 
 
 # --- psnr -----------------------------------------------------------------------
@@ -177,9 +179,9 @@ def toy_chain():
 
 def test_clip_score_bounded(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
+    frames = run_timeline(generate_timeline(story, keyframes, config))
     for domain in ("character", "background", "relations", "camera", "hdr"):
-        value = clip_score_mock(timeline.clips[0], story.scripts[0], domain, config)
+        value = clip_score_mock(frames[: config.frames_per_shot], story.scripts[0], domain, config)
         assert -1.0 <= value <= 1.0
 
 
@@ -216,8 +218,8 @@ def test_report_single_shot_has_null_cross(toy_chain):
     cfg1 = PipelineConfig(n_shots=1, shots_per_avatar=1)
     story1 = build_story(STORY_INPUT, cfg1)
     kfs1 = render_keyframes(story1, cfg1)
-    timeline = run_timeline(generate_timeline(story1, kfs1, cfg1))
-    report = build_report(timeline, story1, cfg1)
+    frames = run_timeline(generate_timeline(story1, kfs1, cfg1))
+    report = build_report(frames, story1, cfg1)
     assert report.fc_cross is None and report.sc_cross is None
     assert report.fc_within is not None
     assert report.counts == {"shots": 1, "frames": 8}
@@ -225,9 +227,9 @@ def test_report_single_shot_has_null_cross(toy_chain):
 
 def test_report_deterministic_and_complete(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
-    a = build_report(timeline, story, config)
-    b = build_report(timeline, story, config)
+    frames = run_timeline(generate_timeline(story, keyframes, config))
+    a = build_report(frames, story, config)
+    b = build_report(frames, story, config)
     assert a.to_dict() == b.to_dict()
     assert set(a.clip_by_domain) == {"character", "background", "relations", "camera", "hdr"}
     assert a.psnr_pairs is not None
@@ -237,10 +239,20 @@ def test_report_deterministic_and_complete(toy_chain):
 
 def test_report_rejects_mismatched_story(toy_chain):
     config, story, keyframes = toy_chain
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
+    frames = run_timeline(generate_timeline(story, keyframes, config))
     other = build_story(STORY_INPUT, PipelineConfig(n_shots=3, shots_per_avatar=2))
     with pytest.raises(ValidationError):
-        build_report(timeline, other, config)
+        build_report(frames, other, config)
+
+
+@pytest.mark.parametrize("count", [0, 31, 33, 16])
+def test_report_rejects_frame_count_not_n_shots_times_k(toy_chain, count):
+    # 4 shots of k = 8 need 32 frames; 16 would reshape into 4 shots of 4
+    config, story, keyframes = toy_chain
+    frames = run_timeline(generate_timeline(story, keyframes, config))
+    frames = np.concatenate([frames, frames])[:count]
+    with pytest.raises(ValidationError, match=f"{count} frames for 4 shots of 8, expected 32"):
+        build_report(frames, story, config)
 
 
 def test_avatar_group_cosine_gap():
@@ -250,11 +262,11 @@ def test_avatar_group_cosine_gap():
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
         keyframes = render_keyframes(story, config)
-        timeline = run_timeline(generate_timeline(story, keyframes, config))
+        frames = run_timeline(generate_timeline(story, keyframes, config))
         feat = IdentityChannelMean(config.identity_channels)
-        features = [feat(f) for f in timeline.frames]
-        avatars = [script.avatar_id for script, clip in zip(story.scripts, timeline.clips)
-                   for _ in clip]
+        features = [feat(f) for f in frames]
+        avatars = [script.avatar_id for script in story.scripts
+                   for _ in range(config.frames_per_shot)]
         same, diff = [], []
         for i in range(len(features)):
             for j in range(i + 1, len(features)):

@@ -36,19 +36,22 @@ STORY_INPUT = "the life of a lighthouse keeper named Edda"
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    artifacts = run_pipeline(STORY_INPUT, PipelineConfig(), out)
-    return out, artifacts
+    manifest = run_pipeline(STORY_INPUT, PipelineConfig(), out)
+    return out, manifest
 
 
 def test_artifact_kinds_present(default_run):
-    out, artifacts = default_run
+    out, manifest = default_run
     assert (out / "story.json").exists()
     assert (out / "config.json").exists()
     assert (out / FRAMES_FILE).exists()
     assert (out / "timeline.json").exists()
     assert (out / REPORT_FILE).exists()
     assert (out / MANIFEST_FILE).exists()
-    assert len(artifacts.keyframe_paths) == 4
+    assert [name for name in manifest if name.startswith("keyframes/")] == [
+        f"keyframes/shot_{j:04d}.vgt" for j in range(4)
+    ]
+    assert manifest == json.loads((out / MANIFEST_FILE).read_text())["files"]
     assert not (out / LOCK_FILE).exists()
 
 
@@ -63,29 +66,31 @@ def test_frames_tensor_dimensions(default_run):
 
 
 def test_rerun_produces_identical_manifest(default_run, tmp_path):
-    _, artifacts = default_run
+    _, manifest = default_run
     again = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "other_dir")
-    assert again.manifest == artifacts.manifest
+    assert again == manifest
 
 
 def test_different_seed_changes_manifest(default_run, tmp_path):
-    _, artifacts = default_run
+    _, manifest = default_run
     other = run_pipeline(STORY_INPUT, PipelineConfig(seed=1), tmp_path / "seeded")
-    assert other.manifest != artifacts.manifest
+    assert other != manifest
 
 
 def test_manifest_verifies_and_detects_corruption(default_run, tmp_path):
     out, _ = default_run
     assert verify_manifest(out)
-    victim = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "victim")
-    (victim.run_dir / REPORT_FILE).write_text("tampered")
-    assert not verify_manifest(victim.run_dir)
+    victim = tmp_path / "victim"
+    run_pipeline(STORY_INPUT, PipelineConfig(), victim)
+    (victim / REPORT_FILE).write_text("tampered")
+    assert not verify_manifest(victim)
 
 
 def test_manifest_fails_when_an_artifact_is_missing(tmp_path):
-    victim = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "victim")
-    (victim.run_dir / "timeline.json").unlink()
-    assert not verify_manifest(victim.run_dir)
+    victim = tmp_path / "victim"
+    run_pipeline(STORY_INPUT, PipelineConfig(), victim)
+    (victim / "timeline.json").unlink()
+    assert not verify_manifest(victim)
 
 
 @pytest.mark.parametrize(
@@ -234,11 +239,10 @@ def test_streamed_frames_equal_the_collected_timeline(tmp_path, knobs):
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=10, seed=5, **knobs)
     story = build_story(STORY_INPUT, config)
     write_generation_artifacts(story, config, tmp_path)
-    timeline = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
-    frames = (tmp_path / FRAMES_FILE).read_bytes()
-    assert frames == tensor_bytes(np.stack(timeline.frames))
+    frames = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
+    assert (tmp_path / FRAMES_FILE).read_bytes() == tensor_bytes(frames)
     labels = [f["shot"] for f in json.loads((tmp_path / TIMELINE_FILE).read_text())["frames"]]
-    assert labels == [j for j, clip in enumerate(timeline.clips) for _ in clip]
+    assert labels == [f // 4 for f in range(len(frames))]
 
 
 def test_generate_stage_never_holds_the_run_frames(tmp_path, monkeypatch):
@@ -270,21 +274,19 @@ def test_generate_stage_never_holds_the_run_frames(tmp_path, monkeypatch):
 def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):
     out = tmp_path / "shrinking"
     run_pipeline(STORY_INPUT, PipelineConfig(n_shots=4), out)
-    artifacts = run_pipeline(STORY_INPUT, PipelineConfig(n_shots=2), out)
+    manifest = run_pipeline(STORY_INPUT, PipelineConfig(n_shots=2), out)
     assert sorted(p.name for p in (out / "keyframes").iterdir()) == [
         "shot_0000.vgt", "shot_0001.vgt"
     ]
-    assert sorted(name for name in artifacts.manifest if name.startswith("keyframes/")) == [
+    assert sorted(name for name in manifest if name.startswith("keyframes/")) == [
         "keyframes/shot_0000.vgt", "keyframes/shot_0001.vgt"
     ]
     assert verify_manifest(out)
 
 
 def test_windowed_mode_run(tmp_path):
-    artifacts = run_pipeline(
-        STORY_INPUT, PipelineConfig(mode="windowed"), tmp_path / "windowed"
-    )
-    timeline = json.loads(artifacts.timeline_path.read_text())
+    run_pipeline(STORY_INPUT, PipelineConfig(mode="windowed"), tmp_path / "windowed")
+    timeline = json.loads((tmp_path / "windowed" / TIMELINE_FILE).read_text())
     assert timeline["mode"] == "windowed"
     assert [f["shot"] for f in timeline["frames"]] == [j for j in range(4) for _ in range(8)]
 
@@ -293,9 +295,10 @@ def test_run_dir_self_contained_for_metrics(tmp_path):
     # metrics recomputed in a copied directory give the same bytes
     import shutil
 
-    source = run_pipeline(STORY_INPUT, PipelineConfig(seed=9), tmp_path / "src")
+    source = tmp_path / "src"
+    run_pipeline(STORY_INPUT, PipelineConfig(seed=9), source)
     copy_dir = tmp_path / "copy"
-    shutil.copytree(source.run_dir, copy_dir)
+    shutil.copytree(source, copy_dir)
     (copy_dir / REPORT_FILE).unlink()
     compute_metrics_for_run(copy_dir)
-    assert (copy_dir / REPORT_FILE).read_bytes() == source.report_path.read_bytes()
+    assert (copy_dir / REPORT_FILE).read_bytes() == (source / REPORT_FILE).read_bytes()

@@ -295,38 +295,28 @@ def default_chain():
 
 def test_timeline_counts_and_labels(default_chain):
     config, story, keyframes = default_chain
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
-    assert len(timeline.frames) == 32
-    assert [len(clip) for clip in timeline.clips] == [8] * 4
+    stream = generate_timeline(story, keyframes, config)
+    frames = run_timeline(stream)
+    assert frames.shape == stream.shape == (32,) + config.latent_shape
+    assert frames.dtype == np.float64
 
 
 def test_windowed_and_fifo_share_count_contract(default_chain):
     config, story, keyframes = default_chain
     fifo = run_timeline(generate_timeline(story, keyframes, config))
     windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
-    assert [len(c) for c in fifo.clips] == [len(c) for c in windowed.clips]
-    assert len(fifo.frames) == len(windowed.frames)
+    assert fifo.shape == windowed.shape == (32,) + config.latent_shape
 
 
 @pytest.mark.parametrize("n, k, T", [(1, 1, 2), (3, 2, 5), (2, 5, 3)])
 def test_modes_give_equal_clip_lengths(n, k, T):
-    # fifo-reset chunks its emitted frames by k; windowed samples k per shot
-    def clip_lengths(mode):
+    # fifo-reset emits n*k frames one by one; windowed samples k per shot
+    def frame_count(mode):
         config = PipelineConfig(n_shots=n, frames_per_shot=k, steps=T, seed=6, mode=mode)
         story = build_story(STORY_INPUT, config)
-        timeline = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
-        return [len(clip) for clip in timeline.clips]
+        return len(run_timeline(generate_timeline(story, render_keyframes(story, config), config)))
 
-    assert clip_lengths("fifo-reset") == clip_lengths("windowed") == [k] * n
-
-
-def test_switch_ticks_logged_at_shot_boundaries(default_chain):
-    config, story, keyframes = default_chain
-    timeline = run_timeline(generate_timeline(story, keyframes, config))
-    assert timeline.switch_ticks == {0: 0, 1: 8, 2: 16, 3: 24}
-    # with L < k shot j's condition enters at j*k + k - L
-    short = run_timeline(generate_timeline(story, keyframes, config.merged(reset_boundary=5)))
-    assert short.switch_ticks == {0: 0, 1: 11, 2: 19, 3: 27}
+    assert frame_count("fifo-reset") == frame_count("windowed") == n * k
 
 
 def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
@@ -341,8 +331,8 @@ def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
     first = run_timeline(generate_timeline(story, noisy_keyframes, noisy))
     second = run_timeline(generate_timeline(story, noisy_keyframes, noisy))
     base = run_timeline(generate_timeline(story, keyframes, config))
-    assert len(first.frames) == len(base.frames) == 6
-    for a, b, c in zip(first.frames, second.frames, base.frames):
+    assert len(first) == len(base) == 6
+    for a, b, c in zip(first, second, base):
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -365,10 +355,11 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
         keyframes = render_keyframes(story, config)
         plan = build_plan(story, keyframes, config)
         world = config.world()
-        timeline = run_timeline(generate_timeline(story, keyframes, config))
+        frames = run_timeline(generate_timeline(story, keyframes, config))
+        k = config.frames_per_shot
         for j in range(config.n_shots):
             mu_id = feat(world.mean_map(plan[j]))
-            shot_mean = np.mean([feat(f) for f in timeline.clips[j]], axis=0)
+            shot_mean = np.mean([feat(f) for f in frames[j * k : (j + 1) * k]], axis=0)
             assert np.abs(shot_mean - mu_id).max() < 0.1, f"seed {seed}, shot {j}"
 
 
@@ -381,12 +372,10 @@ def test_mode_agreement_at_convergence():
     fifo = run_timeline(generate_timeline(story, keyframes, config))
     windowed = run_timeline(generate_timeline(story, keyframes, config.merged(mode="windowed")))
     # at sigma0=0 both modes land on the shot's latent mean, hence agree
-    for timeline in (fifo, windowed):
-        for shot, clip in enumerate(timeline.clips):
-            for frame in clip:
-                assert np.abs(frame - world.mean_map(plan[shot])).max() < 1e-4
-    for a, b in zip(fifo.frames, windowed.frames):
-        assert np.abs(a - b).max() < 2e-4
+    for frames in (fifo, windowed):
+        for g, frame in enumerate(frames):
+            assert np.abs(frame - world.mean_map(plan[g // config.frames_per_shot])).max() < 1e-4
+    assert np.abs(fifo - windowed).max() < 2e-4
 
 
 def _chain_scalars(schedule, sigma0):
@@ -426,8 +415,8 @@ def test_frames_match_closed_form_chain(mode, sigma0, boundary):
     A, B = _chain_scalars(config.schedule(), sigma0)
     mean_map = config.world().mean_map
     seed, k = derive_seed("timeline", config.seed), config.frames_per_shot
-    assert len(timeline.frames) == 12
-    for g, frame in enumerate(timeline.frames):
+    assert len(timeline) == 12
+    for g, frame in enumerate(timeline):
         shot = g // k
         if mode == "fifo-reset":
             rng = spawn_rng("queue-noise", seed, g)
@@ -465,7 +454,7 @@ def test_timeline_evaluates_each_mean_once(small_chain, monkeypatch, mode):
     config = config.merged(mode=mode)
     seen = _count_means(monkeypatch)
     timeline = run_timeline(FrameStream(build_plan(story, keyframes, config), config, seed=3))
-    assert len(timeline.frames) == 6
+    assert len(timeline) == 6
     # one condition per shot, each evaluated once however many denoiser calls
     assert len(seen) == len({id(c) for c in seen}) == config.n_shots
     assert len({_content(c) for c in seen}) == config.n_shots
@@ -491,9 +480,8 @@ def test_memo_leaves_frames_bitwise_equal(monkeypatch, mode, sigma0):
     plain_keyframes, plain = generate()
     for a, b in zip(keyframes, plain_keyframes):
         assert np.array_equal(a, b)
-    assert len(timeline.frames) == len(plain.frames) == 6
-    for a, b in zip(timeline.frames, plain.frames):
-        assert np.array_equal(a, b)
+    assert len(timeline) == len(plain) == 6
+    assert np.array_equal(timeline, plain)
 
 
 def test_memoised_mean_is_read_only_and_per_world(small_chain, monkeypatch):

@@ -80,18 +80,11 @@ def test_rank_limits():
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_list_of_rows_writes_the_stacked_bytes(tmp_path, shape):
-    rng = spawn_rng("tensor-rows", len(shape))
-    rows = [rng.standard_normal(shape) for _ in range(3)]  # float64, cast on write
-    write_tensor_file(tmp_path / "rows.vgt", rows)
-    assert (tmp_path / "rows.vgt").read_bytes() == tensor_bytes(np.stack(rows))
-
-
-def test_rows_of_unequal_shape_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="one shape"):
-        write_tensor_file(tmp_path / "bad.vgt", [np.zeros((2, 3)), np.zeros((3, 2))])
-    with pytest.raises(ConfigError, match="one shape"):
-        write_tensor_file(tmp_path / "empty.vgt", [])
+def test_array_writes_the_tensor_bytes(tmp_path, shape):
+    # rank 1 included: its rows are scalars, written one at a time
+    tensor = spawn_rng("tensor-rows", len(shape)).standard_normal(shape)  # float64, cast on write
+    write_tensor_file(tmp_path / "array.vgt", tensor)
+    assert (tmp_path / "array.vgt").read_bytes() == tensor_bytes(tensor)
 
 
 class Rows:
@@ -186,7 +179,7 @@ def _traced_peak(fn) -> int:
 
 def test_write_and_read_stream_without_whole_tensor_copies(tmp_path):
     path = tmp_path / "frames.vgt"
-    rows = list(np.ones(FRAMES))  # 32 float64 rows, 16 MiB in all
+    rows = Rows(list(np.ones(FRAMES)), FRAMES)  # 32 float64 rows, 16 MiB in all
     assert _traced_peak(lambda: write_tensor_file(path, rows)) < 1 << 20
     assert path.stat().st_size == 6 + 4 * len(FRAMES) + PAYLOAD
     assert _traced_peak(lambda: read_tensor_file(path)) <= PAYLOAD + (64 << 10)
