@@ -12,7 +12,6 @@ import numpy as np
 
 from multishot.conditioning import Condition, encode_text_mock, get_projector
 from multishot.diffusion import (
-    AnalyticDenoiser,
     GaussianWorld,
     add_noise,
     ddim_step,
@@ -42,13 +41,12 @@ cond = Condition(text=encode_text_mock("a harbor town at first light", 16, 0))
 mu = mean_map(cond)
 
 schedule = make_schedule(50)
-denoiser = AnalyticDenoiser(world)
-samples = sample_reverse(denoiser, [cond] * 500, schedule, range(500), shape)  # 500 chains
+samples = sample_reverse(world, [cond] * 500, schedule, range(500), shape)  # 500 chains
 print("\nreverse sampling, 500 seeds, sigma0=0.5:")
 print("  worst |sample mean - mu(c)| per dim:", np.abs(samples.mean(0) - mu).max().round(4))
 print("  pooled sample std (target 0.5):    ", samples.std(0).mean().round(4))
 
 # with sigma0 = 0 the sampler must land on mu(c) exactly
 sharp = GaussianWorld(sigma0=0.0, mean_map=mean_map)
-[out] = sample_reverse(AnalyticDenoiser(sharp), [cond], schedule, seeds=[123], shape=shape)
+[out] = sample_reverse(sharp, [cond], schedule, seeds=[123], shape=shape)
 print("  sigma0=0 run hits mu(c) to", np.abs(out - mu).max())

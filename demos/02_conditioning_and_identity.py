@@ -9,7 +9,6 @@ import numpy as np
 
 from multishot.conditioning import (
     Condition,
-    Embedding,
     attention,
     compose_condition,
     encode_text_mock,
@@ -32,8 +31,8 @@ print("  (linear in the scale; zero scale = text only)")
 
 # identity channels respond to the image embedding only
 shape = (8, 8, 8)
+# any unit vector can stand in for an image embedding: here, a text one
 face = encode_text_mock("a weathered face with bright eyes", 16, 0)
-face = Embedding(data=face.data, kind="image", source="demo")
 
 
 def mean_for(prompt, ip, scale):

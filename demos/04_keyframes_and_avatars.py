@@ -18,7 +18,7 @@ keyframes = render_keyframes(story, config)
 print(f"{len(story.avatars)} avatars rendered (portrait sampled from the avatar prompt,")
 print(" then encoded to a unit-norm identity embedding):")
 for avatar, identity in zip(story.avatars, render_avatar(story.avatars, config)):
-    head = identity.data[:4].round(3)
+    head = identity[:4].round(3)
     print(f"  {avatar.id}: seed={avatar.seed}, embedding[:4]={head}")
 
 print(f"\n{len(keyframes)} keyframes, one per shot, conditioned on the full")

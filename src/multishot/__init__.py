@@ -13,16 +13,9 @@ interfaces.
 
 from .casting import derive_avatars, encode_image_mock, generate_keyframe, render_avatar
 from .clips import build_shot_condition, generate_shot_clip
-from .conditioning import (
-    Condition,
-    Embedding,
-    attention,
-    compose_condition,
-    encode_text_mock,
-)
+from .conditioning import Condition, attention, compose_condition, encode_text_mock
 from .config import PipelineConfig
 from .diffusion import (
-    AnalyticDenoiser,
     GaussianWorld,
     NoiseSchedule,
     add_noise,

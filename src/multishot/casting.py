@@ -3,11 +3,11 @@
 Avatars are recurring characters proposed from the shot descriptions; each
 shot is assigned exactly one. Rendering an avatar samples a portrait latent
 from its prompt (text-only condition, per-avatar seed) and returns its
-unit-norm image embedding, the identity. A keyframe is the latent sampled
-under the full five-domain script text plus that identity, so keyframes
-sharing an avatar share identity channels up to sampler noise. Both stages
-sample as one batch of chains in lockstep: all portraits together, all
-keyframes together.
+image embedding, a read-only unit vector: the identity. A keyframe is the
+latent sampled under the full five-domain script text plus that identity,
+so keyframes sharing an avatar share identity channels up to sampler
+noise. Both stages sample as one batch of chains in lockstep: all
+portraits together, all keyframes together.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .conditioning import (
-    DEFAULT_EMBED_DIM,
-    Condition,
-    Embedding,
-    encode_text_mock,
-)
+from .conditioning import DEFAULT_EMBED_DIM, Condition, encode_text_mock, unit_vector
 from .config import PipelineConfig
-from .diffusion import AnalyticDenoiser, sample_reverse
+from .diffusion import sample_reverse
 from .errors import InputError, ParseError, ValidationError
 from .script import (
     DOMAIN_FIELDS,
@@ -113,27 +108,18 @@ def derive_avatars(
 
 def encode_image_mock(
     latent: np.ndarray, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0
-) -> Embedding:
-    """Fixed seeded linear map of the latent, normalized to unit length.
-
-    A (near-)zero latent maps to the first basis vector so the degenerate
-    case stays deterministic and NaN-free.
+) -> np.ndarray:
+    """Fixed seeded linear map of the latent, as a read-only unit vector
+    (see :func:`unit_vector`; a zero latent maps to the first basis vector).
     """
     flat = np.asarray(latent, dtype=float).ravel()
     weights = spawn_rng("image-encoder", seed, d_e, flat.size).standard_normal(
         (d_e, flat.size)
     ) / np.sqrt(flat.size)
-    vec = weights @ flat
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        vec = np.zeros(d_e)
-        vec[0] = 1.0
-    else:
-        vec = vec / norm
-    return Embedding(data=vec, kind="image", source=f"latent:{flat.size}")
+    return unit_vector(weights @ flat)
 
 
-def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List[Embedding]:
+def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List[np.ndarray]:
     """Render the avatars' portraits in one batch and return their image
     embeddings, in the order of ``profiles``."""
     d_e, encoder_seed = config.embed_dim, config.encoder_seed
@@ -142,7 +128,7 @@ def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List
         for profile in profiles
     ]
     portraits = sample_reverse(
-        AnalyticDenoiser(config.world()), conds, config.schedule(),
+        config.world(), conds, config.schedule(),
         [profile.seed for profile in profiles], config.latent_shape,
     )
     return [encode_image_mock(portrait, d_e, encoder_seed) for portrait in portraits]
@@ -150,7 +136,7 @@ def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List
 
 def generate_keyframe(
     scripts: List[ShotScript],
-    identities: List[Embedding],
+    identities: List[np.ndarray],
     config: PipelineConfig,
     seeds: List[int],
 ) -> List[np.ndarray]:
@@ -164,7 +150,5 @@ def generate_keyframe(
         )
         for script, identity in zip(scripts, identities, strict=True)
     ]
-    batch = sample_reverse(
-        AnalyticDenoiser(config.world()), conds, config.schedule(), seeds, config.latent_shape
-    )
+    batch = sample_reverse(config.world(), conds, config.schedule(), seeds, config.latent_shape)
     return list(batch)

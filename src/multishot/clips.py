@@ -20,7 +20,7 @@ import numpy as np
 from .casting import encode_image_mock
 from .conditioning import Condition, encode_text_mock
 from .config import PipelineConfig
-from .diffusion import AnalyticDenoiser, sample_reverse
+from .diffusion import sample_reverse
 from .script import ShotDescription
 from .seeds import derive_seed
 
@@ -51,9 +51,8 @@ def generate_shot_clip(
     """Sample the k frames of shot ``shot`` under its condition;
     deterministic given inputs. Each frame is a chain of its own, so only
     one frame's step buffers are alive at a time at large latent shapes."""
-    denoiser = AnalyticDenoiser(config.world())
-    schedule, shape = config.schedule(), config.latent_shape
+    world, schedule, shape = config.world(), config.schedule(), config.latent_shape
     return [
-        sample_reverse(denoiser, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
+        sample_reverse(world, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
         for f in range(config.frames_per_shot)
     ]

@@ -1,5 +1,10 @@
-"""Embedding spaces, mock encoders, cross-attention, and the map from a
-condition to the toy world's latent mean.
+"""Mock encoders, cross-attention, and the map from a condition to the toy
+world's latent mean.
+
+An embedding is a read-only, unit-norm float64 vector; both mock encoders
+(text here, image in casting) normalise through :func:`unit_vector`. A
+:class:`Condition` is the text vector, an optional image vector and the
+image weight. It hashes by identity, so a world can memoise its mean.
 
 The scaled dot-product kernel is the standard Softmax(Q K^T / sqrt(d_k)) V.
 Image conditioning is injected IP-Adapter style: the key/value pair for the
@@ -22,7 +27,6 @@ Everything here is a pure function of its inputs; nothing is learned.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -39,21 +43,14 @@ DEFAULT_IDENTITY_GAIN = 6.0
 DEFAULT_CONTENT_GAIN = 5.0
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """A unit-norm feature vector with provenance."""
-
-    data: np.ndarray
-    kind: str  # "text" | "image"
-    source: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condition:
-    """Everything a denoiser call sees: text, optional image, and a weight."""
+    """Everything a denoiser call sees: the text vector, an optional image
+    vector, and the image weight. Equal and hashed by identity: two
+    conditions built from equal vectors are distinct keys."""
 
-    text: Embedding
-    ip: Optional[Embedding] = None
+    text: np.ndarray
+    ip: Optional[np.ndarray] = None
     ip_scale: float = 0.0
 
     def __post_init__(self):
@@ -63,13 +60,18 @@ class Condition:
             raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit length as a new read-only array; a (near-)zero
+    ``v`` maps to the first basis vector, so the degenerate case stays
+    deterministic and NaN-free."""
     n = np.linalg.norm(v)
     if n < 1e-12:
-        fallback = np.zeros_like(v)
-        fallback[0] = 1.0
-        return fallback
-    return v / n
+        unit = np.zeros_like(v)
+        unit[0] = 1.0
+    else:
+        unit = v / n
+    unit.flags.writeable = False
+    return unit
 
 
 @lru_cache(maxsize=4096)
@@ -80,9 +82,9 @@ def _token_vector(token: str, d_e: int, seed: int) -> np.ndarray:
     return vector
 
 
-def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -> Embedding:
+def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -> np.ndarray:
     """Deterministic text featurizer: hash each token to a seeded Gaussian
-    vector, sum, and normalize.
+    vector, sum, and normalize to a read-only unit vector.
 
     Token-level hashing means texts sharing words get correlated embeddings,
     which is what lets alignment scores downstream prefer a frame's own
@@ -94,8 +96,7 @@ def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -
     total = np.zeros(d_e)
     for token in stripped.split():
         total += _token_vector(token, d_e, seed)
-    digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()[:12]
-    return Embedding(data=_normalized(total), kind="text", source=f"prompt:{digest}")
+    return unit_vector(total)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -181,8 +182,8 @@ class MeanProjector:
         Identity channels (0..d_id-1) depend only on the image embedding and
         ip_scale; the remaining channels depend on the full composed vector.
         """
-        text_toks = split_tokens(cond.text.data, self.n_tokens)
-        ip_toks = None if cond.ip is None else split_tokens(cond.ip.data, self.n_tokens)
+        text_toks = split_tokens(cond.text, self.n_tokens)
+        ip_toks = None if cond.ip is None else split_tokens(cond.ip, self.n_tokens)
         composed = compose_condition(
             self.query,
             (text_toks, text_toks),

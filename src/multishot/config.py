@@ -29,6 +29,16 @@ MODES = ("windowed", "fifo-reset")
 PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
 LLM_BACKENDS = ("mock", "http")
 
+#: Each field annotation's description and the Python types it accepts. A
+#: bool is never a number, and an int given for a float is kept as an int,
+#: so config.json keeps the bytes it was written with.
+FIELD_TYPES = {
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "str": ("a string", (str,)),
+    "Optional[int]": ("null or an integer", (int, type(None))),
+}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -57,6 +67,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            expected, types = FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         positive = (
             "n_shots", "frames_per_shot", "steps", "height", "width", "channels",
             "identity_channels", "embed_dim", "shots_per_avatar",
@@ -130,21 +145,18 @@ class PipelineConfig:
     def world(self) -> GaussianWorld:
         """The Gaussian world, computing each condition's mean once.
 
-        mu(c) is memoised per condition object for this world's lifetime,
-        so every denoiser call of a chain or queue after the first reuses
-        it. A Condition holds ndarrays and cannot be hashed, so the memo is
-        keyed on id(cond) and keeps cond alive so that its id is not
-        reused. The cached means are read-only."""
+        mu(c) is memoised per condition for this world's lifetime, so every
+        denoiser call of a chain or queue after the first reuses it. The
+        cached means are read-only."""
         mean = self.projector().mean
         means = {}
 
         def mean_map(cond):
-            hit = means.get(id(cond))
-            if hit is None:
-                mu = mean(cond)
+            mu = means.get(cond)
+            if mu is None:
+                mu = means[cond] = mean(cond)
                 mu.flags.writeable = False
-                hit = means[id(cond)] = (cond, mu)
-            return hit[1]
+            return mu
 
         return GaussianWorld(sigma0=self.sigma0, mean_map=mean_map)
 
@@ -185,4 +197,7 @@ def config_from_json(data: bytes):
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     extras = {key: doc.pop(key) for key in ("user_input", "out_dir") if key in doc}
+    for key, value in extras.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
     return PipelineConfig.from_dict(doc), extras

@@ -1,5 +1,6 @@
 """Core diffusion mechanics: schedules, forward noising, deterministic
-reverse steps, and the exactly solvable Gaussian denoiser.
+reverse steps, and the exactly solvable Gaussian world, which is its own
+denoiser.
 
 Conventions
 -----------
@@ -29,8 +30,10 @@ closed-form, so the "predicted noise" is exact:
     E[x0 | x_t] = (sqrt(a_t) sigma0^2 x_t + (1 - a_t) mu) / (a_t sigma0^2 + 1 - a_t)
     eps_hat     = (x_t - sqrt(a_t) E[x0 | x_t]) / sqrt(1 - a_t)
 
-This makes the whole sampling pipeline verifiable against hand algebra and
-Monte Carlo, with no trained model anywhere.
+:class:`GaussianWorld` is the reference ``DenoiserBackend``: calling it
+returns :func:`analytic_eps`. This makes the whole sampling pipeline
+verifiable against hand algebra and Monte Carlo, with no trained model
+anywhere.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ScheduleError, ShapeError
 from .seeds import spawn_rng
-
-#: Default latent shape (h, w, d): large enough for identity channels plus
-#: style statistics, small enough for sub-second tests.
-DEFAULT_SHAPE = (8, 8, 8)
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,8 @@ class DenoiserBackend(Protocol):
 
 @dataclass(frozen=True)
 class GaussianWorld:
-    """The toy data distribution x0 ~ N(mean_map(c), sigma0^2 I).
+    """The toy data distribution x0 ~ N(mean_map(c), sigma0^2 I), and the
+    ``DenoiserBackend`` that predicts its noise exactly.
 
     ``mean_map`` must be pure: the same condition always maps to the same
     mean, and callers must not write to the array it returns. That is what
@@ -191,6 +191,9 @@ class GaussianWorld:
     def __post_init__(self):
         if self.sigma0 < 0:
             raise ConfigError(f"prior std must be nonnegative, got {self.sigma0}")
+
+    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
+        return analytic_eps(x_t, t, self, cond, schedule)
 
 
 def analytic_eps(
@@ -222,16 +225,6 @@ def analytic_eps(
     return out
 
 
-@dataclass(frozen=True)
-class AnalyticDenoiser:
-    """DenoiserBackend wrapping :func:`analytic_eps` for a fixed world."""
-
-    world: GaussianWorld
-
-    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
-        return analytic_eps(x_t, t, self.world, cond, schedule)
-
-
 def denoise_row(
     denoiser: DenoiserBackend, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
     out: np.ndarray,
@@ -249,7 +242,7 @@ def sample_reverse(
     conds: Sequence,
     schedule: NoiseSchedule,
     seeds: Sequence[int],
-    shape: tuple = DEFAULT_SHAPE,
+    shape: tuple,
 ) -> np.ndarray:
     """B full reverse chains in lockstep, returned as a (B, *shape) array.
 

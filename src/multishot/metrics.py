@@ -44,8 +44,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class FeatureExtractor(Protocol):
     """Deterministic Frame -> feature vector map."""
 
-    name: str
-
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         ...
 
@@ -55,7 +53,6 @@ class IdentityChannelMean:
     """Toy face features: spatial mean of the identity channels."""
 
     d_id: int = DEFAULT_IDENTITY_CHANNELS
-    name: str = "identity-mean"
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         return np.asarray(frame)[:, :, : self.d_id].mean(axis=(0, 1))
@@ -78,7 +75,6 @@ class StyleGram:
 
     seed: int = 0
     channels: int = 6
-    name: str = "style-gram"
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         frame = np.asarray(frame)
@@ -175,7 +171,7 @@ def clip_score_mock(
         raise InputError("cannot score an empty frame list")
     proj = config.projector()
     text = getattr(script, domain)
-    target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed).data)
+    target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed))
     scores = [cosine(proj.recover_composed(f), target) for f in frames]
     return float(np.mean(scores))
 

@@ -48,13 +48,7 @@ import numpy as np
 from .clips import build_shot_condition, generate_shot_clip
 from .conditioning import Condition
 from .config import PipelineConfig
-from .diffusion import (
-    AnalyticDenoiser,
-    DenoiserBackend,
-    NoiseSchedule,
-    ddim_step,
-    denoise_row,
-)
+from .diffusion import DenoiserBackend, NoiseSchedule, ddim_step, denoise_row
 from .errors import ConfigError, StateError
 from .script import Story
 from .seeds import spawn_rng
@@ -99,17 +93,17 @@ class DenoiseTrace:
         return [r for r in self.records if r.global_frame == global_frame]
 
 
-def shot_for_frame(global_frame: int, k: int, L: int, n_shots: int) -> int:
+def shot_for_frame(global_frame: int, k: int, L: int) -> int:
     """Which shot's condition an entering slot carries.
 
     With L = k (the default) every frame carries its own shot's condition.
     With L < k the switch happens later: the first k - L frames of a shot
     keep the previous shot's condition.
     """
-    base = global_frame // k
-    if L < k and base > 0 and global_frame % k < k - L:
-        base -= 1
-    return min(base, n_shots - 1)
+    shot = global_frame // k
+    if L < k and shot > 0 and global_frame % k < k - L:
+        shot -= 1
+    return shot
 
 
 def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> LatentQueue:
@@ -159,7 +153,7 @@ def tick(
     noise = None if config.eta == 0.0 else np.empty_like(eps)
     for pos, latent in enumerate(queue.latents):
         level, frame = pos + 1, queue.head + pos
-        shot = 0 if frame < 0 else shot_for_frame(frame, k, L, n)
+        shot = 0 if frame < 0 else shot_for_frame(frame, k, L)
         denoise_row(denoiser, latent, level, plan[shot], schedule, out=eps[pos])
         if trace is not None and frame >= 0:
             trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
@@ -220,10 +214,10 @@ class FrameStream:
                 yield from generate_shot_clip(cond, j, config, seed)
             return
         schedule = config.schedule()
-        denoiser = AnalyticDenoiser(config.world())
+        world = config.world()
         queue = init_queue(plan, config, seed)
         for _ in range(self.shape[0] + config.steps - 1):
-            emitted = tick(queue, denoiser, schedule, plan, config, seed, trace=self.trace)
+            emitted = tick(queue, world, schedule, plan, config, seed, trace=self.trace)
             if emitted is not None:
                 yield emitted[1]
 

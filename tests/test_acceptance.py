@@ -16,7 +16,6 @@ from multishot.casting import derive_avatars
 from multishot.conditioning import Condition, attention, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import (
-    AnalyticDenoiser,
     GaussianWorld,
     add_noise,
     ddim_step,
@@ -75,9 +74,8 @@ def test_criterion_2_sampling_fidelity():
     )
     cond = Condition(text=encode_text_mock("a quiet meadow at dawn", 16, config.encoder_seed))
     mu = world.mean_map(cond)
-    denoiser = AnalyticDenoiser(world)
     samples = np.stack(
-        [sample_reverse(denoiser, [cond], schedule, [seed], config.latent_shape)[0]
+        [sample_reverse(world, [cond], schedule, [seed], config.latent_shape)[0]
          for seed in range(2000)]
     )
     elapsed = time.perf_counter() - start

@@ -295,6 +295,26 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc,field",
+    [({"n_shots": "4"}, "n_shots"), ({"eta": "0"}, "eta"), ({"sigma0": None}, "sigma0"),
+     ({"seed": "abc"}, "seed"), ({"n_shots": True}, "n_shots"), ({"n_shots": 2.5}, "n_shots"),
+     ({"steps": 3.0}, "steps"), ({"out_dir": 5}, "out_dir")],
+    ids=["str-int", "str-float", "null-float", "str-seed", "bool-int", "float-int",
+         "integral-float-int", "int-out-dir"],
+)
+def test_wrongly_typed_config_value_exits_one_naming_it(tmp_path, monkeypatch, capsys,
+                                                        doc, field):
+    # no --out, so a config's out_dir is the run directory; nothing may run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    assert cli(["run", "--input", STORY_INPUT, "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_http_without_endpoint_exits_one(tmp_path, capsys):
     code = cli(["script", "--input", STORY_INPUT, "--llm", "http",
                 "--out", str(tmp_path / "s.json")])

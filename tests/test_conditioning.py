@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multishot.casting import encode_image_mock
 from multishot.conditioning import (
     Condition,
+    MeanProjector,
     _token_vector,
     attention,
     compose_condition,
@@ -17,6 +19,7 @@ from multishot.conditioning import (
     get_projector,
     split_tokens,
 )
+from multishot.config import PipelineConfig
 from multishot.errors import ConfigError, InputError, ShapeError
 from multishot.seeds import spawn_rng
 
@@ -27,20 +30,19 @@ from multishot.seeds import spawn_rng
 def test_text_encoder_deterministic():
     a = encode_text_mock("a red kite over the bay", 16, seed=3)
     b = encode_text_mock("a red kite over the bay", 16, seed=3)
-    assert np.array_equal(a.data, b.data)
-    assert a.kind == "text"
+    assert np.array_equal(a, b)
 
 
 def test_text_encoder_unit_norm():
     for prompt in ("one", "two words", "a much longer prompt with many tokens"):
         e = encode_text_mock(prompt, 16, seed=0)
-        assert abs(np.linalg.norm(e.data) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(e) - 1.0) < 1e-9
 
 
 def test_text_encoder_seed_changes_vector():
     a = encode_text_mock("same prompt", 16, seed=0)
     b = encode_text_mock("same prompt", 16, seed=1)
-    assert not np.array_equal(a.data, b.data)
+    assert not np.array_equal(a, b)
 
 
 def test_text_encoder_distinct_prompts_not_aligned():
@@ -53,8 +55,8 @@ def test_text_encoder_distinct_prompts_not_aligned():
         p2 = "".join(rng.choice(letters, 10))
         if p1 == p2:
             continue
-        a = encode_text_mock(p1, 16, seed=0).data
-        b = encode_text_mock(p2, 16, seed=0).data
+        a = encode_text_mock(p1, 16, seed=0)
+        b = encode_text_mock(p2, 16, seed=0)
         worst = max(worst, abs(float(a @ b)))
     assert worst < 0.9
 
@@ -68,8 +70,8 @@ def test_text_encoder_sums_fresh_token_draws(seed):
     for token in prompt.split():
         total += spawn_rng("text-token", seed, 16, token).standard_normal(16)
     expected = total / np.linalg.norm(total)
-    assert np.array_equal(encode_text_mock(prompt, 16, seed).data, expected)
-    assert np.array_equal(encode_text_mock(prompt, 16, seed).data, expected)
+    assert np.array_equal(encode_text_mock(prompt, 16, seed), expected)
+    assert np.array_equal(encode_text_mock(prompt, 16, seed), expected)
     cached = _token_vector("kite", 16, seed)
     assert _token_vector("kite", 16, seed) is cached
     with pytest.raises(ValueError):
@@ -79,6 +81,21 @@ def test_text_encoder_sums_fresh_token_draws(seed):
 def test_text_encoder_rejects_empty():
     with pytest.raises(InputError):
         encode_text_mock("   ", 16, seed=0)
+
+
+def test_encoders_return_read_only_unit_vectors():
+    # an embedding is a bare float64 vector of unit norm that no caller can
+    # write through; the image encoder maps a zero latent to e0
+    text = encode_text_mock("a red kite over the bay", 16, seed=0)
+    image = encode_image_mock(spawn_rng("latent").standard_normal((4, 4, 2)), 16, seed=0)
+    zero = encode_image_mock(np.zeros((4, 4, 2)), 16, seed=0)
+    for vector in (text, image, zero):
+        assert type(vector) is np.ndarray
+        assert vector.dtype == np.float64 and vector.shape == (16,)
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
+    assert np.array_equal(zero, np.eye(16)[0])
 
 
 # --- attention --------------------------------------------------------------
@@ -209,6 +226,34 @@ def test_condition_requires_zero_scale_without_ip():
     Condition(text=text, ip=None, ip_scale=0.0)  # fine
 
 
+def test_condition_hashes_by_identity_and_world_memoises_its_mean(monkeypatch):
+    # one world evaluates a condition's mean once and hands out the same
+    # read-only array; a byte-equal copy is another key with its own entry
+    evaluated = []
+    original = MeanProjector.mean
+
+    def counted(self, cond):
+        evaluated.append(cond)
+        return original(self, cond)
+
+    monkeypatch.setattr(MeanProjector, "mean", counted)
+    config = PipelineConfig(height=4, width=4)
+    text = encode_text_mock("a lantern on the quay", 16, config.encoder_seed)
+    ip = encode_text_mock("the keeper's face", 16, config.encoder_seed)
+    cond = Condition(text=text, ip=ip, ip_scale=1.0)
+    copy = Condition(text=text.copy(), ip=ip.copy(), ip_scale=1.0)
+    assert hash(cond) == hash(cond) and cond == cond and cond != copy
+    assert len({cond, copy, cond}) == 2
+    world = config.world()
+    mu = world.mean_map(cond)
+    assert world.mean_map(cond) is mu
+    assert not mu.flags.writeable
+    copy_mu = world.mean_map(copy)
+    assert copy_mu is not mu and copy_mu.tobytes() == mu.tobytes()
+    assert world.mean_map(copy) is copy_mu
+    assert evaluated == [cond, copy]
+
+
 # --- the projector's mean -----------------------------------------------------
 
 SHAPE = (8, 8, 8)
@@ -218,9 +263,7 @@ def _cond(prompt, ip_prompt=None, scale=1.0, seed=0):
     text = encode_text_mock(prompt, 16, seed)
     if ip_prompt is None:
         return Condition(text=text)
-    ip = encode_text_mock(ip_prompt, 16, seed)
-    ip = type(ip)(data=ip.data, kind="image", source=ip.source)
-    return Condition(text=text, ip=ip, ip_scale=scale)
+    return Condition(text=text, ip=encode_text_mock(ip_prompt, 16, seed), ip_scale=scale)
 
 
 def test_identity_channels_zero_without_ip():
@@ -257,8 +300,8 @@ def test_projector_recovers_composed_from_clean_mean():
     proj = get_projector(3, SHAPE)
     cond = _cond("recoverable", "face", 1.0)
     mu = proj.mean(cond)
-    toks = split_tokens(cond.text.data, 4)
-    ip_toks = split_tokens(cond.ip.data, 4)
+    toks = split_tokens(cond.text, 4)
+    ip_toks = split_tokens(cond.ip, 4)
     composed = compose_condition(proj.query, (toks, toks), (ip_toks, ip_toks), 1.0)
     np.testing.assert_allclose(proj.recover_composed(mu), composed, atol=1e-9)
 

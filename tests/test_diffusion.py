@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import (
-    AnalyticDenoiser,
     GaussianWorld,
     add_noise,
     analytic_eps,
@@ -333,7 +332,7 @@ def test_sample_reverse_collapses_to_mean_when_sigma0_zero():
     mu = spawn_rng("mu").standard_normal((4, 4, 2))
     world = GaussianWorld(sigma0=0.0, mean_map=lambda cond: mu)
     for seed in (0, 7, 123):
-        [out] = sample_reverse(AnalyticDenoiser(world), [None], sched, [seed], shape=mu.shape)
+        [out] = sample_reverse(world, [None], sched, [seed], shape=mu.shape)
         np.testing.assert_allclose(out, mu, atol=1e-6)
 
 
@@ -342,10 +341,10 @@ def test_sample_reverse_deterministic():
     cond = Condition(text=encode_text_mock("north shore at dawn"))
     mu = spawn_rng("mu2").standard_normal((3, 3, 2))
     world = GaussianWorld(sigma0=0.5, mean_map=lambda c: mu)
-    [a] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [42], shape=mu.shape)
-    [b] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [42], shape=mu.shape)
+    [a] = sample_reverse(world, [cond], sched, [42], shape=mu.shape)
+    [b] = sample_reverse(world, [cond], sched, [42], shape=mu.shape)
     assert np.array_equal(a, b)
-    [c] = sample_reverse(AnalyticDenoiser(world), [cond], sched, [43], shape=mu.shape)
+    [c] = sample_reverse(world, [cond], sched, [43], shape=mu.shape)
     assert not np.array_equal(a, c)
 
 
@@ -365,13 +364,13 @@ def test_sample_reverse_batch_rows_equal_single_chains():
              for j in range(3)]
     conds.append(conds[0])  # a condition may repeat within a batch
     seeds = [5, 6, 7, 5]
-    batch = sample_reverse(AnalyticDenoiser(world), conds, sched, seeds, config.latent_shape)
+    batch = sample_reverse(world, conds, sched, seeds, config.latent_shape)
     assert batch.shape == (4,) + config.latent_shape
     for row, cond, seed in zip(batch, conds, seeds):
         expected = _single_chain(world, cond, sched, seed, config.latent_shape)
         assert row.tobytes() == expected.tobytes()
     with pytest.raises(ShapeError):
-        sample_reverse(AnalyticDenoiser(world), conds, sched, seeds[:2], config.latent_shape)
+        sample_reverse(world, conds, sched, seeds[:2], config.latent_shape)
 
 
 def test_gaussian_world_rejects_negative_std():
