@@ -7,8 +7,7 @@ smooths across shot boundaries with a FIFO queue of latents at staggered
 noise levels. Every numeric stage runs against an analytic Gaussian
 denoiser, so the whole pipeline is verifiable by hand algebra and Monte
 Carlo rather than by eyeballing generations; real models plug in through
-the denoiser, text encoder, feature extractor and LLM client adapter
-interfaces.
+the denoiser, feature extractor and LLM client adapter interfaces.
 """
 
 from .casting import derive_avatars, encode_image_mock, generate_keyframe, render_avatar

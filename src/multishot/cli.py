@@ -20,7 +20,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .config import LLM_BACKENDS, MODES, PipelineConfig, config_from_json
+from .config import MODES, PipelineConfig, config_from_json
 from .errors import MultishotError, StageFailure, StateError, TransportError
 from .pipeline import (
     KEYFRAME_DIR,
@@ -47,6 +47,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag matches in full, never by prefix
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise UsageError(message)
 
@@ -55,11 +58,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="multishot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("script", parents=[], help="expand input into a story file")
+    p = sub.add_parser("script", help="expand input into a story file")
     p.add_argument("--input", required=True, help="one-sentence story input")
     p.add_argument("--shots", type=int, default=None, help="number of shots")
-    p.add_argument("--llm", choices=LLM_BACKENDS, default=None)
-    p.add_argument("--llm-endpoint", default=None)
+    p.add_argument("--llm-endpoint", default=None, help="HTTP LLM URL (default: offline mock)")
     p.add_argument("--shots-per-avatar", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="config file (JSON)")
@@ -106,7 +108,6 @@ def _load_config(args) -> tuple:
         frames_per_shot=getattr(args, "frames_per_shot", None),
         mode=getattr(args, "mode", None),
         seed=getattr(args, "seed", None),
-        llm=getattr(args, "llm", None),
         llm_endpoint=getattr(args, "llm_endpoint", None),
         shots_per_avatar=getattr(args, "shots_per_avatar", None),
     )
@@ -154,7 +155,7 @@ def _cmd_generate(args) -> int:
         (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
         (run_dir / REPORT_FILE).unlink(missing_ok=True)
         (run_dir / STORY_FILE).write_bytes(serialize_story(story))
-        write_generation_artifacts(story, config, run_dir, user_input=story.user_input)
+        write_generation_artifacts(story, config, run_dir)
         write_manifest(run_dir)
     print(f"wrote frames and timeline to {run_dir} (mode={config.mode})")
     return 0

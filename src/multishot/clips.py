@@ -3,8 +3,9 @@
 Each shot's clip is k latent frames sampled under a single condition built
 from the SHORT shot description (not the detailed five-domain script; long
 prompts flatten the motion of conditional video models) plus the image
-embedding of the shot's keyframe latent. Frames get independent derived
-seeds so one user-facing seed reproduces the whole clip.
+embedding of the shot's keyframe latent; the text goes through
+encode_text_mock, as every prompt of a run does. Frames get independent
+derived seeds so one user-facing seed reproduces the whole clip.
 
 In windowed mode this module samples the final clips directly; in
 fifo-reset mode it only supplies the per-shot condition and the smoothing
@@ -13,7 +14,7 @@ engine owns the denoising.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -26,15 +27,12 @@ from .seeds import derive_seed
 
 
 def build_shot_condition(
-    short: ShotDescription,
-    keyframe_latent: np.ndarray,
-    config: PipelineConfig,
-    text_encoder: Callable = encode_text_mock,
+    short: ShotDescription, keyframe_latent: np.ndarray, config: PipelineConfig
 ) -> Condition:
     """The single condition a shot's frames are denoised under."""
     d_e, encoder_seed = config.embed_dim, config.encoder_seed
     return Condition(
-        text=text_encoder(short.text, d_e, encoder_seed),
+        text=encode_text_mock(short.text, d_e, encoder_seed),
         ip=encode_image_mock(keyframe_latent, d_e, encoder_seed),
         ip_scale=config.ip_scale,
     )

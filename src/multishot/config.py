@@ -11,6 +11,7 @@ of the primitive that uses it."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -27,7 +28,6 @@ from .seeds import derive_seed
 
 MODES = ("windowed", "fifo-reset")
 PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
-LLM_BACKENDS = ("mock", "http")
 
 #: Each field annotation's description and the Python types it accepts. A
 #: bool is never a number, and an int given for a float is kept as an int,
@@ -42,7 +42,8 @@ FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Behavioral knobs of a run. Field names are the config.json keys."""
+    """Behavioral knobs of a run. Field names are the config.json keys; a
+    non-empty llm_endpoint selects the HTTP LLM client over the mock."""
 
     n_shots: int = 4
     frames_per_shot: int = 8
@@ -60,7 +61,6 @@ class PipelineConfig:
     pairing: str = "consecutive"
     reset_boundary: Optional[int] = None
     seed: int = 0
-    llm: str = "mock"
     llm_endpoint: str = ""
 
     def __post_init__(self):
@@ -72,6 +72,8 @@ class PipelineConfig:
             expected, types = FIELD_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         positive = (
             "n_shots", "frames_per_shot", "steps", "height", "width", "channels",
             "identity_channels", "embed_dim", "shots_per_avatar",
@@ -94,8 +96,6 @@ class PipelineConfig:
                 f"and reset_boundary=frames_per_shot, got eta={self.eta}, "
                 f"reset_boundary={self.reset_boundary}"
             )
-        if self.llm not in LLM_BACKENDS:
-            raise ConfigError(f"llm must be one of {LLM_BACKENDS}, got '{self.llm}'")
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{self.pairing}'")
         if self.identity_channels > self.channels:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .casting import derive_avatars, generate_keyframe, render_avatar
 from .config import PipelineConfig, config_from_json, config_to_json
-from .errors import ConfigError, ParseError, StageFailure, StateError, ValidationError
+from .errors import ParseError, StageFailure, StateError, ValidationError
 from .metrics import MetricsReport, build_report
 from .script import (
     HttpLlmClient,
@@ -59,11 +59,8 @@ FAILED_DIR = "failed"
 
 
 def make_llm(config: PipelineConfig):
-    if config.llm == "mock":
-        return MockLlmClient()
-    if not config.llm_endpoint:
-        raise ConfigError("llm='http' requires llm_endpoint")
-    return HttpLlmClient(config.llm_endpoint)
+    """The HTTP client for config.llm_endpoint when it is set, else the mock."""
+    return HttpLlmClient(config.llm_endpoint) if config.llm_endpoint else MockLlmClient()
 
 
 def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
@@ -73,7 +70,7 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
     avatars, assignment = derive_avatars(
         descriptions, llm, config.shots_per_avatar, seed=config.seed
     )
-    scripts = generate_script_sequence(descriptions, llm, assignment=assignment)
+    scripts = generate_script_sequence(descriptions, llm, assignment)
     return Story(user_input.strip(), descriptions, scripts, avatars)
 
 
@@ -291,11 +288,10 @@ def _stage(run_dir: Path, name: str):
         raise StageFailure(name, exc) from exc
 
 
-def write_generation_artifacts(
-    story: Story, config: PipelineConfig, run_dir: Path, user_input: Optional[str] = None
-) -> None:
-    """Casting plus generation stages with persistence. Clears the failure
-    marker of an earlier run, which no longer describes the directory."""
+def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Path) -> None:
+    """Casting plus generation stages with persistence; config.json records
+    the story's user input. Clears the failure marker of an earlier run,
+    which no longer describes the directory."""
     run_dir = Path(run_dir)
     shutil.rmtree(run_dir / FAILED_DIR, ignore_errors=True)
     with _stage(run_dir, "keyframes"):
@@ -307,7 +303,7 @@ def write_generation_artifacts(
         # is on disk, so no stage holds the run's frames
         write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
         write_timeline_json(run_dir / TIMELINE_FILE, config)
-        (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, user_input))
+        (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, story.user_input))
 
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
@@ -335,7 +331,7 @@ def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, 
             story = build_story(user_input, config)
             (run_dir / STORY_FILE).write_bytes(serialize_story(story))
 
-        write_generation_artifacts(story, config, run_dir, user_input=user_input.strip())
+        write_generation_artifacts(story, config, run_dir)
 
         with _stage(run_dir, "metrics"):
             compute_metrics_for_run(run_dir)

@@ -370,10 +370,10 @@ def generate_shot_script(
     index: int,
     prev: Optional[ShotScript],
     llm: LlmClient,
-    avatar_id: str = "",
+    avatar_id: str,
 ) -> ShotScript:
     """Fill the five domains for shot ``index``, conditioned on the previous
-    script."""
+    script; the shot shows avatar ``avatar_id``."""
     prev_payload = None if prev is None else prev.domains()
     context = json.dumps(
         {"task": "script", "short": s.text, "index": index, "prev": prev_payload}
@@ -385,16 +385,15 @@ def generate_shot_script(
 def generate_script_sequence(
     descriptions: List[ShotDescription],
     llm: LlmClient,
-    assignment: Optional[List[str]] = None,
+    assignment: List[str],
 ) -> List[ShotScript]:
     """Generate all scripts in shot order, each conditioned on its
-    predecessor; script j shows avatar ``assignment[j]`` when given."""
+    predecessor; script j shows avatar ``assignment[j]``."""
     scripts: List[ShotScript] = []
-    for j, s in enumerate(descriptions):
-        avatar_id = assignment[j] if assignment is not None else ""
+    for j, (s, avatar_id) in enumerate(zip(descriptions, assignment, strict=True)):
         prev = scripts[-1] if scripts else None
         try:
-            scripts.append(generate_shot_script(s, j, prev, llm, avatar_id=avatar_id))
+            scripts.append(generate_shot_script(s, j, prev, llm, avatar_id))
         except TransportError as exc:
             raise TransportError(f"script generation aborted at shot {j}: {exc}") from exc
     return scripts

@@ -9,9 +9,9 @@ enqueues fresh unit noise at level T for the next frame. Because each
 entering latent brings fresh noise and its own shot's embeddings, the
 enqueue rule IS the reset boundary.
 
-Row p is always at level p + 1 and frames enter in order, so the queue
-stores nothing but its latents and the frame at its head, and the schedule
-is closed-form. With N shots of k frames, reset boundary L and T steps:
+Row p is always at level p + 1 and frames enter in order, so the queue's
+only state is its latents and the frame at its head, and the schedule is
+closed-form. With N shots of k frames, reset boundary L and T steps:
 
 * frame f enters at the end of tick f and is emitted at tick f + T;
 * shot j >= 1's condition enters at the end of tick j*k + k - L, the first
@@ -58,8 +58,12 @@ from .seeds import spawn_rng
 class LatentQueue:
     """The latents in flight as one (n, h, w, d) array, head first: row p
     is at level p + 1 and holds global frame head + p. Warm-up dummies have
-    negative frames."""
+    negative frames. Every tick reads the plan, config, seed and trace from
+    the stream the queue samples, and the schedule init_queue built once."""
 
+    stream: "FrameStream"
+    denoiser: DenoiserBackend
+    schedule: NoiseSchedule
     latents: np.ndarray
     head: int
     ticks: int = 0
@@ -106,7 +110,7 @@ def shot_for_frame(global_frame: int, k: int, L: int) -> int:
     return shot
 
 
-def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> LatentQueue:
+def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
     """Fill the queue with T latents: warm-up dummies (frames 1 - T .. -1)
     plus the first story frame at the tail.
 
@@ -115,26 +119,19 @@ def init_queue(plan: List[Condition], config: PipelineConfig, seed: int) -> Late
     marginal, sqrt(1 - alpha_bar(t)) * eps. Dummies carry shot 0's
     condition.
     """
-    if not plan:
+    if not stream.plan:
         raise ConfigError("conditioning plan is empty")
+    config = stream.config
     schedule, T = config.schedule(), config.steps
     latents = np.empty((T,) + config.latent_shape)
     for level, row in enumerate(latents, start=1):
-        spawn_rng("queue-noise", seed, level - T).standard_normal(out=row)
+        spawn_rng("queue-noise", stream.seed, level - T).standard_normal(out=row)
         if level < T:
             row *= np.sqrt(1.0 - schedule.alpha_bar(level))
-    return LatentQueue(latents=latents, head=1 - T)
+    return LatentQueue(stream, denoiser, schedule, latents, head=1 - T)
 
 
-def tick(
-    queue: LatentQueue,
-    denoiser: DenoiserBackend,
-    schedule: NoiseSchedule,
-    plan: List[Condition],
-    config: PipelineConfig,
-    seed: int,
-    trace: Optional[DenoiseTrace] = None,
-) -> Optional[Tuple[int, np.ndarray]]:
+def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     """One engine step: denoise every latent once, emit the head, enqueue
     fresh noise.
 
@@ -147,6 +144,8 @@ def tick(
     rows = len(queue.latents)
     if not rows:
         raise StateError("queue is empty")
+    stream, schedule = queue.stream, queue.schedule
+    plan, config, seed, trace = stream.plan, stream.config, stream.seed, stream.trace
     tick_no = queue.ticks + 1
     k, L, n = config.frames_per_shot, config.boundary, len(plan)
     eps = np.empty_like(queue.latents)
@@ -154,7 +153,7 @@ def tick(
     for pos, latent in enumerate(queue.latents):
         level, frame = pos + 1, queue.head + pos
         shot = 0 if frame < 0 else shot_for_frame(frame, k, L)
-        denoise_row(denoiser, latent, level, plan[shot], schedule, out=eps[pos])
+        denoise_row(queue.denoiser, latent, level, plan[shot], schedule, out=eps[pos])
         if trace is not None and frame >= 0:
             trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
                                      condition_shot=shot))
@@ -208,16 +207,14 @@ class FrameStream:
         return (len(self.plan) * self.config.frames_per_shot,) + self.config.latent_shape
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        plan, config, seed = self.plan, self.config, self.seed
+        config = self.config
         if config.mode == "windowed":
-            for j, cond in enumerate(plan):
-                yield from generate_shot_clip(cond, j, config, seed)
+            for j, cond in enumerate(self.plan):
+                yield from generate_shot_clip(cond, j, config, self.seed)
             return
-        schedule = config.schedule()
-        world = config.world()
-        queue = init_queue(plan, config, seed)
+        queue = init_queue(self, config.world())
         for _ in range(self.shape[0] + config.steps - 1):
-            emitted = tick(queue, world, schedule, plan, config, seed, trace=self.trace)
+            emitted = tick(queue)
             if emitted is not None:
                 yield emitted[1]
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from multishot.cli import cli
-from multishot.pipeline import run_lock, verify_manifest
-from multishot.script import parse_story
+from multishot.config import PipelineConfig
+from multishot.pipeline import make_llm, run_lock, verify_manifest
+from multishot.script import HttpLlmClient, MockLlmClient, parse_story
 from multishot.tensorio import read_tensor_file, write_tensor_file
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
@@ -33,8 +34,7 @@ def test_run_writes_all_artifact_kinds(tmp_path, capsys):
 
 def test_script_subcommand_writes_parseable_story(tmp_path):
     target = tmp_path / "story.json"
-    code = cli(["script", "--input", STORY_INPUT, "--shots", "3",
-                "--llm", "mock", "--out", str(target)])
+    code = cli(["script", "--input", STORY_INPUT, "--shots", "3", "--out", str(target)])
     assert code == 0
     story = parse_story(target.read_bytes())
     assert len(story.scripts) == 3
@@ -315,10 +315,51 @@ def test_wrongly_typed_config_value_exits_one_naming_it(tmp_path, monkeypatch, c
     assert not (tmp_path / "run").exists()
 
 
-def test_http_without_endpoint_exits_one(tmp_path, capsys):
-    code = cli(["script", "--input", STORY_INPUT, "--llm", "http",
-                "--out", str(tmp_path / "s.json")])
-    assert code == 1
+def test_llm_endpoint_picks_the_client():
+    # building the HTTP client sends nothing; only complete() posts
+    client = make_llm(PipelineConfig(llm_endpoint="http://llm.invalid/v1/complete"))
+    assert isinstance(client, HttpLlmClient)
+    assert client.endpoint == "http://llm.invalid/v1/complete"
+    client.session.close()
+    assert isinstance(make_llm(PipelineConfig()), MockLlmClient)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["script", "--llm", "mock"], ["script", "--llm", "http"],
+     ["script", "--llm-end", "http://llm.invalid"], ["run", "--frames", "2"]],
+    ids=["removed-llm-mock", "removed-llm-http", "abbreviated-endpoint", "abbreviated-frames"],
+)
+def test_removed_or_abbreviated_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # flags match only in full, so no flag is read as a longer one it begins
+    monkeypatch.chdir(tmp_path)
+    assert cli(argv[:1] + ["--input", STORY_INPUT] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: multishot ")
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [('{"llm": "http"}', "unknown config keys: ['llm']"), ('{"sigma0": NaN}', "sigma0"),
+     ('{"ip_scale": Infinity}', "ip_scale")],
+    ids=["llm-http", "nan-sigma0", "inf-ip-scale"],
+)
+def test_config_error_leaves_a_finished_run_untouched(tmp_path, capsys, doc, field):
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    (tmp_path / "c.json").write_text(doc)
+    capsys.readouterr()
+    assert cli(["run", "--input", STORY_INPUT, "--config", str(tmp_path / "c.json"),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}")
+    assert verify_manifest(out)
+    assert not (out / "failed").exists()
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
 
 
 def test_io_error_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import multishot.clips
 from multishot.clips import build_shot_condition, frame_seed, generate_shot_clip
 from multishot.conditioning import encode_text_mock
 from multishot.config import PipelineConfig
@@ -21,8 +22,8 @@ def chain():
     return config, story, keyframes
 
 
-def _clip(config, story, keyframes, shot=0, k=8, seed=0, **kw):
-    cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config, **kw)
+def _clip(config, story, keyframes, shot=0, k=8, seed=0):
+    cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config)
     return generate_shot_clip(cond, shot, config.merged(frames_per_shot=k), seed)
 
 
@@ -52,7 +53,7 @@ def test_frames_differ_within_clip(chain):
     assert frame_seed(0, 0, 0) != frame_seed(0, 1, 0)
 
 
-def test_text_condition_uses_short_description_not_script(chain):
+def test_text_condition_uses_short_description_not_script(chain, monkeypatch):
     # the recording encoder proves the clip sees s_i, never the five-domain
     # script text
     config, story, keyframes = chain
@@ -62,7 +63,8 @@ def test_text_condition_uses_short_description_not_script(chain):
         seen.append(text)
         return encode_text_mock(text, d_e, seed)
 
-    _clip(config, story, keyframes, shot=2, k=2, text_encoder=recording_encoder)
+    monkeypatch.setattr(multishot.clips, "encode_text_mock", recording_encoder)
+    _clip(config, story, keyframes, shot=2, k=2)
     assert seen == [story.descriptions[2].text]
     assert story.scripts[2].as_text() not in seen
 

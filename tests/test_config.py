@@ -28,12 +28,14 @@ def test_defaults_are_valid():
         {"eta": 1.5},
         {"ip_scale": -0.5},
         {"shots_per_avatar": 0},
-        {"llm": "oracle"},
+        {"sigma0": float("nan")},
         {"pairing": "random"},
         {"reset_boundary": 0},
         {"reset_boundary": 9},
         {"mode": "windowed", "eta": 0.5},
         {"mode": "windowed", "reset_boundary": 4},
+        {"ip_scale": float("inf")},
+        {"sigma0": float("-inf")},
     ],
 )
 def test_invalid_values_rejected(kwargs):
@@ -45,11 +47,13 @@ def test_invalid_values_rejected(kwargs):
     "field,value",
     [("n_shots", "4"), ("n_shots", True), ("n_shots", 2.5), ("steps", 3.0), ("seed", "abc"),
      ("eta", "0"), ("eta", False), ("sigma0", None), ("ip_scale", [1.0]), ("mode", 1),
-     ("llm_endpoint", None), ("reset_boundary", 2.0), ("reset_boundary", "2")],
+     ("llm_endpoint", None), ("reset_boundary", 2.0), ("reset_boundary", "2"),
+     ("eta", float("nan")), ("ip_scale", float("inf")), ("sigma0", float("-inf"))],
 )
 def test_wrongly_typed_values_rejected_naming_the_field(field, value):
-    # a config.json value must have its field's type: bool is not a number
-    # and an integral float is not an integer
+    # a config.json value must have its field's type: bool is not a number,
+    # an integral float is not an integer and a number is finite (json
+    # parses NaN and Infinity)
     with pytest.raises(ConfigError, match=f"^{field} must be "):
         PipelineConfig.from_dict({field: value})
 
@@ -96,6 +100,8 @@ def test_json_rejects_unknown_keys():
         config_from_json(b'{"n_shots": 4, "frames": 9}')
     with pytest.raises(ConfigError):
         config_from_json(b'{"psnr_max": 1.0}')
+    with pytest.raises(ConfigError, match="unknown config keys: \\['llm'\\]"):
+        config_from_json(b'{"llm": "mock"}')  # llm_endpoint alone picks the client
     with pytest.raises(ConfigError):
         config_from_json(b"[1, 2]")
     with pytest.raises(ConfigError):

@@ -101,7 +101,7 @@ def test_expand_wraps_client_failure():
     "call",
     [
         lambda llm: expand_story(STORY_INPUT, 2, llm),
-        lambda llm: generate_shot_script(ShotDescription("a shot"), 0, None, llm),
+        lambda llm: generate_shot_script(ShotDescription("a shot"), 0, None, llm, "avatar_00"),
         lambda llm: derive_avatars([ShotDescription("a shot")], llm, 1),
     ],
     ids=["expand_story", "generate_shot_script", "derive_avatars"],
@@ -149,9 +149,9 @@ def test_parse_domains_missing_section_names_it():
 
 def test_shot_script_deterministic():
     s = ShotDescription("The ferry waits at dawn.")
-    one = generate_shot_script(s, 0, None, MockLlmClient())
-    two = generate_shot_script(s, 0, None, MockLlmClient())
-    assert one == two
+    one = generate_shot_script(s, 0, None, MockLlmClient(), "avatar_00")
+    two = generate_shot_script(s, 0, None, MockLlmClient(), "avatar_00")
+    assert one == two and one.avatar_id == "avatar_00"
     assert all(getattr(one, f) for f in DOMAIN_FIELDS)
 
 
@@ -159,10 +159,11 @@ def test_shot_script_relations_depend_on_prev():
     s0 = ShotDescription("The ferry waits at dawn.")
     s1 = ShotDescription("The ferry departs at noon.")
     mock = MockLlmClient()
-    prev_a = generate_shot_script(s0, 0, None, mock)
-    prev_b = generate_shot_script(ShotDescription("A storm closes the harbor."), 0, None, mock)
-    with_a = generate_shot_script(s1, 1, prev_a, mock)
-    with_b = generate_shot_script(s1, 1, prev_b, mock)
+    prev_a = generate_shot_script(s0, 0, None, mock, "avatar_00")
+    storm = ShotDescription("A storm closes the harbor.")
+    prev_b = generate_shot_script(storm, 0, None, mock, "avatar_00")
+    with_a = generate_shot_script(s1, 1, prev_a, mock, "avatar_00")
+    with_b = generate_shot_script(s1, 1, prev_b, mock, "avatar_00")
     assert with_a.relations != with_b.relations
     for fld in ("character", "background", "camera", "hdr"):
         assert getattr(with_a, fld) == getattr(with_b, fld)
@@ -175,8 +176,12 @@ def _descriptions(n):
     return expand_story(STORY_INPUT, n, MockLlmClient())
 
 
+def _avatar_ids(n):
+    return ["avatar_00"] * n
+
+
 def test_sequence_thirty_shots_five_domains():
-    scripts = generate_script_sequence(_descriptions(30), MockLlmClient())
+    scripts = generate_script_sequence(_descriptions(30), MockLlmClient(), _avatar_ids(30))
     assert len(scripts) == 30
     for script in scripts:
         for fld in DOMAIN_FIELDS:
@@ -185,7 +190,7 @@ def test_sequence_thirty_shots_five_domains():
 
 def test_sequence_is_ordered_and_carries_prev():
     client = RecordingClient()
-    scripts = generate_script_sequence(_descriptions(4), client)
+    scripts = generate_script_sequence(_descriptions(4), client, _avatar_ids(4))
     script_calls = [c for _, c in client.calls if c["task"] == "script"]
     assert [c["index"] for c in script_calls] == [0, 1, 2, 3]
     assert script_calls[0]["prev"] is None
@@ -195,8 +200,8 @@ def test_sequence_is_ordered_and_carries_prev():
 
 
 def test_sequence_idempotent():
-    a = generate_script_sequence(_descriptions(5), MockLlmClient())
-    b = generate_script_sequence(_descriptions(5), MockLlmClient())
+    a = generate_script_sequence(_descriptions(5), MockLlmClient(), _avatar_ids(5))
+    b = generate_script_sequence(_descriptions(5), MockLlmClient(), _avatar_ids(5))
     assert a == b
 
 
@@ -205,7 +210,7 @@ def test_sequence_aborts_with_failing_index():
     good = mock._script("x", 0, None)
     client = ScriptedClient([good, good, RuntimeError("boom"), good])
     with pytest.raises(TransportError, match="shot 2"):
-        generate_script_sequence(_descriptions(4), client)
+        generate_script_sequence(_descriptions(4), client, _avatar_ids(4))
 
 
 # --- story file round trip ---------------------------------------------------

@@ -59,7 +59,7 @@ def test_shot_for_frame_short_boundary_switches_late():
 
 def test_init_queue_structure(small_chain):
     config, _, _, plan = small_chain
-    queue = init_queue(plan, config, seed=0)
+    queue = init_queue(FrameStream(plan, config, 0), config.world())
     assert len(queue.latents) == 4
     assert queue.head == -3
     assert queue.emitted == 0
@@ -68,7 +68,7 @@ def test_init_queue_structure(small_chain):
 def test_init_queue_noise_scaling(small_chain):
     config, _, _, plan = small_chain
     schedule = config.schedule()
-    queue = init_queue(plan, config, seed=9)
+    queue = init_queue(FrameStream(plan, config, 9), config.world())
     # level T slots are unit noise; warm-up slots are scaled to their level
     tail = queue.latents[-1]
     expected_tail = spawn_rng("queue-noise", 9, 0).standard_normal(config.latent_shape)
@@ -83,19 +83,37 @@ def test_init_queue_noise_scaling(small_chain):
 def test_init_queue_rejects_bad_inputs(small_chain):
     config, _, _, plan = small_chain
     with pytest.raises(ConfigError):
-        init_queue([], config, 0)
+        init_queue(FrameStream([], config, 0), config.world())
+
+
+def test_queue_reads_its_stream_and_builds_the_schedule_once(small_chain, monkeypatch):
+    # the queue is bound to the stream it samples: tick takes nothing that
+    # could disagree with the stream's plan, config or seed, and the
+    # schedule is built once for all the ticks
+    config, _, _, plan = small_chain
+    stream, world = FrameStream(plan, config, 5), config.world()
+    built = []
+    schedule = PipelineConfig.schedule
+    monkeypatch.setattr(PipelineConfig, "schedule", lambda self: built.append(self) or schedule(self))
+    queue = init_queue(stream, world)
+    assert queue.stream is stream and queue.denoiser is world
+    frames = []
+    while len(queue.latents):
+        result = tick(queue)
+        if result is not None:
+            frames.append(result[1])
+    assert built == [config] and queue.ticks == 6 + config.steps - 1
+    assert np.array_equal(np.stack(frames), run_timeline(stream))
 
 
 # --- tick ----------------------------------------------------------------------
 
 
 def _drive(config, plan, trace=None):
-    schedule = config.schedule()
-    world = config.world()
-    queue = init_queue(plan, config, seed=0)
+    queue = init_queue(FrameStream(plan, config, 0, trace), config.world())
     emitted = []
     while queue.emitted < config.n_shots * config.frames_per_shot:
-        result = tick(queue, world, schedule, plan, config, seed=0, trace=trace)
+        result = tick(queue)
         if result is not None:
             emitted.append(result)
     return emitted, queue
@@ -132,11 +150,9 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
     # fresh-noise reset: the entering latent is the seeded construction,
     # never derived from queue contents
     config, _, _, plan = small_chain
-    schedule = config.schedule()
-    world = config.world()
-    queue = init_queue(plan, config, seed=0)
+    queue = init_queue(FrameStream(plan, config, 0), config.world())
     for expected_gf in range(1, 6):
-        tick(queue, world, schedule, plan, config, seed=0)
+        tick(queue)
         assert queue.head + len(queue.latents) - 1 == expected_gf
         assert len(queue.latents) == config.steps
         expected = spawn_rng("queue-noise", 0, expected_gf).standard_normal(
@@ -147,12 +163,10 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
 
 def test_queue_drains_after_plan_exhausted(small_chain):
     config, _, _, plan = small_chain
-    schedule = config.schedule()
-    world = config.world()
-    queue = init_queue(plan, config, seed=0)
+    queue = init_queue(FrameStream(plan, config, 0), config.world())
     sizes = []
     while queue.emitted < 6:
-        tick(queue, world, schedule, plan, config, seed=0)
+        tick(queue)
         sizes.append(len(queue.latents))
     # enqueues stop at the last planned frame, then the queue shrinks to zero
     assert sizes[-1] == 0 and sizes[-2] == 1
@@ -168,11 +182,11 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
     config = config.merged(eta=eta)
     schedule, world = config.schedule(), config.world()
     k, n = config.frames_per_shot, config.n_shots
-    queue = init_queue(plan, config, seed=0)
+    queue = init_queue(FrameStream(plan, config, 0), world)
     emitted = []
     while queue.emitted < n * k:
         before, head, tick_no = queue.latents.copy(), queue.head, queue.ticks + 1
-        result = tick(queue, world, schedule, plan, config, seed=0)
+        result = tick(queue)
         expected = []
         for pos, latent in enumerate(before):
             frame = head + pos
@@ -204,10 +218,9 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
     def plain(x_t, t, cond, schedule):
         return analytic_eps(x_t, t, world, cond, schedule)
 
-    queues = [init_queue(plan, config, seed=0) for _ in range(2)]
+    queues = [init_queue(FrameStream(plan, config, 0), d) for d in (plain, world)]
     while queues[0].emitted < config.n_shots * config.frames_per_shot:
-        a, b = (tick(q, d, schedule, plan, config, seed=0)
-                for q, d in zip(queues, (plain, world)))
+        a, b = (tick(q) for q in queues)
         assert (a is None) == (b is None)
         if a is not None:
             assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
@@ -220,18 +233,17 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
         return plain(x_t, t, cond, schedule)[..., :1]
 
     with pytest.raises(ShapeError):
-        tick(init_queue(plan, config, seed=0), flat, schedule, plan, config, seed=0)
+        tick(init_queue(FrameStream(plan, config, 0), flat))
     with pytest.raises(ShapeError):
         sample_reverse(flat, plan, schedule, seeds, shape)
 
 
 def test_tick_on_empty_queue_raises(small_chain):
     config, _, _, plan = small_chain
-    from multishot.smoothing import LatentQueue
-
+    _, queue = _drive(config, plan)
+    assert len(queue.latents) == 0
     with pytest.raises(StateError):
-        tick(LatentQueue(latents=[], head=0), config.world(),
-             config.schedule(), plan, config, seed=0)
+        tick(queue)
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,13 +264,11 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
         Condition(text=encode_text_mock(f"shot {j}", config.embed_dim, config.encoder_seed))
         for j in range(n)
     ]
-    schedule = config.schedule()
-    world = config.world()
-    queue = init_queue(plan, config, seed=0)
     trace = DenoiseTrace()
+    queue = init_queue(FrameStream(plan, config, 0, trace), config.world())
     emitted = []
     while queue.emitted < n * k and queue.ticks < n * k + T + 4:
-        result = tick(queue, world, schedule, plan, config, seed=0, trace=trace)
+        result = tick(queue)
         if result is not None:
             emitted.append(result[0])
             # frame f leaves on tick f + T
