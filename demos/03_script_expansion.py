@@ -7,6 +7,7 @@ Run: python3 demos/03_script_expansion.py
 """
 
 from multishot.casting import derive_avatars
+from multishot.config import PipelineConfig
 from multishot.script import (
     DOMAIN_FIELDS,
     MockLlmClient,
@@ -25,7 +26,7 @@ print(f"input: {USER_INPUT!r} -> {len(descriptions)} short shot descriptions\n")
 for j, d in enumerate(descriptions):
     print(f"  s{j}: {d.text}")
 
-avatars, assignment = derive_avatars(descriptions, llm, shots_per_avatar=3)
+avatars, assignment = derive_avatars(descriptions, llm, PipelineConfig(shots_per_avatar=3))
 print(f"\n{len(avatars)} recurring avatars, shots assigned {assignment}")
 
 scripts = generate_script_sequence(descriptions, llm, assignment)

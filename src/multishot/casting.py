@@ -31,7 +31,7 @@ from .script import (
     call_llm,
     require_field,
 )
-from .seeds import derive_seed, spawn_rng
+from .seeds import spawn_rng
 
 
 _AVATARS_INSTRUCTION = (
@@ -43,12 +43,10 @@ _AVATARS_INSTRUCTION = (
 
 
 def derive_avatars(
-    descriptions: List[ShotDescription],
-    llm: LlmClient,
-    shots_per_avatar: int,
-    seed: int = 0,
+    descriptions: List[ShotDescription], llm: LlmClient, config: PipelineConfig
 ) -> Tuple[List[AvatarProfile], List[str]]:
-    """Propose avatars and a total per-shot assignment.
+    """Propose avatars and a total per-shot assignment; avatar ``id``
+    renders from ``config.avatar_seed(id)``.
 
     The mock client implements the grouping rule (ceil(N / shots_per_avatar)
     avatars, shot i -> avatar i // shots_per_avatar); any client's completion
@@ -56,13 +54,11 @@ def derive_avatars(
     """
     if not descriptions:
         raise InputError("cannot derive avatars from an empty story")
-    if shots_per_avatar < 1:
-        raise InputError(f"shots_per_avatar must be >= 1, got {shots_per_avatar}")
     context = json.dumps(
         {
             "task": "avatars",
             "descriptions": [d.text for d in descriptions],
-            "shots_per_avatar": shots_per_avatar,
+            "shots_per_avatar": config.shots_per_avatar,
         }
     )
     completion = call_llm(llm, _AVATARS_INSTRUCTION, context, "while proposing avatars")
@@ -83,11 +79,7 @@ def derive_avatars(
             raise ParseError(f"{path} has empty fields: {empty}")
         aid = fields.pop("id")
         avatars.append(
-            AvatarProfile(
-                id=aid,
-                prompt=DomainPrompt(**fields),
-                seed=derive_seed("avatar-render", seed, aid) % (2**31),
-            )
+            AvatarProfile(id=aid, prompt=DomainPrompt(**fields), seed=config.avatar_seed(aid))
         )
     ids = [a.id for a in avatars]
     if len(set(ids)) != len(ids):
@@ -135,13 +127,11 @@ def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List
 
 
 def generate_keyframe(
-    scripts: List[ShotScript],
-    identities: List[np.ndarray],
-    config: PipelineConfig,
-    seeds: List[int],
+    scripts: List[ShotScript], identities: List[np.ndarray], config: PipelineConfig
 ) -> List[np.ndarray]:
-    """Sample keyframe b under scripts[b]'s full five-domain text plus
-    identities[b], from seeds[b]; all keyframes in one batch."""
+    """Sample keyframe b, shot b's, under scripts[b]'s full five-domain
+    text plus identities[b], from ``config.keyframe_seed(b)``; all
+    keyframes in one batch."""
     conds = [
         Condition(
             text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
@@ -150,5 +140,6 @@ def generate_keyframe(
         )
         for script, identity in zip(scripts, identities, strict=True)
     ]
+    seeds = [config.keyframe_seed(b) for b in range(len(conds))]
     batch = sample_reverse(config.world(), conds, config.schedule(), seeds, config.latent_shape)
     return list(batch)

@@ -4,13 +4,14 @@ Subcommands mirror the pipeline stages:
 
     script     expand a one-sentence input into a story file
     keyframes  render per-shot keyframe tensors from a story file
-    generate   produce frames + timeline (and a manifest) from a story file
+    generate   produce keyframes and frames (and a manifest) from a story file
     metrics    score a run directory and write report.json
     run        everything end to end
 
 Exit codes: 0 success, 1 validation/config error, 2 I/O or transport error.
 Flag precedence: CLI flag > config file > built-in default; the effective
-config is always persisted next to the artifacts it produced.
+config is always persisted next to the artifacts it produced, and
+`metrics` scores a run from its story, config and frames alone.
 """
 
 from __future__ import annotations

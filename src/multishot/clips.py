@@ -43,13 +43,13 @@ def frame_seed(seed: int, shot_index: int, frame: int) -> int:
     return derive_seed("frame-noise", seed, shot_index, frame)
 
 
-def generate_shot_clip(
-    cond: Condition, shot: int, config: PipelineConfig, seed: int
-) -> List[np.ndarray]:
-    """Sample the k frames of shot ``shot`` under its condition;
-    deterministic given inputs. Each frame is a chain of its own, so only
-    one frame's step buffers are alive at a time at large latent shapes."""
+def generate_shot_clip(cond: Condition, shot: int, config: PipelineConfig) -> List[np.ndarray]:
+    """Sample the k frames of shot ``shot`` under its condition, frame f
+    from ``frame_seed(config.timeline_seed, shot, f)``. Each frame is a
+    chain of its own, so only one frame's step buffers are alive at a time
+    at large latent shapes."""
     world, schedule, shape = config.world(), config.schedule(), config.latent_shape
+    seed = config.timeline_seed
     return [
         sample_reverse(world, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
         for f in range(config.frames_per_shot)

@@ -29,6 +29,18 @@ from .seeds import derive_seed
 MODES = ("windowed", "fifo-reset")
 PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
 
+#: The largest sigma0 and ip_scale, so every float of a run stays finite.
+#: mu(c) is linear in ip_scale (identity_gain * ip_scale on the identity
+#: channels, content_gain * (1 + ip_scale) on the rest), and a frame is
+#: about mu + min(sigma0, 1 / sqrt(alpha_bar(T))) * z for unit noise z, so
+#: an element is at most a few thousand times 1 + ip_scale + sigma0 at any
+#: latent and embedding size. The metrics square the float32 identity
+#: features, which overflow past 1.8e19, and analytic_eps forms
+#: sigma0**2 * x_t in float64, which overflows past 1.8e308. At 1e6 a frame
+#: element stays below about 1e10, its square times any identity-channel
+#: count below 1e30, and sigma0**2 * x_t below 1e22.
+SCALE_LIMIT = 1e6
+
 #: Each field annotation's description and the Python types it accepts. A
 #: bool is never a number, and an int given for a float is kept as an int,
 #: so config.json keeps the bytes it was written with.
@@ -102,10 +114,11 @@ class PipelineConfig:
             raise ConfigError("identity_channels cannot exceed channels")
         if self.embed_dim % DEFAULT_TOKENS != 0:
             raise ConfigError(f"embed_dim must be divisible by {DEFAULT_TOKENS} tokens")
-        if self.sigma0 < 0:
-            raise ConfigError(f"sigma0 must be nonnegative, got {self.sigma0}")
-        if self.ip_scale < 0:
-            raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
+        for name in ("sigma0", "ip_scale"):
+            if not 0 <= getattr(self, name) <= SCALE_LIMIT:
+                raise ConfigError(
+                    f"{name} must lie in [0, {SCALE_LIMIT:g}], got {getattr(self, name)}"
+                )
 
     # -- derived pieces -----------------------------------------------------
 
@@ -130,6 +143,18 @@ class PipelineConfig:
     @property
     def style_seed(self) -> int:
         return derive_seed("style", self.seed)
+
+    @property
+    def timeline_seed(self) -> int:
+        """Root of the frame noise: the fifo-reset queue's and each windowed
+        frame's (see ``clips.frame_seed``)."""
+        return derive_seed("timeline", self.seed)
+
+    def keyframe_seed(self, shot: int) -> int:
+        return derive_seed("keyframe", self.seed, shot)
+
+    def avatar_seed(self, avatar_id: str) -> int:
+        return derive_seed("avatar-render", self.seed, avatar_id) % (2**31)
 
     def schedule(self) -> NoiseSchedule:
         return make_schedule(self.steps)
@@ -180,8 +205,9 @@ class PipelineConfig:
 
 
 def config_to_json(config: PipelineConfig, user_input: Optional[str] = None) -> bytes:
-    """Canonical config document; user_input is included when known so a
-    run can be reproduced from config.json alone."""
+    """Canonical config document; user_input is included when known, as a
+    record of the story input. It is not an input: ``multishot run``
+    requires ``--input`` and ignores a config file's user_input."""
     doc = {} if user_input is None else {"user_input": user_input}
     doc.update(config.to_dict())
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")

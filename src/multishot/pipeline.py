@@ -12,10 +12,13 @@ leaves a self-contained directory behind:
     manifest.json   sha256 of every artifact above
 
 Runs are deterministic: equal (user_input, config) produce byte-identical
-artifacts, so manifests can be compared across machines and reruns. The
-metrics stage always recomputes from the persisted float32 frames, which is
-why deleting report.json and rerunning only the metrics stage reproduces it
-byte-identically.
+artifacts, so manifests can be compared across machines and reruns. Every
+seed of a run derives from the config's root seed, through the config.
+The metrics stage recomputes from story.json, config.json and the
+persisted float32 frames alone, which is why deleting report.json and
+rerunning only the metrics stage reproduces it byte-identically.
+timeline.json restates what config.json gives (frame f belongs to shot
+f // k) and nothing reads it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from .script import (
     expand_story,
     generate_script_sequence,
     parse_story,
-    require_field,
     serialize_story,
 )
-from .seeds import derive_seed
 from .smoothing import DenoiseTrace, FrameStream, build_plan
 from .tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
 
@@ -67,9 +68,7 @@ def build_story(user_input: str, config: PipelineConfig, llm=None) -> Story:
     """Script stage: expansion, avatar roster, five-domain scripts."""
     llm = llm or make_llm(config)
     descriptions = expand_story(user_input, config.n_shots, llm)
-    avatars, assignment = derive_avatars(
-        descriptions, llm, config.shots_per_avatar, seed=config.seed
-    )
+    avatars, assignment = derive_avatars(descriptions, llm, config)
     scripts = generate_script_sequence(descriptions, llm, assignment)
     return Story(user_input.strip(), descriptions, scripts, avatars)
 
@@ -81,10 +80,7 @@ def render_keyframes(story: Story, config: PipelineConfig) -> List[np.ndarray]:
         zip([avatar.id for avatar in story.avatars], render_avatar(story.avatars, config))
     )
     return generate_keyframe(
-        story.scripts,
-        [identities[script.avatar_id] for script in story.scripts],
-        config,
-        [derive_seed("keyframe", config.seed, j) for j in range(len(story.scripts))],
+        story.scripts, [identities[script.avatar_id] for script in story.scripts], config
     )
 
 
@@ -98,7 +94,7 @@ def generate_timeline(
     frames as a stream that samples them, windowed clips or the fifo-reset
     queue, as it is iterated. ``run_timeline`` collects it into one array."""
     plan = build_plan(story, keyframes, config)
-    return FrameStream(plan, config, derive_seed("timeline", config.seed), trace)
+    return FrameStream(plan, config, trace)
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +106,9 @@ def _write_json(path: Path, payload) -> None:
 
 
 def write_timeline_json(path: Path, config: PipelineConfig) -> None:
-    """The mode and each of the config's n_shots * k frames, labelled shot f // k."""
+    """The mode and each of the config's n_shots * k frames, labelled shot
+    f // k. Nothing reads the file back; it is written because the
+    benchmark's reference digests include its bytes."""
     k = config.frames_per_shot
     payload = {
         "mode": config.mode,
@@ -121,32 +119,14 @@ def write_timeline_json(path: Path, config: PipelineConfig) -> None:
 
 def load_timeline(run_dir: Path, config: PipelineConfig) -> np.ndarray:
     """The float32 (n_shots * k, h, w, d) frames of a run made with
-    ``config``; a malformed timeline.json fails with the JSON path of the
-    bad entry. It must give the config's mode and list n_shots * k frames,
-    frame f belonging to shot f // k. frames.vgt must hold that many finite
-    frames of the config's latent shape."""
-    try:
-        doc = json.loads((run_dir / TIMELINE_FILE).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"timeline document is not valid UTF-8 JSON: {exc}") from exc
-    mode = require_field(doc, "mode", str, "")
-    if mode != config.mode:
-        raise ValidationError(f"field mode must be '{config.mode}', got '{mode}'")
-    entries = require_field(doc, "frames", list, "")
-    k = config.frames_per_shot
-    total = config.n_shots * k
-    if len(entries) != total:
-        raise ValidationError(f"field frames must list {total} frames, got {len(entries)}")
-    for i, entry in enumerate(entries):
-        path = f"frames[{i}]"
-        if require_field(entry, "global_frame", int, path) != i:
-            raise ValidationError(f"field {path}.global_frame must equal its position {i}")
-        shot = require_field(entry, "shot", int, path)
-        if shot != i // k:
-            raise ValidationError(f"field {path}.shot must be {i // k}, got {shot}")
+    ``config``: frames.vgt must hold that many finite frames of the
+    config's latent shape."""
     frames = read_tensor_file(run_dir / FRAMES_FILE)
+    total = config.n_shots * config.frames_per_shot
     if frames.shape[0] != total:
-        raise ValidationError(f"frames.vgt holds {frames.shape[0]} frames, timeline lists {total}")
+        raise ValidationError(
+            f"frames.vgt holds {frames.shape[0]} frames, config.json gives {total}"
+        )
     if frames.shape[1:] != config.latent_shape:
         raise ValidationError(
             f"frames.vgt holds frames of shape {frames.shape[1:]}, "
@@ -308,8 +288,7 @@ def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Pa
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     """Metrics stage, standalone: recompute the report purely from the
-    persisted artifacts (frames.vgt + timeline.json + story.json +
-    config.json)."""
+    persisted artifacts (frames.vgt + story.json + config.json)."""
     run_dir = Path(run_dir)
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())

@@ -58,8 +58,8 @@ from .seeds import spawn_rng
 class LatentQueue:
     """The latents in flight as one (n, h, w, d) array, head first: row p
     is at level p + 1 and holds global frame head + p. Warm-up dummies have
-    negative frames. Every tick reads the plan, config, seed and trace from
-    the stream the queue samples, and the schedule init_queue built once."""
+    negative frames. Every tick reads the plan, config and trace from the
+    stream the queue samples, and the schedule init_queue built once."""
 
     stream: "FrameStream"
     denoiser: DenoiserBackend
@@ -125,7 +125,7 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
     schedule, T = config.schedule(), config.steps
     latents = np.empty((T,) + config.latent_shape)
     for level, row in enumerate(latents, start=1):
-        spawn_rng("queue-noise", stream.seed, level - T).standard_normal(out=row)
+        spawn_rng("queue-noise", config.timeline_seed, level - T).standard_normal(out=row)
         if level < T:
             row *= np.sqrt(1.0 - schedule.alpha_bar(level))
     return LatentQueue(stream, denoiser, schedule, latents, head=1 - T)
@@ -145,7 +145,8 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     if not rows:
         raise StateError("queue is empty")
     stream, schedule = queue.stream, queue.schedule
-    plan, config, seed, trace = stream.plan, stream.config, stream.seed, stream.trace
+    plan, config, trace = stream.plan, stream.config, stream.trace
+    seed = config.timeline_seed
     tick_no = queue.ticks + 1
     k, L, n = config.frames_per_shot, config.boundary, len(plan)
     eps = np.empty_like(queue.latents)
@@ -199,7 +200,6 @@ class FrameStream:
 
     plan: List[Condition]
     config: PipelineConfig
-    seed: int
     trace: Optional[DenoiseTrace] = None
 
     @property
@@ -210,7 +210,7 @@ class FrameStream:
         config = self.config
         if config.mode == "windowed":
             for j, cond in enumerate(self.plan):
-                yield from generate_shot_clip(cond, j, config, self.seed)
+                yield from generate_shot_clip(cond, j, config)
             return
         queue = init_queue(self, config.world())
         for _ in range(self.shape[0] + config.steps - 1):

@@ -8,8 +8,7 @@ Layout, all little-endian:
     then         rank x uint32 dims
     then         row-major float32 payload
 
-Round-trips are bitwise for float32 arrays. ``tensor_bytes`` and
-``parse_tensor`` are the in-memory codec; the file functions stream, so a
+Round-trips are bitwise for float32 arrays. Both functions stream, so a
 tensor crosses the disk boundary without a whole-tensor copy, and a write
 either completes or leaves the target untouched.
 """
@@ -67,23 +66,11 @@ def _parse_header(head: bytes, size: int) -> tuple:
     return shape, dims_end
 
 
-def tensor_bytes(tensor: np.ndarray) -> bytes:
-    """Serialize to the wire format (converting to float32 if needed)."""
-    arr = np.asarray(tensor, dtype="<f4")
-    return _header(arr.shape) + arr.tobytes()
-
-
-def parse_tensor(data: bytes) -> np.ndarray:
-    """Inverse of :func:`tensor_bytes`; validates magic, version, length."""
-    shape, offset = _parse_header(data[:MAX_HEADER], len(data))
-    return np.frombuffer(data, dtype="<f4", offset=offset).reshape(shape).copy()
-
-
 def write_tensor_file(path, tensor) -> None:
-    """Write ``tensor`` with the bytes of ``tensor_bytes``. It is an array,
-    or any iterable of rows whose ``shape`` attribute gives the full
-    stacked shape, such as a stream that samples each row as it is pulled:
-    the header comes from ``tensor.shape``, then each row along axis 0 is
+    """Write ``tensor`` in the layout above. It is an array, or any
+    iterable of rows whose ``shape`` attribute gives the full stacked
+    shape, such as a stream that samples each row as it is pulled: the
+    header comes from ``tensor.shape``, then each row along axis 0 is
     converted to float32 and written in turn. A row of the wrong shape or a
     wrong number of rows raises ``ConfigError``.
 
@@ -117,9 +104,10 @@ def write_tensor_file(path, tensor) -> None:
 
 
 def read_tensor_file(path) -> np.ndarray:
-    """Read a file written by :func:`write_tensor_file`, raising what
-    :func:`parse_tensor` raises for its bytes; the payload is read straight
-    into the returned float32 array."""
+    """Read a file written by :func:`write_tensor_file`. A bad magic,
+    version or rank raises ``FormatError``; a file too short for its header
+    or payload, or longer than its payload, raises ``LengthError``. The
+    payload is read straight into the returned float32 array."""
     with open(path, "rb") as handle:
         shape, offset = _parse_header(handle.read(MAX_HEADER), os.fstat(handle.fileno()).st_size)
         out = np.empty(shape, dtype="<f4")

@@ -28,7 +28,7 @@ from multishot.script import MockLlmClient, expand_story, generate_script_sequen
 from multishot.script import DOMAIN_FIELDS, Story, serialize_story, parse_story
 from multishot.seeds import spawn_rng
 from multishot.smoothing import DenoiseTrace, run_timeline
-from multishot.tensorio import parse_tensor, tensor_bytes
+from multishot.tensorio import read_tensor_file, write_tensor_file
 
 TOY_STORY = "the life of a lighthouse keeper named Edda"
 
@@ -231,7 +231,7 @@ def test_criterion_9_script_module():
 
     client = RecordingClient()
     descriptions = expand_story(TOY_STORY, 30, client)
-    avatars, assignment = derive_avatars(descriptions, client, 6)
+    avatars, assignment = derive_avatars(descriptions, client, PipelineConfig(shots_per_avatar=6))
     scripts = generate_script_sequence(descriptions, client, assignment)
     story = Story(TOY_STORY, descriptions, scripts, avatars)
 
@@ -258,6 +258,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     for i in range(100):
         shape = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 5))))
         tensor = rng.standard_normal(shape).astype(np.float32)
-        assert np.array_equal(parse_tensor(tensor_bytes(tensor)), tensor)
+        write_tensor_file(tmp_path / "tensor.vgt", tensor)
+        assert np.array_equal(read_tensor_file(tmp_path / "tensor.vgt"), tensor)
     _report_pass(10, f"two runs, identical manifests over {len(a)} artifacts; "
                      "100 tensor round trips bitwise")

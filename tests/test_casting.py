@@ -14,7 +14,7 @@ from multishot.casting import (
 from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import analytic_eps, ddim_step
-from multishot.errors import InputError, ParseError, ValidationError
+from multishot.errors import ConfigError, InputError, ParseError, ValidationError
 from multishot.metrics import IdentityChannelMean, cosine
 from multishot.pipeline import build_story, render_keyframes
 from multishot.script import MockLlmClient, expand_story
@@ -27,29 +27,33 @@ def _descriptions(n):
     return expand_story(STORY_INPUT, n, MockLlmClient())
 
 
+def _per_avatar(shots):
+    return PipelineConfig(shots_per_avatar=shots)
+
+
 # --- derive_avatars ----------------------------------------------------------
 
 
 def test_thirty_shots_six_per_avatar_gives_five():
-    avatars, assignment = derive_avatars(_descriptions(30), MockLlmClient(), 6)
+    avatars, assignment = derive_avatars(_descriptions(30), MockLlmClient(), _per_avatar(6))
     assert len(avatars) == 5
     assert assignment == [f"avatar_{i // 6:02d}" for i in range(30)]
 
 
 def test_floor_division_assignment():
-    avatars, assignment = derive_avatars(_descriptions(4), MockLlmClient(), 2)
+    avatars, assignment = derive_avatars(_descriptions(4), MockLlmClient(), _per_avatar(2))
     assert [a.id for a in avatars] == ["avatar_00", "avatar_01"]
     assert assignment == ["avatar_00", "avatar_00", "avatar_01", "avatar_01"]
 
 
 def test_one_avatar_per_shot():
-    avatars, assignment = derive_avatars(_descriptions(3), MockLlmClient(), 1)
+    avatars, assignment = derive_avatars(_descriptions(3), MockLlmClient(), _per_avatar(1))
     assert len(avatars) == 3
     assert len(set(assignment)) == 3
 
 
 def test_avatar_prompts_fully_populated_and_seeded():
-    avatars, _ = derive_avatars(_descriptions(4), MockLlmClient(), 2)
+    avatars, _ = derive_avatars(_descriptions(4), MockLlmClient(), _per_avatar(2))
     seeds = {a.seed for a in avatars}
     assert len(seeds) == 2
     for a in avatars:
@@ -58,9 +62,9 @@ def test_avatar_prompts_fully_populated_and_seeded():
 
 def test_derive_avatars_input_errors():
     with pytest.raises(InputError):
-        derive_avatars([], MockLlmClient(), 2)
-    with pytest.raises(InputError):
-        derive_avatars(_descriptions(2), MockLlmClient(), 0)
+        derive_avatars([], MockLlmClient(), _per_avatar(2))
+    with pytest.raises(ConfigError, match="shots_per_avatar"):  # before any LLM call
+        derive_avatars(_descriptions(2), MockLlmClient(), _per_avatar(0))
 
 
 class CannedClient:
@@ -85,13 +89,13 @@ def _avatar_payload(assignment):
 def test_assignment_gap_is_validation_error():
     client = CannedClient(_avatar_payload(["avatar_00"]))  # story has 2 shots
     with pytest.raises(ValidationError):
-        derive_avatars(_descriptions(2), client, 2)
+        derive_avatars(_descriptions(2), client, _per_avatar(2))
 
 
 def test_unknown_assignment_id_rejected():
     client = CannedClient(_avatar_payload(["avatar_00", "avatar_99"]))
     with pytest.raises(ValidationError):
-        derive_avatars(_descriptions(2), client, 2)
+        derive_avatars(_descriptions(2), client, _per_avatar(2))
 
 
 def _avatar(**fields):
@@ -116,7 +120,7 @@ def _avatar(**fields):
 )
 def test_malformed_completion_is_parse_error(completion, path):
     with pytest.raises(ParseError, match=path):
-        derive_avatars(_descriptions(2), CannedClient(completion), 2)
+        derive_avatars(_descriptions(2), CannedClient(completion), _per_avatar(2))
 
 
 # --- encode_image_mock -------------------------------------------------------
@@ -175,16 +179,16 @@ def test_keyframe_ip_scale_zero_ignores_avatar(toy_setup):
     config, story = toy_setup
     [av0] = render_avatar([story.avatars[0]], config)
     [av1] = render_avatar([story.avatars[1]], config)
-    [kf_a] = generate_keyframe([story.scripts[0]], [av0], config.merged(ip_scale=0.0), [7])
-    [kf_b] = generate_keyframe([story.scripts[0]], [av1], config.merged(ip_scale=0.0), [7])
+    [kf_a] = generate_keyframe([story.scripts[0]], [av0], config.merged(ip_scale=0.0, seed=7))
+    [kf_b] = generate_keyframe([story.scripts[0]], [av1], config.merged(ip_scale=0.0, seed=7))
     assert np.array_equal(kf_a, kf_b)
 
 
 def test_keyframe_deterministic(toy_setup):
     config, story = toy_setup
     [identity] = render_avatar([story.avatars[0]], config)
-    [kf1] = generate_keyframe([story.scripts[0]], [identity], config, [5])
-    [kf2] = generate_keyframe([story.scripts[0]], [identity], config, [5])
+    [kf1] = generate_keyframe([story.scripts[0]], [identity], config.merged(seed=5))
+    [kf2] = generate_keyframe([story.scripts[0]], [identity], config.merged(seed=5))
     assert np.array_equal(kf1, kf2)
 
 
@@ -250,8 +254,8 @@ def test_avatar_group_dispersion_ratio():
 
 
 def test_assignment_total_and_stable():
-    one = derive_avatars(_descriptions(7), MockLlmClient(), 3)
-    two = derive_avatars(_descriptions(7), MockLlmClient(), 3)
+    one = derive_avatars(_descriptions(7), MockLlmClient(), _per_avatar(3))
+    two = derive_avatars(_descriptions(7), MockLlmClient(), _per_avatar(3))
     assert one[1] == two[1]
     assert len(one[1]) == 7
     assert set(one[1]) == {a.id for a in one[0]}

@@ -24,7 +24,7 @@ def chain():
 
 def _clip(config, story, keyframes, shot=0, k=8, seed=0):
     cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config)
-    return generate_shot_clip(cond, shot, config.merged(frames_per_shot=k), seed)
+    return generate_shot_clip(cond, shot, config.merged(frames_per_shot=k, seed=seed))
 
 
 def test_frame_count_contract(chain):

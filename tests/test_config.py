@@ -36,6 +36,10 @@ def test_defaults_are_valid():
         {"mode": "windowed", "reset_boundary": 4},
         {"ip_scale": float("inf")},
         {"sigma0": float("-inf")},
+        # finite, but a run's floats would overflow
+        {"sigma0": 1e308},
+        {"ip_scale": 1e308},
+        {"ip_scale": 1e20},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multishot.smoothing as smoothing_module
-from multishot.config import PipelineConfig
+from multishot.config import MODES, SCALE_LIMIT, PipelineConfig
 from multishot.errors import StageFailure, StateError
 from multishot.pipeline import (
     FRAMES_FILE,
@@ -20,6 +25,7 @@ from multishot.pipeline import (
     build_story,
     compute_metrics_for_run,
     generate_timeline,
+    load_timeline,
     render_keyframes,
     run_lock,
     run_pipeline,
@@ -28,7 +34,7 @@ from multishot.pipeline import (
     write_manifest,
 )
 from multishot.smoothing import run_timeline
-from multishot.tensorio import TEMP_SUFFIX, read_tensor_file, tensor_bytes, write_tensor_file
+from multishot.tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
 
@@ -215,10 +221,10 @@ def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
     # must leave neither a truncated file nor its temporary behind
     original = smoothing_module.generate_shot_clip
 
-    def fails_on_shot_2(cond, shot, config, seed):
+    def fails_on_shot_2(cond, shot, config):
         if shot == 2:
             raise RuntimeError("synthetic sampler failure")
-        return original(cond, shot, config, seed)
+        return original(cond, shot, config)
 
     monkeypatch.setattr(smoothing_module, "generate_shot_clip", fails_on_shot_2)
     out = tmp_path / "midstream"
@@ -240,7 +246,8 @@ def test_streamed_frames_equal_the_collected_timeline(tmp_path, knobs):
     story = build_story(STORY_INPUT, config)
     write_generation_artifacts(story, config, tmp_path)
     frames = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
-    assert (tmp_path / FRAMES_FILE).read_bytes() == tensor_bytes(frames)
+    write_tensor_file(tmp_path / "collected.vgt", frames)
+    assert (tmp_path / FRAMES_FILE).read_bytes() == (tmp_path / "collected.vgt").read_bytes()
     labels = [f["shot"] for f in json.loads((tmp_path / TIMELINE_FILE).read_text())["frames"]]
     assert labels == [f // 4 for f in range(len(frames))]
 
@@ -302,3 +309,29 @@ def test_run_dir_self_contained_for_metrics(tmp_path):
     (copy_dir / REPORT_FILE).unlink()
     compute_metrics_for_run(copy_dir)
     assert (copy_dir / REPORT_FILE).read_bytes() == (source / REPORT_FILE).read_bytes()
+
+
+def _finite_report(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_report(v) for v in value.values())
+    return value is None or math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sigma0=st.floats(min_value=0.0, max_value=SCALE_LIMIT),
+    ip_scale=st.floats(min_value=0.0, max_value=SCALE_LIMIT),
+    steps=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from(MODES),
+)
+def test_every_validated_scale_gives_finite_frames_and_report(sigma0, ip_scale, steps, mode):
+    # any sigma0 and ip_scale validate accepts runs to the end with finite
+    # frames and a finite report; warnings are errors, so no float overflows
+    config = PipelineConfig(n_shots=2, frames_per_shot=2, steps=steps, mode=mode, height=2,
+                            width=2, channels=4, identity_channels=2, sigma0=sigma0,
+                            ip_scale=ip_scale)
+    with tempfile.TemporaryDirectory() as out:
+        run_pipeline(STORY_INPUT, config, out)
+        assert np.isfinite(load_timeline(Path(out), config)).all()
+        report = json.loads((Path(out) / REPORT_FILE).read_text())
+    assert _finite_report(report)

@@ -25,6 +25,7 @@ from multishot.script import (
     serialize_story,
 )
 from multishot.casting import derive_avatars
+from multishot.config import PipelineConfig
 
 STORY_INPUT = "a story of a classic seaside town and its ferryman"
 
@@ -102,7 +103,7 @@ def test_expand_wraps_client_failure():
     [
         lambda llm: expand_story(STORY_INPUT, 2, llm),
         lambda llm: generate_shot_script(ShotDescription("a shot"), 0, None, llm, "avatar_00"),
-        lambda llm: derive_avatars([ShotDescription("a shot")], llm, 1),
+        lambda llm: derive_avatars([ShotDescription("a shot")], llm, PipelineConfig()),
     ],
     ids=["expand_story", "generate_shot_script", "derive_avatars"],
 )
@@ -218,7 +219,8 @@ def test_sequence_aborts_with_failing_index():
 
 def _full_story(n=4, shots_per_avatar=2):
     descriptions = _descriptions(n)
-    avatars, assignment = derive_avatars(descriptions, MockLlmClient(), shots_per_avatar)
+    config = PipelineConfig(shots_per_avatar=shots_per_avatar)
+    avatars, assignment = derive_avatars(descriptions, MockLlmClient(), config)
     scripts = generate_script_sequence(descriptions, MockLlmClient(), assignment)
     return Story(STORY_INPUT, descriptions, scripts, avatars)
 

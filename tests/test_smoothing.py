@@ -59,7 +59,7 @@ def test_shot_for_frame_short_boundary_switches_late():
 
 def test_init_queue_structure(small_chain):
     config, _, _, plan = small_chain
-    queue = init_queue(FrameStream(plan, config, 0), config.world())
+    queue = init_queue(FrameStream(plan, config), config.world())
     assert len(queue.latents) == 4
     assert queue.head == -3
     assert queue.emitted == 0
@@ -67,15 +67,16 @@ def test_init_queue_structure(small_chain):
 
 def test_init_queue_noise_scaling(small_chain):
     config, _, _, plan = small_chain
-    schedule = config.schedule()
-    queue = init_queue(FrameStream(plan, config, 9), config.world())
+    config = config.merged(seed=9)
+    schedule, seed = config.schedule(), config.timeline_seed
+    queue = init_queue(FrameStream(plan, config), config.world())
     # level T slots are unit noise; warm-up slots are scaled to their level
     tail = queue.latents[-1]
-    expected_tail = spawn_rng("queue-noise", 9, 0).standard_normal(config.latent_shape)
+    expected_tail = spawn_rng("queue-noise", seed, 0).standard_normal(config.latent_shape)
     assert np.array_equal(tail, expected_tail)
     head = queue.latents[0]
     expected_head = np.sqrt(1.0 - schedule.alpha_bar(1)) * spawn_rng(
-        "queue-noise", 9, -3
+        "queue-noise", seed, -3
     ).standard_normal(config.latent_shape)
     assert np.array_equal(head, expected_head)
 
@@ -83,15 +84,16 @@ def test_init_queue_noise_scaling(small_chain):
 def test_init_queue_rejects_bad_inputs(small_chain):
     config, _, _, plan = small_chain
     with pytest.raises(ConfigError):
-        init_queue(FrameStream([], config, 0), config.world())
+        init_queue(FrameStream([], config), config.world())
 
 
 def test_queue_reads_its_stream_and_builds_the_schedule_once(small_chain, monkeypatch):
     # the queue is bound to the stream it samples: tick takes nothing that
-    # could disagree with the stream's plan, config or seed, and the
+    # could disagree with the stream's plan or config, and the
     # schedule is built once for all the ticks
     config, _, _, plan = small_chain
-    stream, world = FrameStream(plan, config, 5), config.world()
+    config = config.merged(seed=5)
+    stream, world = FrameStream(plan, config), config.world()
     built = []
     schedule = PipelineConfig.schedule
     monkeypatch.setattr(PipelineConfig, "schedule", lambda self: built.append(self) or schedule(self))
@@ -110,7 +112,7 @@ def test_queue_reads_its_stream_and_builds_the_schedule_once(small_chain, monkey
 
 
 def _drive(config, plan, trace=None):
-    queue = init_queue(FrameStream(plan, config, 0, trace), config.world())
+    queue = init_queue(FrameStream(plan, config, trace), config.world())
     emitted = []
     while queue.emitted < config.n_shots * config.frames_per_shot:
         result = tick(queue)
@@ -150,12 +152,12 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
     # fresh-noise reset: the entering latent is the seeded construction,
     # never derived from queue contents
     config, _, _, plan = small_chain
-    queue = init_queue(FrameStream(plan, config, 0), config.world())
+    queue = init_queue(FrameStream(plan, config), config.world())
     for expected_gf in range(1, 6):
         tick(queue)
         assert queue.head + len(queue.latents) - 1 == expected_gf
         assert len(queue.latents) == config.steps
-        expected = spawn_rng("queue-noise", 0, expected_gf).standard_normal(
+        expected = spawn_rng("queue-noise", config.timeline_seed, expected_gf).standard_normal(
             config.latent_shape
         )
         assert np.array_equal(queue.latents[-1], expected)
@@ -163,7 +165,7 @@ def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
 
 def test_queue_drains_after_plan_exhausted(small_chain):
     config, _, _, plan = small_chain
-    queue = init_queue(FrameStream(plan, config, 0), config.world())
+    queue = init_queue(FrameStream(plan, config), config.world())
     sizes = []
     while queue.emitted < 6:
         tick(queue)
@@ -182,7 +184,7 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
     config = config.merged(eta=eta)
     schedule, world = config.schedule(), config.world()
     k, n = config.frames_per_shot, config.n_shots
-    queue = init_queue(FrameStream(plan, config, 0), world)
+    queue = init_queue(FrameStream(plan, config), world)
     emitted = []
     while queue.emitted < n * k:
         before, head, tick_no = queue.latents.copy(), queue.head, queue.ticks + 1
@@ -192,7 +194,9 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
             frame = head + pos
             shot = 0 if frame < 0 else shot_for_frame(frame, k, config.boundary)
             eps = analytic_eps(latent, pos + 1, world, plan[shot], schedule)
-            noise = spawn_rng("queue-eta", 0, tick_no, frame).standard_normal(latent.shape)
+            noise = spawn_rng("queue-eta", config.timeline_seed, tick_no, frame).standard_normal(
+                latent.shape
+            )
             expected.append(ddim_step(latent, eps, pos + 1, pos, schedule, eta=eta, noise=noise))
         assert len(queue.latents) == len(before) - (head + len(before) >= n * k)
         for row, want in zip(queue.latents, expected[1:]):
@@ -218,7 +222,7 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
     def plain(x_t, t, cond, schedule):
         return analytic_eps(x_t, t, world, cond, schedule)
 
-    queues = [init_queue(FrameStream(plan, config, 0), d) for d in (plain, world)]
+    queues = [init_queue(FrameStream(plan, config), d) for d in (plain, world)]
     while queues[0].emitted < config.n_shots * config.frames_per_shot:
         a, b = (tick(q) for q in queues)
         assert (a is None) == (b is None)
@@ -233,7 +237,7 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
         return plain(x_t, t, cond, schedule)[..., :1]
 
     with pytest.raises(ShapeError):
-        tick(init_queue(FrameStream(plan, config, 0), flat))
+        tick(init_queue(FrameStream(plan, config), flat))
     with pytest.raises(ShapeError):
         sample_reverse(flat, plan, schedule, seeds, shape)
 
@@ -265,7 +269,7 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
         for j in range(n)
     ]
     trace = DenoiseTrace()
-    queue = init_queue(FrameStream(plan, config, 0, trace), config.world())
+    queue = init_queue(FrameStream(plan, config, trace), config.world())
     emitted = []
     while queue.emitted < n * k and queue.ticks < n * k + T + 4:
         result = tick(queue)
@@ -460,7 +464,9 @@ def test_timeline_evaluates_each_mean_once(small_chain, monkeypatch, mode):
     config, story, keyframes, _ = small_chain
     config = config.merged(mode=mode)
     seen = _count_means(monkeypatch)
-    timeline = run_timeline(FrameStream(build_plan(story, keyframes, config), config, seed=3))
+    timeline = run_timeline(
+        FrameStream(build_plan(story, keyframes, config), config.merged(seed=3))
+    )
     assert len(timeline) == 6
     # one condition per shot, each evaluated once however many denoiser calls
     assert len(seen) == len(set(seen)) == config.n_shots

@@ -1,5 +1,6 @@
 """Binary tensor format: frozen header bytes, round trips, corruption."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,33 @@ import pytest
 
 from multishot.errors import ConfigError, FormatError, LengthError
 from multishot.seeds import spawn_rng
-from multishot.tensorio import parse_tensor, read_tensor_file, tensor_bytes, write_tensor_file
+from multishot.tensorio import read_tensor_file, write_tensor_file
 
 
-def test_frozen_header_example():
+def _layout(tensor) -> bytes:
+    """The documented layout, spelled out: magic, version, rank, uint32
+    dims, then the float32 payload, all little-endian."""
+    arr = np.asarray(tensor, dtype="<f4")
+    header = b"VGOT" + bytes([1, arr.ndim]) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return header + arr.tobytes()
+
+
+def _written(tmp_path, tensor, name="t.vgt") -> bytes:
+    """The bytes write_tensor_file puts on disk for ``tensor``."""
+    write_tensor_file(tmp_path / name, tensor)
+    return (tmp_path / name).read_bytes()
+
+
+def _read_bytes(tmp_path, data: bytes):
+    """read_tensor_file on a file holding ``data``."""
+    path = tmp_path / "bytes.vgt"
+    path.write_bytes(data)
+    return read_tensor_file(path)
+
+
+def test_frozen_header_example(tmp_path):
     # magic, version 1, rank 1, dim 1 little-endian, then float32 1.0
-    data = tensor_bytes(np.array([1.0], dtype=np.float32))
+    data = _written(tmp_path, np.array([1.0], dtype=np.float32))
     assert data == bytes.fromhex("56474f54" "01" "01" "01000000" "0000803f")
 
 
@@ -30,53 +52,53 @@ def test_roundtrip_bitwise_many_shapes(tmp_path):
         assert back.dtype == np.float32
         assert back.shape == tensor.shape
         assert np.array_equal(back, tensor)
-        assert tensor_bytes(back) == tensor_bytes(tensor)
+        assert _written(tmp_path, back, "back.vgt") == path.read_bytes()
 
 
-def test_float64_is_converted():
+def test_float64_is_converted(tmp_path):
     tensor = np.array([1.0, 2.5, -3.25])
-    back = parse_tensor(tensor_bytes(tensor))
+    back = _read_bytes(tmp_path, _written(tmp_path, tensor))
     assert back.dtype == np.float32
     np.testing.assert_array_equal(back, tensor.astype(np.float32))
 
 
-def test_bad_magic_rejected():
-    data = bytearray(tensor_bytes(np.array([1.0], dtype=np.float32)))
+def test_bad_magic_rejected(tmp_path):
+    data = bytearray(_written(tmp_path, np.array([1.0], dtype=np.float32)))
     data[3] = ord("X")  # VGOX
     with pytest.raises(FormatError, match="magic"):
-        parse_tensor(bytes(data))
+        _read_bytes(tmp_path, bytes(data))
 
 
-def test_bad_version_rejected():
-    data = bytearray(tensor_bytes(np.array([1.0], dtype=np.float32)))
+def test_bad_version_rejected(tmp_path):
+    data = bytearray(_written(tmp_path, np.array([1.0], dtype=np.float32)))
     data[4] = 2
     with pytest.raises(FormatError, match="version"):
-        parse_tensor(bytes(data))
+        _read_bytes(tmp_path, bytes(data))
 
 
-def test_truncated_payload_rejected():
-    data = tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+def test_truncated_payload_rejected(tmp_path):
+    data = _written(tmp_path, np.arange(6, dtype=np.float32).reshape(2, 3))
     with pytest.raises(LengthError):
-        parse_tensor(data[:-3])
+        _read_bytes(tmp_path, data[:-3])
     with pytest.raises(LengthError):
-        parse_tensor(data[:8])
+        _read_bytes(tmp_path, data[:8])
 
 
-def test_trailing_bytes_rejected():
-    data = tensor_bytes(np.array([1.0], dtype=np.float32))
+def test_trailing_bytes_rejected(tmp_path):
+    data = _written(tmp_path, np.array([1.0], dtype=np.float32))
     with pytest.raises(LengthError, match="trailing"):
-        parse_tensor(data + b"\x00")
+        _read_bytes(tmp_path, data + b"\x00")
 
 
-def test_rank_limits():
+def test_rank_limits(tmp_path):
     with pytest.raises(ConfigError):
-        tensor_bytes(np.float32(1.0))  # rank 0
+        _written(tmp_path, np.float32(1.0))  # rank 0
     with pytest.raises(ConfigError):
-        tensor_bytes(np.zeros((1,) * 9, dtype=np.float32))  # rank 9
-    bad_rank = bytearray(tensor_bytes(np.array([1.0], dtype=np.float32)))
+        _written(tmp_path, np.zeros((1,) * 9, dtype=np.float32))  # rank 9
+    bad_rank = bytearray(_written(tmp_path, np.array([1.0], dtype=np.float32)))
     bad_rank[5] = 9
     with pytest.raises(FormatError, match="rank"):
-        parse_tensor(bytes(bad_rank))
+        _read_bytes(tmp_path, bytes(bad_rank))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -84,7 +106,7 @@ def test_array_writes_the_tensor_bytes(tmp_path, shape):
     # rank 1 included: its rows are scalars, written one at a time
     tensor = spawn_rng("tensor-rows", len(shape)).standard_normal(shape)  # float64, cast on write
     write_tensor_file(tmp_path / "array.vgt", tensor)
-    assert (tmp_path / "array.vgt").read_bytes() == tensor_bytes(tensor)
+    assert (tmp_path / "array.vgt").read_bytes() == _layout(tensor)
 
 
 class Rows:
@@ -105,7 +127,7 @@ def test_row_stream_writes_the_stacked_bytes(tmp_path, shape):
     rng = spawn_rng("tensor-stream", len(shape))
     rows = [rng.standard_normal(shape[1:]) for _ in range(shape[0])]
     write_tensor_file(tmp_path / "stream.vgt", Rows(iter(rows), shape))
-    assert (tmp_path / "stream.vgt").read_bytes() == tensor_bytes(np.stack(rows))
+    assert (tmp_path / "stream.vgt").read_bytes() == _layout(np.stack(rows))
 
 
 @pytest.mark.parametrize(
@@ -136,29 +158,26 @@ def test_failed_write_leaves_no_file_and_no_temporary(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-_GOOD = tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+# a 14-byte header and a 24-byte payload
+_GOOD = _layout(np.arange(6, dtype=np.float32).reshape(2, 3))
 CORRUPT = {
-    "magic": b"VGOX" + _GOOD[4:],
-    "version": _GOOD[:4] + b"\x02" + _GOOD[5:],
-    "rank": _GOOD[:5] + b"\x09" + _GOOD[6:],
-    "header": _GOOD[:3],
-    "dims": _GOOD[:8],
-    "payload": _GOOD[:-3],
-    "trailing": _GOOD + b"\x00",
+    "magic": (b"VGOX" + _GOOD[4:], FormatError, "bad magic b'VGOX', expected b'VGOT'"),
+    "version": (_GOOD[:4] + b"\x02" + _GOOD[5:], FormatError, "unsupported version 2, expected 1"),
+    "rank": (_GOOD[:5] + b"\x09" + _GOOD[6:], FormatError, "rank 9 outside 1..8"),
+    "header": (_GOOD[:3], LengthError, "file too short for a header: 3 bytes"),
+    "dims": (_GOOD[:8], LengthError, "file truncated inside the dimension table"),
+    "payload": (_GOOD[:-3], LengthError, "payload truncated: need 38 bytes, have 35"),
+    "trailing": (_GOOD + b"\x00", LengthError, "trailing bytes after payload: 1"),
 }
 
 
 @pytest.mark.parametrize("case", list(CORRUPT))
 def test_file_reader_raises_what_parse_tensor_raises(tmp_path, case):
-    data = CORRUPT[case]
-    with pytest.raises((FormatError, LengthError)) as from_bytes:
-        parse_tensor(data)
-    path = tmp_path / "corrupt.vgt"
-    path.write_bytes(data)
-    with pytest.raises(type(from_bytes.value)) as from_file:
-        read_tensor_file(path)
-    assert type(from_file.value) is type(from_bytes.value)
-    assert str(from_file.value) == str(from_bytes.value)
+    # each corrupt file raises its error type with the message that names the fault
+    data, error, message = CORRUPT[case]
+    with pytest.raises(error) as raised:
+        _read_bytes(tmp_path, data)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 FRAMES = (32, 64, 64, 16)
