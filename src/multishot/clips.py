@@ -9,12 +9,16 @@ derived seeds so one user-facing seed reproduces the whole clip.
 
 In windowed mode this module samples the final clips directly; in
 fifo-reset mode it only supplies the per-shot condition and the smoothing
-engine owns the denoising.
+engine owns the denoising. A windowed shot's frames are independent
+chains, so they are sampled two at a time: even frames on the calling
+thread, odd frames on one worker thread. NumPy releases the interpreter
+lock inside each ufunc, so the two chains overlap on two cores.
 """
 
 from __future__ import annotations
 
-from typing import List
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterator
 
 import numpy as np
 
@@ -43,14 +47,24 @@ def frame_seed(seed: int, shot_index: int, frame: int) -> int:
     return derive_seed("frame-noise", seed, shot_index, frame)
 
 
-def generate_shot_clip(cond: Condition, shot: int, config: PipelineConfig) -> List[np.ndarray]:
-    """Sample the k frames of shot ``shot`` under its condition, frame f
-    from ``frame_seed(config.timeline_seed, shot, f)``. Each frame is a
-    chain of its own, so only one frame's step buffers are alive at a time
-    at large latent shapes."""
+def generate_shot_clip(cond: Condition, shot: int, config: PipelineConfig) -> Iterator[np.ndarray]:
+    """Sample the k frames of shot ``shot`` under its condition and yield
+    them in order, frame f from ``frame_seed(config.timeline_seed, shot,
+    f)``. Each frame is a chain of its own: even frames run on the calling
+    thread while the odd frame after each runs on one worker thread, so
+    only two frames' step buffers are alive at a time at large latent
+    shapes. A frame's failure is raised from here with its own type and
+    message, and the worker thread has ended by the time the iterator is
+    exhausted, fails or is closed."""
     world, schedule, shape = config.world(), config.schedule(), config.latent_shape
-    seed = config.timeline_seed
-    return [
-        sample_reverse(world, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
-        for f in range(config.frames_per_shot)
-    ]
+    seed, k = config.timeline_seed, config.frames_per_shot
+
+    def frame(f: int) -> np.ndarray:
+        return sample_reverse(world, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for f in range(0, k, 2):
+            odd = worker.submit(frame, f + 1) if f + 1 < k else None
+            yield frame(f)
+            if odd is not None:
+                yield odd.result()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -110,8 +111,13 @@ class PipelineConfig:
             )
         if self.pairing not in PAIRINGS:
             raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{self.pairing}'")
-        if self.identity_channels > self.channels:
-            raise ConfigError("identity_channels cannot exceed channels")
+        if self.identity_channels >= self.channels:
+            # the channels past identity_channels carry the text; without
+            # one, no frame depends on its prompt
+            raise ConfigError(
+                f"identity_channels must be less than channels={self.channels}, "
+                f"got {self.identity_channels}"
+            )
         if self.embed_dim % DEFAULT_TOKENS != 0:
             raise ConfigError(f"embed_dim must be divisible by {DEFAULT_TOKENS} tokens")
         for name in ("sigma0", "ip_scale"):
@@ -172,15 +178,22 @@ class PipelineConfig:
 
         mu(c) is memoised per condition for this world's lifetime, so every
         denoiser call of a chain or queue after the first reuses it. The
-        cached means are read-only."""
+        cached means are read-only. Chains on two threads may ask for one
+        new condition at once, so a miss computes the mean under a lock
+        and looks again inside it; a hit takes no lock."""
         mean = self.projector().mean
         means = {}
+        lock = threading.Lock()
 
         def mean_map(cond):
             mu = means.get(cond)
             if mu is None:
-                mu = means[cond] = mean(cond)
-                mu.flags.writeable = False
+                with lock:
+                    mu = means.get(cond)
+                    if mu is None:
+                        mu = mean(cond)
+                        mu.flags.writeable = False
+                        means[cond] = mu
             return mu
 
         return GaussianWorld(sigma0=self.sigma0, mean_map=mean_map)

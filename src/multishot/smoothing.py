@@ -192,7 +192,9 @@ def build_plan(
 @dataclass(frozen=True, eq=False)
 class FrameStream:
     """A run's frames in global order, sampled as they are iterated: each
-    windowed shot's clip in turn, or each frame as the fifo-reset queue
+    windowed shot's clip in turn, two frames at a time on the calling
+    thread and one worker, so two frames' step buffers are alive at a time
+    (see ``generate_shot_clip``), or each frame as the fifo-reset queue
     emits it. ``shape`` is the shape of all the frames stacked, known
     before any frame is sampled, so a writer can put each frame on disk
     and drop it. Every iteration samples afresh and, with a trace, appends

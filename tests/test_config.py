@@ -1,9 +1,13 @@
 """Pipeline configuration: validation, precedence, serialization."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+from multishot.conditioning import Condition, MeanProjector, encode_text_mock
 from multishot.config import PipelineConfig, config_from_json, config_to_json
 from multishot.errors import ConfigError
 
@@ -40,6 +44,8 @@ def test_defaults_are_valid():
         {"sigma0": 1e308},
         {"ip_scale": 1e308},
         {"ip_scale": 1e20},
+        # no content channel left for the text
+        {"identity_channels": 8},
     ],
 )
 def test_invalid_values_rejected(kwargs):
@@ -116,3 +122,40 @@ def test_out_dir_extra_is_tolerated():
     _, extras = config_from_json(b'{"seed": 1, "out_dir": "somewhere"}')
     assert extras["out_dir"] == "somewhere"
 
+
+
+def test_world_computes_a_new_condition_mean_once_across_threads(monkeypatch):
+    # two chains of a windowed shot ask for one new condition at once; the
+    # memo must still call the projector once and hand out one array
+    config = PipelineConfig()
+    original, calls = MeanProjector.mean, []
+
+    def slow_mean(self, cond):
+        calls.append(cond)
+        time.sleep(0.05)  # the other threads arrive while the first computes
+        return original(self, cond)
+
+    monkeypatch.setattr(MeanProjector, "mean", slow_mean)
+    world = config.world()
+    cond = Condition(text=encode_text_mock("a salt marsh", config.embed_dim, config.encoder_seed))
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def ask(i):
+        barrier.wait(timeout=10)
+        results[i] = world.mean_map(cond)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    assert all(mu is results[0] for mu in results)
+    assert not results[0].flags.writeable

@@ -204,7 +204,7 @@ def test_clip_score_prefers_own_script():
         shot = seed % config.n_shots
         other = (shot + 2) % config.n_shots
         cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config)
-        clip = generate_shot_clip(cond, shot, config.merged(frames_per_shot=4))
+        clip = list(generate_shot_clip(cond, shot, config.merged(frames_per_shot=4)))
         own_scores.append(clip_score_mock(clip, story.scripts[shot], "character", config))
         other_scores.append(clip_score_mock(clip, story.scripts[other], "character", config))
     assert np.mean(own_scores) > np.mean(other_scores)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multishot.clips as clips_module
 import multishot.smoothing as smoothing_module
+from multishot.clips import frame_seed
 from multishot.config import MODES, SCALE_LIMIT, PipelineConfig
+from multishot.diffusion import sample_reverse
 from multishot.errors import StageFailure, StateError
 from multishot.pipeline import (
     FRAMES_FILE,
@@ -236,6 +240,29 @@ def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
     assert not (out / FRAMES_FILE).exists()
     assert not any(path.name.endswith(TEMP_SUFFIX) for path in out.rglob("*"))
 
+    # the same from inside a frame that the worker thread samples, shot 2's
+    # frame 1, and the worker has ended when the failure is reported
+    monkeypatch.undo()
+    config = PipelineConfig(mode="windowed")
+    bad_seeds = [frame_seed(config.timeline_seed, 2, 1)]
+
+    def fails_on_worker_frame(denoiser, conds, schedule, seeds, shape):
+        if seeds == bad_seeds:
+            raise RuntimeError("synthetic worker failure")
+        return sample_reverse(denoiser, conds, schedule, seeds, shape)
+
+    monkeypatch.setattr(clips_module, "sample_reverse", fails_on_worker_frame)
+    out = tmp_path / "worker"
+    threads = threading.active_count()
+    with pytest.raises(StageFailure):
+        run_pipeline(STORY_INPUT, config, out)
+    assert threading.active_count() == threads
+    assert (out / "failed" / "stage.txt").read_text().splitlines() == [
+        "generate", "RuntimeError: synthetic worker failure"
+    ]
+    assert not (out / FRAMES_FILE).exists()
+    assert not any(path.name.endswith(TEMP_SUFFIX) for path in out.rglob("*"))
+
 
 @pytest.mark.parametrize(
     "knobs", [dict(mode="fifo-reset", eta=0.4, reset_boundary=2), dict(mode="windowed")],
@@ -292,7 +319,9 @@ def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):
 
 
 def test_windowed_mode_run(tmp_path):
+    threads = threading.active_count()
     run_pipeline(STORY_INPUT, PipelineConfig(mode="windowed"), tmp_path / "windowed")
+    assert threading.active_count() == threads  # every shot's worker has ended
     timeline = json.loads((tmp_path / "windowed" / TIMELINE_FILE).read_text())
     assert timeline["mode"] == "windowed"
     assert [f["shot"] for f in timeline["frames"]] == [j for j in range(4) for _ in range(8)]
