@@ -29,6 +29,7 @@ from .pipeline import (
     REPORT_FILE,
     STORY_FILE,
     build_story,
+    clear_run,
     compute_metrics_for_run,
     read_manifest,
     read_report,
@@ -152,9 +153,7 @@ def _cmd_generate(args) -> int:
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
-        # a manifest or report from an earlier run would describe other files
-        (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
-        (run_dir / REPORT_FILE).unlink(missing_ok=True)
+        clear_run(run_dir)
         (run_dir / STORY_FILE).write_bytes(serialize_story(story))
         write_generation_artifacts(story, config, run_dir)
         write_manifest(run_dir)

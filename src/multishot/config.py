@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .seeds import derive_seed
 
 MODES = ("windowed", "fifo-reset")
-PAIRINGS = ("consecutive", "all-pairs", "same-avatar")
 
 #: The largest sigma0 and ip_scale, so every float of a run stays finite.
 #: mu(c) is linear in ip_scale (identity_gain * ip_scale on the identity
@@ -71,7 +70,6 @@ class PipelineConfig:
     ip_scale: float = 1.0
     sigma0: float = 0.5
     shots_per_avatar: int = 2
-    pairing: str = "consecutive"
     reset_boundary: Optional[int] = None
     seed: int = 0
     llm_endpoint: str = ""
@@ -109,8 +107,6 @@ class PipelineConfig:
                 f"and reset_boundary=frames_per_shot, got eta={self.eta}, "
                 f"reset_boundary={self.reset_boundary}"
             )
-        if self.pairing not in PAIRINGS:
-            raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{self.pairing}'")
         if self.identity_channels >= self.channels:
             # the channels past identity_channels carry the text; without
             # one, no frame depends on its prompt
@@ -217,26 +213,21 @@ class PipelineConfig:
         return replace(self, **changes) if changes else self
 
 
-def config_to_json(config: PipelineConfig, user_input: Optional[str] = None) -> bytes:
-    """Canonical config document; user_input is included when known, as a
-    record of the story input. It is not an input: ``multishot run``
-    requires ``--input`` and ignores a config file's user_input."""
-    doc = {} if user_input is None else {"user_input": user_input}
-    doc.update(config.to_dict())
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def config_to_json(config: PipelineConfig) -> bytes:
+    """Canonical config document: every field, in field order."""
+    return (json.dumps(config.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def config_from_json(data: bytes):
-    """Returns (config, extras). Extras carry non-behavioral keys a config
-    file may provide: 'user_input' and 'out_dir'."""
+    """Returns (config, extras). Extras carry the one non-behavioral key a
+    config file may provide, 'out_dir'."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    extras = {key: doc.pop(key) for key in ("user_input", "out_dir") if key in doc}
-    for key, value in extras.items():
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
+    extras = {"out_dir": doc.pop("out_dir")} if "out_dir" in doc else {}
+    if not isinstance(extras.get("out_dir", ""), str):
+        raise ConfigError(f"out_dir must be a string, got {extras['out_dir']!r}")
     return PipelineConfig.from_dict(doc), extras

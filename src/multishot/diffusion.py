@@ -202,10 +202,9 @@ def analytic_eps(
     world: GaussianWorld,
     cond,
     schedule: NoiseSchedule,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact noise prediction under the Gaussian world (see module header),
-    written to ``out`` when given; ``out`` must not overlap ``x_t``."""
+    as a new float64 array."""
     if not 1 <= t <= schedule.T:
         raise ScheduleError(f"step {t} outside [1, {schedule.T}]")
     mu = world.mean_map(cond)
@@ -214,8 +213,7 @@ def analytic_eps(
     a = schedule.alpha_bar(t)
     s2 = world.sigma0**2
     denom = a * s2 + (1.0 - a)
-    if out is None:
-        out = np.empty(np.shape(x_t))
+    out = np.empty(np.shape(x_t))
     np.multiply(x_t, np.sqrt(a) * s2, out=out)
     out += np.multiply(mu, 1.0 - a)
     out /= denom  # E[x0 | x_t]

@@ -2,7 +2,7 @@
 
 Face consistency (FC) compares identity features within a shot (mean
 pairwise cosine among its frames) and across shots (cosine between shot
-mean features, over consecutive pairs by default). Style consistency (SC)
+mean features, over consecutive pairs). Style consistency (SC)
 does the same over flattened Gram signatures of a fixed seeded linear
 feature map. PSNR summarizes frame-to-frame fidelity, and the per-domain
 alignment score checks frames against each of the five script domains in a
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock
-from .config import PAIRINGS, PipelineConfig
+from .config import PipelineConfig
 from .errors import ConfigError, InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
 from .seeds import spawn_rng
@@ -95,48 +95,27 @@ def _mean_pairwise(features: List[np.ndarray]) -> float:
 
 
 def consistency_scores(
-    clips: np.ndarray,
-    extractor: FeatureExtractor,
-    pairing: str = "consecutive",
-    avatar_ids: Optional[List[str]] = None,
+    clips: np.ndarray, extractor: FeatureExtractor
 ) -> Tuple[Optional[float], Optional[float]]:
     """(within, cross) consistency of a clips array, ``clips[j]`` shot j's
     frames, shaped (n_shots, frames_per_shot, ...).
 
     within: mean over shots of the mean pairwise cosine among that shot's
     frame features (needs a shot with >= 2 frames, else None).
-    cross: mean cosine between shot-mean feature vectors over the selected
-    pairing (needs >= 2 shots, else None).
+    cross: mean cosine between the shot-mean feature vectors of consecutive
+    shots j, j + 1 (needs >= 2 shots, else None).
     """
     if not np.size(clips):
         raise InputError("clips hold no frames")
-    if pairing not in PAIRINGS:
-        raise ConfigError(f"pairing must be one of {PAIRINGS}, got '{pairing}'")
 
     per_shot = [[extractor(f) for f in clip] for clip in clips]
-    n_shots = len(per_shot)
 
     within_terms = [_mean_pairwise(feats) for feats in per_shot if len(feats) >= 2]
     within = float(np.mean(within_terms)) if within_terms else None
 
-    cross = None
-    if n_shots >= 2:
-        means = [np.mean(feats, axis=0) for feats in per_shot]
-        if pairing == "consecutive":
-            pairs = [(j, j + 1) for j in range(n_shots - 1)]
-        elif pairing == "all-pairs":
-            pairs = [(i, j) for i in range(n_shots) for j in range(i + 1, n_shots)]
-        else:
-            if avatar_ids is None or len(avatar_ids) != n_shots:
-                raise ConfigError("same-avatar pairing needs one avatar id per shot")
-            pairs = [
-                (i, j)
-                for i in range(n_shots)
-                for j in range(i + 1, n_shots)
-                if avatar_ids[i] == avatar_ids[j]
-            ]
-        if pairs:
-            cross = float(np.mean([cosine(means[i], means[j]) for i, j in pairs]))
+    means = [np.mean(feats, axis=0) for feats in per_shot]
+    cross_terms = [cosine(a, b) for a, b in zip(means, means[1:])]
+    cross = float(np.mean(cross_terms)) if cross_terms else None
     return within, cross
 
 
@@ -203,14 +182,9 @@ def build_report(frames: np.ndarray, story: Story, config: PipelineConfig) -> Me
     clips = frames.reshape((n_shots, k) + frames.shape[1:])
     face = IdentityChannelMean(d_id=config.identity_channels)
     style = StyleGram(seed=config.style_seed)
-    avatar_ids = [s.avatar_id for s in story.scripts] if config.pairing == "same-avatar" else None
 
-    fc_within, fc_cross = consistency_scores(
-        clips, face, pairing=config.pairing, avatar_ids=avatar_ids
-    )
-    sc_within, sc_cross = consistency_scores(
-        clips, style, pairing=config.pairing, avatar_ids=avatar_ids
-    )
+    fc_within, fc_cross = consistency_scores(clips, face)
+    sc_within, sc_cross = consistency_scores(clips, style)
 
     pair_values = [psnr(clip[i], clip[i + 1]) for clip in clips for i in range(k - 1)]
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None

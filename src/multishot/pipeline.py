@@ -4,7 +4,7 @@ A run executes script -> casting -> generation -> metrics in order and
 leaves a self-contained directory behind:
 
     story.json      canonical story document
-    config.json     effective behavioral config (plus the user input)
+    config.json     effective behavioral config
     keyframes/      one .vgt tensor per shot
     frames.vgt      all emitted frames, stacked (F, h, w, d)
     timeline.json   per-frame {global_frame, shot} labels and the mode
@@ -18,7 +18,8 @@ The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.
 timeline.json restates what config.json gives (frame f belongs to shot
-f // k) and nothing reads it.
+f // k) and nothing reads it. Before its first stage, a run deletes
+whatever an earlier run left in the directory (``clear_run``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ MANIFEST_FILE = "manifest.json"
 KEYFRAME_DIR = "keyframes"
 LOCK_FILE = ".lock"
 FAILED_DIR = "failed"
+#: Every file and directory a run writes, which is what clear_run deletes.
+#: The manifest goes first, so an interrupted clear leaves none behind.
+RUN_FILES = (MANIFEST_FILE, STORY_FILE, CONFIG_FILE, FRAMES_FILE, TIMELINE_FILE, REPORT_FILE)
+RUN_DIRS = (KEYFRAME_DIR, FAILED_DIR)
 
 
 def make_llm(config: PipelineConfig):
@@ -268,12 +273,26 @@ def _stage(run_dir: Path, name: str):
         raise StageFailure(name, exc) from exc
 
 
-def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Path) -> None:
-    """Casting plus generation stages with persistence; config.json records
-    the story's user input. Clears the failure marker of an earlier run,
-    which no longer describes the directory."""
+def clear_run(run_dir: Path) -> None:
+    """Delete every file and directory in RUN_FILES and RUN_DIRS from
+    run_dir, and the temporaries that a tensor write killed outright left
+    beside them, so nothing of an earlier run outlives a rerun that fails.
+    Other files in run_dir are left alone. Call it under the run lock."""
     run_dir = Path(run_dir)
-    shutil.rmtree(run_dir / FAILED_DIR, ignore_errors=True)
+    for name in RUN_FILES:
+        (run_dir / name).unlink(missing_ok=True)
+        for temp in run_dir.glob(f".{name}.*{TEMP_SUFFIX}"):
+            temp.unlink()
+    for name in RUN_DIRS:
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(run_dir / name)
+
+
+def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Path) -> None:
+    """Casting plus generation stages with persistence: the keyframes,
+    frames.vgt, timeline.json and config.json, into a run_dir that
+    ``clear_run`` has cleared."""
+    run_dir = Path(run_dir)
     with _stage(run_dir, "keyframes"):
         keyframes = render_keyframes(story, config)
         write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
@@ -283,7 +302,7 @@ def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Pa
         # is on disk, so no stage holds the run's frames
         write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
         write_timeline_json(run_dir / TIMELINE_FILE, config)
-        (run_dir / CONFIG_FILE).write_bytes(config_to_json(config, story.user_input))
+        (run_dir / CONFIG_FILE).write_bytes(config_to_json(config))
 
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
@@ -304,8 +323,7 @@ def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
-        # a manifest from an earlier run would vouch for half-rewritten files
-        (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
+        clear_run(run_dir)
         with _stage(run_dir, "script"):
             story = build_story(user_input, config)
             (run_dir / STORY_FILE).write_bytes(serialize_story(story))

@@ -66,7 +66,12 @@ class LatentQueue:
     schedule: NoiseSchedule
     latents: np.ndarray
     head: int
-    ticks: int = 0
+
+    @property
+    def ticks(self) -> int:
+        """Ticks run so far: the head starts at frame 1 - T and moves one
+        frame a tick."""
+        return self.head + self.schedule.T - 1
 
     @property
     def emitted(self) -> int:
@@ -172,7 +177,6 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     emitted = None if queue.head < 0 else (queue.head, stepped[0].copy())
     queue.latents = stepped[1:]
     queue.head += 1
-    queue.ticks = tick_no
     return emitted
 
 

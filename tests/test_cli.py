@@ -246,6 +246,12 @@ def test_failed_generate_over_run_leaves_no_manifest(tmp_path, monkeypatch, caps
     assert cli(["generate", "--story", str(out / "story.json"), "--out", str(out)]) == 1
     assert (out / "failed" / "stage.txt").read_text().splitlines()[0] == "generate"
     assert not (out / "manifest.json").exists()
+    # nothing of the first run is left to be scored against the new story
+    for name in ("config.json", "frames.vgt", "timeline.json", "report.json"):
+        assert not (out / name).exists(), name
+    assert cli(["metrics", "--run", str(out)]) != 0
+    assert not (out / "report.json").exists()
+
 
 def test_unknown_flag_prints_usage_exit_one(capsys):
     code = cli(["generate", "--bogus-flag", "x"])

@@ -33,7 +33,6 @@ def test_defaults_are_valid():
         {"ip_scale": -0.5},
         {"shots_per_avatar": 0},
         {"sigma0": float("nan")},
-        {"pairing": "random"},
         {"reset_boundary": 0},
         {"reset_boundary": 9},
         {"mode": "windowed", "eta": 0.5},
@@ -76,7 +75,7 @@ def test_numbers_are_stored_as_given():
     assert b'"sigma0": 1,' in config_to_json(cfg)
 
 
-@pytest.mark.parametrize("key", ["user_input", "out_dir"])
+@pytest.mark.parametrize("key", ["out_dir"])
 def test_json_extras_must_be_strings(key):
     with pytest.raises(ConfigError, match=f"^{key} must be a string"):
         config_from_json(json.dumps({key: 5}).encode())
@@ -97,12 +96,11 @@ def test_seed_fanout_is_stable_and_separated():
     assert len({cfg.encoder_seed, cfg.projector_seed, cfg.style_seed}) == 3
 
 
-def test_json_roundtrip_with_user_input():
+def test_json_roundtrip():
     cfg = PipelineConfig(seed=11, mode="windowed", frames_per_shot=3)
-    data = config_to_json(cfg, user_input="a short tale")
-    back, extras = config_from_json(data)
+    back, extras = config_from_json(config_to_json(cfg))
     assert back == cfg
-    assert extras["user_input"] == "a short tale"
+    assert extras == {}
 
 
 def test_json_rejects_unknown_keys():
@@ -112,6 +110,11 @@ def test_json_rejects_unknown_keys():
         config_from_json(b'{"psnr_max": 1.0}')
     with pytest.raises(ConfigError, match="unknown config keys: \\['llm'\\]"):
         config_from_json(b'{"llm": "mock"}')  # llm_endpoint alone picks the client
+    # cross-shot metrics pair consecutive shots, and story.json records the input
+    with pytest.raises(ConfigError, match="unknown config keys: \\['pairing'\\]"):
+        config_from_json(b'{"pairing": "consecutive"}')
+    with pytest.raises(ConfigError, match="unknown config keys: \\['user_input'\\]"):
+        config_from_json(b'{"user_input": "x"}')
     with pytest.raises(ConfigError):
         config_from_json(b"[1, 2]")
     with pytest.raises(ConfigError):

@@ -88,20 +88,11 @@ def test_single_frame_shots_have_no_within():
     assert cross == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pairing_modes():
+def test_cross_pairs_consecutive_shots():
+    # shots 0 and 2 match, but only the pairs (0, 1) and (1, 2) count
     clips = _clips([[[1, 0], [1, 0]], [[0, 1], [0, 1]], [[1, 0], [1, 0]]])
-    _, consecutive = consistency_scores(clips, VectorExtractor(), pairing="consecutive")
-    _, all_pairs = consistency_scores(clips, VectorExtractor(), pairing="all-pairs")
-    assert consecutive == pytest.approx(0.0, abs=1e-12)  # (0 + 0) / 2
-    assert all_pairs == pytest.approx(1.0 / 3.0)  # (0 + 1 + 0) / 3
-    _, same_avatar = consistency_scores(
-        clips, VectorExtractor(), pairing="same-avatar", avatar_ids=["a", "b", "a"]
-    )
-    assert same_avatar == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        consistency_scores(clips, VectorExtractor(), pairing="same-avatar")
-    with pytest.raises(ConfigError):
-        consistency_scores(clips, VectorExtractor(), pairing="bogus")
+    _, cross = consistency_scores(clips, VectorExtractor())
+    assert cross == pytest.approx(0.0, abs=1e-12)  # (0 + 0) / 2
 
 
 def test_empty_timeline_rejected():

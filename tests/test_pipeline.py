@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import multishot.clips as clips_module
 import multishot.smoothing as smoothing_module
+from multishot.cli import cli
 from multishot.clips import frame_seed
 from multishot.config import MODES, SCALE_LIMIT, PipelineConfig
 from multishot.diffusion import sample_reverse
@@ -158,9 +159,9 @@ def test_report_to_custom_path(default_run, tmp_path):
 def test_config_json_carries_flags_but_not_location(default_run):
     out, _ = default_run
     doc = json.loads((out / "config.json").read_text())
-    assert doc["user_input"] == STORY_INPUT
     assert doc["seed"] == 0 and doc["mode"] == "fifo-reset"
-    assert "out_dir" not in doc
+    # story.json records the input; cross-shot metrics pair consecutive shots
+    assert "out_dir" not in doc and "user_input" not in doc and "pairing" not in doc
 
 
 def test_lock_blocks_concurrent_runs(tmp_path):
@@ -218,6 +219,25 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     ]
     assert not (out / MANIFEST_FILE).exists()
     assert not verify_manifest(out)
+    # nothing of the first run is left to be scored against the second's story
+    for name in ("config.json", FRAMES_FILE, TIMELINE_FILE, REPORT_FILE):
+        assert not (out / name).exists(), name
+    assert cli(["metrics", "--run", str(out)]) != 0
+    assert not (out / REPORT_FILE).exists()
+
+
+def test_rerun_clears_what_a_killed_run_left_and_nothing_else(tmp_path):
+    out = tmp_path / "killed"
+    run_pipeline(STORY_INPUT, PipelineConfig(), out)
+    temps = [out / f".{FRAMES_FILE}.1a2b3c4d{TEMP_SUFFIX}",
+             out / "keyframes" / f".shot_0000.vgt.5e6f7a8b{TEMP_SUFFIX}"]
+    for temp in temps:
+        temp.write_bytes(b"VGOT")  # what a write killed outright leaves
+    (out / "notes.txt").write_text("not written by a run")
+    run_pipeline(STORY_INPUT, PipelineConfig(), out)
+    assert not any(temp.exists() for temp in temps)
+    assert (out / "notes.txt").read_text() == "not written by a run"
+    assert verify_manifest(out)
 
 
 def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
