@@ -37,6 +37,7 @@ from .pipeline import (
     render_keyframes,
     run_lock,
     run_pipeline,
+    write_file,
     write_generation_artifacts,
     write_keyframes,
     write_manifest,
@@ -119,7 +120,7 @@ def _load_config(args) -> tuple:
 def _cmd_script(args) -> int:
     config, _ = _load_config(args)
     story = build_story(args.input, config)
-    Path(args.out).write_bytes(serialize_story(story))
+    write_file(args.out, serialize_story(story))
     print(f"wrote {args.out} ({len(story.scripts)} shots, {len(story.avatars)} avatars)")
     return 0
 
@@ -154,7 +155,7 @@ def _cmd_generate(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
         clear_run(run_dir)
-        (run_dir / STORY_FILE).write_bytes(serialize_story(story))
+        write_file(run_dir / STORY_FILE, serialize_story(story))
         write_generation_artifacts(story, config, run_dir)
         write_manifest(run_dir)
     print(f"wrote frames and timeline to {run_dir} (mode={config.mode})")
@@ -182,12 +183,14 @@ def _render_table(report) -> str:
 
 
 def _cmd_metrics(args) -> int:
-    target = args.report or str(Path(args.run) / REPORT_FILE)
+    run_report = Path(args.run) / REPORT_FILE
+    target = Path(args.report or run_report)
     with run_lock(args.run):
         # a malformed manifest fails here, before the report is rewritten
         read_manifest(args.run)
-        report = compute_metrics_for_run(args.run, args.report)
-        record_in_manifest(args.run, target)
+        report = compute_metrics_for_run(args.run, target)
+        if target.resolve() == run_report.resolve():  # another name is not the run's report
+            record_in_manifest(args.run)
     print(_render_table(report))
     print(f"wrote {target}")
     return 0

@@ -39,8 +39,8 @@ from .seeds import spawn_rng
 DEFAULT_EMBED_DIM = 16
 DEFAULT_TOKENS = 4
 DEFAULT_IDENTITY_CHANNELS = 4
-DEFAULT_IDENTITY_GAIN = 6.0
-DEFAULT_CONTENT_GAIN = 5.0
+IDENTITY_GAIN = 6.0
+CONTENT_GAIN = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +167,10 @@ class MeanProjector:
     basis_pinv: np.ndarray  # (d_token, h*w*(d-d_id))
     shape: Tuple[int, int, int]
     d_id: int
-    n_tokens: int
-    identity_gain: float
-    content_gain: float
 
     def attend(self, vector: np.ndarray) -> np.ndarray:
         """The shared token featurizer: fixed query over split tokens."""
-        toks = split_tokens(vector, self.n_tokens)
+        toks = split_tokens(vector)
         return attention(self.query, toks, toks)
 
     def mean(self, cond: Condition) -> np.ndarray:
@@ -182,8 +179,8 @@ class MeanProjector:
         Identity channels (0..d_id-1) depend only on the image embedding and
         ip_scale; the remaining channels depend on the full composed vector.
         """
-        text_toks = split_tokens(cond.text, self.n_tokens)
-        ip_toks = None if cond.ip is None else split_tokens(cond.ip, self.n_tokens)
+        text_toks = split_tokens(cond.text)
+        ip_toks = None if cond.ip is None else split_tokens(cond.ip)
         composed = compose_condition(
             self.query,
             (text_toks, text_toks),
@@ -198,16 +195,16 @@ class MeanProjector:
         out = np.zeros(self.shape)
         ip_norm = np.linalg.norm(ip_term)
         ip_unit = ip_term / ip_norm if ip_norm > 1e-12 else ip_term
-        identity = self.identity_gain * cond.ip_scale * (self.id_map @ ip_unit)
+        identity = IDENTITY_GAIN * cond.ip_scale * (self.id_map @ ip_unit)
         out[:, :, : self.d_id] = identity[None, None, :]
-        content = self.content_gain * (self.basis @ composed)
+        content = CONTENT_GAIN * (self.basis @ composed)
         out[:, :, self.d_id :] = content.reshape(h, w, d - self.d_id)
         return out
 
     def recover_composed(self, frame: np.ndarray) -> np.ndarray:
         """Least-squares inverse of the content channels back to the
         composed attention vector; used by the toy alignment scorer."""
-        rest = np.asarray(frame)[:, :, self.d_id :].ravel() / self.content_gain
+        rest = np.asarray(frame)[:, :, self.d_id :].ravel() / CONTENT_GAIN
         return self.basis_pinv @ rest
 
 
@@ -216,19 +213,16 @@ def get_projector(
     projector_seed: int,
     shape: Tuple[int, int, int],
     d_e: int = DEFAULT_EMBED_DIM,
-    n_tokens: int = DEFAULT_TOKENS,
     d_id: int = DEFAULT_IDENTITY_CHANNELS,
-    identity_gain: float = DEFAULT_IDENTITY_GAIN,
-    content_gain: float = DEFAULT_CONTENT_GAIN,
 ) -> MeanProjector:
     """Build (and cache) the fixed seeded projector for a configuration."""
     h, w, d = shape
     if d_id > d:
         raise ConfigError(f"identity channels {d_id} exceed latent channels {d}")
-    if d_e % n_tokens != 0:
-        raise ConfigError(f"embed dim {d_e} not divisible into {n_tokens} tokens")
-    d_token = d_e // n_tokens
-    rng = spawn_rng("mean-projector", projector_seed, shape, d_e, n_tokens, d_id)
+    if d_e % DEFAULT_TOKENS != 0:
+        raise ConfigError(f"embed dim {d_e} not divisible into {DEFAULT_TOKENS} tokens")
+    d_token = d_e // DEFAULT_TOKENS
+    rng = spawn_rng("mean-projector", projector_seed, shape, d_e, DEFAULT_TOKENS, d_id)
     query = rng.standard_normal(d_token)
     id_map = rng.standard_normal((d_id, d_token)) / np.sqrt(d_token)
     fields = [rng.standard_normal((h, w)) for _ in range((d_token + 1) // 2)]
@@ -239,14 +233,4 @@ def get_projector(
         pattern = fields[m // 2][:, :, None] * direction[None, None, :]
         columns.append(pattern.ravel())
     basis = np.stack(columns, axis=1)
-    return MeanProjector(
-        query=query,
-        id_map=id_map,
-        basis=basis,
-        basis_pinv=np.linalg.pinv(basis),
-        shape=shape,
-        d_id=d_id,
-        n_tokens=n_tokens,
-        identity_gain=identity_gain,
-        content_gain=content_gain,
-    )
+    return MeanProjector(query, id_map, basis, np.linalg.pinv(basis), shape, d_id)

@@ -4,9 +4,9 @@ whole run. Stage functions take the config itself and derive the schedule,
 world, shapes and seeds they need from it.
 
 The toy world's fixed constants are not knobs: the schedule ends live in
-make_schedule, the token count and gains in conditioning, the style
-feature width in StyleGram and the PSNR peak in psnr, each as the default
-of the primitive that uses it."""
+make_schedule, the style feature width in StyleGram and the PSNR peak in
+psnr, each as the default of the primitive that uses it, and the token
+count and gains are constants of conditioning."""
 
 from __future__ import annotations
 
@@ -26,12 +26,13 @@ from .conditioning import (
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .seeds import derive_seed
+from .tensorio import MAX_DIM
 
 MODES = ("windowed", "fifo-reset")
 
 #: The largest sigma0 and ip_scale, so every float of a run stays finite.
-#: mu(c) is linear in ip_scale (identity_gain * ip_scale on the identity
-#: channels, content_gain * (1 + ip_scale) on the rest), and a frame is
+#: mu(c) is linear in ip_scale (IDENTITY_GAIN * ip_scale on the identity
+#: channels, CONTENT_GAIN * (1 + ip_scale) on the rest), and a frame is
 #: about mu + min(sigma0, 1 / sqrt(alpha_bar(T))) * z for unit noise z, so
 #: an element is at most a few thousand times 1 + ip_scale + sigma0 at any
 #: latent and embedding size. The metrics square the float32 identity
@@ -92,6 +93,11 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the dimensions of frames.vgt, each a uint32
+        shape = (self.n_shots * self.frames_per_shot, *self.latent_shape)
+        for name, dim in zip(("n_shots * frames_per_shot", "height", "width", "channels"), shape):
+            if dim > MAX_DIM:
+                raise ConfigError(f"{name} must be at most {MAX_DIM}, a .vgt dimension, got {dim}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
         if not 1 <= self.boundary <= self.frames_per_shot:
@@ -163,10 +169,7 @@ class PipelineConfig:
 
     def projector(self) -> MeanProjector:
         return get_projector(
-            self.projector_seed,
-            self.latent_shape,
-            d_e=self.embed_dim,
-            d_id=self.identity_channels,
+            self.projector_seed, self.latent_shape, self.embed_dim, self.identity_channels
         )
 
     def world(self) -> GaussianWorld:

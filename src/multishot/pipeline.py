@@ -10,6 +10,12 @@ leaves a self-contained directory behind:
     timeline.json   per-frame {global_frame, shot} labels and the mode
     report.json     metrics report
     manifest.json   sha256 of every artifact above
+    failed/         stage.txt, when a stage failed
+
+These are ``RUN_FILES``. Before its first stage a run deletes them
+(``clear_run``); the manifest hashes the artifacts among them, no other
+file, and ``verify_manifest`` holds while it equals their hashes. Each is
+written through ``tensorio.atomic_write``.
 
 Runs are deterministic: equal (user_input, config) produce byte-identical
 artifacts, so manifests can be compared across machines and reruns. Every
@@ -18,8 +24,7 @@ The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.
 timeline.json restates what config.json gives (frame f belongs to shot
-f // k) and nothing reads it. Before its first stage, a run deletes
-whatever an earlier run left in the directory (``clear_run``).
+f // k) and nothing reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import shutil
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -47,7 +51,7 @@ from .script import (
     serialize_story,
 )
 from .smoothing import DenoiseTrace, FrameStream, build_plan
-from .tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
+from .tensorio import TEMP_SUFFIX, atomic_write, read_tensor_file, write_tensor_file
 
 STORY_FILE = "story.json"
 CONFIG_FILE = "config.json"
@@ -56,12 +60,15 @@ TIMELINE_FILE = "timeline.json"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
 KEYFRAME_DIR = "keyframes"
+FAILED_FILE = "failed/stage.txt"
 LOCK_FILE = ".lock"
-FAILED_DIR = "failed"
-#: Every file and directory a run writes, which is what clear_run deletes.
-#: The manifest goes first, so an interrupted clear leaves none behind.
-RUN_FILES = (MANIFEST_FILE, STORY_FILE, CONFIG_FILE, FRAMES_FILE, TIMELINE_FILE, REPORT_FILE)
-RUN_DIRS = (KEYFRAME_DIR, FAILED_DIR)
+#: The artifacts of a run, as glob patterns relative to its directory: the
+#: files its manifest hashes.
+ARTIFACTS = (STORY_FILE, CONFIG_FILE, FRAMES_FILE, TIMELINE_FILE, REPORT_FILE,
+             f"{KEYFRAME_DIR}/shot_*.vgt")
+#: Every file a run writes, which is what clear_run deletes. The manifest
+#: goes first, so an interrupted clear leaves none behind.
+RUN_FILES = (MANIFEST_FILE, *ARTIFACTS, FAILED_FILE)
 
 
 def make_llm(config: PipelineConfig):
@@ -106,8 +113,14 @@ def generate_timeline(
 # Persistence.
 
 
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through ``atomic_write``."""
+    with atomic_write(path) as handle:
+        handle.write(data)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_bytes((json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
+    write_file(path, (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def write_timeline_json(path: Path, config: PipelineConfig) -> None:
@@ -171,18 +184,18 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _hash_artifacts(run_dir: Path) -> Dict[str, str]:
+    """Each file of ARTIFACTS in run_dir, by name, mapped to its sha256."""
+    paths = [path for pattern in ARTIFACTS for path in run_dir.glob(pattern)]
+    return {path.relative_to(run_dir).as_posix(): _sha256(path) for path in sorted(paths)}
+
+
 def write_manifest(run_dir: Path) -> Dict[str, str]:
-    """Hash every artifact: everything except the manifest, the lock, the
-    failure marker and the temporary of an unfinished tensor write."""
-    entries = {}
-    for path in sorted(run_dir.rglob("*")):
-        if path.is_dir() or path.name in (MANIFEST_FILE, LOCK_FILE):
-            continue
-        if path.name.endswith(TEMP_SUFFIX) or FAILED_DIR in path.relative_to(run_dir).parts:
-            continue
-        entries[path.relative_to(run_dir).as_posix()] = _sha256(path)
-    _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(entries.items()))})
-    return entries
+    """Write manifest.json, which hashes the artifacts in run_dir, and
+    return its entries: name relative to run_dir to sha256."""
+    files = _hash_artifacts(run_dir)
+    _write_json(run_dir / MANIFEST_FILE, {"files": files})
+    return files
 
 
 def read_manifest(run_dir: Path) -> Optional[Dict[str, str]]:
@@ -203,41 +216,27 @@ def read_manifest(run_dir: Path) -> Optional[Dict[str, str]]:
 
 
 def verify_manifest(run_dir: Path) -> bool:
-    """True when manifest.json is a valid manifest and every artifact it
-    records still exists inside run_dir and matches its hash. False, never
-    an exception, when the manifest is missing, is not one ``read_manifest``
-    accepts, or names a file outside run_dir."""
+    """True when manifest.json is a valid manifest that lists exactly the
+    artifacts in run_dir, each with its current hash; False, never an
+    exception, otherwise."""
     run_dir = Path(run_dir)
     try:
-        files = read_manifest(run_dir)
+        return read_manifest(run_dir) == _hash_artifacts(run_dir)
     except (OSError, ParseError, ValidationError):
         return False
-    if files is None:
-        return False
-    root = run_dir.resolve()
-    for name, digest in files.items():
-        path = (run_dir / name).resolve()
-        if not (path.is_relative_to(root) and path.is_file() and _sha256(path) == digest):
-            return False
-    return True
 
 
-def record_in_manifest(run_dir: Path, path: Path) -> None:
-    """Add or update the hash of one file inside run_dir in its existing
+def record_in_manifest(run_dir: Path) -> None:
+    """Add or update the hash of run_dir's report.json in its existing
     manifest. Every other entry is kept as recorded: rehashing them all
     would bless an artifact corrupted since the manifest was written. Does
-    nothing when run_dir has no manifest or path lies outside it, and
-    raises what ``read_manifest`` raises for a malformed one."""
+    nothing when run_dir has no manifest, and raises what ``read_manifest``
+    raises for a malformed one."""
     run_dir = Path(run_dir)
-    try:
-        name = Path(path).resolve().relative_to(run_dir.resolve()).as_posix()
-    except ValueError:
-        return
     files = read_manifest(run_dir)
-    if files is None:
-        return
-    files[name] = _sha256(run_dir / name)
-    _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(files.items()))})
+    if files is not None:
+        files[REPORT_FILE] = _sha256(run_dir / REPORT_FILE)
+        _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(files.items()))})
 
 
 @contextlib.contextmanager
@@ -264,28 +263,26 @@ def _stage(run_dir: Path, name: str):
     try:
         yield
     except Exception as exc:
-        marker_dir = run_dir / FAILED_DIR
+        marker = run_dir / FAILED_FILE
         with contextlib.suppress(OSError):
-            marker_dir.mkdir(exist_ok=True)
-            (marker_dir / "stage.txt").write_text(
-                f"{name}\n{type(exc).__name__}: {exc}\n", encoding="utf-8"
-            )
+            marker.parent.mkdir(exist_ok=True)
+            write_file(marker, f"{name}\n{type(exc).__name__}: {exc}\n".encode("utf-8"))
         raise StageFailure(name, exc) from exc
 
 
 def clear_run(run_dir: Path) -> None:
-    """Delete every file and directory in RUN_FILES and RUN_DIRS from
-    run_dir, and the temporaries that a tensor write killed outright left
-    beside them, so nothing of an earlier run outlives a rerun that fails.
+    """Delete every file of RUN_FILES from run_dir, the temporaries that a
+    write killed outright left beside them, and the directories this
+    leaves empty, so nothing of an earlier run outlives a rerun that fails.
     Other files in run_dir are left alone. Call it under the run lock."""
     run_dir = Path(run_dir)
-    for name in RUN_FILES:
-        (run_dir / name).unlink(missing_ok=True)
-        for temp in run_dir.glob(f".{name}.*{TEMP_SUFFIX}"):
-            temp.unlink()
-    for name in RUN_DIRS:
-        with contextlib.suppress(FileNotFoundError):
-            shutil.rmtree(run_dir / name)
+    for pattern in RUN_FILES:
+        folder, name = (run_dir / pattern).parent, Path(pattern).name
+        for path in [*folder.glob(name), *folder.glob(f".{name}.*{TEMP_SUFFIX}")]:
+            path.unlink()
+        if folder != run_dir:
+            with contextlib.suppress(OSError):  # left when it holds other files
+                folder.rmdir()
 
 
 def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Path) -> None:
@@ -302,13 +299,17 @@ def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Pa
         # is on disk, so no stage holds the run's frames
         write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
         write_timeline_json(run_dir / TIMELINE_FILE, config)
-        (run_dir / CONFIG_FILE).write_bytes(config_to_json(config))
+        write_file(run_dir / CONFIG_FILE, config_to_json(config))
 
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     """Metrics stage, standalone: recompute the report purely from the
-    persisted artifacts (frames.vgt + story.json + config.json)."""
+    persisted artifacts (frames.vgt + story.json + config.json). A run
+    whose failed/stage.txt exists raises ``StateError`` naming the stage."""
     run_dir = Path(run_dir)
+    if (run_dir / FAILED_FILE).exists():
+        stage, _, error = (run_dir / FAILED_FILE).read_text(encoding="utf-8").partition("\n")
+        raise StateError(f"the run in {run_dir} failed in its {stage} stage: {error.strip()}")
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())
     report = build_report(load_timeline(run_dir, config), story, config)
@@ -326,7 +327,7 @@ def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, 
         clear_run(run_dir)
         with _stage(run_dir, "script"):
             story = build_story(user_input, config)
-            (run_dir / STORY_FILE).write_bytes(serialize_story(story))
+            write_file(run_dir / STORY_FILE, serialize_story(story))
 
         write_generation_artifacts(story, config, run_dir)
 

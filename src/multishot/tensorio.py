@@ -9,12 +9,14 @@ Layout, all little-endian:
     then         row-major float32 payload
 
 Round-trips are bitwise for float32 arrays. Both functions stream, so a
-tensor crosses the disk boundary without a whole-tensor copy, and a write
+tensor crosses the disk boundary without a whole-tensor copy. Every file
+of a run, tensor or not, is written through :func:`atomic_write`, which
 either completes or leaves the target untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import secrets
 import struct
@@ -29,6 +31,8 @@ VERSION = 1
 MAX_RANK = 8
 #: The longest header: magic, version, rank and MAX_RANK dims.
 MAX_HEADER = 6 + 4 * MAX_RANK
+#: The largest dimension a header holds, as a uint32.
+MAX_DIM = 2**32 - 1
 #: Ends the name of the temporary sibling a file is written to before it
 #: replaces its target.
 TEMP_SUFFIX = ".partial"
@@ -37,7 +41,7 @@ TEMP_SUFFIX = ".partial"
 def _header(shape: tuple) -> bytes:
     if not 1 <= len(shape) <= MAX_RANK:
         raise ConfigError(f"rank must be 1..{MAX_RANK}, got {len(shape)}")
-    if any(dim >= 2**32 for dim in shape):
+    if any(dim > MAX_DIM for dim in shape):
         raise ConfigError(f"dimension too large for uint32: {shape}")
     return MAGIC + bytes([VERSION, len(shape)]) + struct.pack(f"<{len(shape)}I", *shape)
 
@@ -66,41 +70,45 @@ def _parse_header(head: bytes, size: int) -> tuple:
     return shape, dims_end
 
 
-def write_tensor_file(path, tensor) -> None:
-    """Write ``tensor`` in the layout above. It is an array, or any
-    iterable of rows whose ``shape`` attribute gives the full stacked
-    shape, such as a stream that samples each row as it is pulled: the
-    header comes from ``tensor.shape``, then each row along axis 0 is
-    converted to float32 and written in turn. A row of the wrong shape or a
-    wrong number of rows raises ``ConfigError``.
-
-    The bytes go to a temporary sibling (its name ends in ``TEMP_SUFFIX``)
-    that replaces ``path`` only once every row is written; on any error the
-    temporary is removed and ``path`` is left as it was."""
-    shape = tuple(tensor.shape)
-    header = _header(shape)
-    row_shape, n_rows = shape[1:], shape[0]
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary handle on a temporary sibling of ``path`` that replaces
+    ``path`` when the block ends; if the block raises, the temporary is
+    removed and ``path`` is left as it was."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
-    handle = open(temp, "xb")
     try:
-        with handle:
-            handle.write(header)
-            count = 0
-            for row in tensor:
-                row = np.asarray(row)
-                if count == n_rows or row.shape != row_shape:
-                    raise ConfigError(
-                        f"row {count} of shape {row.shape} does not fit a tensor of shape {shape}"
-                    )
-                handle.write(np.ascontiguousarray(row, dtype="<f4"))
-                count += 1
-        if count != n_rows:
-            raise ConfigError(f"{count} rows for a tensor of shape {shape}")
+        with open(temp, "xb") as handle:
+            yield handle
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_tensor_file(path, tensor) -> None:
+    """Write ``tensor`` in the layout above, through :func:`atomic_write`.
+    It is an array, or any iterable of rows whose ``shape`` attribute gives
+    the full stacked shape, such as a stream that samples each row as it is
+    pulled: the header comes from ``tensor.shape``, then each row along
+    axis 0 is converted to float32 and written in turn. A row of the wrong
+    shape or a wrong number of rows raises ``ConfigError``."""
+    shape = tuple(tensor.shape)
+    header = _header(shape)
+    row_shape, n_rows = shape[1:], shape[0]
+    with atomic_write(path) as handle:
+        handle.write(header)
+        count = 0
+        for row in tensor:
+            row = np.asarray(row)
+            if count == n_rows or row.shape != row_shape:
+                raise ConfigError(
+                    f"row {count} of shape {row.shape} does not fit a tensor of shape {shape}"
+                )
+            handle.write(np.ascontiguousarray(row, dtype="<f4"))
+            count += 1
+        if count != n_rows:
+            raise ConfigError(f"{count} rows for a tensor of shape {shape}")
 
 
 def read_tensor_file(path) -> np.ndarray:

@@ -131,6 +131,20 @@ def test_metrics_after_generate_records_report_in_manifest(tmp_path):
         handle.write(b" ")
     assert not verify_manifest(out)
 
+    # only the run's own report.json is recorded, however --report names it
+    fresh = tmp_path / "fresh"
+    assert cli(["generate", "--story", str(tmp_path / "story.json"), "--out", str(fresh)]) == 0
+    manifest = (fresh / "manifest.json").read_bytes()
+    assert cli(["metrics", "--run", str(fresh), "--report", str(fresh / "other.json")]) == 0
+    assert (fresh / "manifest.json").read_bytes() == manifest
+    assert verify_manifest(fresh)
+    # a report.json written behind the manifest's back is caught
+    (fresh / "report.json").write_bytes((fresh / "other.json").read_bytes())
+    assert not verify_manifest(fresh)
+    assert cli(["metrics", "--run", str(fresh), "--report", str(fresh / "report.json")]) == 0
+    assert "report.json" in json.loads((fresh / "manifest.json").read_text())["files"]
+    assert verify_manifest(fresh)
+
 
 def test_metrics_refuses_locked_run(tmp_path, capsys):
     # metrics holds the run lock: it leaves a directory another command owns alone
@@ -249,7 +263,11 @@ def test_failed_generate_over_run_leaves_no_manifest(tmp_path, monkeypatch, caps
     # nothing of the first run is left to be scored against the new story
     for name in ("config.json", "frames.vgt", "timeline.json", "report.json"):
         assert not (out / name).exists(), name
-    assert cli(["metrics", "--run", str(out)]) != 0
+    capsys.readouterr()
+    # metrics names the failed stage: a state error, not a missing file
+    assert cli(["metrics", "--run", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "generate" in err and "RuntimeError: synthetic generation failure" in err
     assert not (out / "report.json").exists()
 
 

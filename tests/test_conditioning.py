@@ -310,4 +310,4 @@ def test_projector_rejects_bad_dims():
     with pytest.raises(ConfigError):
         get_projector(0, (8, 8, 3), d_id=4)
     with pytest.raises(ConfigError):
-        get_projector(0, SHAPE, d_e=15, n_tokens=4)
+        get_projector(0, SHAPE, d_e=15)

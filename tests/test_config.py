@@ -45,11 +45,15 @@ def test_defaults_are_valid():
         {"ip_scale": 1e20},
         # no content channel left for the text
         {"identity_channels": 8},
+        # a .vgt dimension is a uint32
+        {"n_shots": 2**16, "frames_per_shot": 2**16},
+        {"height": 2**32},
     ],
 )
 def test_invalid_values_rejected(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         PipelineConfig(**kwargs)
+    assert any(key in str(excinfo.value) for key in kwargs)
 
 
 @pytest.mark.parametrize(

@@ -77,9 +77,18 @@ def test_frames_tensor_dimensions(default_run):
 
 
 def test_rerun_produces_identical_manifest(default_run, tmp_path):
-    _, manifest = default_run
+    out, manifest = default_run
     again = run_pipeline(STORY_INPUT, PipelineConfig(), tmp_path / "other_dir")
     assert again == manifest
+    # files the run did not write, top-level and nested, are not hashed
+    crowded = tmp_path / "crowded"
+    (crowded / "src" / "deep").mkdir(parents=True)
+    (crowded / ".env").write_text("TOKEN=1\n")
+    (crowded / "src" / "deep" / "code.py").write_text("x = 1\n")
+    assert run_pipeline(STORY_INPUT, PipelineConfig(), crowded) == manifest
+    assert (crowded / MANIFEST_FILE).read_bytes() == (out / MANIFEST_FILE).read_bytes()
+    (crowded / "src" / "deep" / "code.py").write_text("x = 2\n")
+    assert verify_manifest(crowded)
 
 
 def test_different_seed_changes_manifest(default_run, tmp_path):
@@ -230,13 +239,18 @@ def test_rerun_clears_what_a_killed_run_left_and_nothing_else(tmp_path):
     out = tmp_path / "killed"
     run_pipeline(STORY_INPUT, PipelineConfig(), out)
     temps = [out / f".{FRAMES_FILE}.1a2b3c4d{TEMP_SUFFIX}",
-             out / "keyframes" / f".shot_0000.vgt.5e6f7a8b{TEMP_SUFFIX}"]
+             out / "keyframes" / f".shot_0000.vgt.5e6f7a8b{TEMP_SUFFIX}",
+             out / f".config.json.9c0d1e2f{TEMP_SUFFIX}",
+             out / f".{REPORT_FILE}.3a4b5c6d{TEMP_SUFFIX}"]
     for temp in temps:
         temp.write_bytes(b"VGOT")  # what a write killed outright leaves
     (out / "notes.txt").write_text("not written by a run")
-    run_pipeline(STORY_INPUT, PipelineConfig(), out)
+    manifest = run_pipeline(STORY_INPUT, PipelineConfig(), out)
     assert not any(temp.exists() for temp in temps)
     assert (out / "notes.txt").read_text() == "not written by a run"
+    assert "notes.txt" not in manifest
+    assert verify_manifest(out)
+    (out / "notes.txt").write_text("rewritten")
     assert verify_manifest(out)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from multishot.errors import ConfigError, FormatError, LengthError
 from multishot.seeds import spawn_rng
-from multishot.tensorio import read_tensor_file, write_tensor_file
+from multishot.tensorio import atomic_write, read_tensor_file, write_tensor_file
 
 
 def _layout(tensor) -> bytes:
@@ -155,6 +155,22 @@ def test_failed_write_leaves_no_file_and_no_temporary(tmp_path):
     with pytest.raises(RuntimeError, match="sampler failed"):
         write_tensor_file(path, rows)
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_replaces_the_target_only_when_the_block_ends(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_write(path) as handle:
+            handle.write(b"new bytes")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_write(path) as handle:
+        handle.write(b"new bytes")
+        assert path.read_bytes() == b"old"  # nothing reaches the target mid-write
+    assert path.read_bytes() == b"new bytes"
     assert list(tmp_path.iterdir()) == [path]
 
 
