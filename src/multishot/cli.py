@@ -37,12 +37,12 @@ from .pipeline import (
     render_keyframes,
     run_lock,
     run_pipeline,
-    write_file,
     write_generation_artifacts,
     write_keyframes,
     write_manifest,
 )
 from .script import DOMAIN_FIELDS, parse_story, serialize_story
+from .tensorio import write_file
 
 
 class UsageError(Exception):

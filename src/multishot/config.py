@@ -26,7 +26,7 @@ from .conditioning import (
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .seeds import derive_seed
-from .tensorio import MAX_DIM
+from .tensorio import MAX_DIM, canonical_json
 
 MODES = ("windowed", "fifo-reset")
 
@@ -218,7 +218,7 @@ class PipelineConfig:
 
 def config_to_json(config: PipelineConfig) -> bytes:
     """Canonical config document: every field, in field order."""
-    return (json.dumps(config.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return canonical_json(config.to_dict())
 
 
 def config_from_json(data: bytes):

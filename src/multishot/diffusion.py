@@ -17,9 +17,10 @@ where a_t is the cumulative product of per-step (1 - beta). The reverse
 update is the deterministic (eta = 0) limit of the usual non-Markovian
 sampler; a stochastic term can be enabled with eta > 0 and explicit noise.
 
-The reverse step works on batches: ``ddim_step`` takes a level vector, one
-level per row of axis 0, so a FIFO queue of latents at staggered levels or
-B chains in lockstep take one step per call. Both kernels compute through
+The reverse step works on batches. ``reverse_step`` is the one place a
+backend or ``ddim_step`` is called: it evaluates each row of axis 0 at its
+own level, for chains in lockstep and the staggered FIFO queue alike, then
+takes one ``ddim_step`` over the level vector. Both kernels compute through
 ``out=`` buffers with the same operations in the same order as the
 textbook expressions above, so a batched row is bitwise the single step.
 
@@ -223,16 +224,25 @@ def analytic_eps(
     return out
 
 
-def denoise_row(
-    denoiser: DenoiserBackend, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule,
-    out: np.ndarray,
-) -> None:
-    """Evaluate ``denoiser`` on one latent and copy its eps_hat into ``out``,
-    a row of a batch; an eps_hat of another shape is refused, not broadcast."""
-    eps_hat = denoiser(x_t, t, cond, schedule)
-    if np.shape(eps_hat) != np.shape(x_t):
-        raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {np.shape(x_t)}")
-    out[...] = eps_hat
+def reverse_step(
+    denoiser: DenoiserBackend, x: np.ndarray, levels, conds: Sequence, schedule: NoiseSchedule,
+    eta: float = 0.0, noise: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Denoise row b of ``x`` at ``levels[b]`` under ``conds[b]``, handing
+    the backend a Python int, then step the batch one level down in one
+    ``ddim_step`` with ``eta``, ``noise`` and ``out``. ``levels`` is an int
+    array, one per row, or an int, which keeps ``ddim_step`` on its faster
+    scalar path. An eps_hat of another shape than its row is refused."""
+    if len(conds) != len(x):
+        raise ShapeError(f"{len(conds)} conditions for {len(x)} rows")
+    eps = np.empty_like(x)
+    for row, t, cond, eps_row in zip(x, np.full(len(x), levels).tolist(), conds, eps):
+        eps_hat = denoiser(row, t, cond, schedule)
+        if np.shape(eps_hat) != np.shape(row):
+            raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {np.shape(row)}")
+        eps_row[...] = eps_hat
+    eps_hat = None  # the last row's output need not live through ddim_step
+    return ddim_step(x, eps, levels, levels - 1, schedule, eta=eta, noise=noise, out=out)
 
 
 def sample_reverse(
@@ -246,18 +256,13 @@ def sample_reverse(
 
     Row b starts from x_T ~ N(0, I) drawn from ``seeds[b]`` and is denoised
     under ``conds[b]`` through every step T..1 with the eta = 0 update, one
-    ``ddim_step`` per level for the whole batch. Each row is bitwise the
+    ``reverse_step`` per level for the whole batch. Each row is bitwise the
     chain a batch of one would give, and deterministic given (seed, cond,
     schedule, denoiser).
     """
-    if len(conds) != len(seeds):
-        raise ShapeError(f"{len(conds)} conditions for {len(seeds)} seeds")
     x = np.empty((len(seeds),) + tuple(shape))
     for row, seed in zip(x, seeds):
         spawn_rng("reverse-init", seed).standard_normal(out=row)
-    eps = np.empty_like(x)
     for t in range(schedule.T, 0, -1):
-        for row, cond, eps_row in zip(x, conds, eps):
-            denoise_row(denoiser, row, t, cond, schedule, out=eps_row)
-        ddim_step(x, eps, t, t - 1, schedule, out=x)
+        reverse_step(denoiser, x, t, conds, schedule, out=x)
     return x

@@ -17,9 +17,9 @@ These are ``RUN_FILES``. Before its first stage a run deletes them
 file, and ``verify_manifest`` holds while it equals their hashes. Each is
 written through ``tensorio.atomic_write``.
 
-Runs are deterministic: equal (user_input, config) produce byte-identical
-artifacts, so manifests can be compared across machines and reruns. Every
-seed of a run derives from the config's root seed, through the config.
+Equal (user_input, config) produce byte-identical artifacts on one
+numpy/BLAS build and CPU kernel; another kernel can change report.json
+(ROADMAP item 1). Every seed derives from the config's root seed.
 The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.
@@ -51,7 +51,7 @@ from .script import (
     serialize_story,
 )
 from .smoothing import DenoiseTrace, FrameStream, build_plan
-from .tensorio import TEMP_SUFFIX, atomic_write, read_tensor_file, write_tensor_file
+from .tensorio import TEMP_SUFFIX, canonical_json, read_tensor_file, write_file, write_tensor_file
 
 STORY_FILE = "story.json"
 CONFIG_FILE = "config.json"
@@ -113,16 +113,6 @@ def generate_timeline(
 # Persistence.
 
 
-def write_file(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through ``atomic_write``."""
-    with atomic_write(path) as handle:
-        handle.write(data)
-
-
-def _write_json(path: Path, payload) -> None:
-    write_file(path, (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-
-
 def write_timeline_json(path: Path, config: PipelineConfig) -> None:
     """The mode and each of the config's n_shots * k frames, labelled shot
     f // k. Nothing reads the file back; it is written because the
@@ -132,7 +122,7 @@ def write_timeline_json(path: Path, config: PipelineConfig) -> None:
         "mode": config.mode,
         "frames": [{"global_frame": f, "shot": f // k} for f in range(config.n_shots * k)],
     }
-    _write_json(path, payload)
+    write_file(path, canonical_json(payload))
 
 
 def load_timeline(run_dir: Path, config: PipelineConfig) -> np.ndarray:
@@ -157,7 +147,7 @@ def load_timeline(run_dir: Path, config: PipelineConfig) -> np.ndarray:
 
 
 def write_report(path: Path, report: MetricsReport) -> None:
-    _write_json(path, report.to_dict())
+    write_file(path, canonical_json(report.to_dict()))
 
 
 def read_report(path) -> MetricsReport:
@@ -194,7 +184,7 @@ def write_manifest(run_dir: Path) -> Dict[str, str]:
     """Write manifest.json, which hashes the artifacts in run_dir, and
     return its entries: name relative to run_dir to sha256."""
     files = _hash_artifacts(run_dir)
-    _write_json(run_dir / MANIFEST_FILE, {"files": files})
+    write_file(run_dir / MANIFEST_FILE, canonical_json({"files": files}))
     return files
 
 
@@ -236,7 +226,7 @@ def record_in_manifest(run_dir: Path) -> None:
     files = read_manifest(run_dir)
     if files is not None:
         files[REPORT_FILE] = _sha256(run_dir / REPORT_FILE)
-        _write_json(run_dir / MANIFEST_FILE, {"files": dict(sorted(files.items()))})
+        write_file(run_dir / MANIFEST_FILE, canonical_json({"files": dict(sorted(files.items()))}))
 
 
 @contextlib.contextmanager

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .seeds import derive_seed
+from .tensorio import canonical_json
 
 DOMAIN_FIELDS = ("character", "background", "relations", "camera", "hdr")
 
@@ -429,9 +430,8 @@ def story_to_document(story: Story) -> dict:
 
 
 def serialize_story(story: Story) -> bytes:
-    """Canonical serialization: schema key order, 2-space indent, LF."""
-    text = json.dumps(story_to_document(story), indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    """Canonical serialization, in schema key order."""
+    return canonical_json(story_to_document(story))
 
 
 def _read_domains(mapping: dict, path: str) -> dict:

@@ -3,7 +3,7 @@
 The queue is one (n, h, w, d) array of latents, one row per noise level,
 head at level 1 and tail at level n = T until the story runs out of frames.
 Every tick denoises each latent one level under the condition of the shot
-that owns its global frame, with one batched reverse step over the level
+that owns its global frame, with one ``reverse_step`` over the level
 vector 1..n, dequeues the head (now fully denoised) for emission, and
 enqueues fresh unit noise at level T for the next frame. Because each
 entering latent brings fresh noise and its own shot's embeddings, the
@@ -48,7 +48,7 @@ import numpy as np
 from .clips import build_shot_condition, generate_shot_clip
 from .conditioning import Condition
 from .config import PipelineConfig
-from .diffusion import DenoiserBackend, NoiseSchedule, ddim_step, denoise_row
+from .diffusion import DenoiserBackend, NoiseSchedule, reverse_step
 from .errors import ConfigError, StateError
 from .script import Story
 from .seeds import spawn_rng
@@ -81,7 +81,7 @@ class LatentQueue:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One denoiser call on a story frame."""
+    """One denoiser call on a story frame, recorded before its tick makes it."""
 
     tick: int
     global_frame: int
@@ -137,14 +137,14 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
 
 
 def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
-    """One engine step: denoise every latent once, emit the head, enqueue
-    fresh noise.
+    """One engine step: one ``reverse_step`` denoises every latent once,
+    then the head is emitted and fresh noise enqueued.
 
-    The denoiser runs once per latent; the reverse step runs once for the
-    whole queue. Returns (global_frame, frame) when a story frame is
-    emitted, None while warm-up dummies are being discarded; the frame is
-    a copy, sharing no memory with the queue. Once the plan is exhausted
-    the queue drains (no enqueue) until empty.
+    The row loop only gathers each latent's condition, trace record and
+    eta draw. Returns (global_frame, frame) when a story frame is emitted,
+    None while warm-up dummies are being discarded; the frame is a copy,
+    sharing no memory with the queue. Once the plan is exhausted the queue
+    drains (no enqueue) until empty.
     """
     rows = len(queue.latents)
     if not rows:
@@ -154,12 +154,12 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     seed = config.timeline_seed
     tick_no = queue.ticks + 1
     k, L, n = config.frames_per_shot, config.boundary, len(plan)
-    eps = np.empty_like(queue.latents)
-    noise = None if config.eta == 0.0 else np.empty_like(eps)
-    for pos, latent in enumerate(queue.latents):
+    conds = []
+    noise = None if config.eta == 0.0 else np.empty_like(queue.latents)
+    for pos in range(rows):
         level, frame = pos + 1, queue.head + pos
         shot = 0 if frame < 0 else shot_for_frame(frame, k, L)
-        denoise_row(queue.denoiser, latent, level, plan[shot], schedule, out=eps[pos])
+        conds.append(plan[shot])
         if trace is not None and frame >= 0:
             trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
                                      condition_shot=shot))
@@ -169,9 +169,8 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     next_frame = queue.head + rows
     enqueue = next_frame < n * k
     stepped = np.empty((rows + enqueue,) + queue.latents.shape[1:])
-    levels = np.arange(1, rows + 1)
-    ddim_step(queue.latents, eps, levels, levels - 1, schedule, eta=config.eta, noise=noise,
-              out=stepped[:rows])
+    reverse_step(queue.denoiser, queue.latents, np.arange(1, rows + 1), conds, schedule,
+                 eta=config.eta, noise=noise, out=stepped[:rows])
     if enqueue:
         spawn_rng("queue-noise", seed, next_frame).standard_normal(out=stepped[rows])
     emitted = None if queue.head < 0 else (queue.head, stepped[0].copy())

@@ -10,13 +10,14 @@ Layout, all little-endian:
 
 Round-trips are bitwise for float32 arrays. Both functions stream, so a
 tensor crosses the disk boundary without a whole-tensor copy. Every file
-of a run, tensor or not, is written through :func:`atomic_write`, which
-either completes or leaves the target untouched.
+of a run is written through :func:`atomic_write`, which either completes
+or leaves the target untouched, and a JSON file as :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import secrets
 import struct
@@ -70,6 +71,11 @@ def _parse_header(head: bytes, size: int) -> tuple:
     return shape, dims_end
 
 
+def canonical_json(payload) -> bytes:
+    """A run's JSON document: UTF-8, 2-space indent, non-ASCII kept, final LF."""
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 @contextlib.contextmanager
 def atomic_write(path):
     """A binary handle on a temporary sibling of ``path`` that replaces
@@ -84,6 +90,12 @@ def atomic_write(path):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through ``atomic_write``."""
+    with atomic_write(path) as handle:
+        handle.write(data)
 
 
 def write_tensor_file(path, tensor) -> None:

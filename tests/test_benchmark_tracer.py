@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import multishot  # noqa: F401  imports every module the tracer wraps
-from multishot import diffusion, smoothing
+from multishot import casting, diffusion
 from multishot.config import PipelineConfig
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import run_timeline
@@ -34,7 +34,7 @@ def _traced_profile(run):
 
 
 def test_tracer_installs_counts_and_uninstalls():
-    originals = (diffusion.ddim_step, diffusion.sample_reverse, smoothing.ddim_step)
+    originals = (diffusion.ddim_step, diffusion.sample_reverse, casting.sample_reverse)
     config = PipelineConfig(n_shots=3, frames_per_shot=2, steps=4, shots_per_avatar=2)
     story = build_story("the life of a lighthouse keeper named Edda", config)
     calls = _traced_profile(lambda: render_keyframes(story, config))["calls"]
@@ -44,7 +44,7 @@ def test_tracer_installs_counts_and_uninstalls():
     assert calls["diffusion.ddim_step"] == 2 * config.steps
     assert calls["diffusion.analytic_eps"] == (2 + 3) * config.steps
     assert calls["casting.encode_image_mock"] == 2
-    assert (diffusion.ddim_step, diffusion.sample_reverse, smoothing.ddim_step) == originals
+    assert (diffusion.ddim_step, diffusion.sample_reverse, casting.sample_reverse) == originals
 
 
 def test_traced_windowed_timeline_keeps_closed_form_counts():

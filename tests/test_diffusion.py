@@ -13,6 +13,7 @@ from multishot.diffusion import (
     analytic_eps,
     ddim_step,
     make_schedule,
+    reverse_step,
     sample_reverse,
 )
 from multishot.errors import ConfigError, NumericError, ScheduleError, ShapeError
@@ -255,6 +256,26 @@ def test_ddim_step_in_place_and_level_vector_shape():
     assert x.tobytes() == expected.tobytes()
     with pytest.raises(ShapeError):
         ddim_step(x, eps, np.array([3, 3, 3]), 2, sched)
+
+
+@pytest.mark.parametrize("levels", [3, np.array([1, 3, 4])], ids=["int", "vector"])
+def test_reverse_step_hands_each_row_its_level_as_an_int(levels):
+    # row b is denoised at levels[b] under conds[b], the backend sees a
+    # Python int, and the batch then takes ddim_step's one step
+    sched = make_schedule(4, 0.1, 0.4)
+    world = _const_world(1.0, 0.5, shape=(2,))
+    x = np.random.default_rng(1).standard_normal((3, 2))
+    seen = []
+
+    def backend(x_t, t, cond, schedule):
+        seen.append((type(t), t, cond))
+        return world(x_t, t, cond, schedule)
+
+    per_row = np.broadcast_to(levels, 3)
+    eps = np.stack([analytic_eps(row, int(t), world, None, sched) for row, t in zip(x, per_row)])
+    expected = ddim_step(x, eps, per_row, per_row - 1, sched)
+    assert reverse_step(backend, x, levels, ["a", "b", "c"], sched).tobytes() == expected.tobytes()
+    assert seen == [(int, int(t), c) for t, c in zip(per_row, "abc")]
 
 
 # --- analytic denoiser ------------------------------------------------------

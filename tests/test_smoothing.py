@@ -439,6 +439,78 @@ def test_frames_match_closed_form_chain(mode, sigma0, boundary):
         assert error < 1e-12, f"frame {g}: {error:.2e}"
 
 
+def _eta_step_scalars(schedule, sigma0, eta):
+    # {l: (P_l, Q_l, s_l)}: with the analytic world, one DDIM step from level
+    # l (arXiv 2010.02502, eq. 12 and 16) is the affine map
+    # x_{l-1} = P_l x_l + Q_l mu(c) + s_l z_l for its fresh unit noise z_l
+    s2 = sigma0**2
+    table = {}
+    for level in range(1, schedule.T + 1):
+        a, a_prev = schedule.alpha_bar(level), schedule.alpha_bar(level - 1)
+        denom = a * s2 + 1.0 - a
+        p = math.sqrt(a) * s2 / denom  # E[x0 | x_l] = p x_l + q mu
+        q = (1.0 - a) / denom
+        sigma = eta * math.sqrt((1.0 - a_prev) / (1.0 - a)) * math.sqrt(1.0 - a / a_prev)
+        c = math.sqrt(max(1.0 - a_prev - sigma**2, 0.0)) / math.sqrt(1.0 - a)
+        table[level] = (math.sqrt(a_prev) * p + c * (1.0 - math.sqrt(a) * p),
+                        math.sqrt(a_prev) * q - c * math.sqrt(a) * q, sigma)
+    return table
+
+
+@pytest.mark.parametrize("eta,boundary,sigma0", [(0.5, 4, 0.5), (1.0, 2, 2.0), (0.3, 3, 0.0)])
+def test_eta_frames_match_closed_form_steps(eta, boundary, sigma0):
+    # at eta > 0 every fifo-reset frame f is the affine chain above, driven by
+    # its own seeded draws: x_T from the queue-noise stream of f, and z_l
+    # from the queue-eta stream of (tick, f), where the tick that steps f
+    # down from level l is f + T - l + 1. At sigma0 = 0 the last step lands
+    # every frame on mu(c) whatever its draws, so that case pins the collapse
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=12, sigma0=sigma0, eta=eta,
+                            reset_boundary=boundary)
+    story = build_story(STORY_INPUT, config)
+    keyframes = render_keyframes(story, config)
+    plan = build_plan(story, keyframes, config)
+    timeline = run_timeline(generate_timeline(story, keyframes, config))
+    steps = _eta_step_scalars(config.schedule(), sigma0, eta)
+    mean_map = config.world().mean_map
+    seed, k, T = derive_seed("timeline", config.seed), config.frames_per_shot, config.steps
+    shape = config.latent_shape
+    assert len(timeline) == 12
+    for f, frame in enumerate(timeline):
+        mu = mean_map(plan[shot_for_frame(f, k, config.boundary)])
+        expected = spawn_rng("queue-noise", seed, f).standard_normal(shape)
+        for level in range(T, 0, -1):
+            P, Q, s = steps[level]
+            z = spawn_rng("queue-eta", seed, f + T - level + 1, f).standard_normal(shape)
+            expected = P * expected + Q * mu + s * z
+        error = np.max(np.abs(frame - expected) / np.maximum(1.0, np.abs(expected)))
+        assert error < 1e-12, f"frame {f}: {error:.2e}"
+
+
+def test_eta_one_frame_variance_matches_closed_form():
+    # one shot of 1,024 frames: all share one condition, so each pixel's
+    # frames are independent draws of x_0 = (prod_l P_l) x_T
+    # + sum_l (prod_{m<l} P_m)(Q_l mu + s_l z_l), whose variance is
+    # (prod_l P_l)^2 + sum_l s_l^2 (prod_{m<l} P_m)^2
+    config = PipelineConfig(n_shots=1, frames_per_shot=1024, steps=12, eta=1.0)
+    story = build_story(STORY_INPUT, config)
+    frames = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
+    steps = _eta_step_scalars(config.schedule(), config.sigma0, config.eta)
+    gain, variance = 1.0, 0.0  # gain is prod_{m<l} P_m
+    for level in range(1, config.steps + 1):
+        P, _, s = steps[level]
+        variance += (s * gain) ** 2
+        gain *= P
+    variance += gain**2
+    ratio = frames.var(axis=0, ddof=1) / variance
+    # the sample variance of n Gaussian draws has relative standard error
+    # sqrt(2 / (n - 1)), 0.044 at n = 1,024; pixels are independent, so the
+    # mean ratio over the 512 pixels has that over sqrt(512). Both are held
+    # to 5 standard errors.
+    se = math.sqrt(2.0 / (len(frames) - 1))
+    assert np.abs(ratio - 1.0).max() < 5 * se
+    assert abs(ratio.mean() - 1.0) < 5 * se / math.sqrt(ratio.size)
+
+
 # --- the per-world mean memo -------------------------------------------------
 
 
