@@ -12,15 +12,18 @@ image tokens is decoupled from the text pair and the two attention outputs
 are summed with a scalar weight, so setting the weight to zero disables the
 image branch exactly.
 
-The latent mean of a condition is produced by a fixed seeded projector:
+The latent mean of a condition is produced by a fixed seeded projector.
+With ``attend(v)`` the fixed query attending over ``v`` split into tokens
+and ``s`` the image weight, mu(c) at every pixel is
 
-* a fixed query attends over the tokenized text and image embeddings;
-* the first ``d_id`` channels ("identity channels") are spatially constant
-  and driven only by the image branch, so two conditions sharing an image
-  embedding and scale have identical identity channels regardless of text;
-* the remaining channels receive a structured random spatial pattern that
-  is linear in the composed attention output, giving every condition a
-  distinct, recoverable covariance signature.
+* identity channels (the first ``d_id``):
+  ``IDENTITY_GAIN * s * id_map @ unit(attend(ip))``, spatially constant and
+  zero without an image, so two conditions sharing an image embedding and
+  scale have identical identity channels regardless of text;
+* content channels (the rest):
+  ``CONTENT_GAIN * basis @ (attend(text) + s * attend(ip))``, a structured
+  random spatial pattern linear in the composed vector, giving every
+  condition a distinct, recoverable covariance signature.
 
 Everything here is a pure function of its inputs; nothing is learned.
 """
@@ -177,24 +180,16 @@ class MeanProjector:
         """Deterministic latent mean mu(c) for the Gaussian world.
 
         Identity channels (0..d_id-1) depend only on the image embedding and
-        ip_scale; the remaining channels depend on the full composed vector.
+        ip_scale; the remaining channels depend on the full composed vector,
+        the :func:`compose_condition` of the attended text and image tokens.
         """
-        text_toks = split_tokens(cond.text)
-        ip_toks = None if cond.ip is None else split_tokens(cond.ip)
-        composed = compose_condition(
-            self.query,
-            (text_toks, text_toks),
-            None if ip_toks is None else (ip_toks, ip_toks),
-            cond.ip_scale,
-        )
-        if ip_toks is not None:
-            ip_term = attention(self.query, ip_toks, ip_toks)
-        else:
-            ip_term = np.zeros(text_toks.shape[1])
+        text = self.attend(cond.text)
+        ip = np.zeros_like(text) if cond.ip is None else self.attend(cond.ip)
+        composed = text + cond.ip_scale * ip
         h, w, d = self.shape
         out = np.zeros(self.shape)
-        ip_norm = np.linalg.norm(ip_term)
-        ip_unit = ip_term / ip_norm if ip_norm > 1e-12 else ip_term
+        ip_norm = np.linalg.norm(ip)
+        ip_unit = ip / ip_norm if ip_norm > 1e-12 else ip
         identity = IDENTITY_GAIN * cond.ip_scale * (self.id_map @ ip_unit)
         out[:, :, : self.d_id] = identity[None, None, :]
         content = CONTENT_GAIN * (self.basis @ composed)

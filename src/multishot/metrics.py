@@ -134,25 +134,27 @@ def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 1.0) -> float:
 
 
 def clip_score_mock(
-    frames: Sequence[np.ndarray], script, domain: str, config: PipelineConfig
-) -> float:
-    """Per-domain text/frame alignment in the shared token space.
+    frames: Sequence[np.ndarray], script, config: PipelineConfig
+) -> Dict[str, float]:
+    """Text/frame alignment of one shot against each script domain, in the
+    shared token space.
 
     Frame side: the fixed projection that recovers the composed attention
     vector from the content channels. Text side: the same fixed-query token
-    featurizer applied to the domain text's embedding. Score is the mean
-    cosine over frames, in [-1, 1].
+    featurizer applied to the domain text's embedding. A domain's score is
+    the mean cosine over frames, in [-1, 1].
     """
-    if domain not in DOMAIN_FIELDS:
-        raise InputError(f"unknown domain '{domain}', expected one of {DOMAIN_FIELDS}")
     frames = list(frames)
     if not frames:
         raise InputError("cannot score an empty frame list")
     proj = config.projector()
-    text = getattr(script, domain)
-    target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed))
-    scores = [cosine(proj.recover_composed(f), target) for f in frames]
-    return float(np.mean(scores))
+    composed = [proj.recover_composed(f) for f in frames]
+    scores = {}
+    for domain in DOMAIN_FIELDS:
+        text = getattr(script, domain)
+        target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed))
+        scores[domain] = float(np.mean([cosine(c, target) for c in composed]))
+    return scores
 
 
 @dataclass
@@ -189,13 +191,13 @@ def build_report(frames: np.ndarray, story: Story, config: PipelineConfig) -> Me
     pair_values = [psnr(clip[i], clip[i + 1]) for clip in clips for i in range(k - 1)]
     psnr_pairs = float(np.mean(pair_values)) if pair_values else None
 
-    clip_by_domain = {}
-    for domain in DOMAIN_FIELDS:
-        per_shot = [
-            clip_score_mock(clip, script, domain, config)
-            for clip, script in zip(clips, story.scripts)
-        ]
-        clip_by_domain[domain] = float(np.mean(per_shot))
+    per_shot = [
+        clip_score_mock(clip, script, config) for clip, script in zip(clips, story.scripts)
+    ]
+    clip_by_domain = {
+        domain: float(np.mean([scores[domain] for scores in per_shot]))
+        for domain in DOMAIN_FIELDS
+    }
 
     return MetricsReport(
         fc_within=fc_within,

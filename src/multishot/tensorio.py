@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import secrets
 import struct
@@ -63,7 +64,7 @@ def _parse_header(head: bytes, size: int) -> tuple:
     if size < dims_end:
         raise LengthError("file truncated inside the dimension table")
     shape = struct.unpack(f"<{rank}I", head[6:dims_end])
-    expected = dims_end + 4 * int(np.prod(shape, dtype=np.int64))
+    expected = dims_end + 4 * math.prod(shape)
     if size < expected:
         raise LengthError(f"payload truncated: need {expected} bytes, have {size}")
     if size > expected:

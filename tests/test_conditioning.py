@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from multishot.casting import encode_image_mock
 from multishot.conditioning import (
+    CONTENT_GAIN,
+    IDENTITY_GAIN,
     Condition,
     MeanProjector,
     _token_vector,
@@ -304,6 +306,48 @@ def test_projector_recovers_composed_from_clean_mean():
     ip_toks = split_tokens(cond.ip, 4)
     composed = compose_condition(proj.query, (toks, toks), (ip_toks, ip_toks), 1.0)
     np.testing.assert_allclose(proj.recover_composed(mu), composed, atol=1e-9)
+
+
+def _closed_form_mean(proj, cond):
+    """mu(c) rebuilt from the projector's arrays, with the token split and
+    the softmax spelled out here rather than taken from the package."""
+
+    def attend(vector):
+        tokens = np.reshape(vector, (4, -1))  # 4 contiguous tokens
+        logits = tokens @ proj.query / math.sqrt(tokens.shape[1])
+        weights = np.exp(logits - logits.max())
+        return (weights / weights.sum()) @ tokens
+
+    h, w, d = proj.shape
+    s = cond.ip_scale
+    composed = attend(cond.text)
+    identity = np.zeros(proj.d_id)
+    if cond.ip is not None:
+        ip = attend(cond.ip)
+        composed = composed + s * ip
+        identity = IDENTITY_GAIN * s * (proj.id_map @ (ip / np.linalg.norm(ip)))
+    content = CONTENT_GAIN * (proj.basis @ composed)
+    return np.concatenate(
+        [np.broadcast_to(identity, (h, w, proj.d_id)), content.reshape(h, w, d - proj.d_id)],
+        axis=2,
+    )
+
+
+@pytest.mark.parametrize("scale", [None, 0.0, 1.0, 2.5])
+@pytest.mark.parametrize("shape, d_e, d_id", [((8, 8, 8), 16, 4), ((3, 5, 6), 8, 2)])
+def test_projector_mean_matches_closed_form(shape, d_e, d_id, scale):
+    # identity channels IDENTITY_GAIN * s * id_map @ unit(attend(ip)), content
+    # channels CONTENT_GAIN * basis @ (attend(text) + s * attend(ip)); no image
+    # (scale None) leaves the identity channels at zero
+    proj = get_projector(4, shape, d_e=d_e, d_id=d_id)
+    text = encode_text_mock("a keeper climbs the tower stairs", d_e, 0)
+    if scale is None:
+        cond = Condition(text=text)
+    else:
+        cond = Condition(text=text, ip=encode_text_mock("weathered face", d_e, 0), ip_scale=scale)
+    mu = proj.mean(cond)
+    assert mu.shape == shape
+    assert np.abs(mu - _closed_form_mean(proj, cond)).max() <= 1e-12
 
 
 def test_projector_rejects_bad_dims():

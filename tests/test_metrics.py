@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multishot.clips import build_shot_condition, generate_shot_clip
+from multishot.conditioning import encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.errors import ConfigError, InputError, ShapeError, ValidationError
 from multishot.metrics import (
@@ -17,6 +18,7 @@ from multishot.metrics import (
     psnr,
 )
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
+from multishot.script import DOMAIN_FIELDS
 from multishot.seeds import spawn_rng
 from multishot.smoothing import run_timeline
 
@@ -171,17 +173,16 @@ def toy_chain():
 def test_clip_score_bounded(toy_chain):
     config, story, keyframes = toy_chain
     frames = run_timeline(generate_timeline(story, keyframes, config))
-    for domain in ("character", "background", "relations", "camera", "hdr"):
-        value = clip_score_mock(frames[: config.frames_per_shot], story.scripts[0], domain, config)
+    scores = clip_score_mock(frames[: config.frames_per_shot], story.scripts[0], config)
+    assert list(scores) == list(DOMAIN_FIELDS)
+    for value in scores.values():
         assert -1.0 <= value <= 1.0
 
 
 def test_clip_score_input_errors(toy_chain):
     config, story, _ = toy_chain
     with pytest.raises(InputError):
-        clip_score_mock([], story.scripts[0], "character", config)
-    with pytest.raises(InputError):
-        clip_score_mock([np.zeros((8, 8, 8))], story.scripts[0], "plot", config)
+        clip_score_mock([], story.scripts[0], config)
 
 
 def test_clip_score_prefers_own_script():
@@ -196,9 +197,28 @@ def test_clip_score_prefers_own_script():
         other = (shot + 2) % config.n_shots
         cond = build_shot_condition(story.descriptions[shot], keyframes[shot], config)
         clip = list(generate_shot_clip(cond, shot, config.merged(frames_per_shot=4)))
-        own_scores.append(clip_score_mock(clip, story.scripts[shot], "character", config))
-        other_scores.append(clip_score_mock(clip, story.scripts[other], "character", config))
+        own_scores.append(clip_score_mock(clip, story.scripts[shot], config)["character"])
+        other_scores.append(clip_score_mock(clip, story.scripts[other], config)["character"])
     assert np.mean(own_scores) > np.mean(other_scores)
+
+
+def test_report_clip_by_domain_is_mean_over_shots_of_frame_means(toy_chain):
+    # each domain's score, computed here cosine by cosine: the mean over
+    # shots of the mean over the shot's frames, bitwise what the report holds
+    config, story, keyframes = toy_chain
+    frames = run_timeline(generate_timeline(story, keyframes, config))
+    k = config.frames_per_shot
+    proj = config.projector()
+    expected = {}
+    for domain in DOMAIN_FIELDS:
+        per_shot = []
+        for j, script in enumerate(story.scripts):
+            text = encode_text_mock(getattr(script, domain), config.embed_dim, config.encoder_seed)
+            target = proj.attend(text)
+            sims = [cosine(proj.recover_composed(f), target) for f in frames[j * k : (j + 1) * k]]
+            per_shot.append(float(np.mean(sims)))
+        expected[domain] = float(np.mean(per_shot))
+    assert build_report(frames, story, config).clip_by_domain == expected
 
 
 # --- build_report ------------------------------------------------------------------

@@ -184,6 +184,12 @@ CORRUPT = {
     "dims": (_GOOD[:8], LengthError, "file truncated inside the dimension table"),
     "payload": (_GOOD[:-3], LengthError, "payload truncated: need 38 bytes, have 35"),
     "trailing": (_GOOD + b"\x00", LengthError, "trailing bytes after payload: 1"),
+    # 65536**4 elements: the exact byte count, not one wrapped to 0 in 64 bits
+    "huge": (
+        _GOOD[:5] + b"\x04" + struct.pack("<4I", *[65536] * 4),
+        LengthError,
+        f"payload truncated: need {22 + 4 * 2**64} bytes, have 22",
+    ),
 }
 
 
