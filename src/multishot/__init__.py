@@ -32,7 +32,7 @@ from .metrics import (
     consistency_scores,
     psnr,
 )
-from .pipeline import compute_metrics_for_run, run_pipeline
+from .pipeline import compute_metrics_for_run, generate_run, run_pipeline
 from .script import (
     AvatarProfile,
     HttpLlmClient,

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages:
 
     script     expand a one-sentence input into a story file
     keyframes  render per-shot keyframe tensors from a story file
-    generate   produce keyframes and frames (and a manifest) from a story file
+    generate   the rest of a run from a story file: keyframes, frames, report
     metrics    score a run directory and write report.json
     run        everything end to end
 
@@ -27,19 +27,15 @@ from .pipeline import (
     KEYFRAME_DIR,
     MANIFEST_FILE,
     REPORT_FILE,
-    STORY_FILE,
     build_story,
-    clear_run,
     compute_metrics_for_run,
+    generate_run,
     read_manifest,
     read_report,
-    record_in_manifest,
     render_keyframes,
     run_lock,
     run_pipeline,
-    write_generation_artifacts,
     write_keyframes,
-    write_manifest,
 )
 from .script import DOMAIN_FIELDS, parse_story, serialize_story
 from .tensorio import write_file
@@ -76,7 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="directory for one .vgt keyframe per shot")
 
-    p = sub.add_parser("generate", help="generate frames and timeline from a story file")
+    p = sub.add_parser("generate", help="run every stage after the script from a story file")
     p.add_argument("--story", required=True)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
@@ -150,15 +146,8 @@ def _cmd_keyframes(args) -> int:
 def _cmd_generate(args) -> int:
     story = parse_story(Path(args.story).read_bytes())
     config, _ = _load_config(args)
-    config = config.merged(n_shots=len(story.scripts))
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with run_lock(run_dir):
-        clear_run(run_dir)
-        write_file(run_dir / STORY_FILE, serialize_story(story))
-        write_generation_artifacts(story, config, run_dir)
-        write_manifest(run_dir)
-    print(f"wrote frames and timeline to {run_dir} (mode={config.mode})")
+    generate_run(story, config, args.out)
+    print(f"wrote keyframes, frames, timeline and report to {args.out} (mode={config.mode})")
     return 0
 
 
@@ -183,14 +172,11 @@ def _render_table(report) -> str:
 
 
 def _cmd_metrics(args) -> int:
-    run_report = Path(args.run) / REPORT_FILE
-    target = Path(args.report or run_report)
+    target = Path(args.report or Path(args.run) / REPORT_FILE)
     with run_lock(args.run):
         # a malformed manifest fails here, before the report is rewritten
         read_manifest(args.run)
         report = compute_metrics_for_run(args.run, target)
-        if target.resolve() == run_report.resolve():  # another name is not the run's report
-            record_in_manifest(args.run)
     print(_render_table(report))
     print(f"wrote {target}")
     return 0

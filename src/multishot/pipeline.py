@@ -1,7 +1,8 @@
 """End-to-end orchestration and run-directory persistence.
 
-A run executes script -> casting -> generation -> metrics in order and
-leaves a self-contained directory behind:
+A run executes script -> casting -> generation -> metrics in order, from
+a user input (``run_pipeline``) or from a written story (``generate_run``),
+and leaves a self-contained directory behind:
 
     story.json      canonical story document
     config.json     effective behavioral config
@@ -14,12 +15,14 @@ leaves a self-contained directory behind:
 
 These are ``RUN_FILES``. Before its first stage a run deletes them
 (``clear_run``); the manifest hashes the artifacts among them, no other
-file, and ``verify_manifest`` holds while it equals their hashes. Each is
-written through ``tensorio.atomic_write``.
+file, and ``verify_manifest`` holds while it equals their hashes. Its one
+writer, ``write_manifest``, ends every run, so a finished run has every
+artifact. Each file is written through ``tensorio.atomic_write``.
 
 Equal (user_input, config) produce byte-identical artifacts on one
 numpy/BLAS build and CPU kernel; another kernel can change report.json
-(ROADMAP item 1). Every seed derives from the config's root seed.
+(ROADMAP item 1). Every seed derives from the config's root seed except
+an avatar portrait's, which comes from story.json (ROADMAP item 6).
 The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.
@@ -33,7 +36,7 @@ import contextlib
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -216,19 +219,6 @@ def verify_manifest(run_dir: Path) -> bool:
         return False
 
 
-def record_in_manifest(run_dir: Path) -> None:
-    """Add or update the hash of run_dir's report.json in its existing
-    manifest. Every other entry is kept as recorded: rehashing them all
-    would bless an artifact corrupted since the manifest was written. Does
-    nothing when run_dir has no manifest, and raises what ``read_manifest``
-    raises for a malformed one."""
-    run_dir = Path(run_dir)
-    files = read_manifest(run_dir)
-    if files is not None:
-        files[REPORT_FILE] = _sha256(run_dir / REPORT_FILE)
-        write_file(run_dir / MANIFEST_FILE, canonical_json({"files": dict(sorted(files.items()))}))
-
-
 @contextlib.contextmanager
 def run_lock(run_dir: Path):
     """Exclusive ownership of a run directory; fails fast when the
@@ -275,23 +265,6 @@ def clear_run(run_dir: Path) -> None:
                 folder.rmdir()
 
 
-def write_generation_artifacts(story: Story, config: PipelineConfig, run_dir: Path) -> None:
-    """Casting plus generation stages with persistence: the keyframes,
-    frames.vgt, timeline.json and config.json, into a run_dir that
-    ``clear_run`` has cleared."""
-    run_dir = Path(run_dir)
-    with _stage(run_dir, "keyframes"):
-        keyframes = render_keyframes(story, config)
-        write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
-
-    with _stage(run_dir, "generate"):
-        # the writer pulls each frame from the sampler and drops it once it
-        # is on disk, so no stage holds the run's frames
-        write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
-        write_timeline_json(run_dir / TIMELINE_FILE, config)
-        write_file(run_dir / CONFIG_FILE, config_to_json(config))
-
-
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     """Metrics stage, standalone: recompute the report purely from the
     persisted artifacts (frames.vgt + story.json + config.json). A run
@@ -307,21 +280,42 @@ def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     return report
 
 
-def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, str]:
-    """The four-stage composition, end to end; returns the manifest written
-    to out_dir, each artifact's path relative to out_dir mapped to its
-    sha256."""
+def _run(get_story: Callable[[], Story], config: PipelineConfig, out_dir) -> Dict[str, str]:
+    """Clear out_dir under its run lock, run the four stages into it, the
+    script's taking the story from ``get_story``, and return the manifest."""
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with run_lock(run_dir):
         clear_run(run_dir)
         with _stage(run_dir, "script"):
-            story = build_story(user_input, config)
+            story = get_story()
             write_file(run_dir / STORY_FILE, serialize_story(story))
 
-        write_generation_artifacts(story, config, run_dir)
+        with _stage(run_dir, "keyframes"):
+            keyframes = render_keyframes(story, config)
+            write_keyframes(keyframes, run_dir / KEYFRAME_DIR)
+
+        with _stage(run_dir, "generate"):
+            # the writer pulls each frame from the sampler and drops it once
+            # it is on disk, so no stage holds the run's frames
+            write_tensor_file(run_dir / FRAMES_FILE, generate_timeline(story, keyframes, config))
+            write_timeline_json(run_dir / TIMELINE_FILE, config)
+            write_file(run_dir / CONFIG_FILE, config_to_json(config))
+        del keyframes  # the metrics stage sets the peak memory and needs no keyframe
 
         with _stage(run_dir, "metrics"):
             compute_metrics_for_run(run_dir)
 
         return write_manifest(run_dir)
+
+
+def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, str]:
+    """Every stage from ``user_input``; returns the manifest written to
+    out_dir, each artifact's path relative to out_dir mapped to its sha256."""
+    return _run(lambda: build_story(user_input, config), config, out_dir)
+
+
+def generate_run(story: Story, config: PipelineConfig, out_dir) -> Dict[str, str]:
+    """The same run from an already-written story, whose shot count
+    overrides config.n_shots; returns the manifest written to out_dir."""
+    return _run(lambda: story, config.merged(n_shots=len(story.scripts)), out_dir)

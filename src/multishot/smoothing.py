@@ -201,11 +201,16 @@ class FrameStream:
     emits it. ``shape`` is the shape of all the frames stacked, known
     before any frame is sampled, so a writer can put each frame on disk
     and drop it. Every iteration samples afresh and, with a trace, appends
-    its denoise calls to it."""
+    its denoise calls to it. A trace records queue ticks, so a windowed
+    stream, which has no queue, raises ``ConfigError`` when given one."""
 
     plan: List[Condition]
     config: PipelineConfig
     trace: Optional[DenoiseTrace] = None
+
+    def __post_init__(self):
+        if self.trace is not None and self.config.mode == "windowed":
+            raise ConfigError("a DenoiseTrace records fifo-reset queue ticks; windowed has none")
 
     @property
     def shape(self) -> Tuple[int, ...]:

@@ -12,6 +12,8 @@ Round-trips are bitwise for float32 arrays. Both functions stream, so a
 tensor crosses the disk boundary without a whole-tensor copy. Every file
 of a run is written through :func:`atomic_write`, which either completes
 or leaves the target untouched, and a JSON file as :func:`canonical_json`.
+That holds against an exception or a kill, not a power loss:
+:func:`atomic_write` fsyncs neither the file nor its directory.
 """
 
 from __future__ import annotations

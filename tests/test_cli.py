@@ -71,12 +71,16 @@ def test_generate_writes_verifiable_manifest(tmp_path):
     assert verify_manifest(out)
 
 
-def test_generate_over_run_refreshes_manifest_and_drops_report(tmp_path):
+def test_generate_over_run_refreshes_manifest_and_report(tmp_path):
     out = tmp_path / "run"
     assert cli(["run", "--input", STORY_INPUT, "--out", str(out)]) == 0
+    fifo_report = (out / "report.json").read_bytes()
     assert cli(["generate", "--story", str(out / "story.json"), "--mode", "windowed",
                 "--out", str(out)]) == 0
-    assert not (out / "report.json").exists()
+    # generate ends as run does: the report of the new frames, in the manifest
+    assert (out / "report.json").read_bytes() != fifo_report
+    assert cli(["metrics", "--run", str(out), "--report", str(tmp_path / "fresh.json")]) == 0
+    assert (out / "report.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
     assert verify_manifest(out)
 
 
@@ -114,36 +118,40 @@ def test_metrics_reproduces_report_byte_identically(tmp_path):
 
 
 
-def test_metrics_after_generate_records_report_in_manifest(tmp_path):
+def test_metrics_never_rewrites_the_manifest(tmp_path):
     out = tmp_path / "gen"
-    assert cli(["script", "--input", STORY_INPUT, "--out", str(tmp_path / "story.json")]) == 0
-    assert cli(["generate", "--story", str(tmp_path / "story.json"), "--out", str(out)]) == 0
-    # a frame corrupted after generate must stay caught: only report.json is hashed anew
-    original = (out / "frames.vgt").read_bytes()
-    (out / "frames.vgt").write_bytes(original[:-1] + bytes([original[-1] ^ 0xFF]))
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "2",
+                "--out", str(tmp_path / "story.json")]) == 0
+    assert cli(["generate", "--story", str(tmp_path / "story.json"), "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
     assert cli(["metrics", "--run", str(out)]) == 0
-    recorded = json.loads((out / "manifest.json").read_text())["files"]
-    assert "report.json" in recorded
-    assert not verify_manifest(out)
-    (out / "frames.vgt").write_bytes(original)
+    assert (out / "manifest.json").read_bytes() == manifest
     assert verify_manifest(out)
+
+    # a report scored from other frames stays caught after the frames are
+    # restored, until metrics scores the run's own frames again
+    original = (out / "frames.vgt").read_bytes()
+    frames = read_tensor_file(out / "frames.vgt")
+    frames[..., :PipelineConfig().identity_channels] += 3.0
+    write_tensor_file(out / "frames.vgt", frames)
+    assert cli(["metrics", "--run", str(out)]) == 0
+    (out / "frames.vgt").write_bytes(original)
+    assert not verify_manifest(out)
+    assert cli(["metrics", "--run", str(out)]) == 0
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert verify_manifest(out)
+
+    # a report under another name leaves the run's report and manifest alone
+    report = (out / "report.json").read_bytes()
+    assert cli(["metrics", "--run", str(out), "--report", str(out / "other.json")]) == 0
+    assert (out / "report.json").read_bytes() == report
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert verify_manifest(out)
+    # a report.json written behind the manifest's back is caught
     with open(out / "report.json", "ab") as handle:
         handle.write(b" ")
     assert not verify_manifest(out)
-
-    # only the run's own report.json is recorded, however --report names it
-    fresh = tmp_path / "fresh"
-    assert cli(["generate", "--story", str(tmp_path / "story.json"), "--out", str(fresh)]) == 0
-    manifest = (fresh / "manifest.json").read_bytes()
-    assert cli(["metrics", "--run", str(fresh), "--report", str(fresh / "other.json")]) == 0
-    assert (fresh / "manifest.json").read_bytes() == manifest
-    assert verify_manifest(fresh)
-    # a report.json written behind the manifest's back is caught
-    (fresh / "report.json").write_bytes((fresh / "other.json").read_bytes())
-    assert not verify_manifest(fresh)
-    assert cli(["metrics", "--run", str(fresh), "--report", str(fresh / "report.json")]) == 0
-    assert "report.json" in json.loads((fresh / "manifest.json").read_text())["files"]
-    assert verify_manifest(fresh)
 
 
 def test_metrics_refuses_locked_run(tmp_path, capsys):

@@ -20,6 +20,7 @@ from multishot.conditioning import (
     encode_text_mock,
     get_projector,
     split_tokens,
+    unit_vector,
 )
 from multishot.config import PipelineConfig
 from multishot.errors import ConfigError, InputError, ShapeError
@@ -98,6 +99,12 @@ def test_encoders_return_read_only_unit_vectors():
         with pytest.raises(ValueError):
             vector[0] = 0.0
     assert np.array_equal(zero, np.eye(16)[0])
+
+
+def test_unit_vector_scales_a_small_nonzero_vector():
+    # only a norm below 1e-12 counts as zero; a norm of 5e-6 is scaled
+    unit = unit_vector(1e-6 * np.array([0.0, 3.0, 4.0]))
+    assert np.allclose(unit, [0.0, 0.6, 0.8], rtol=0.0, atol=1e-15)
 
 
 # --- attention --------------------------------------------------------------

@@ -29,15 +29,16 @@ from multishot.pipeline import (
     _sha256,
     build_story,
     compute_metrics_for_run,
+    generate_run,
     generate_timeline,
     load_timeline,
     render_keyframes,
     run_lock,
     run_pipeline,
     verify_manifest,
-    write_generation_artifacts,
     write_manifest,
 )
+from multishot.script import parse_story
 from multishot.smoothing import run_timeline
 from multishot.tensorio import TEMP_SUFFIX, read_tensor_file, write_tensor_file
 
@@ -305,7 +306,7 @@ def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
 def test_streamed_frames_equal_the_collected_timeline(tmp_path, knobs):
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=10, seed=5, **knobs)
     story = build_story(STORY_INPUT, config)
-    write_generation_artifacts(story, config, tmp_path)
+    generate_run(story, config, tmp_path)
     frames = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
     write_tensor_file(tmp_path / "collected.vgt", frames)
     assert (tmp_path / FRAMES_FILE).read_bytes() == (tmp_path / "collected.vgt").read_bytes()
@@ -322,21 +323,37 @@ def test_generate_stage_never_holds_the_run_frames(tmp_path, monkeypatch):
                             height=16, width=16, channels=8, mode="windowed")
     story = build_story(STORY_INPUT, config)
     frames_bytes = 8 * config.n_shots * config.frames_per_shot * int(np.prod(config.latent_shape))
-    original = pipeline_module.generate_timeline
+    original_generate = pipeline_module.generate_timeline
+    original_metrics = pipeline_module.compute_metrics_for_run
+    peaks = []
 
     def generate_from_here(*args, **kwargs):
         tracemalloc.reset_peak()  # the keyframes stage is over
-        return original(*args, **kwargs)
+        return original_generate(*args, **kwargs)
+
+    def metrics_from_here(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])  # the generate stage is over
+        return original_metrics(*args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "generate_timeline", generate_from_here)
+    monkeypatch.setattr(pipeline_module, "compute_metrics_for_run", metrics_from_here)
     tracemalloc.start()
     try:
-        write_generation_artifacts(story, config, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
+        generate_run(story, config, tmp_path)
     finally:
         tracemalloc.stop()
+    (peak,) = peaks
     assert (tmp_path / FRAMES_FILE).stat().st_size == 6 + 16 + frames_bytes // 2
     assert peak < frames_bytes / 2, f"peak {peak} B against {frames_bytes} B of frames"
+
+
+def test_generate_run_from_a_run_story_writes_the_run_manifest(default_run, tmp_path):
+    # the story's shot count overrides the config's, as for `multishot generate`
+    out, manifest = default_run
+    story = parse_story((out / "story.json").read_bytes())
+    again = tmp_path / "again"
+    assert generate_run(story, PipelineConfig(n_shots=7), again) == manifest
+    assert (again / MANIFEST_FILE).read_bytes() == (out / MANIFEST_FILE).read_bytes()
 
 
 def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):

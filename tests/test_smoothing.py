@@ -130,6 +130,14 @@ def test_first_emission_after_exactly_T_ticks(small_chain):
     assert queue.ticks == config.n_shots * config.frames_per_shot + config.steps - 1
 
 
+def test_trace_in_windowed_mode_is_a_config_error(small_chain):
+    # a trace records queue ticks: a windowed stream has none to record
+    config, _, _, plan = small_chain
+    with pytest.raises(ConfigError, match="windowed"):
+        FrameStream(plan, config.merged(mode="windowed"), DenoiseTrace())
+    FrameStream(plan, config.merged(mode="windowed"))
+
+
 def test_emission_order_consecutive(small_chain):
     config, _, _, plan = small_chain
     emitted, _ = _drive(config, plan)
