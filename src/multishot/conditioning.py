@@ -63,11 +63,20 @@ class Condition:
             raise ConfigError(f"ip_scale must be nonnegative, got {self.ip_scale}")
 
 
+def norm(v: np.ndarray):
+    """The Euclidean norm of the float array ``v``, computed as
+    ``np.linalg.norm`` computes it, the square root of the raveled array's
+    dot product with itself, without that function's dispatch. ``np.sqrt``
+    keeps a float32 norm float32, as ``np.linalg.norm`` does."""
+    flat = np.asarray(v).ravel("K")
+    return np.sqrt(flat.dot(flat))
+
+
 def unit_vector(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit length as a new read-only array; a (near-)zero
     ``v`` maps to the first basis vector, so the degenerate case stays
     deterministic and NaN-free."""
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n < 1e-12:
         unit = np.zeros_like(v)
         unit[0] = 1.0
@@ -188,7 +197,7 @@ class MeanProjector:
         composed = text + cond.ip_scale * ip
         h, w, d = self.shape
         out = np.zeros(self.shape)
-        ip_norm = np.linalg.norm(ip)
+        ip_norm = norm(ip)
         ip_unit = ip / ip_norm if ip_norm > 1e-12 else ip
         identity = IDENTITY_GAIN * cond.ip_scale * (self.id_map @ ip_unit)
         out[:, :, : self.d_id] = identity[None, None, :]
@@ -203,14 +212,17 @@ class MeanProjector:
         return self.basis_pinv @ rest
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def get_projector(
     projector_seed: int,
     shape: Tuple[int, int, int],
     d_e: int = DEFAULT_EMBED_DIM,
     d_id: int = DEFAULT_IDENTITY_CHANNELS,
 ) -> MeanProjector:
-    """Build (and cache) the fixed seeded projector for a configuration."""
+    """Build (and cache) the fixed seeded projector for a configuration.
+
+    A run uses one projector, and at a 64x64x16 latent its basis and
+    pseudo-inverse take 3 MB, so the cache keeps only the latest."""
     h, w, d = shape
     if d_id > d:
         raise ConfigError(f"identity channels {d_id} exceed latent channels {d}")
@@ -224,7 +236,7 @@ def get_projector(
     columns = []
     for m in range(d_token):
         direction = rng.standard_normal(d - d_id)
-        direction /= np.linalg.norm(direction)
+        direction /= norm(direction)
         pattern = fields[m // 2][:, :, None] * direction[None, None, :]
         columns.append(pattern.ravel())
     basis = np.stack(columns, axis=1)

@@ -24,6 +24,15 @@ takes one ``ddim_step`` over the level vector. Both kernels compute through
 ``out=`` buffers with the same operations in the same order as the
 textbook expressions above, so a batched row is bitwise the single step.
 
+Neither kernel works out a level's scalars per call. ``NoiseSchedule``
+holds read-only tables of sqrt(a_t) and sqrt(1 - a_t) by level, which
+``ddim_step`` indexes with its level vector. ``analytic_eps`` reads its five
+scalars at level t from one table per (schedule, sigma0), built at the
+first call and kept on the schedule, each from the textbook expression and
+stored as a read-only 0-d float64 array. A ufunc takes a 0-d float64 array
+faster than a Python float, and with the float64 means every mean map here
+returns, each product rounds as the textbook's does.
+
 The analytic backend treats clean data as x0 ~ N(mu(c), sigma0^2 I) for a
 condition-dependent mean mu(c). The posterior mean of x0 given x_t is then
 closed-form, so the "predicted noise" is exact:
@@ -57,21 +66,31 @@ class NoiseSchedule:
     with the alpha_bar(0) == 1 convention. ``by_level`` is that view as a
     read-only table of length T + 1, built once: ``by_level[t]`` is
     alpha_bar(t), so a level vector looks all its rows up at once.
+    ``signal_by_level`` and ``noise_by_level`` are read-only tables of
+    sqrt(alpha_bar(t)) and sqrt(1 - alpha_bar(t)) in the same layout.
+    ``eps_coefficients`` holds the analytic backend's per-level scalars,
+    one table per prior std, filled on first use (see :func:`analytic_eps`).
     """
 
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
+    T: int = field(init=False)
     by_level: np.ndarray = field(init=False, repr=False, compare=False)
+    signal_by_level: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_by_level: np.ndarray = field(init=False, repr=False, compare=False)
+    eps_coefficients: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         table = np.concatenate(([1.0], self.alpha_bars))
-        table.flags.writeable = False
-        object.__setattr__(self, "by_level", table)
-
-    @property
-    def T(self) -> int:
-        return len(self.betas)
+        tables = {"by_level": table, "signal_by_level": np.sqrt(table),
+                  "noise_by_level": np.sqrt(1.0 - table)}
+        for name, values in tables.items():
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "T", len(self.betas))
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative signal fraction at step t, with alpha_bar(0) == 1."""
@@ -103,8 +122,7 @@ def add_noise(x0: np.ndarray, eps: np.ndarray, t: int, schedule: NoiseSchedule) 
         raise ShapeError(f"x0 {np.shape(x0)} vs eps {np.shape(eps)}")
     if not 1 <= t <= schedule.T:
         raise ScheduleError(f"step {t} outside [1, {schedule.T}]")
-    a = schedule.alpha_bar(t)
-    return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
+    return schedule.signal_by_level[t] * x0 + schedule.noise_by_level[t] * eps
 
 
 def ddim_step(
@@ -147,20 +165,21 @@ def ddim_step(
     if not (np.isfinite(x_t).all() and np.isfinite(eps_hat).all()):
         raise NumericError("non-finite values in reverse step inputs")
 
-    a_t, a_p = schedule.by_level[t], schedule.by_level[t_prev]
     if t.ndim:  # one level per row, broadcast over the row's axes
         rows = (-1,) + (1,) * (np.ndim(x_t) - 1)
-        a_t, a_p = a_t.reshape(rows), a_p.reshape(rows)
+        t, t_prev = t.reshape(rows), t_prev.reshape(rows)
+    signal, noise_scale = schedule.signal_by_level, schedule.noise_by_level
     if out is None:
         out = np.empty(np.shape(x_t))
-    scratch = np.multiply(eps_hat, np.sqrt(1.0 - a_t), out=np.empty_like(out))
+    scratch = np.multiply(eps_hat, noise_scale[t], out=np.empty_like(out))
     np.subtract(x_t, scratch, out=out)
-    out /= np.sqrt(a_t)  # x0_pred
-    out *= np.sqrt(a_p)
+    out /= signal[t]  # x0_pred
+    out *= signal[t_prev]
     if eta == 0.0:
-        out += np.multiply(eps_hat, np.sqrt(1.0 - a_p), out=scratch)
+        out += np.multiply(eps_hat, noise_scale[t_prev], out=scratch)
         return out
 
+    a_t, a_p = schedule.by_level[t], schedule.by_level[t_prev]
     sigma = eta * np.sqrt((1.0 - a_p) / (1.0 - a_t)) * np.sqrt(1.0 - a_t / a_p)
     # Squared one row at a time: NumPy squares an array as sigma * sigma,
     # which can round differently from the power a single step takes.
@@ -209,19 +228,40 @@ def analytic_eps(
     if not 1 <= t <= schedule.T:
         raise ScheduleError(f"step {t} outside [1, {schedule.T}]")
     mu = world.mean_map(cond)
-    if np.shape(mu) != np.shape(x_t):
-        raise ShapeError(f"mean {np.shape(mu)} vs x_t {np.shape(x_t)}")
-    a = schedule.alpha_bar(t)
-    s2 = world.sigma0**2
-    denom = a * s2 + (1.0 - a)
-    out = np.empty(np.shape(x_t))
-    np.multiply(x_t, np.sqrt(a) * s2, out=out)
-    out += np.multiply(mu, 1.0 - a)
+    if mu.shape != x_t.shape:
+        raise ShapeError(f"mean {mu.shape} vs x_t {x_t.shape}")
+    levels = schedule.eps_coefficients.get(world.sigma0)
+    if levels is None:
+        levels = _eps_coefficients(world.sigma0, schedule)
+    x_scale, mu_scale, denom, signal, noise_scale = levels[t]
+    out = np.empty(x_t.shape)
+    np.multiply(x_t, x_scale, out=out)
+    out += np.multiply(mu, mu_scale)
     out /= denom  # E[x0 | x_t]
-    out *= np.sqrt(a)
+    out *= signal
     np.subtract(x_t, out, out=out)
-    out /= np.sqrt(1.0 - a)
+    out /= noise_scale
     return out
+
+
+def _eps_coefficients(sigma0: float, schedule: NoiseSchedule) -> tuple:
+    """``analytic_eps``'s scalars at level t in entry t: sqrt(a) sigma0^2,
+    1 - a, a sigma0^2 + 1 - a, sqrt(a) and sqrt(1 - a) for a = alpha_bar(t)
+    (see the module header). The table is kept in
+    ``schedule.eps_coefficients`` under ``sigma0``; two threads that miss
+    at once build equal tables and keep the first, so a lookup takes no
+    lock."""
+    s2 = sigma0**2
+    levels = [None]
+    for t in range(1, schedule.T + 1):
+        a = schedule.alpha_bar(t)
+        scalars = []
+        for value in (np.sqrt(a) * s2, 1.0 - a, a * s2 + (1.0 - a), np.sqrt(a), np.sqrt(1.0 - a)):
+            scalar = np.array(value, dtype=np.float64)
+            scalar.flags.writeable = False
+            scalars.append(scalar)
+        levels.append(tuple(scalars))
+    return schedule.eps_coefficients.setdefault(sigma0, tuple(levels))
 
 
 def reverse_step(
@@ -235,11 +275,11 @@ def reverse_step(
     scalar path. An eps_hat of another shape than its row is refused."""
     if len(conds) != len(x):
         raise ShapeError(f"{len(conds)} conditions for {len(x)} rows")
-    eps = np.empty_like(x)
+    eps, row_shape = np.empty_like(x), x.shape[1:]
     for row, t, cond, eps_row in zip(x, np.full(len(x), levels).tolist(), conds, eps):
         eps_hat = denoiser(row, t, cond, schedule)
-        if np.shape(eps_hat) != np.shape(row):
-            raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {np.shape(row)}")
+        if np.shape(eps_hat) != row_shape:
+            raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {row_shape}")
         eps_row[...] = eps_hat
     eps_hat = None  # the last row's output need not live through ddim_step
     return ddim_step(x, eps, levels, levels - 1, schedule, eta=eta, noise=noise, out=out)

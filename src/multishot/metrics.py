@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock
+from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock, norm
 from .config import PipelineConfig
 from .errors import ConfigError, InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
@@ -34,8 +34,8 @@ PSNR_CAP_DB = 100.0
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity with zero-norm inputs defined as 0."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = norm(a)
+    nb = norm(b)
     if na < 1e-12 or nb < 1e-12:
         return 0.0
     return float(np.dot(a, b) / (na * nb))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .casting import derive_avatars, generate_keyframe, render_avatar
 from .config import PipelineConfig, config_from_json, config_to_json
-from .errors import ParseError, StageFailure, StateError, ValidationError
+from .errors import InputError, ParseError, StageFailure, StateError, ValidationError
 from .metrics import MetricsReport, build_report
 from .script import (
     HttpLlmClient,
@@ -268,15 +268,30 @@ def clear_run(run_dir: Path) -> None:
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     """Metrics stage, standalone: recompute the report purely from the
     persisted artifacts (frames.vgt + story.json + config.json). A run
-    whose failed/stage.txt exists raises ``StateError`` naming the stage."""
+    whose failed/stage.txt exists raises ``StateError`` naming the stage.
+    A ``report_path`` that resolves to another of the run's RUN_FILES, or
+    its lock, raises ``InputError`` before anything is read or written."""
     run_dir = Path(run_dir)
+    target = Path(report_path) if report_path else run_dir / REPORT_FILE
+    try:
+        name = target.resolve().relative_to(run_dir.resolve())
+    except ValueError:  # outside the run directory
+        name = None
+    if name is not None and name != Path(REPORT_FILE) and any(
+        len(name.parts) == len(Path(pattern).parts) and name.match(pattern)
+        for pattern in (*RUN_FILES, LOCK_FILE)
+    ):
+        raise InputError(
+            f"report path {target} is the run's own {name.as_posix()}; "
+            f"write the report to {REPORT_FILE} or outside the run's files"
+        )
     if (run_dir / FAILED_FILE).exists():
         stage, _, error = (run_dir / FAILED_FILE).read_text(encoding="utf-8").partition("\n")
         raise StateError(f"the run in {run_dir} failed in its {stage} stage: {error.strip()}")
     config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
     story = parse_story((run_dir / STORY_FILE).read_bytes())
     report = build_report(load_timeline(run_dir, config), story, config)
-    write_report(Path(report_path) if report_path else run_dir / REPORT_FILE, report)
+    write_report(target, report)
     return report
 
 

@@ -59,13 +59,18 @@ class LatentQueue:
     """The latents in flight as one (n, h, w, d) array, head first: row p
     is at level p + 1 and holds global frame head + p. Warm-up dummies have
     negative frames. Every tick reads the plan, config and trace from the
-    stream the queue samples, and the schedule init_queue built once."""
+    stream the queue samples, and the schedule and per-frame conditions
+    init_queue built once: ``shots[i]`` is the shot whose condition frame
+    i + 1 - T carries and ``conds[i]`` is that condition, so the rows of a
+    tick take theirs as one slice from index ``ticks``."""
 
     stream: "FrameStream"
     denoiser: DenoiserBackend
     schedule: NoiseSchedule
     latents: np.ndarray
     head: int
+    shots: List[int]
+    conds: List[Condition]
 
     @property
     def ticks(self) -> int:
@@ -122,7 +127,8 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
     The level-T tail holds unit noise, matching every later enqueue; a
     warm-up latent at level t < T holds noise scaled to that level's
     marginal, sqrt(1 - alpha_bar(t)) * eps. Dummies carry shot 0's
-    condition.
+    condition, and every story frame the one ``shot_for_frame`` names, which
+    is asked once per frame here, not once per tick.
     """
     if not stream.plan:
         raise ConfigError("conditioning plan is empty")
@@ -132,44 +138,45 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
     for level, row in enumerate(latents, start=1):
         spawn_rng("queue-noise", config.timeline_seed, level - T).standard_normal(out=row)
         if level < T:
-            row *= np.sqrt(1.0 - schedule.alpha_bar(level))
-    return LatentQueue(stream, denoiser, schedule, latents, head=1 - T)
+            row *= schedule.noise_by_level[level]
+    k, L = config.frames_per_shot, config.boundary
+    shots = [0] * (T - 1) + [shot_for_frame(f, k, L) for f in range(stream.shape[0])]
+    conds = [stream.plan[shot] for shot in shots]
+    return LatentQueue(stream, denoiser, schedule, latents, 1 - T, shots, conds)
 
 
 def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     """One engine step: one ``reverse_step`` denoises every latent once,
     then the head is emitted and fresh noise enqueued.
 
-    The row loop only gathers each latent's condition, trace record and
-    eta draw. Returns (global_frame, frame) when a story frame is emitted,
-    None while warm-up dummies are being discarded; the frame is a copy,
-    sharing no memory with the queue. Once the plan is exhausted the queue
-    drains (no enqueue) until empty.
+    The rows take their conditions as one slice of the queue's per-frame
+    list; a row loop runs only for trace records and eta > 0 draws.
+    Returns (global_frame, frame) when a story frame is emitted, None while
+    warm-up dummies are being discarded; the frame is a copy, sharing no
+    memory with the queue. Once the plan is exhausted the queue drains (no
+    enqueue) until empty.
     """
     rows = len(queue.latents)
     if not rows:
         raise StateError("queue is empty")
     stream, schedule = queue.stream, queue.schedule
-    plan, config, trace = stream.plan, stream.config, stream.trace
-    seed = config.timeline_seed
-    tick_no = queue.ticks + 1
-    k, L, n = config.frames_per_shot, config.boundary, len(plan)
-    conds = []
+    config, trace, seed = stream.config, stream.trace, stream.config.timeline_seed
+    first, tick_no = queue.ticks, queue.ticks + 1
     noise = None if config.eta == 0.0 else np.empty_like(queue.latents)
-    for pos in range(rows):
-        level, frame = pos + 1, queue.head + pos
-        shot = 0 if frame < 0 else shot_for_frame(frame, k, L)
-        conds.append(plan[shot])
-        if trace is not None and frame >= 0:
-            trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=level,
-                                     condition_shot=shot))
-        if noise is not None:
-            spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(out=noise[pos])
+    if trace is not None or noise is not None:
+        for pos in range(rows):
+            frame = queue.head + pos
+            if trace is not None and frame >= 0:
+                trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=pos + 1,
+                                         condition_shot=queue.shots[first + pos]))
+            if noise is not None:
+                spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(out=noise[pos])
 
     next_frame = queue.head + rows
-    enqueue = next_frame < n * k
+    enqueue = next_frame < stream.shape[0]
     stepped = np.empty((rows + enqueue,) + queue.latents.shape[1:])
-    reverse_step(queue.denoiser, queue.latents, np.arange(1, rows + 1), conds, schedule,
+    reverse_step(queue.denoiser, queue.latents, np.arange(1, rows + 1),
+                 queue.conds[first:first + rows], schedule,
                  eta=config.eta, noise=noise, out=stepped[:rows])
     if enqueue:
         spawn_rng("queue-noise", seed, next_frame).standard_normal(out=stepped[rows])

@@ -154,6 +154,28 @@ def test_metrics_never_rewrites_the_manifest(tmp_path):
     assert not verify_manifest(out)
 
 
+def test_metrics_refuses_a_report_path_that_is_another_run_file(tmp_path, capsys):
+    # a report written over the manifest or the frames would leave the run
+    # a second writer of that file; the path is refused before anything runs
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "1", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    for name in ("manifest.json", "frames.vgt", "keyframes/shot_0000.vgt", ".lock"):
+        assert cli(["metrics", "--run", str(out), "--report", str(out / name)]) == 1
+        assert "the run's own" in capsys.readouterr().err
+    # a path that only reaches the file through another spelling is refused too
+    spelled = out / "keyframes" / ".." / "story.json"
+    assert cli(["metrics", "--run", str(out), "--report", str(spelled)]) == 1
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
+    assert verify_manifest(out)
+    assert cli(["metrics", "--run", str(out), "--report", str(tmp_path / "other.json")]) == 0
+    assert (tmp_path / "other.json").read_bytes() == files[out / "report.json"]
+    assert cli(["metrics", "--run", str(out), "--report", str(out / "report.json")]) == 0
+    assert verify_manifest(out)
+
+
 def test_metrics_refuses_locked_run(tmp_path, capsys):
     # metrics holds the run lock: it leaves a directory another command owns alone
     out = tmp_path / "run"

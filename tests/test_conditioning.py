@@ -19,6 +19,7 @@ from multishot.conditioning import (
     compose_condition,
     encode_text_mock,
     get_projector,
+    norm,
     split_tokens,
     unit_vector,
 )
@@ -303,6 +304,29 @@ def test_projector_mean_bitwise_stable():
 
 def test_projector_cache_returns_same_object():
     assert get_projector(9, SHAPE) is get_projector(9, SHAPE)
+
+
+def test_projector_cache_keeps_what_one_run_uses():
+    # a run asks for its one projector several times; runs with N seeds
+    # keep one projector (3 MB at 64x64x16), not N
+    for seed in range(7001, 7006):
+        config = PipelineConfig(seed=seed)
+        misses = get_projector.cache_info().misses
+        assert config.projector() is config.projector()
+        assert get_projector.cache_info().misses == misses + 1
+        assert get_projector.cache_info().currsize <= 1
+
+
+def test_norm_is_numpys_vector_norm_bit_for_bit():
+    rng = spawn_rng("norm-check")
+    for n in (1, 3, 16, 129):
+        for dtype in (np.float64, np.float32):
+            v = (rng.standard_normal(n) * 1e3).astype(dtype)
+            expected = np.linalg.norm(v)
+            assert norm(v).dtype == expected.dtype == dtype
+            assert norm(v).tobytes() == expected.tobytes()
+    m = rng.standard_normal((4, 5)).T  # raveled in memory order, as numpy does
+    assert norm(m).tobytes() == np.linalg.norm(m).tobytes()
 
 
 def test_projector_recovers_composed_from_clean_mean():

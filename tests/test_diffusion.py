@@ -1,5 +1,9 @@
 """Schedule algebra, forward/reverse exactness, and the analytic denoiser."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from multishot.conditioning import Condition, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import (
     GaussianWorld,
+    NoiseSchedule,
     add_noise,
     analytic_eps,
     ddim_step,
@@ -337,9 +342,79 @@ def test_analytic_eps_matches_textbook_and_writes_no_input():
     mu = world.mean_map(cond)  # the memo hands out read-only means
     assert not mu.flags.writeable
     [x_t] = _frozen(spawn_rng("eps-out").standard_normal(config.latent_shape))
-    for t in (1, 5, 10):
-        expected = _textbook_eps(x_t, t, world, cond, sched)
-        assert analytic_eps(x_t, t, world, cond, sched).tobytes() == expected.tobytes()
+    # one schedule serves worlds of three prior stds, each at every level
+    for sigma0 in (0.0, 0.5, 3.0):
+        other = GaussianWorld(sigma0=sigma0, mean_map=world.mean_map)
+        for t in range(1, sched.T + 1):
+            expected = _textbook_eps(x_t, t, other, cond, sched)
+            assert analytic_eps(x_t, t, other, cond, sched).tobytes() == expected.tobytes()
+
+
+def test_analytic_eps_follows_the_schedule_it_is_handed():
+    # one world on a 10-step and then a 50-step schedule, each dropped
+    # before the next is made from ready arrays, so that in CPython the next
+    # takes the freed one's memory and id: coefficients found by that id
+    # would be the other schedule's
+    config = PipelineConfig(height=2, width=2, channels=3, embed_dim=16, identity_channels=1)
+    world = config.world()
+    cond = Condition(text=encode_text_mock("a salt marsh", 16, config.encoder_seed))
+    [x_t] = _frozen(spawn_rng("eps-two-schedules").standard_normal(config.latent_shape))
+    arrays = {T: (s.betas, s.alphas, s.alpha_bars) for T in (10, 50) for s in [make_schedule(T)]}
+    for T in (10, 50, 10, 50):
+        sched = NoiseSchedule(*arrays[T])
+        for t in range(1, T + 1):
+            expected = _textbook_eps(x_t, t, world, cond, sched)
+            assert analytic_eps(x_t, t, world, cond, sched).tobytes() == expected.tobytes()
+        del sched
+
+
+def test_analytic_eps_of_a_float32_latent_is_float64():
+    sched, world = make_schedule(8), _const_world(0.25, 0.5, shape=(3, 2))
+    x_t = spawn_rng("eps-f32").standard_normal((3, 2)).astype(np.float32)
+    for t in (1, 4, 8):
+        out = analytic_eps(x_t, t, world, None, sched)
+        assert out.dtype == np.float64
+        assert out.tobytes() == _textbook_eps(x_t, t, world, None, sched).tobytes()
+
+
+def test_two_threads_on_one_fresh_world_match_one_thread():
+    # the two chains build the schedule's coefficient table and the world's
+    # mean memo at once; neither takes a lock to read them
+    config = PipelineConfig(height=3, width=2, channels=4, embed_dim=16, identity_channels=2)
+    cond = Condition(text=encode_text_mock("a kelp forest", 16, config.encoder_seed))
+    seeds = (21, 22)
+    alone = [sample_reverse(config.world(), [cond], make_schedule(30), [seed], config.latent_shape)
+             for seed in seeds]
+    world, sched = config.world(), make_schedule(30)
+    start = threading.Barrier(2, timeout=60)
+
+    def chain(seed):
+        start.wait()
+        return sample_reverse(world, [cond], sched, [seed], config.latent_shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table build too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            shared = list(pool.map(chain, seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [x.tobytes() for x in shared] == [x.tobytes() for x in alone]
+    assert list(sched.eps_coefficients) == [config.sigma0]
+
+
+def test_schedule_tables_are_read_only():
+    sched = make_schedule(6)
+    _const_world(0.0, 0.5)(arr(1.0), 3, None, sched)
+    [levels] = sched.eps_coefficients.values()
+    assert isinstance(levels, tuple) and len(levels) == sched.T + 1 and levels[0] is None
+    tables = [sched.by_level, sched.signal_by_level, sched.noise_by_level]
+    for table in tables + [c for level in levels[1:] for c in level]:
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+    assert sched.T == 6
+    np.testing.assert_array_equal(sched.signal_by_level, np.sqrt(sched.by_level))
+    np.testing.assert_array_equal(sched.noise_by_level, np.sqrt(1.0 - sched.by_level))
 
 
 # --- sample_reverse ---------------------------------------------------------

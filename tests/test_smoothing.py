@@ -111,6 +111,34 @@ def test_queue_reads_its_stream_and_builds_the_schedule_once(small_chain, monkey
 # --- tick ----------------------------------------------------------------------
 
 
+def test_queue_takes_each_frames_condition_once_at_short_boundary():
+    # k=4, L=2: frames 4-5 keep shot 0's condition and 8-9 shot 1's, and the
+    # T-1 warm-up dummies carry shot 0's. The list is built once per
+    # stream; every tick hands the backend the slice its rows hold.
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=3, reset_boundary=2,
+                            height=2, width=2)
+    plan = ["cond 0", "cond 1", "cond 2"]
+    seen = []
+
+    def backend(x_t, t, cond, schedule):
+        seen.append((t, cond))
+        return np.zeros_like(x_t)
+
+    queue = init_queue(FrameStream(plan, config), backend)
+    assert queue.shots == [0, 0] + [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    assert queue.shots[2:] == [shot_for_frame(f, 4, 2) for f in range(12)]
+    assert queue.conds == [plan[shot] for shot in queue.shots]
+    while len(queue.latents):
+        head, rows = queue.head, len(queue.latents)
+        seen.clear()
+        tick(queue)
+        assert seen == [
+            (pos + 1, plan[0 if head + pos < 0 else shot_for_frame(head + pos, 4, 2)])
+            for pos in range(rows)
+        ]
+
+
+
 def _drive(config, plan, trace=None):
     queue = init_queue(FrameStream(plan, config, trace), config.world())
     emitted = []
