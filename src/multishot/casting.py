@@ -22,23 +22,24 @@ from .config import PipelineConfig
 from .diffusion import sample_reverse
 from .errors import InputError, ParseError, ValidationError
 from .script import (
-    DOMAIN_FIELDS,
     AvatarProfile,
-    DomainPrompt,
     LlmClient,
     ShotDescription,
     ShotScript,
     call_llm,
+    check_roster,
+    read_avatar,
     require_field,
 )
 from .seeds import spawn_rng
+from .tensorio import read_json
 
 
 _AVATARS_INSTRUCTION = (
     "Propose recurring character avatars for this story and assign one to "
-    "every shot. Reply with JSON: {\"avatars\": [{\"id\", \"character\", "
-    "\"background\", \"relations\", \"camera\", \"hdr\"}], \"assignment\": "
-    "[avatar id per shot, in shot order]}."
+    "every shot. Reply with JSON only: {\"avatars\": [{\"id\", \"prompt\": "
+    "{\"character\", \"background\", \"relations\", \"camera\", \"hdr\"}}], "
+    "\"assignment\": [avatar id per shot, in shot order]}, every text non-blank."
 )
 
 
@@ -50,7 +51,7 @@ def derive_avatars(
 
     The mock client implements the grouping rule (ceil(N / shots_per_avatar)
     avatars, shot i -> avatar i // shots_per_avatar); any client's completion
-    is parsed and coverage-validated the same way.
+    is parsed and checked against the roster rules the same way.
     """
     if not descriptions:
         raise InputError("cannot derive avatars from an empty story")
@@ -62,39 +63,22 @@ def derive_avatars(
         }
     )
     completion = call_llm(llm, _AVATARS_INSTRUCTION, context, "while proposing avatars")
-
-    try:
-        payload = json.loads(completion)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"avatar completion is not valid JSON: {exc}") from exc
+    payload = read_json(completion, "the avatars completion")
     raw_avatars = require_field(payload, "avatars", list, "")
     assignment = require_field(payload, "assignment", list, "")
 
     avatars = []
     for i, entry in enumerate(raw_avatars):
-        path = f"avatars[{i}]"
-        fields = {f: require_field(entry, f, str, path) for f in ("id",) + DOMAIN_FIELDS}
-        empty = [f for f, value in fields.items() if not value]
-        if empty:
-            raise ParseError(f"{path} has empty fields: {empty}")
-        aid = fields.pop("id")
-        avatars.append(
-            AvatarProfile(id=aid, prompt=DomainPrompt(**fields), seed=config.avatar_seed(aid))
-        )
-    ids = [a.id for a in avatars]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate avatar ids in completion: {ids}")
-
+        aid, prompt = read_avatar(entry, f"avatars[{i}]")
+        avatars.append(AvatarProfile(id=aid, prompt=prompt, seed=config.avatar_seed(aid)))
     if len(assignment) != len(descriptions):
         raise ValidationError(
             f"assignment covers {len(assignment)} shots, story has {len(descriptions)}"
         )
-    id_set = set(ids)
     for i, aid in enumerate(assignment):
         if not isinstance(aid, str):
             raise ParseError(f"field assignment[{i}] has wrong type (expected str)")
-        if aid not in id_set:
-            raise ValidationError(f"shot {i} assigned to unknown avatar '{aid}'")
+    check_roster([a.id for a in avatars], assignment)
     return avatars, list(assignment)
 
 

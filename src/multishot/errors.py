@@ -31,11 +31,9 @@ class InputError(MultishotError):
 
 
 class ParseError(MultishotError):
-    """A document failed to parse; the message carries the offending path."""
-
-
-class SchemaError(MultishotError):
-    """A completion or document is missing a required labeled section."""
+    """A JSON document or LLM completion is not valid JSON, or a field of it
+    is missing, of the wrong type or blank; the message names it or the
+    field's JSON path."""
 
 
 class ValidationError(MultishotError):
@@ -47,7 +45,8 @@ class StateError(MultishotError):
 
 
 class TransportError(MultishotError):
-    """LLM client failure (network, HTTP status, malformed payload)."""
+    """LLM client failure (network, HTTP status, malformed payload); the
+    message names the task that called the client."""
 
 
 class FormatError(MultishotError):

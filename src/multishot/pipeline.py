@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -54,7 +53,14 @@ from .script import (
     serialize_story,
 )
 from .smoothing import DenoiseTrace, FrameStream, build_plan
-from .tensorio import TEMP_SUFFIX, canonical_json, read_tensor_file, write_file, write_tensor_file
+from .tensorio import (
+    TEMP_SUFFIX,
+    canonical_json,
+    read_json,
+    read_tensor_file,
+    write_file,
+    write_tensor_file,
+)
 
 STORY_FILE = "story.json"
 CONFIG_FILE = "config.json"
@@ -154,7 +160,7 @@ def write_report(path: Path, report: MetricsReport) -> None:
 
 
 def read_report(path) -> MetricsReport:
-    return MetricsReport(**json.loads(Path(path).read_text(encoding="utf-8")))
+    return MetricsReport(**read_json(Path(path).read_bytes(), REPORT_FILE))
 
 
 def write_keyframes(keyframes: List[np.ndarray], out_dir: Path) -> None:
@@ -197,11 +203,9 @@ def read_manifest(run_dir: Path) -> Optional[Dict[str, str]]:
     raises ``ParseError``; one that does not map names to digests raises
     ``ValidationError``."""
     try:
-        doc = json.loads((Path(run_dir) / MANIFEST_FILE).read_text(encoding="utf-8"))
+        doc = read_json((Path(run_dir) / MANIFEST_FILE).read_bytes(), MANIFEST_FILE)
     except FileNotFoundError:
         return None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{MANIFEST_FILE} is not valid UTF-8 JSON: {exc}") from exc
     files = doc.get("files") if isinstance(doc, dict) else None
     if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
         raise ValidationError(f"{MANIFEST_FILE} must hold a files object of name: sha256 entries")

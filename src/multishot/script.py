@@ -3,10 +3,13 @@
 A pluggable LLM client turns the user input into short per-shot
 descriptions, then fills each shot's script across five domains (character,
 background, relations, camera pose, HDR lighting), conditioning every call
-on the previously generated script so the narrative stays coherent. The
-bundled mock client is a deterministic template engine, so the whole module
-is testable offline; the HTTP client speaks a generic chat-completion
-contract for real models.
+on the previously generated script so the narrative stays coherent. Each
+completion is JSON: the fragment of the story document that it fills,
+read by the same functions as the story document itself, so completions
+and story files share one grammar in which every text field is a
+non-blank string. The bundled mock client is a deterministic template
+engine, so the whole module is testable offline; the HTTP client speaks a
+generic chat-completion contract for real models.
 
 Stories serialize to a canonical JSON document (fixed key order, 2-space
 indent, LF newlines) so equal stories are byte-identical on disk.
@@ -17,38 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass
 from typing import List, Optional, Protocol
 
-from .errors import (
-    InputError,
-    MultishotError,
-    ParseError,
-    SchemaError,
-    TransportError,
-    ValidationError,
-)
+from .errors import InputError, MultishotError, ParseError, TransportError, ValidationError
 from .seeds import derive_seed
-from .tensorio import canonical_json
+from .tensorio import canonical_json, read_json
 
 DOMAIN_FIELDS = ("character", "background", "relations", "camera", "hdr")
-
-#: Section labels accepted in completions, mapped to script fields.
-_LABELS = {
-    "character": "character",
-    "background": "background",
-    "relation": "relations",
-    "relations": "relations",
-    "camera pose": "camera",
-    "camera": "camera",
-    "hdr description": "hdr",
-    "hdr": "hdr",
-}
-_LABEL_RE = re.compile(
-    r"^\s*(character|background|relations?|camera(?:\s+pose)?|hdr(?:\s+description)?)\s*:\s*",
-    re.IGNORECASE | re.MULTILINE,
-)
 
 LLM_KEY_ENV = "VGOT_LLM_KEY"
 
@@ -93,6 +72,17 @@ class ShotScript(DomainPrompt):
     avatar_id: str
 
 
+def check_roster(avatar_ids: List[str], assignment: List[str]) -> None:
+    """The roster rules: avatar ids are unique, and shot j's avatar,
+    ``assignment[j]``, is on the roster; a ValidationError otherwise."""
+    ids = set(avatar_ids)
+    if len(ids) != len(avatar_ids):
+        raise ValidationError(f"duplicate avatar ids: {avatar_ids}")
+    for j, aid in enumerate(assignment):
+        if aid not in ids:
+            raise ValidationError(f"shot {j}'s avatar '{aid}' is not on the roster")
+
+
 @dataclass(frozen=True)
 class Story:
     """A full narrative plan: descriptions, scripts, and avatar roster.
@@ -113,14 +103,7 @@ class Story:
                 f"story is not fully populated: {len(self.descriptions)} descriptions, "
                 f"{len(self.scripts)} scripts"
             )
-        ids = {a.id for a in self.avatars}
-        if len(ids) != len(self.avatars):
-            raise ValidationError("duplicate avatar ids")
-        for j, script in enumerate(self.scripts):
-            if script.avatar_id not in ids:
-                raise ValidationError(
-                    f"shots[{j}].avatar_id '{script.avatar_id}' does not resolve"
-                )
+        check_roster([a.id for a in self.avatars], [s.avatar_id for s in self.scripts])
 
 
 class LlmClient(Protocol):
@@ -131,14 +114,15 @@ class LlmClient(Protocol):
 
 
 def call_llm(llm: LlmClient, instruction: str, context: str, task: str) -> str:
-    """The one error policy of LLM calls: errors of this package (a parse,
-    schema or transport error a client raises itself) pass through, and any
-    other exception becomes a TransportError naming the task."""
+    """The one error policy of LLM calls: a client's TransportError, and
+    any exception not of this package, becomes a TransportError naming the
+    task; any other error of this package (a ParseError a client raises
+    itself) passes through."""
     try:
         return llm.complete(instruction, context)
-    except MultishotError:
-        raise
     except Exception as exc:
+        if isinstance(exc, MultishotError) and not isinstance(exc, TransportError):
+            raise
         raise TransportError(f"LLM client failed {task}: {exc}") from exc
 
 
@@ -189,7 +173,7 @@ def _digest(*parts: str) -> str:
 class MockLlmClient:
     """Deterministic stand-in for a chat model.
 
-    Renders the same completion formats a real model is instructed to
+    Renders the same JSON completions a real model is instructed to
     produce, so the parsing path is identical in mock and HTTP modes.
     """
 
@@ -209,13 +193,13 @@ class MockLlmClient:
         # shot, sharing only a compact subject tag so shots stay textually
         # distinguishable.
         tag = " ".join(user_input.split()[-2:])
-        lines = []
+        shots = []
         for i in range(n):
             title = _pick(_TITLES, "expand-title", user_input, i)
             action = _pick(_ACTIONS, "expand-action", user_input, i)
             place = _pick(_PLACES, "expand-place", user_input, i)
-            lines.append(f"{i + 1}. {title} ({tag}, scene {i + 1}): {action} {place}.")
-        return "\n".join(lines)
+            shots.append({"short": f"{title} ({tag}, scene {i + 1}): {action} {place}."})
+        return json.dumps({"shots": shots})
 
     def _script(self, short: str, index: int, prev: Optional[dict]) -> str:
         look = _pick(_LOOKS, "script-look", short, index)
@@ -229,14 +213,14 @@ class MockLlmClient:
                 f"continuing from scene {index - 1} "
                 f"(beat {_digest(*(prev[f] for f in DOMAIN_FIELDS))})"
             )
-        return "\n".join(
-            [
-                f"Character: the protagonist of '{short}', {look}.",
-                f"Background: {place}, framing '{short}'.",
-                f"Relation: the players of '{short}' interact, {link}.",
-                f"Camera Pose: {camera} on '{short}'.",
-                f"HDR Description: {light} over '{short}'.",
-            ]
+        return json.dumps(
+            {
+                "character": f"the protagonist of '{short}', {look}.",
+                "background": f"{place}, framing '{short}'.",
+                "relations": f"the players of '{short}' interact, {link}.",
+                "camera": f"{camera} on '{short}'.",
+                "hdr": f"{light} over '{short}'.",
+            }
         )
 
     def _avatars(self, descriptions: List[str], shots_per_avatar: int) -> str:
@@ -247,16 +231,14 @@ class MockLlmClient:
             anchor = descriptions[g * shots_per_avatar]
             look = _pick(_LOOKS, "avatar-look", anchor, g)
             light = _pick(_LIGHTS, "avatar-light", anchor, g)
-            avatars.append(
-                {
-                    "id": f"avatar_{g:02d}",
-                    "character": f"Character: recurring figure {g} of '{anchor}', {look}.",
-                    "background": f"Background: neutral portrait backdrop for figure {g}.",
-                    "relations": f"Relation: figure {g} stands alone, facing the viewer.",
-                    "camera": "Camera Pose: centered head and shoulders portrait.",
-                    "hdr": f"HDR Description: {light}.",
-                }
-            )
+            prompt = {
+                "character": f"Character: recurring figure {g} of '{anchor}', {look}.",
+                "background": f"Background: neutral portrait backdrop for figure {g}.",
+                "relations": f"Relation: figure {g} stands alone, facing the viewer.",
+                "camera": "Camera Pose: centered head and shoulders portrait.",
+                "hdr": f"HDR Description: {light}.",
+            }
+            avatars.append({"id": f"avatar_{g:02d}", "prompt": prompt})
         assignment = [f"avatar_{min(i // shots_per_avatar, n_avatars - 1):02d}" for i in range(n)]
         return json.dumps({"avatars": avatars, "assignment": assignment})
 
@@ -310,20 +292,49 @@ class HttpLlmClient:
 
 
 # --------------------------------------------------------------------------
+# Reading JSON: completions and story documents alike.
+
+
+def require_field(mapping: dict, key: str, kind, path: str):
+    """mapping[key], checked to be a `kind`, and a non-blank one when it is a
+    string; a ParseError names its JSON path."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ParseError(f"missing field at {path}.{key}" if path else f"missing field {key}")
+    value = mapping[key]
+    where = f"{path}.{key}" if path else key
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"field {where} has wrong type (expected {kind.__name__})")
+    if kind is str and not value.strip():
+        raise ParseError(f"field {where} is blank")
+    return value
+
+
+def _read_domains(mapping: dict, path: str) -> dict:
+    return {f: require_field(mapping, f, str, path) for f in DOMAIN_FIELDS}
+
+
+def read_avatar(entry: dict, path: str) -> tuple:
+    """The id and prompt of the avatar entry at ``path``: what a story
+    document's ``avatars[i]`` and an avatars completion's share."""
+    aid = require_field(entry, "id", str, path)
+    prompt = require_field(entry, "prompt", dict, path)
+    return aid, DomainPrompt(**_read_domains(prompt, f"{path}.prompt"))
+
+
+# --------------------------------------------------------------------------
 # Operations.
 
 _EXPAND_INSTRUCTION = (
     "Expand the user's one-sentence story into exactly n_shots one-sentence "
-    "shot descriptions. Reply with one numbered line per shot: '1. ...'."
+    "shot descriptions. Reply with JSON only: {\"shots\": [{\"short\": "
+    "description}]}, one entry per shot, in shot order."
 )
 _SCRIPT_INSTRUCTION = (
     "Write a five-domain shot script for the given short description, "
     "staying consistent with the previous script if one is provided. Reply "
-    "with exactly five labeled lines: 'Character:', 'Background:', "
-    "'Relation:', 'Camera Pose:', 'HDR Description:'."
+    "with JSON only: {\"character\", \"background\", \"relations\", "
+    "\"camera\", \"hdr\"}, each a non-blank string."
 )
-
-_NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.+?)\s*$")
 
 
 def expand_story(user_input: str, n_shots: int, llm: LlmClient) -> List[ShotDescription]:
@@ -335,35 +346,13 @@ def expand_story(user_input: str, n_shots: int, llm: LlmClient) -> List[ShotDesc
         raise InputError(f"need at least one shot, got {n_shots}")
     context = json.dumps({"task": "expand", "user_input": stripped, "n_shots": n_shots})
     completion = call_llm(llm, _EXPAND_INSTRUCTION, context, "while expanding the story")
-
-    descriptions = []
-    for line in completion.splitlines():
-        if not line.strip():
-            continue
-        match = _NUMBERED_LINE.match(line)
-        if match is None:
-            raise ParseError(f"expected numbered shot lines, got: {line!r}")
-        descriptions.append(ShotDescription(match.group(2)))
-    if len(descriptions) != n_shots:
-        raise ParseError(f"expected {n_shots} shot lines, parsed {len(descriptions)}")
-    return descriptions
-
-
-def parse_domains(completion: str) -> dict:
-    """Extract the five labeled domains from a completion, any order."""
-    found: dict = {}
-    matches = list(_LABEL_RE.finditer(completion))
-    for pos, match in enumerate(matches):
-        label = re.sub(r"\s+", " ", match.group(1).strip().lower())
-        fld = _LABELS[label]
-        end = matches[pos + 1].start() if pos + 1 < len(matches) else len(completion)
-        text = completion[match.end() : end].strip()
-        if text and fld not in found:
-            found[fld] = text
-    for fld in DOMAIN_FIELDS:
-        if not found.get(fld):
-            raise SchemaError(f"completion is missing the '{fld}' domain")
-    return found
+    shots = require_field(read_json(completion, "the expand completion"), "shots", list, "")
+    if len(shots) != n_shots:
+        raise ParseError(f"the expand completion has {len(shots)} shots, expected {n_shots}")
+    return [
+        ShotDescription(require_field(shot, "short", str, f"shots[{j}]"))
+        for j, shot in enumerate(shots)
+    ]
 
 
 def generate_shot_script(
@@ -379,8 +368,9 @@ def generate_shot_script(
     context = json.dumps(
         {"task": "script", "short": s.text, "index": index, "prev": prev_payload}
     )
-    completion = call_llm(llm, _SCRIPT_INSTRUCTION, context, f"on shot {index}")
-    return ShotScript(avatar_id=avatar_id, **parse_domains(completion))
+    completion = call_llm(llm, _SCRIPT_INSTRUCTION, context, f"while scripting shot {index}")
+    doc = read_json(completion, f"the script completion of shot {index}")
+    return ShotScript(avatar_id=avatar_id, **_read_domains(doc, f"shots[{index}].script"))
 
 
 def generate_script_sequence(
@@ -393,26 +383,12 @@ def generate_script_sequence(
     scripts: List[ShotScript] = []
     for j, (s, avatar_id) in enumerate(zip(descriptions, assignment, strict=True)):
         prev = scripts[-1] if scripts else None
-        try:
-            scripts.append(generate_shot_script(s, j, prev, llm, avatar_id))
-        except TransportError as exc:
-            raise TransportError(f"script generation aborted at shot {j}: {exc}") from exc
+        scripts.append(generate_shot_script(s, j, prev, llm, avatar_id))
     return scripts
 
 
 # --------------------------------------------------------------------------
 # Canonical story document.
-
-
-def require_field(mapping: dict, key: str, kind, path: str):
-    """mapping[key], checked to be a `kind`; a ParseError names its JSON path."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ParseError(f"missing field at {path}.{key}" if path else f"missing field {key}")
-    value = mapping[key]
-    where = f"{path}.{key}" if path else key
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"field {where} has wrong type (expected {kind.__name__})")
-    return value
 
 
 def story_to_document(story: Story) -> dict:
@@ -434,17 +410,10 @@ def serialize_story(story: Story) -> bytes:
     return canonical_json(story_to_document(story))
 
 
-def _read_domains(mapping: dict, path: str) -> dict:
-    return {f: require_field(mapping, f, str, path) for f in DOMAIN_FIELDS}
-
-
 def parse_story(data: bytes) -> Story:
     """Parse and validate a story document; errors carry the JSON path.
     Shot j is shots[j]; keys the schema does not name are ignored."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"story document is not valid UTF-8 JSON: {exc}") from exc
+    doc = read_json(data, "the story document")
     user_input = require_field(doc, "user_input", str, "")
     raw_avatars = require_field(doc, "avatars", list, "")
     raw_shots = require_field(doc, "shots", list, "")
@@ -452,10 +421,8 @@ def parse_story(data: bytes) -> Story:
     avatars = []
     for i, entry in enumerate(raw_avatars):
         path = f"avatars[{i}]"
-        aid = require_field(entry, "id", str, path)
-        prompt_doc = require_field(entry, "prompt", dict, path)
+        aid, prompt = read_avatar(entry, path)
         seed = require_field(entry, "seed", int, path)
-        prompt = DomainPrompt(**_read_domains(prompt_doc, f"{path}.prompt"))
         avatars.append(AvatarProfile(id=aid, prompt=prompt, seed=seed))
 
     descriptions, scripts = [], []

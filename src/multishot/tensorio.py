@@ -13,7 +13,9 @@ tensor crosses the disk boundary without a whole-tensor copy. Every file
 of a run is written through :func:`atomic_write`, which either completes
 or leaves the target untouched, and a JSON file as :func:`canonical_json`.
 That holds against an exception or a kill, not a power loss:
-:func:`atomic_write` fsyncs neither the file nor its directory.
+:func:`atomic_write` fsyncs neither the file nor its directory. Every JSON
+document or LLM completion read in, but a config, is decoded by
+:func:`read_json`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, LengthError
+from .errors import ConfigError, FormatError, LengthError, ParseError
 
 MAGIC = b"VGOT"
 VERSION = 1
@@ -77,6 +79,15 @@ def _parse_header(head: bytes, size: int) -> tuple:
 def canonical_json(payload) -> bytes:
     """A run's JSON document: UTF-8, 2-space indent, non-ASCII kept, final LF."""
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def read_json(text, what: str):
+    """The JSON document ``text``, a str or UTF-8 bytes; one that is not
+    valid JSON raises ``ParseError`` naming it as ``what``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -77,13 +77,13 @@ class CannedClient:
         return self.payload
 
 
-def _avatar_payload(assignment):
-    avatar = {
-        "id": "avatar_00",
-        "character": "c", "background": "b", "relations": "r",
-        "camera": "cam", "hdr": "h",
-    }
-    return json.dumps({"avatars": [avatar], "assignment": assignment})
+def _avatar(id="avatar_00", **domains):
+    prompt = {"character": "c", "background": "b", "relations": "r", "camera": "cam", "hdr": "h"}
+    return {"id": id, "prompt": {**prompt, **domains}}
+
+
+def _avatar_payload(assignment, avatars=None):
+    return json.dumps({"avatars": avatars or [_avatar()], "assignment": assignment})
 
 
 def test_assignment_gap_is_validation_error():
@@ -94,29 +94,33 @@ def test_assignment_gap_is_validation_error():
 
 def test_unknown_assignment_id_rejected():
     client = CannedClient(_avatar_payload(["avatar_00", "avatar_99"]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="shot 1's avatar 'avatar_99' is not on the roster"):
         derive_avatars(_descriptions(2), client, _per_avatar(2))
 
 
-def _avatar(**fields):
-    avatar = {"id": "avatar_00", "character": "c", "background": "b", "relations": "r",
-              "camera": "cam", "hdr": "h"}
-    return {**avatar, **fields}
+def test_duplicate_avatar_ids_rejected():
+    client = CannedClient(_avatar_payload(["avatar_00"] * 2, [_avatar(), _avatar()]))
+    with pytest.raises(ValidationError, match="duplicate avatar ids"):
+        derive_avatars(_descriptions(2), client, _per_avatar(2))
 
 
 @pytest.mark.parametrize(
     "completion, path",
     [
-        ("not json at all", "not valid JSON"),
+        ("not json at all", "the avatars completion is not valid JSON"),
         (json.dumps([_avatar()]), "avatars"),
         (json.dumps({"avatars": ["avatar_00"], "assignment": ["avatar_00"] * 2}),
          r"avatars\[0\]\.id"),
         (json.dumps({"avatars": [_avatar()], "assignment": [["a"], "avatar_00"]}),
          r"assignment\[0\]"),
         (json.dumps({"avatars": [_avatar(id=7)], "assignment": [7, 7]}), r"avatars\[0\]\.id"),
-        (json.dumps({"avatars": [_avatar(hdr="")], "assignment": ["avatar_00"] * 2}), "hdr"),
+        (json.dumps({"avatars": [_avatar(hdr="")], "assignment": ["avatar_00"] * 2}),
+         r"avatars\[0\]\.prompt\.hdr is blank"),
+        (json.dumps({"avatars": [{"id": "avatar_00", **_avatar()["prompt"]}],
+                     "assignment": ["avatar_00"] * 2}), r"missing field at avatars\[0\]\.prompt"),
     ],
-    ids=["not-json", "json-list", "avatar-string", "assignment-list", "integer-id", "empty-domain"],
+    ids=["not-json", "json-list", "avatar-string", "assignment-list", "integer-id", "empty-domain",
+         "flat-domains"],
 )
 def test_malformed_completion_is_parse_error(completion, path):
     with pytest.raises(ParseError, match=path):

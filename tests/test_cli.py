@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from multishot.cli import cli
 from multishot.config import PipelineConfig
+from multishot.errors import ParseError
 from multishot.pipeline import make_llm, run_lock, verify_manifest
 from multishot.script import HttpLlmClient, MockLlmClient, parse_story
 from multishot.tensorio import read_tensor_file, write_tensor_file
@@ -46,6 +48,34 @@ def test_keyframes_subcommand(tmp_path):
     out = tmp_path / "kf"
     assert cli(["keyframes", "--story", str(story_path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [f"shot_{i:04d}.vgt" for i in range(4)]
+    # a rerun for fewer shots into the same directory deletes the stale keyframes
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "2", "--out", str(story_path)]) == 0
+    assert cli(["keyframes", "--story", str(story_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"shot_{i:04d}.vgt" for i in range(2)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["shots[1].short", "shots[0].script.camera", "avatars[0].prompt.hdr"],
+    ids=["short", "script-domain", "avatar-domain"],
+)
+def test_generate_refuses_a_blank_story_text_before_any_stage(tmp_path, capsys, path):
+    story_path = tmp_path / "story.json"
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "2", "--out", str(story_path)]) == 0
+    doc = json.loads(story_path.read_text())
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    node = doc
+    for name in parents:
+        node = node[int(name) if name.isdigit() else name]
+    node[key] = "  "
+    story_path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"field {path} is blank")):
+        parse_story(story_path.read_bytes())
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli(["generate", "--story", str(story_path), "--out", str(out)]) == 1
+    assert f"field {path} is blank" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_modes_share_labels(tmp_path):

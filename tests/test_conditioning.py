@@ -143,6 +143,8 @@ def test_attention_shape_errors():
         attention(np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         attention(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ShapeError, match="vectors or 2-D matrices"):
+        attention(np.zeros((1, 1, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -234,6 +236,12 @@ def test_condition_requires_zero_scale_without_ip():
     with pytest.raises(ConfigError):
         Condition(text=text, ip=None, ip_scale=1.0)
     Condition(text=text, ip=None, ip_scale=0.0)  # fine
+
+
+def test_condition_rejects_negative_ip_scale():
+    text, ip = encode_text_mock("anything", 16, 0), encode_text_mock("a face", 16, 0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        Condition(text=text, ip=ip, ip_scale=-0.5)
 
 
 def test_condition_hashes_by_identity_and_world_memoises_its_mean(monkeypatch):

@@ -66,6 +66,13 @@ def test_schedule_product_identity():
     assert np.all(np.diff(sched.betas) >= 0)
 
 
+def test_alpha_bar_range_check():
+    sched = make_schedule(4, 0.1, 0.4)
+    for t in (-1, 5):
+        with pytest.raises(ScheduleError, match=r"outside \[0, 4\]"):
+            sched.alpha_bar(t)
+
+
 # --- add_noise --------------------------------------------------------------
 
 
@@ -164,6 +171,8 @@ def test_ddim_errors():
         ddim_step(x, x, 2, 1, sched, eta=1.5)
     with pytest.raises(ConfigError):
         ddim_step(x, x, 2, 1, sched, eta=0.5)  # stochastic step needs noise
+    with pytest.raises(ShapeError, match="eps_hat"):
+        ddim_step(x, np.zeros(4), 2, 1, sched)
 
 
 def test_ddim_eta_zero_at_final_step_matches_stochastic_formula():
@@ -333,6 +342,12 @@ def test_analytic_eps_range_check():
     sched = make_schedule(2, 0.1, 0.2)
     with pytest.raises(ScheduleError):
         analytic_eps(arr(1.0), 3, _const_world(0.0, 1.0), None, sched)
+
+
+def test_analytic_eps_rejects_a_mean_of_another_shape():
+    sched = make_schedule(2, 0.1, 0.2)
+    with pytest.raises(ShapeError, match="mean"):
+        analytic_eps(arr(1.0), 1, _const_world(0.0, 1.0, shape=(2,)), None, sched)
 
 
 def test_analytic_eps_matches_textbook_and_writes_no_input():

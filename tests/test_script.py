@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from multishot.errors import (
-    InputError,
-    ParseError,
-    SchemaError,
-    TransportError,
-    ValidationError,
-)
+from multishot.errors import InputError, ParseError, TransportError, ValidationError
 from multishot.script import (
     DOMAIN_FIELDS,
     HttpLlmClient,
@@ -20,7 +14,6 @@ from multishot.script import (
     expand_story,
     generate_script_sequence,
     generate_shot_script,
-    parse_domains,
     parse_story,
     serialize_story,
 )
@@ -87,10 +80,21 @@ def test_expand_rejects_bad_inputs():
 
 
 def test_expand_parse_errors():
-    with pytest.raises(ParseError):
-        expand_story(STORY_INPUT, 2, ScriptedClient(["no numbering here"]))
-    with pytest.raises(ParseError):
-        expand_story(STORY_INPUT, 2, ScriptedClient(["1. only one line"]))
+    cases = [
+        ("1. A line.\n2. Another.", "the expand completion is not valid JSON"),
+        (json.dumps({"shorts": [{"short": "a"}, {"short": "b"}]}), "missing field shots"),
+        (json.dumps({"shots": [{"short": "only one"}]}), "has 1 shots, expected 2"),
+        (json.dumps({"shots": [{"short": "a"}, {"short": " \t"}]}),
+         r"field shots\[1\]\.short is blank"),
+    ]
+    for completion, message in cases:
+        with pytest.raises(ParseError, match=message):
+            expand_story(STORY_INPUT, 2, ScriptedClient([completion]))
+
+
+def test_mock_refuses_an_unknown_task():
+    with pytest.raises(InputError, match="mock client does not know task 'summarize'"):
+        MockLlmClient().complete("", json.dumps({"task": "summarize"}))
 
 
 def test_expand_wraps_client_failure():
@@ -108,44 +112,31 @@ def test_expand_wraps_client_failure():
     ids=["expand_story", "generate_shot_script", "derive_avatars"],
 )
 def test_llm_calls_share_one_error_policy(call):
-    # errors of this package pass through unchanged, any other becomes TransportError
-    for error in (InputError, ParseError, SchemaError, ValidationError, TransportError):
-        with pytest.raises(error, match="from the client"):
+    # a TransportError, or any exception not of this package, becomes a
+    # TransportError naming the task; other errors of this package pass through
+    for error in (InputError, ParseError, ValidationError):
+        with pytest.raises(error, match="^from the client$"):
             call(ScriptedClient([error("from the client")]))
-    with pytest.raises(TransportError, match="boom"):
-        call(ScriptedClient([KeyError("boom")]))
+    for error in (TransportError("HTTP 503"), KeyError("HTTP 503")):
+        with pytest.raises(TransportError, match="^LLM client failed while .*HTTP 503"):
+            call(ScriptedClient([error]))
 
 
-# --- parse_domains / generate_shot_script -----------------------------------
+# --- generate_shot_script ---------------------------------------------------
 
 
-def test_parse_domains_any_order_any_case():
-    completion = "\n".join(
-        [
-            "hdr description: lamplight and mist.",
-            "CAMERA POSE: slow dolly toward the pier.",
-            "Character: the ferryman counting coins.",
-            "relation: he waves to the baker across the square.",
-            "Background: a harbor at closing time.",
-        ]
-    )
-    domains = parse_domains(completion)
-    assert set(domains) == set(DOMAIN_FIELDS)
-    assert domains["camera"].startswith("slow dolly")
-    assert domains["hdr"].startswith("lamplight")
-
-
-def test_parse_domains_missing_section_names_it():
-    completion = "\n".join(
-        [
-            "Character: someone.",
-            "Background: somewhere.",
-            "Relation: something.",
-            "Camera Pose: somehow.",
-        ]
-    )
-    with pytest.raises(SchemaError, match="hdr"):
-        parse_domains(completion)
+def test_script_completion_missing_or_blank_domain_names_it():
+    domains = {"character": "someone.", "background": "somewhere.",
+               "relations": "something.", "camera": "somehow."}
+    for completion, message in [
+        (json.dumps(domains), r"missing field at shots\[3\]\.script\.hdr"),
+        (json.dumps({**domains, "hdr": "  "}), r"field shots\[3\]\.script\.hdr is blank"),
+        ("\n".join(f"{f}: text." for f in DOMAIN_FIELDS),
+         "the script completion of shot 3 is not valid JSON"),
+    ]:
+        client = ScriptedClient([completion])
+        with pytest.raises(ParseError, match=message):
+            generate_shot_script(ShotDescription("a shot"), 3, None, client, "avatar_00")
 
 
 def test_shot_script_deterministic():
@@ -313,15 +304,24 @@ class StubSession:
 
 def test_http_client_request_contract(monkeypatch):
     monkeypatch.setenv("VGOT_LLM_KEY", "sk-test-123")
-    session = StubSession(StubResponse({"content": "1. A line.\n2. Another."}))
+    content = json.dumps({"shots": [{"short": "A line."}, {"short": "Another."}]})
+    session = StubSession(StubResponse({"content": content}))
     client = HttpLlmClient("https://llm.example/v1/complete", session=session)
     descriptions = expand_story(STORY_INPUT, 2, client)
-    assert len(descriptions) == 2
+    assert descriptions == [ShotDescription("A line."), ShotDescription("Another.")]
     sent = session.requests[0]
     assert sent["url"] == "https://llm.example/v1/complete"
     assert sent["headers"]["Authorization"] == "Bearer sk-test-123"
     roles = [m["role"] for m in sent["json"]["messages"]]
     assert roles == ["system", "user"]
+
+
+def test_http_client_numbered_expand_answer_is_refused():
+    # the expand call is answered in JSON, as every LLM call is
+    session = StubSession(StubResponse({"content": "1. A line.\n2. Another."}))
+    client = HttpLlmClient("https://llm.example", api_key="", session=session)
+    with pytest.raises(ParseError, match="the expand completion is not valid JSON"):
+        expand_story(STORY_INPUT, 2, client)
 
 
 def test_http_client_status_error():

@@ -2,12 +2,14 @@
 
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from multishot.errors import ConfigError, FormatError, LengthError
 from multishot.seeds import spawn_rng
+from multishot import tensorio
 from multishot.tensorio import atomic_write, read_tensor_file, write_tensor_file
 
 
@@ -99,6 +101,26 @@ def test_rank_limits(tmp_path):
     bad_rank[5] = 9
     with pytest.raises(FormatError, match="rank"):
         _read_bytes(tmp_path, bytes(bad_rank))
+
+
+def test_dimension_above_uint32_rejected_before_any_file(tmp_path):
+    class Huge:  # a stream header only: it is refused before any row is pulled
+        shape = (2**32, 1)
+
+    with pytest.raises(ConfigError, match="too large for uint32"):
+        write_tensor_file(tmp_path / "huge.vgt", Huge())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_file_that_shrinks_while_read_rejected(tmp_path, monkeypatch):
+    # the header promises 4 floats and fstat reports the full size, but the
+    # file ends after 2, as if it was truncated between fstat and the read
+    data = _written(tmp_path, np.arange(4, dtype=np.float32))
+    (tmp_path / "t.vgt").write_bytes(data[:-8])
+    full = SimpleNamespace(st_size=len(data))
+    monkeypatch.setattr(tensorio, "os", SimpleNamespace(fstat=lambda fd: full))
+    with pytest.raises(LengthError, match="shrank while it was read"):
+        read_tensor_file(tmp_path / "t.vgt")
 
 
 @pytest.mark.parametrize("shape", SHAPES)
