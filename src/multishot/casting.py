@@ -6,8 +6,8 @@ from its prompt (text-only condition, per-avatar seed) and returns its
 image embedding, a read-only unit vector: the identity. A keyframe is the
 latent sampled under the full five-domain script text plus that identity,
 so keyframes sharing an avatar share identity channels up to sampler
-noise. Both stages sample as one batch of chains in lockstep: all
-portraits together, all keyframes together.
+noise. Both stages sample at eta = 0, as one batch of chains in lockstep:
+all portraits together, all keyframes together.
 """
 
 from __future__ import annotations
@@ -103,10 +103,8 @@ def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List
         Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
         for profile in profiles
     ]
-    portraits = sample_reverse(
-        config.world(), conds, config.schedule(),
-        [profile.seed for profile in profiles], config.latent_shape,
-    )
+    rngs = [spawn_rng("reverse-init", profile.seed) for profile in profiles]
+    portraits = sample_reverse(config.world(), conds, config.schedule(), rngs, config.latent_shape)
     return [encode_image_mock(portrait, d_e, encoder_seed) for portrait in portraits]
 
 
@@ -124,6 +122,6 @@ def generate_keyframe(
         )
         for script, identity in zip(scripts, identities, strict=True)
     ]
-    seeds = [config.keyframe_seed(b) for b in range(len(conds))]
-    batch = sample_reverse(config.world(), conds, config.schedule(), seeds, config.latent_shape)
+    rngs = [spawn_rng("reverse-init", config.keyframe_seed(b)) for b in range(len(conds))]
+    batch = sample_reverse(config.world(), conds, config.schedule(), rngs, config.latent_shape)
     return list(batch)

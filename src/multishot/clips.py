@@ -4,8 +4,8 @@ Each shot's clip is k latent frames sampled under a single condition built
 from the SHORT shot description (not the detailed five-domain script; long
 prompts flatten the motion of conditional video models) plus the image
 embedding of the shot's keyframe latent; the text goes through
-encode_text_mock, as every prompt of a run does. Frames get independent
-derived seeds so one user-facing seed reproduces the whole clip.
+encode_text_mock, as every prompt of a run does. Each frame draws all its
+noise from one generator of its own, so one root seed reproduces the clip.
 
 In windowed mode this module samples the final clips directly; in
 fifo-reset mode it only supplies the per-shot condition and the smoothing
@@ -27,7 +27,7 @@ from .conditioning import Condition, encode_text_mock
 from .config import PipelineConfig
 from .diffusion import sample_reverse
 from .script import ShotDescription
-from .seeds import derive_seed
+from .seeds import derive_seed, spawn_rng
 
 
 def build_shot_condition(
@@ -49,18 +49,19 @@ def frame_seed(seed: int, shot_index: int, frame: int) -> int:
 
 def generate_shot_clip(cond: Condition, shot: int, config: PipelineConfig) -> Iterator[np.ndarray]:
     """Sample the k frames of shot ``shot`` under its condition and yield
-    them in order, frame f from ``frame_seed(config.timeline_seed, shot,
-    f)``. Each frame is a chain of its own: even frames run on the calling
-    thread while the odd frame after each runs on one worker thread, so
-    only two frames' step buffers are alive at a time at large latent
-    shapes. A frame's failure is raised from here with its own type and
-    message, and the worker thread has ended by the time the iterator is
-    exhausted, fails or is closed."""
+    them in order, frame f at ``config.eta`` from the reverse-init generator
+    of ``frame_seed(config.timeline_seed, shot, f)``. Frames are separate
+    chains: even frames run on the calling thread while the odd frame after
+    each runs on one worker thread, so only two frames' step buffers are
+    alive at a time at large latent shapes. A frame's failure is raised from
+    here with its own type and message, and the worker thread has ended by
+    the time the iterator is exhausted, fails or is closed."""
     world, schedule, shape = config.world(), config.schedule(), config.latent_shape
     seed, k = config.timeline_seed, config.frames_per_shot
 
     def frame(f: int) -> np.ndarray:
-        return sample_reverse(world, [cond], schedule, [frame_seed(seed, shot, f)], shape)[0]
+        rng = spawn_rng("reverse-init", frame_seed(seed, shot, f))
+        return sample_reverse(world, [cond], schedule, [rng], shape, config.eta)[0]
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         for f in range(0, k, 2):

@@ -107,11 +107,10 @@ class PipelineConfig:
             )
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.mode == "windowed" and (self.eta != 0.0 or self.boundary != self.frames_per_shot):
+        if self.mode == "windowed" and self.boundary != self.frames_per_shot:
             raise ConfigError(
-                "eta and reset_boundary apply to fifo-reset only; windowed mode needs eta=0 "
-                f"and reset_boundary=frames_per_shot, got eta={self.eta}, "
-                f"reset_boundary={self.reset_boundary}"
+                "reset_boundary applies to fifo-reset only; windowed mode needs "
+                f"reset_boundary=frames_per_shot, got {self.reset_boundary}"
             )
         if self.identity_channels >= self.channels:
             # the channels past identity_channels carry the text; without
@@ -133,7 +132,7 @@ class PipelineConfig:
     @property
     def boundary(self) -> int:
         """The reset boundary L: reset_boundary, or frames_per_shot when unset.
-        eta and L act on the fifo-reset queue only."""
+        L acts on the fifo-reset queue only."""
         return self.frames_per_shot if self.reset_boundary is None else self.reset_boundary
 
     @property

@@ -15,14 +15,14 @@ Key identities implemented:
 
 where a_t is the cumulative product of per-step (1 - beta). The reverse
 update is the deterministic (eta = 0) limit of the usual non-Markovian
-sampler; a stochastic term can be enabled with eta > 0 and explicit noise.
+sampler; eta > 0 adds noise drawn from the generator that gave x_T.
 
-The reverse step works on batches. ``reverse_step`` is the one place a
-backend or ``ddim_step`` is called: it evaluates each row of axis 0 at its
-own level, for chains in lockstep and the staggered FIFO queue alike, then
-takes one ``ddim_step`` over the level vector. Both kernels compute through
-``out=`` buffers with the same operations in the same order as the
-textbook expressions above, so a batched row is bitwise the single step.
+``reverse_step`` is the one place a backend or ``ddim_step`` is called
+and eta noise is drawn. It works on batches: each row of axis 0 at its own
+level, for chains in lockstep and the staggered FIFO queue alike, then one
+``ddim_step`` over the level vector. Both kernels compute through ``out=``
+buffers with the same operations in the same order as the textbook
+expressions above, so a batched row is bitwise the single step.
 
 Neither kernel works out a level's scalars per call. ``NoiseSchedule``
 holds read-only tables of sqrt(a_t) and sqrt(1 - a_t) by level, which
@@ -54,7 +54,6 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, ScheduleError, ShapeError
-from .seeds import spawn_rng
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,8 @@ def ddim_step(
         raise ConfigError("eta > 0 requires an explicit noise array")
     if np.shape(x_t) != np.shape(eps_hat):
         raise ShapeError(f"x_t {np.shape(x_t)} vs eps_hat {np.shape(eps_hat)}")
+    if noise is not None and np.shape(x_t) != np.shape(noise):
+        raise ShapeError(f"x_t {np.shape(x_t)} vs noise {np.shape(noise)}")
     if not (np.isfinite(x_t).all() and np.isfinite(eps_hat).all()):
         raise NumericError("non-finite values in reverse step inputs")
 
@@ -266,15 +267,16 @@ def _eps_coefficients(sigma0: float, schedule: NoiseSchedule) -> tuple:
 
 def reverse_step(
     denoiser: DenoiserBackend, x: np.ndarray, levels, conds: Sequence, schedule: NoiseSchedule,
-    eta: float = 0.0, noise: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+    eta: float = 0.0, rngs: Sequence[np.random.Generator] = (), out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Denoise row b of ``x`` at ``levels[b]`` under ``conds[b]``, handing
     the backend a Python int, then step the batch one level down in one
-    ``ddim_step`` with ``eta``, ``noise`` and ``out``. ``levels`` is an int
-    array, one per row, or an int, which keeps ``ddim_step`` on its faster
-    scalar path. An eps_hat of another shape than its row is refused."""
-    if len(conds) != len(x):
-        raise ShapeError(f"{len(conds)} conditions for {len(x)} rows")
+    ``ddim_step`` with ``eta`` and ``out``, row b's noise drawn from
+    ``rngs[b]`` at eta > 0. ``levels`` is an int array, one per row, or an
+    int, which keeps ``ddim_step`` on its faster scalar path. An eps_hat of
+    another shape than its row, or a wrong generator count, is refused."""
+    if len(conds) != len(x) or (eta != 0.0 and len(rngs) != len(x)):
+        raise ShapeError(f"{len(conds)} conditions and {len(rngs)} generators for {len(x)} rows")
     eps, row_shape = np.empty_like(x), x.shape[1:]
     for row, t, cond, eps_row in zip(x, np.full(len(x), levels).tolist(), conds, eps):
         eps_hat = denoiser(row, t, cond, schedule)
@@ -282,6 +284,10 @@ def reverse_step(
             raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {row_shape}")
         eps_row[...] = eps_hat
     eps_hat = None  # the last row's output need not live through ddim_step
+    noise = None if eta == 0.0 else np.empty_like(x)
+    if noise is not None:
+        for rng, noise_row in zip(rngs, noise):
+            rng.standard_normal(out=noise_row)
     return ddim_step(x, eps, levels, levels - 1, schedule, eta=eta, noise=noise, out=out)
 
 
@@ -289,20 +295,21 @@ def sample_reverse(
     denoiser: DenoiserBackend,
     conds: Sequence,
     schedule: NoiseSchedule,
-    seeds: Sequence[int],
+    rngs: Sequence[np.random.Generator],
     shape: tuple,
+    eta: float = 0.0,
 ) -> np.ndarray:
     """B full reverse chains in lockstep, returned as a (B, *shape) array.
 
-    Row b starts from x_T ~ N(0, I) drawn from ``seeds[b]`` and is denoised
-    under ``conds[b]`` through every step T..1 with the eta = 0 update, one
-    ``reverse_step`` per level for the whole batch. Each row is bitwise the
-    chain a batch of one would give, and deterministic given (seed, cond,
-    schedule, denoiser).
+    Row b draws x_T ~ N(0, I) and then one eta noise per level from
+    ``rngs[b]``, and is denoised under ``conds[b]`` through every step
+    T..1, one ``reverse_step`` per level for the whole batch. Each row is
+    bitwise the chain a batch of one would give, and deterministic given
+    (generator state, cond, schedule, denoiser, eta).
     """
-    x = np.empty((len(seeds),) + tuple(shape))
-    for row, seed in zip(x, seeds):
-        spawn_rng("reverse-init", seed).standard_normal(out=row)
+    x = np.empty((len(rngs),) + tuple(shape))
+    for row, rng in zip(x, rngs):
+        rng.standard_normal(out=row)
     for t in range(schedule.T, 0, -1):
-        reverse_step(denoiser, x, t, conds, schedule, out=x)
+        reverse_step(denoiser, x, t, conds, schedule, eta=eta, rngs=rngs, out=x)
     return x

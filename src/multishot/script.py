@@ -89,7 +89,7 @@ class Story:
 
     Shot j is position j of ``descriptions`` and ``scripts``. A story is
     built fully populated: both lists have one entry per shot, avatar ids
-    are unique, and every script's avatar is on the roster.
+    are unique, every script's avatar is on the roster, and no text is blank.
     """
 
     user_input: str
@@ -104,6 +104,14 @@ class Story:
                 f"{len(self.scripts)} scripts"
             )
         check_roster([a.id for a in self.avatars], [s.avatar_id for s in self.scripts])
+        texts = {"user_input": self.user_input}
+        texts.update({f"shots[{j}].short": d.text for j, d in enumerate(self.descriptions)})
+        prompts = [(f"shots[{j}].script", s) for j, s in enumerate(self.scripts)]
+        prompts += [(f"avatars[{i}].prompt", a.prompt) for i, a in enumerate(self.avatars)]
+        texts.update({f"{path}.{f}": v for path, p in prompts for f, v in p.domains().items()})
+        for path, text in texts.items():
+            if not text.strip():
+                raise ValidationError(f"field {path} of story.json is blank")
 
 
 class LlmClient(Protocol):

@@ -10,8 +10,8 @@ entering latent brings fresh noise and its own shot's embeddings, the
 enqueue rule IS the reset boundary.
 
 Row p is always at level p + 1 and frames enter in order, so the queue's
-only state is its latents and the frame at its head, and the schedule is
-closed-form. With N shots of k frames, reset boundary L and T steps:
+only state is its latents, their generators and its head frame, and the
+schedule is closed-form. With N shots of k frames, boundary L and T steps:
 
 * frame f enters at the end of tick f and is emitted at tick f + T;
 * shot j >= 1's condition enters at the end of tick j*k + k - L, the first
@@ -32,10 +32,11 @@ soon as it is finished, so the pipeline writes every frame to disk and
 drops it; run_timeline collects a stream into the (N*k, h, w, d) array
 that frames.vgt stores, for callers that want the whole run in memory.
 
-With the analytic backend and eta = 0, every frame of either mode is the
-closed form A_T x_T + B_T mu(c) of its own seeded noise and its shot's
-condition. That chain is the engine's main correctness oracle; at
-sigma0 = 0 it also makes the two modes agree.
+A frame draws x_T and its eta noise from one generator, and the backend
+sees one row at a time, so the queue samples independent chains: at any
+eta each frame is bitwise ``sample_reverse`` of its generator under the
+condition shot_for_frame names. With the analytic backend and eta = 0 it
+is the closed form A_T x_T + B_T mu(c), the main correctness oracle.
 """
 
 from __future__ import annotations
@@ -57,17 +58,19 @@ from .seeds import spawn_rng
 @dataclass
 class LatentQueue:
     """The latents in flight as one (n, h, w, d) array, head first: row p
-    is at level p + 1 and holds global frame head + p. Warm-up dummies have
-    negative frames. Every tick reads the plan, config and trace from the
-    stream the queue samples, and the schedule and per-frame conditions
-    init_queue built once: ``shots[i]`` is the shot whose condition frame
-    i + 1 - T carries and ``conds[i]`` is that condition, so the rows of a
-    tick take theirs as one slice from index ``ticks``."""
+    is at level p + 1 and holds global frame head + p, whose noise
+    generator is ``rngs[p]``. Warm-up dummies have negative frames. Every
+    tick reads the plan, config and trace from the stream the queue
+    samples, and the schedule and per-frame conditions init_queue built
+    once: ``shots[i]`` is the shot whose condition frame i + 1 - T carries
+    and ``conds[i]`` is that condition, so the rows of a tick take theirs
+    as one slice from index ``ticks``."""
 
     stream: "FrameStream"
     denoiser: DenoiserBackend
     schedule: NoiseSchedule
     latents: np.ndarray
+    rngs: List[np.random.Generator]
     head: int
     shots: List[int]
     conds: List[Condition]
@@ -135,14 +138,15 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
     config = stream.config
     schedule, T = config.schedule(), config.steps
     latents = np.empty((T,) + config.latent_shape)
-    for level, row in enumerate(latents, start=1):
-        spawn_rng("queue-noise", config.timeline_seed, level - T).standard_normal(out=row)
+    rngs = [spawn_rng("queue-noise", config.timeline_seed, f) for f in range(1 - T, 1)]
+    for level, (row, rng) in enumerate(zip(latents, rngs), start=1):
+        rng.standard_normal(out=row)
         if level < T:
             row *= schedule.noise_by_level[level]
     k, L = config.frames_per_shot, config.boundary
     shots = [0] * (T - 1) + [shot_for_frame(f, k, L) for f in range(stream.shape[0])]
     conds = [stream.plan[shot] for shot in shots]
-    return LatentQueue(stream, denoiser, schedule, latents, 1 - T, shots, conds)
+    return LatentQueue(stream, denoiser, schedule, latents, rngs, 1 - T, shots, conds)
 
 
 def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
@@ -150,7 +154,7 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     then the head is emitted and fresh noise enqueued.
 
     The rows take their conditions as one slice of the queue's per-frame
-    list; a row loop runs only for trace records and eta > 0 draws.
+    list; a row loop runs only for trace records.
     Returns (global_frame, frame) when a story frame is emitted, None while
     warm-up dummies are being discarded; the frame is a copy, sharing no
     memory with the queue. Once the plan is exhausted the queue drains (no
@@ -160,26 +164,25 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     if not rows:
         raise StateError("queue is empty")
     stream, schedule = queue.stream, queue.schedule
-    config, trace, seed = stream.config, stream.trace, stream.config.timeline_seed
+    config, trace = stream.config, stream.trace
     first, tick_no = queue.ticks, queue.ticks + 1
-    noise = None if config.eta == 0.0 else np.empty_like(queue.latents)
-    if trace is not None or noise is not None:
+    if trace is not None:
         for pos in range(rows):
             frame = queue.head + pos
-            if trace is not None and frame >= 0:
+            if frame >= 0:
                 trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=pos + 1,
                                          condition_shot=queue.shots[first + pos]))
-            if noise is not None:
-                spawn_rng("queue-eta", seed, tick_no, frame).standard_normal(out=noise[pos])
 
     next_frame = queue.head + rows
     enqueue = next_frame < stream.shape[0]
     stepped = np.empty((rows + enqueue,) + queue.latents.shape[1:])
     reverse_step(queue.denoiser, queue.latents, np.arange(1, rows + 1),
                  queue.conds[first:first + rows], schedule,
-                 eta=config.eta, noise=noise, out=stepped[:rows])
+                 eta=config.eta, rngs=queue.rngs, out=stepped[:rows])
+    del queue.rngs[0]
     if enqueue:
-        spawn_rng("queue-noise", seed, next_frame).standard_normal(out=stepped[rows])
+        queue.rngs.append(spawn_rng("queue-noise", config.timeline_seed, next_frame))
+        queue.rngs[-1].standard_normal(out=stepped[rows])
     emitted = None if queue.head < 0 else (queue.head, stepped[0].copy())
     queue.latents = stepped[1:]
     queue.head += 1

@@ -75,7 +75,8 @@ def test_criterion_2_sampling_fidelity():
     cond = Condition(text=encode_text_mock("a quiet meadow at dawn", 16, config.encoder_seed))
     mu = world.mean_map(cond)
     samples = np.stack(
-        [sample_reverse(world, [cond], schedule, [seed], config.latent_shape)[0]
+        [sample_reverse(world, [cond], schedule, [spawn_rng("reverse-init", seed)],
+                        config.latent_shape)[0]
          for seed in range(2000)]
     )
     elapsed = time.perf_counter() - start

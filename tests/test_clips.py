@@ -13,6 +13,7 @@ from multishot.diffusion import sample_reverse
 from multishot.errors import ConfigError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, render_keyframes
+from multishot.seeds import derive_seed, spawn_rng
 from multishot.smoothing import FrameStream, build_plan, run_timeline
 
 STORY_INPUT = "the return of a glassblower named Soren"
@@ -104,9 +105,9 @@ def test_windowed_timeline_equals_serial_chains_odd_frames_on_one_worker(monkeyp
     plan = build_plan(story, render_keyframes(story, config), config)
     threads = {}
 
-    def recording_sampler(denoiser, conds, schedule, seeds, shape):
-        threads[seeds[0]] = threading.current_thread()
-        return sample_reverse(denoiser, conds, schedule, seeds, shape)
+    def recording_sampler(denoiser, conds, schedule, rngs, shape, eta):
+        threads[rngs[0].bit_generator.seed_seq.entropy] = threading.current_thread()
+        return sample_reverse(denoiser, conds, schedule, rngs, shape, eta)
 
     monkeypatch.setattr(multishot.clips, "sample_reverse", recording_sampler)
     before = threading.active_count()
@@ -115,13 +116,14 @@ def test_windowed_timeline_equals_serial_chains_odd_frames_on_one_worker(monkeyp
 
     world, schedule, seed = config.world(), config.schedule(), config.timeline_seed
     expected = np.stack([
-        sample_reverse(world, [cond], schedule, [frame_seed(seed, j, f)], config.latent_shape)[0]
+        sample_reverse(world, [cond], schedule, [spawn_rng("reverse-init", frame_seed(seed, j, f))],
+                       config.latent_shape)[0]
         for j, cond in enumerate(plan) for f in range(k)
     ])
     assert frames.tobytes() == expected.tobytes()
     caller = threading.current_thread()
     for j in range(config.n_shots):
-        used = [threads[frame_seed(seed, j, f)] for f in range(k)]
+        used = [threads[derive_seed("reverse-init", frame_seed(seed, j, f))] for f in range(k)]
         assert all(thread is caller for thread in used[::2])
         assert len(set(used[1::2])) == min(k // 2, 1)
         assert caller not in used[1::2]
@@ -136,12 +138,12 @@ def test_frame_failure_is_reraised_and_ends_the_worker(chain, monkeypatch, faili
     config, story, keyframes = chain
     config = config.merged(frames_per_shot=4, steps=6)
     cond = build_shot_condition(story.descriptions[0], keyframes[0], config)
-    bad_seed = frame_seed(config.timeline_seed, 0, failing)
+    bad_seed = derive_seed("reverse-init", frame_seed(config.timeline_seed, 0, failing))
 
-    def failing_sampler(denoiser, conds, schedule, seeds, shape):
-        if seeds[0] == bad_seed:
+    def failing_sampler(denoiser, conds, schedule, rngs, shape, eta):
+        if rngs[0].bit_generator.seed_seq.entropy == bad_seed:
             raise SyntheticFailure(f"frame {failing} failed")
-        return sample_reverse(denoiser, conds, schedule, seeds, shape)
+        return sample_reverse(denoiser, conds, schedule, rngs, shape, eta)
 
     monkeypatch.setattr(multishot.clips, "sample_reverse", failing_sampler)
     before = threading.active_count()

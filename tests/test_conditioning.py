@@ -389,6 +389,16 @@ def test_projector_mean_matches_closed_form(shape, d_e, d_id, scale):
     assert np.abs(mu - _closed_form_mean(proj, cond)).max() <= 1e-12
 
 
+def test_projector_accepts_every_channel_as_identity():
+    # d_id == d is the widest identity get_projector builds: the content
+    # basis is empty and every channel of the mean is identity
+    proj = get_projector(0, (2, 2, 4), d_e=16, d_id=4)
+    assert proj.basis.shape == (0, 4)
+    cond = Condition(text=encode_text_mock("text", 16, 0), ip=encode_text_mock("face", 16, 0),
+                     ip_scale=1.0)
+    assert proj.mean(cond).shape == (2, 2, 4)
+
+
 def test_projector_rejects_bad_dims():
     with pytest.raises(ConfigError):
         get_projector(0, (8, 8, 3), d_id=4)

@@ -35,7 +35,7 @@ def test_defaults_are_valid():
         {"sigma0": float("nan")},
         {"reset_boundary": 0},
         {"reset_boundary": 9},
-        {"mode": "windowed", "eta": 0.5},
+        {"mode": "windowed", "eta": 0.5, "reset_boundary": 7},
         {"mode": "windowed", "reset_boundary": 4},
         {"ip_scale": float("inf")},
         {"sigma0": float("-inf")},
@@ -54,6 +54,14 @@ def test_invalid_values_rejected(kwargs):
     with pytest.raises(ConfigError) as excinfo:
         PipelineConfig(**kwargs)
     assert any(key in str(excinfo.value) for key in kwargs)
+
+
+def test_eta_applies_in_both_modes_and_reset_boundary_to_fifo_reset_only():
+    for mode in ("windowed", "fifo-reset"):
+        assert PipelineConfig(mode=mode, eta=0.5).eta == 0.5
+    PipelineConfig(mode="fifo-reset", frames_per_shot=8, reset_boundary=7)
+    with pytest.raises(ConfigError, match="reset_boundary"):
+        PipelineConfig(mode="windowed", frames_per_shot=8, reset_boundary=7)
 
 
 @pytest.mark.parametrize(

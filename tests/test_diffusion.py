@@ -173,6 +173,12 @@ def test_ddim_errors():
         ddim_step(x, x, 2, 1, sched, eta=0.5)  # stochastic step needs noise
     with pytest.raises(ShapeError, match="eps_hat"):
         ddim_step(x, np.zeros(4), 2, 1, sched)
+    # an eta noise array must have x_t's shape: neither broadcast one draw
+    # to every row nor fail inside numpy
+    batch = np.zeros((3, 2, 2, 2))
+    for noise_shape in [(2, 2, 2), (3, 2, 2, 2, 1)]:
+        with pytest.raises(ShapeError, match="noise"):
+            ddim_step(batch, batch, 2, 1, sched, eta=0.5, noise=np.zeros(noise_shape))
 
 
 def test_ddim_eta_zero_at_final_step_matches_stochastic_formula():
@@ -292,6 +298,28 @@ def test_reverse_step_hands_each_row_its_level_as_an_int(levels):
     assert seen == [(int, int(t), c) for t, c in zip(per_row, "abc")]
 
 
+def test_reverse_step_draws_each_rows_eta_noise_from_its_generator():
+    # at eta > 0 row b's noise is the next draw of rngs[b]; at eta = 0 no
+    # generator is read; a generator count other than the row count is
+    # refused
+    sched = make_schedule(4, 0.1, 0.4)
+    world = _const_world(1.0, 0.5, shape=(2,))
+    x = np.random.default_rng(1).standard_normal((3, 2))
+    levels, conds = np.array([1, 3, 4]), [None] * 3
+    eps = np.stack([analytic_eps(row, int(t), world, None, sched) for row, t in zip(x, levels)])
+    noise = np.stack([spawn_rng("row", b).standard_normal(2) for b in range(3)])
+    expected = ddim_step(x, eps, levels, levels - 1, sched, eta=0.5, noise=noise)
+    rngs = [spawn_rng("row", b) for b in range(3)]
+    stepped = reverse_step(world, x, levels, conds, sched, eta=0.5, rngs=rngs)
+    assert stepped.tobytes() == expected.tobytes()
+    states = [rng.bit_generator.state for rng in rngs]
+    reverse_step(world, x, levels, conds, sched, rngs=rngs)
+    assert [rng.bit_generator.state for rng in rngs] == states
+    for wrong in (rngs[:2], rngs + rngs[:1], ()):
+        with pytest.raises(ShapeError, match="generators"):
+            reverse_step(world, x, levels, conds, sched, eta=0.5, rngs=wrong)
+
+
 # --- analytic denoiser ------------------------------------------------------
 
 
@@ -398,14 +426,16 @@ def test_two_threads_on_one_fresh_world_match_one_thread():
     config = PipelineConfig(height=3, width=2, channels=4, embed_dim=16, identity_channels=2)
     cond = Condition(text=encode_text_mock("a kelp forest", 16, config.encoder_seed))
     seeds = (21, 22)
-    alone = [sample_reverse(config.world(), [cond], make_schedule(30), [seed], config.latent_shape)
+    alone = [sample_reverse(config.world(), [cond], make_schedule(30),
+                            [spawn_rng("reverse-init", seed)], config.latent_shape)
              for seed in seeds]
     world, sched = config.world(), make_schedule(30)
     start = threading.Barrier(2, timeout=60)
 
     def chain(seed):
         start.wait()
-        return sample_reverse(world, [cond], sched, [seed], config.latent_shape)
+        return sample_reverse(world, [cond], sched, [spawn_rng("reverse-init", seed)],
+                              config.latent_shape)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the table build too
@@ -440,7 +470,7 @@ def test_sample_reverse_collapses_to_mean_when_sigma0_zero():
     mu = spawn_rng("mu").standard_normal((4, 4, 2))
     world = GaussianWorld(sigma0=0.0, mean_map=lambda cond: mu)
     for seed in (0, 7, 123):
-        [out] = sample_reverse(world, [None], sched, [seed], shape=mu.shape)
+        [out] = sample_reverse(world, [None], sched, [spawn_rng("reverse-init", seed)], mu.shape)
         np.testing.assert_allclose(out, mu, atol=1e-6)
 
 
@@ -449,19 +479,22 @@ def test_sample_reverse_deterministic():
     cond = Condition(text=encode_text_mock("north shore at dawn"))
     mu = spawn_rng("mu2").standard_normal((3, 3, 2))
     world = GaussianWorld(sigma0=0.5, mean_map=lambda c: mu)
-    [a] = sample_reverse(world, [cond], sched, [42], shape=mu.shape)
-    [b] = sample_reverse(world, [cond], sched, [42], shape=mu.shape)
+    [a] = sample_reverse(world, [cond], sched, [spawn_rng("reverse-init", 42)], mu.shape)
+    [b] = sample_reverse(world, [cond], sched, [spawn_rng("reverse-init", 42)], mu.shape)
     assert np.array_equal(a, b)
-    [c] = sample_reverse(world, [cond], sched, [43], shape=mu.shape)
+    [c] = sample_reverse(world, [cond], sched, [spawn_rng("reverse-init", 43)], mu.shape)
     assert not np.array_equal(a, c)
 
 
-def _single_chain(world, cond, sched, seed, shape):
+def _single_chain(world, cond, sched, seed, shape, eta=0.0):
     """One chain, one textbook step at a time: the reference for every row
-    of a batched sample_reverse."""
-    x = spawn_rng("reverse-init", seed).standard_normal(shape)
+    of a batched sample_reverse. Its generator gives x_T, then at eta > 0
+    one noise draw per level T..1."""
+    rng = spawn_rng("reverse-init", seed)
+    x = rng.standard_normal(shape)
     for t in range(sched.T, 0, -1):
-        x = _textbook_step(x, _textbook_eps(x, t, world, cond, sched), t, t - 1, sched)
+        noise = rng.standard_normal(shape) if eta else None
+        x = _textbook_step(x, _textbook_eps(x, t, world, cond, sched), t, t - 1, sched, eta, noise)
     return x
 
 
@@ -472,13 +505,15 @@ def test_sample_reverse_batch_rows_equal_single_chains():
              for j in range(3)]
     conds.append(conds[0])  # a condition may repeat within a batch
     seeds = [5, 6, 7, 5]
-    batch = sample_reverse(world, conds, sched, seeds, config.latent_shape)
-    assert batch.shape == (4,) + config.latent_shape
-    for row, cond, seed in zip(batch, conds, seeds):
-        expected = _single_chain(world, cond, sched, seed, config.latent_shape)
-        assert row.tobytes() == expected.tobytes()
-    with pytest.raises(ShapeError):
-        sample_reverse(world, conds, sched, seeds[:2], config.latent_shape)
+    for eta in (0.0, 0.5):
+        rngs = [spawn_rng("reverse-init", seed) for seed in seeds]
+        batch = sample_reverse(world, conds, sched, rngs, config.latent_shape, eta)
+        assert batch.shape == (4,) + config.latent_shape
+        for row, cond, seed in zip(batch, conds, seeds):
+            expected = _single_chain(world, cond, sched, seed, config.latent_shape, eta)
+            assert row.tobytes() == expected.tobytes()
+        with pytest.raises(ShapeError):
+            sample_reverse(world, conds, sched, rngs[:2], config.latent_shape, eta)
 
 
 def test_gaussian_world_rejects_negative_std():

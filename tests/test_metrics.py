@@ -248,6 +248,18 @@ def test_report_deterministic_and_complete(toy_chain):
     assert a.fc_within > a.fc_cross  # Table-1 ordering on the default run
 
 
+def test_report_psnr_pairs_compares_consecutive_frames_only(toy_chain):
+    # frame i of every shot is the constant 1 + i/10: each consecutive pair
+    # differs by 0.1 everywhere (20 dB), while a shot's first and last
+    # frames differ by 0.7, so any other pairing lowers the mean
+    config, story, _ = toy_chain
+    k = config.frames_per_shot
+    frame = np.ones(config.latent_shape)
+    frames = np.stack([frame * (1.0 + (f % k) / 10) for f in range(config.n_shots * k)])
+    report = build_report(frames, story, config)
+    assert report.psnr_pairs == pytest.approx(20.0, abs=1e-9)
+
+
 def test_report_rejects_mismatched_story(toy_chain):
     config, story, keyframes = toy_chain
     frames = run_timeline(generate_timeline(story, keyframes, config))

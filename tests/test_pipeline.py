@@ -6,6 +6,7 @@ import math
 import tempfile
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from multishot.cli import cli
 from multishot.clips import frame_seed
 from multishot.config import MODES, SCALE_LIMIT, PipelineConfig
 from multishot.diffusion import sample_reverse
-from multishot.errors import StageFailure, StateError
+from multishot.errors import StageFailure, StateError, ValidationError
+from multishot.seeds import derive_seed
 from multishot.pipeline import (
     FRAMES_FILE,
     LOCK_FILE,
@@ -279,12 +281,12 @@ def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
     # frame 1, and the worker has ended when the failure is reported
     monkeypatch.undo()
     config = PipelineConfig(mode="windowed")
-    bad_seeds = [frame_seed(config.timeline_seed, 2, 1)]
+    bad_seed = derive_seed("reverse-init", frame_seed(config.timeline_seed, 2, 1))
 
-    def fails_on_worker_frame(denoiser, conds, schedule, seeds, shape):
-        if seeds == bad_seeds:
+    def fails_on_worker_frame(denoiser, conds, schedule, rngs, shape, eta):
+        if rngs[0].bit_generator.seed_seq.entropy == bad_seed:
             raise RuntimeError("synthetic worker failure")
-        return sample_reverse(denoiser, conds, schedule, seeds, shape)
+        return sample_reverse(denoiser, conds, schedule, rngs, shape, eta)
 
     monkeypatch.setattr(clips_module, "sample_reverse", fails_on_worker_frame)
     out = tmp_path / "worker"
@@ -300,13 +302,19 @@ def test_sampler_failure_mid_stream_leaves_no_frames(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "knobs", [dict(mode="fifo-reset", eta=0.4, reset_boundary=2), dict(mode="windowed")],
-    ids=["fifo-reset-eta-L2", "windowed"],
+    "knobs",
+    [dict(mode="fifo-reset", eta=0.4, reset_boundary=2), dict(mode="windowed"),
+     dict(mode="windowed", eta=0.4)],
+    ids=["fifo-reset-eta-L2", "windowed", "windowed-eta"],
 )
 def test_streamed_frames_equal_the_collected_timeline(tmp_path, knobs):
+    # and a second run of the config writes the same manifest
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=10, seed=5, **knobs)
     story = build_story(STORY_INPUT, config)
     generate_run(story, config, tmp_path)
+    generate_run(story, config, tmp_path / "again")
+    manifests = [(path / MANIFEST_FILE).read_bytes() for path in (tmp_path, tmp_path / "again")]
+    assert manifests[0] == manifests[1]
     frames = run_timeline(generate_timeline(story, render_keyframes(story, config), config))
     write_tensor_file(tmp_path / "collected.vgt", frames)
     assert (tmp_path / FRAMES_FILE).read_bytes() == (tmp_path / "collected.vgt").read_bytes()
@@ -354,6 +362,30 @@ def test_generate_run_from_a_run_story_writes_the_run_manifest(default_run, tmp_
     again = tmp_path / "again"
     assert generate_run(story, PipelineConfig(n_shots=7), again) == manifest
     assert (again / MANIFEST_FILE).read_bytes() == (out / MANIFEST_FILE).read_bytes()
+
+
+def _blank_at(items, index, **change):
+    return [replace(item, **change) if i == index else item for i, item in enumerate(items)]
+
+
+@pytest.mark.parametrize(
+    "blank,path",
+    [(lambda s: dict(user_input=" \t"), "user_input"),
+     (lambda s: dict(descriptions=_blank_at(s.descriptions, 1, text="  ")), r"shots\[1\]\.short"),
+     (lambda s: dict(scripts=_blank_at(s.scripts, 0, camera="")), r"shots\[0\]\.script\.camera"),
+     (lambda s: dict(avatars=_blank_at(s.avatars, 0,
+                                       prompt=replace(s.avatars[0].prompt, hdr="\n"))),
+      r"avatars\[0\]\.prompt\.hdr")],
+    ids=["user_input", "short", "script", "avatar-prompt"],
+)
+def test_a_story_built_in_code_with_a_blank_text_runs_no_stage(default_run, tmp_path, blank, path):
+    # parse_story refuses a blank text of a story file; a Story built in
+    # code is refused as it is built, so generate_run writes nothing
+    story = parse_story((default_run[0] / "story.json").read_bytes())
+    out = tmp_path / "blank"
+    with pytest.raises(ValidationError, match=f"^field {path} of story.json is blank$"):
+        generate_run(replace(story, **blank(story)), PipelineConfig(), out)
+    assert not out.exists()
 
 
 def test_rerun_with_fewer_shots_drops_stale_keyframes(tmp_path):

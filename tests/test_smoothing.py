@@ -215,24 +215,27 @@ def test_queue_drains_after_plan_exhausted(small_chain):
 def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
     # the batched tick equals stepping every latent on its own (the loop it
     # replaced), and an emitted frame owns its memory: it shares none with
-    # the queue and later ticks leave it as it was
+    # the queue and later ticks leave it as it was. Frame f's eta noise is
+    # the next draw of its own generator, after the x_T it drew first
     config, _, _, plan = small_chain
     config = config.merged(eta=eta)
     schedule, world = config.schedule(), config.world()
     k, n = config.frames_per_shot, config.n_shots
     queue = init_queue(FrameStream(plan, config), world)
+    rngs = {}
     emitted = []
     while queue.emitted < n * k:
-        before, head, tick_no = queue.latents.copy(), queue.head, queue.ticks + 1
+        before, head = queue.latents.copy(), queue.head
         result = tick(queue)
         expected = []
         for pos, latent in enumerate(before):
             frame = head + pos
             shot = 0 if frame < 0 else shot_for_frame(frame, k, config.boundary)
             eps = analytic_eps(latent, pos + 1, world, plan[shot], schedule)
-            noise = spawn_rng("queue-eta", config.timeline_seed, tick_no, frame).standard_normal(
-                latent.shape
-            )
+            if frame not in rngs:
+                rngs[frame] = spawn_rng("queue-noise", config.timeline_seed, frame)
+                rngs[frame].standard_normal(latent.shape)  # its x_T
+            noise = rngs[frame].standard_normal(latent.shape)
             expected.append(ddim_step(latent, eps, pos + 1, pos, schedule, eta=eta, noise=noise))
         assert len(queue.latents) == len(before) - (head + len(before) >= n * k)
         for row, want in zip(queue.latents, expected[1:]):
@@ -264,9 +267,13 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
         assert (a is None) == (b is None)
         if a is not None:
             assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
-    seeds, shape = [3, 4], config.latent_shape
-    assert (sample_reverse(plain, plan, schedule, seeds, shape).tobytes()
-            == sample_reverse(world, plan, schedule, seeds, shape).tobytes())
+    shape = config.latent_shape
+
+    def rngs():
+        return [spawn_rng("reverse-init", seed) for seed in (3, 4)]
+
+    assert (sample_reverse(plain, plan, schedule, rngs(), shape).tobytes()
+            == sample_reverse(world, plan, schedule, rngs(), shape).tobytes())
 
     # an eps_hat that would broadcast into the batch row is refused instead
     def flat(x_t, t, cond, schedule):
@@ -275,7 +282,7 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
     with pytest.raises(ShapeError):
         tick(init_queue(FrameStream(plan, config), flat))
     with pytest.raises(ShapeError):
-        sample_reverse(flat, plan, schedule, seeds, shape)
+        sample_reverse(flat, plan, schedule, rngs(), shape)
 
 
 def test_tick_on_empty_queue_raises(small_chain):
@@ -367,8 +374,8 @@ def test_modes_give_equal_clip_lengths(n, k, T):
 
 
 def test_queue_eta_noise_is_seeded_and_leaves_keyframes_alone(small_chain):
-    # eta > 0 acts on the fifo-reset queue only: its frames are reproducible
-    # and differ from eta = 0, while keyframes still sample at eta = 0
+    # eta > 0 acts on the frames only: they are reproducible and differ
+    # from eta = 0, while keyframes still sample at eta = 0
     config, story, keyframes, _ = small_chain
     noisy = config.merged(eta=0.5)
     noisy_keyframes = render_keyframes(story, noisy)
@@ -493,15 +500,21 @@ def _eta_step_scalars(schedule, sigma0, eta):
     return table
 
 
-@pytest.mark.parametrize("eta,boundary,sigma0", [(0.5, 4, 0.5), (1.0, 2, 2.0), (0.3, 3, 0.0)])
-def test_eta_frames_match_closed_form_steps(eta, boundary, sigma0):
-    # at eta > 0 every fifo-reset frame f is the affine chain above, driven by
-    # its own seeded draws: x_T from the queue-noise stream of f, and z_l
-    # from the queue-eta stream of (tick, f), where the tick that steps f
-    # down from level l is f + T - l + 1. At sigma0 = 0 the last step lands
-    # every frame on mu(c) whatever its draws, so that case pins the collapse
+@pytest.mark.parametrize(
+    "eta,boundary,sigma0,mode",
+    [(0.5, 4, 0.5, "fifo-reset"), (1.0, 2, 2.0, "fifo-reset"), (0.3, 3, 0.0, "fifo-reset"),
+     (0.5, 4, 0.5, "windowed")],
+    ids=["0.5-4-0.5", "1.0-2-2.0", "0.3-3-0.0", "windowed-0.5-4-0.5"],
+)
+def test_eta_frames_match_closed_form_steps(eta, boundary, sigma0, mode):
+    # at eta > 0 every frame f is the affine chain above, driven by its own
+    # generator: x_T first, then z_l at levels l = T..1. A fifo-reset frame's
+    # generator is the queue-noise stream of f, a windowed frame's the
+    # reverse-init stream of its frame_seed. At sigma0 = 0 the last step
+    # lands every frame on mu(c) whatever its draws, so that case pins the
+    # collapse
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=12, sigma0=sigma0, eta=eta,
-                            reset_boundary=boundary)
+                            reset_boundary=boundary, mode=mode)
     story = build_story(STORY_INPUT, config)
     keyframes = render_keyframes(story, config)
     plan = build_plan(story, keyframes, config)
@@ -513,13 +526,44 @@ def test_eta_frames_match_closed_form_steps(eta, boundary, sigma0):
     assert len(timeline) == 12
     for f, frame in enumerate(timeline):
         mu = mean_map(plan[shot_for_frame(f, k, config.boundary)])
-        expected = spawn_rng("queue-noise", seed, f).standard_normal(shape)
+        if mode == "fifo-reset":
+            rng = spawn_rng("queue-noise", seed, f)
+        else:
+            rng = spawn_rng("reverse-init", frame_seed(seed, f // k, f % k))
+        expected = rng.standard_normal(shape)
         for level in range(T, 0, -1):
             P, Q, s = steps[level]
-            z = spawn_rng("queue-eta", seed, f + T - level + 1, f).standard_normal(shape)
-            expected = P * expected + Q * mu + s * z
+            expected = P * expected + Q * mu + s * rng.standard_normal(shape)
         error = np.max(np.abs(frame - expected) / np.maximum(1.0, np.abs(expected)))
         assert error < 1e-12, f"frame {f}: {error:.2e}"
+
+
+@pytest.mark.parametrize(
+    "mode,eta,boundary",
+    [("fifo-reset", 0.0, 4), ("fifo-reset", 0.5, 4), ("fifo-reset", 0.7, 2),
+     ("fifo-reset", 1.0, 1), ("windowed", 0.0, 4), ("windowed", 0.5, 4)],
+)
+def test_every_frame_is_sample_reverse_of_its_own_generator(mode, eta, boundary):
+    # one noise rule for every chain: a frame's generator gives its x_T and
+    # all its eta draws, and the backend sees one row at a time, so every
+    # frame of either mode is bitwise the batch-of-one chain of its
+    # generator under the condition shot_for_frame names
+    config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=8, eta=eta, mode=mode,
+                            reset_boundary=boundary, height=4, width=4)
+    story = build_story(STORY_INPUT, config)
+    keyframes = render_keyframes(story, config)
+    plan = build_plan(story, keyframes, config)
+    frames = run_timeline(generate_timeline(story, keyframes, config))
+    world, schedule, seed = config.world(), config.schedule(), config.timeline_seed
+    k = config.frames_per_shot
+    for f, frame in enumerate(frames):
+        if mode == "fifo-reset":
+            rng = spawn_rng("queue-noise", seed, f)
+        else:
+            rng = spawn_rng("reverse-init", frame_seed(seed, f // k, f % k))
+        cond = plan[shot_for_frame(f, k, config.boundary)]
+        [expected] = sample_reverse(world, [cond], schedule, [rng], config.latent_shape, eta)
+        assert frame.tobytes() == expected.tobytes(), f"frame {f}"
 
 
 def test_eta_one_frame_variance_matches_closed_form():
