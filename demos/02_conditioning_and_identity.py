@@ -7,13 +7,7 @@ Run: python3 demos/02_conditioning_and_identity.py
 
 import numpy as np
 
-from multishot.conditioning import (
-    Condition,
-    attention,
-    compose_condition,
-    encode_text_mock,
-    get_projector,
-)
+from multishot.conditioning import Condition, attention, encode_text_mock, get_projector
 
 # the attention kernel on a case small enough to verify by hand
 q = np.array([2.0, 0.0])
@@ -22,17 +16,21 @@ v = np.array([[1.0, 0.0], [0.0, 1.0]])
 print("attention(q=[2,0]) over keys +-[1,0]:", attention(q, k, v).round(4))
 print("  (logits +-2/sqrt(2) -> weights 0.9442 / 0.0558)")
 
-# decoupled image conditioning: a second K/V block scaled independently
-text_tokens = (k, v)
-ip_tokens = (np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
+# decoupled image conditioning: the projector's mean attends the text and
+# the image tokens apart and adds the image output scaled by ip_scale;
+# recover_composed reads attend(text) + ip_scale * attend(ip) back from a mean
+shape = (8, 8, 8)
+projector = get_projector(0, shape)
+text = encode_text_mock("walking the cliff path at dusk", 16, 0)
+# any unit vector can stand in for an image embedding: here, a text one
+face = encode_text_mock("a weathered face with bright eyes", 16, 0)
 for scale in (0.0, 0.5, 1.0):
-    print(f"compose at ip_scale={scale}:", compose_condition(q, text_tokens, ip_tokens, scale).round(4))
+    composed = projector.recover_composed(projector.mean(Condition(text, face, scale)))
+    print(f"composed at ip_scale={scale}:", composed.round(4))
+print("attend(text) alone:      ", projector.attend(text).round(4))
 print("  (linear in the scale; zero scale = text only)")
 
 # identity channels respond to the image embedding only
-shape = (8, 8, 8)
-# any unit vector can stand in for an image embedding: here, a text one
-face = encode_text_mock("a weathered face with bright eyes", 16, 0)
 
 
 def mean_for(prompt, ip, scale):

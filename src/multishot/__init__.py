@@ -10,9 +10,9 @@ Carlo rather than by eyeballing generations; real models plug in through
 the denoiser, feature extractor and LLM client adapter interfaces.
 """
 
-from .casting import derive_avatars, encode_image_mock, generate_keyframe, render_avatar
+from .casting import derive_avatars, generate_keyframe, render_avatar
 from .clips import build_shot_condition, generate_shot_clip
-from .conditioning import Condition, attention, compose_condition, encode_text_mock
+from .conditioning import Condition, attention, encode_image_mock, encode_text_mock
 from .config import PipelineConfig
 from .diffusion import (
     GaussianWorld,

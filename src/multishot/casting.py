@@ -1,9 +1,11 @@
 """Avatar derivation and identity-consistent keyframe generation.
 
 Avatars are recurring characters proposed from the shot descriptions; each
-shot is assigned exactly one. Rendering an avatar samples a portrait latent
-from its prompt (text-only condition, per-avatar seed) and returns its
-image embedding, a read-only unit vector: the identity. A keyframe is the
+shot is assigned exactly one. The avatars completion is the story.json
+fragment it fills: the roster ``avatars`` and each shot's ``avatar_id``.
+Rendering an avatar samples a portrait latent from its prompt (text-only
+condition, per-avatar seed) and returns its image embedding, as
+conditioning's image encoder gives it: the identity. A keyframe is the
 latent sampled under the full five-domain script text plus that identity,
 so keyframes sharing an avatar share identity channels up to sampler
 noise. Both stages sample at eta = 0, as one batch of chains in lockstep:
@@ -17,10 +19,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .conditioning import DEFAULT_EMBED_DIM, Condition, encode_text_mock, unit_vector
+from .conditioning import Condition, encode_image_mock, encode_text_mock
 from .config import PipelineConfig
 from .diffusion import sample_reverse
-from .errors import InputError, ParseError, ValidationError
+from .errors import InputError, ParseError
 from .script import (
     AvatarProfile,
     LlmClient,
@@ -39,7 +41,7 @@ _AVATARS_INSTRUCTION = (
     "Propose recurring character avatars for this story and assign one to "
     "every shot. Reply with JSON only: {\"avatars\": [{\"id\", \"prompt\": "
     "{\"character\", \"background\", \"relations\", \"camera\", \"hdr\"}}], "
-    "\"assignment\": [avatar id per shot, in shot order]}, every text non-blank."
+    "\"shots\": [{\"avatar_id\"}, one per shot, in shot order]}, every text non-blank."
 )
 
 
@@ -65,34 +67,21 @@ def derive_avatars(
     completion = call_llm(llm, _AVATARS_INSTRUCTION, context, "while proposing avatars")
     payload = read_json(completion, "the avatars completion")
     raw_avatars = require_field(payload, "avatars", list, "")
-    assignment = require_field(payload, "assignment", list, "")
+    shots = require_field(payload, "shots", list, "")
+    if len(shots) != len(descriptions):
+        raise ParseError(
+            f"the avatars completion has {len(shots)} shots, expected {len(descriptions)}"
+        )
 
     avatars = []
     for i, entry in enumerate(raw_avatars):
         aid, prompt = read_avatar(entry, f"avatars[{i}]")
         avatars.append(AvatarProfile(id=aid, prompt=prompt, seed=config.avatar_seed(aid)))
-    if len(assignment) != len(descriptions):
-        raise ValidationError(
-            f"assignment covers {len(assignment)} shots, story has {len(descriptions)}"
-        )
-    for i, aid in enumerate(assignment):
-        if not isinstance(aid, str):
-            raise ParseError(f"field assignment[{i}] has wrong type (expected str)")
+    assignment = [
+        require_field(shot, "avatar_id", str, f"shots[{j}]") for j, shot in enumerate(shots)
+    ]
     check_roster([a.id for a in avatars], assignment)
-    return avatars, list(assignment)
-
-
-def encode_image_mock(
-    latent: np.ndarray, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0
-) -> np.ndarray:
-    """Fixed seeded linear map of the latent, as a read-only unit vector
-    (see :func:`unit_vector`; a zero latent maps to the first basis vector).
-    """
-    flat = np.asarray(latent, dtype=float).ravel()
-    weights = spawn_rng("image-encoder", seed, d_e, flat.size).standard_normal(
-        (d_e, flat.size)
-    ) / np.sqrt(flat.size)
-    return unit_vector(weights @ flat)
+    return avatars, assignment
 
 
 def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List[np.ndarray]:

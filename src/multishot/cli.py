@@ -126,11 +126,12 @@ def _cmd_keyframes(args) -> int:
     config, _ = _load_config(args)
     config = config.merged(n_shots=len(story.scripts))
     out = Path(args.out)
-    # DIR/keyframes is where a run in DIR keeps its keyframes: hold DIR's
-    # run lock while writing, so no command writing DIR races this one, and
-    # never rewrite a finished run behind its manifest
-    run_dir = out.parent
-    in_run = out.name == KEYFRAME_DIR and run_dir.is_dir()
+    # DIR/keyframes is where a run in DIR keeps its keyframes, also through
+    # a symlink: hold DIR's run lock while writing, so no command writing DIR
+    # races this one, and never rewrite a finished run behind its manifest
+    target = out.resolve()
+    run_dir = target.parent
+    in_run = target.name == KEYFRAME_DIR and run_dir.is_dir()
     with run_lock(run_dir) if in_run else contextlib.nullcontext():
         if in_run and (run_dir / MANIFEST_FILE).exists():
             raise StateError(

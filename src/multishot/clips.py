@@ -3,8 +3,8 @@
 Each shot's clip is k latent frames sampled under a single condition built
 from the SHORT shot description (not the detailed five-domain script; long
 prompts flatten the motion of conditional video models) plus the image
-embedding of the shot's keyframe latent; the text goes through
-encode_text_mock, as every prompt of a run does. Each frame draws all its
+embedding of the shot's keyframe latent; both come from conditioning's
+mock encoders, as every embedding of a run does. Each frame draws all its
 noise from one generator of its own, so one root seed reproduces the clip.
 
 In windowed mode this module samples the final clips directly; in
@@ -22,8 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .casting import encode_image_mock
-from .conditioning import Condition, encode_text_mock
+from .conditioning import Condition, encode_image_mock, encode_text_mock
 from .config import PipelineConfig
 from .diffusion import sample_reverse
 from .script import ShotDescription

@@ -1,15 +1,15 @@
 """Mock encoders, cross-attention, and the map from a condition to the toy
 world's latent mean.
 
-An embedding is a read-only, unit-norm float64 vector; both mock encoders
-(text here, image in casting) normalise through :func:`unit_vector`. A
+An embedding is a read-only, unit-norm float64 vector; both mock encoders,
+of text and of a latent image, normalise through :func:`unit_vector`. A
 :class:`Condition` is the text vector, an optional image vector and the
 image weight. It hashes by identity, so a world can memoise its mean.
 
 The scaled dot-product kernel is the standard Softmax(Q K^T / sqrt(d_k)) V.
-Image conditioning is injected IP-Adapter style: the key/value pair for the
-image tokens is decoupled from the text pair and the two attention outputs
-are summed with a scalar weight, so setting the weight to zero disables the
+Image conditioning is injected IP-Adapter style: :meth:`MeanProjector.mean`
+attends the image tokens apart from the text tokens and sums the two
+outputs with a scalar weight, so setting the weight to zero disables the
 image branch exactly.
 
 The latent mean of a condition is produced by a fixed seeded projector.
@@ -111,6 +111,19 @@ def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -
     return unit_vector(total)
 
 
+def encode_image_mock(
+    latent: np.ndarray, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0
+) -> np.ndarray:
+    """Fixed seeded linear map of the latent, as a read-only unit vector
+    (see :func:`unit_vector`; a zero latent maps to the first basis vector).
+    """
+    flat = np.asarray(latent, dtype=float).ravel()
+    weights = spawn_rng("image-encoder", seed, d_e, flat.size).standard_normal(
+        (d_e, flat.size)
+    ) / np.sqrt(flat.size)
+    return unit_vector(weights @ flat)
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Softmax(Q K^T / sqrt(d_k)) V with row-wise softmax.
 
@@ -145,25 +158,6 @@ def split_tokens(vector: np.ndarray, n_tokens: int = DEFAULT_TOKENS) -> np.ndarr
     return vector.reshape(n_tokens, vector.size // n_tokens)
 
 
-def compose_condition(
-    query: np.ndarray,
-    text_tokens: Tuple[np.ndarray, np.ndarray],
-    ip_tokens: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ip_scale: float = 0.0,
-) -> np.ndarray:
-    """Decoupled attention: Attn(q, K_text, V_text) + s * Attn(q, K_ip, V_ip).
-
-    The image term vanishes when no image tokens are given; output is linear
-    in ``ip_scale`` by construction.
-    """
-    if ip_scale < 0:
-        raise ConfigError(f"ip_scale must be nonnegative, got {ip_scale}")
-    out = attention(query, text_tokens[0], text_tokens[1])
-    if ip_tokens is not None:
-        out = out + ip_scale * attention(query, ip_tokens[0], ip_tokens[1])
-    return out
-
-
 @dataclass(frozen=True)
 class MeanProjector:
     """Fixed seeded linear machinery behind the latent mean mu(c).
@@ -190,7 +184,7 @@ class MeanProjector:
 
         Identity channels (0..d_id-1) depend only on the image embedding and
         ip_scale; the remaining channels depend on the full composed vector,
-        the :func:`compose_condition` of the attended text and image tokens.
+        ``attend(text) + ip_scale * attend(ip)``.
         """
         text = self.attend(cond.text)
         ip = np.zeros_like(text) if cond.ip is None else self.attend(cond.ip)

@@ -10,7 +10,6 @@ count and gains are constants of conditioning."""
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,7 +25,7 @@ from .conditioning import (
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .seeds import derive_seed
-from .tensorio import MAX_DIM, canonical_json
+from .tensorio import MAX_DIM, canonical_json, read_json
 
 MODES = ("windowed", "fifo-reset")
 
@@ -222,11 +221,9 @@ def config_to_json(config: PipelineConfig) -> bytes:
 
 def config_from_json(data: bytes):
     """Returns (config, extras). Extras carry the one non-behavioral key a
-    config file may provide, 'out_dir'."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config document is not valid JSON: {exc}") from exc
+    config file may provide, 'out_dir'. A document that is not JSON raises
+    ``ParseError``."""
+    doc = read_json(data, "the config document")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     extras = {"out_dir": doc.pop("out_dir")} if "out_dir" in doc else {}

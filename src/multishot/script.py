@@ -247,8 +247,8 @@ class MockLlmClient:
                 "hdr": f"HDR Description: {light}.",
             }
             avatars.append({"id": f"avatar_{g:02d}", "prompt": prompt})
-        assignment = [f"avatar_{min(i // shots_per_avatar, n_avatars - 1):02d}" for i in range(n)]
-        return json.dumps({"avatars": avatars, "assignment": assignment})
+        shots = [{"avatar_id": f"avatar_{i // shots_per_avatar:02d}"} for i in range(n)]
+        return json.dumps({"avatars": avatars, "shots": shots})
 
 
 class HttpLlmClient:

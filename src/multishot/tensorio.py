@@ -14,8 +14,7 @@ of a run is written through :func:`atomic_write`, which either completes
 or leaves the target untouched, and a JSON file as :func:`canonical_json`.
 That holds against an exception or a kill, not a power loss:
 :func:`atomic_write` fsyncs neither the file nor its directory. Every JSON
-document or LLM completion read in, but a config, is decoded by
-:func:`read_json`.
+document or LLM completion read in is decoded by :func:`read_json`.
 """
 
 from __future__ import annotations

@@ -5,13 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from multishot.casting import (
-    derive_avatars,
-    encode_image_mock,
-    generate_keyframe,
-    render_avatar,
-)
-from multishot.conditioning import Condition, encode_text_mock
+from multishot.casting import derive_avatars, generate_keyframe, render_avatar
+from multishot.conditioning import Condition, encode_image_mock, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import analytic_eps, ddim_step
 from multishot.errors import ConfigError, InputError, ParseError, ValidationError
@@ -82,13 +77,17 @@ def _avatar(id="avatar_00", **domains):
     return {"id": id, "prompt": {**prompt, **domains}}
 
 
-def _avatar_payload(assignment, avatars=None):
-    return json.dumps({"avatars": avatars or [_avatar()], "assignment": assignment})
+def _shots(*avatar_ids):
+    return [{"avatar_id": aid} for aid in avatar_ids]
 
 
-def test_assignment_gap_is_validation_error():
+def _avatar_payload(avatar_ids, avatars=None):
+    return json.dumps({"avatars": avatars or [_avatar()], "shots": _shots(*avatar_ids)})
+
+
+def test_shot_count_mismatch_is_parse_error():
     client = CannedClient(_avatar_payload(["avatar_00"]))  # story has 2 shots
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="the avatars completion has 1 shots, expected 2"):
         derive_avatars(_descriptions(2), client, _per_avatar(2))
 
 
@@ -109,17 +108,18 @@ def test_duplicate_avatar_ids_rejected():
     [
         ("not json at all", "the avatars completion is not valid JSON"),
         (json.dumps([_avatar()]), "avatars"),
-        (json.dumps({"avatars": ["avatar_00"], "assignment": ["avatar_00"] * 2}),
+        (json.dumps({"avatars": ["avatar_00"], "shots": _shots("avatar_00", "avatar_00")}),
          r"avatars\[0\]\.id"),
-        (json.dumps({"avatars": [_avatar()], "assignment": [["a"], "avatar_00"]}),
-         r"assignment\[0\]"),
-        (json.dumps({"avatars": [_avatar(id=7)], "assignment": [7, 7]}), r"avatars\[0\]\.id"),
-        (json.dumps({"avatars": [_avatar(hdr="")], "assignment": ["avatar_00"] * 2}),
+        (json.dumps({"avatars": [_avatar()], "shots": _shots(["a"], "avatar_00")}),
+         r"field shots\[0\]\.avatar_id has wrong type"),
+        (json.dumps({"avatars": [_avatar(id=7)], "shots": _shots(7, 7)}), r"avatars\[0\]\.id"),
+        (json.dumps({"avatars": [_avatar(hdr="")], "shots": _shots("avatar_00", "avatar_00")}),
          r"avatars\[0\]\.prompt\.hdr is blank"),
         (json.dumps({"avatars": [{"id": "avatar_00", **_avatar()["prompt"]}],
-                     "assignment": ["avatar_00"] * 2}), r"missing field at avatars\[0\]\.prompt"),
+                     "shots": _shots("avatar_00", "avatar_00")}),
+         r"missing field at avatars\[0\]\.prompt"),
     ],
-    ids=["not-json", "json-list", "avatar-string", "assignment-list", "integer-id", "empty-domain",
+    ids=["not-json", "json-list", "avatar-string", "avatar-id-list", "integer-id", "empty-domain",
          "flat-domains"],
 )
 def test_malformed_completion_is_parse_error(completion, path):

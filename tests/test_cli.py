@@ -257,6 +257,25 @@ def test_keyframes_refuses_run_directory(tmp_path, capsys, case):
     assert files() == before
 
 
+def test_keyframes_refuses_a_symlink_to_a_finished_runs_keyframes(tmp_path, capsys):
+    # a link to run/keyframes names the same directory as run/keyframes, so
+    # a 1-shot story written through it would delete shot_0001.vgt behind
+    # the run's manifest
+    out = tmp_path / "run"
+    assert cli(["run", "--input", STORY_INPUT, "--shots", "2", "--frames-per-shot", "2",
+                "--out", str(out)]) == 0
+    story_path = tmp_path / "small.json"
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "1", "--out", str(story_path)]) == 0
+    link = tmp_path / "kf"
+    link.symlink_to(out / "keyframes", target_is_directory=True)
+    keyframes = {p.name: p.read_bytes() for p in (out / "keyframes").iterdir()}
+    capsys.readouterr()
+    assert cli(["keyframes", "--story", str(story_path), "--out", str(link)]) == 1
+    assert "finished run" in capsys.readouterr().err
+    assert verify_manifest(out)
+    assert {p.name: p.read_bytes() for p in (out / "keyframes").iterdir()} == keyframes
+
+
 def _wrong_shape(frames):
     return frames[:, :4]
 

@@ -1,5 +1,5 @@
-"""Mock encoders, the attention kernel, decoupled composition, and the
-condition-to-latent-mean projector."""
+"""Mock encoders, the attention kernel, and the condition-to-latent-mean
+projector with its decoupled text-plus-image composition."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multishot.casting import encode_image_mock
 from multishot.conditioning import (
     CONTENT_GAIN,
     IDENTITY_GAIN,
@@ -16,7 +15,7 @@ from multishot.conditioning import (
     MeanProjector,
     _token_vector,
     attention,
-    compose_condition,
+    encode_image_mock,
     encode_text_mock,
     get_projector,
     norm,
@@ -170,57 +169,6 @@ def test_attention_permutation_invariance(seed):
     np.testing.assert_allclose(attention(q, k, v), attention(q, k[perm], v[perm]), atol=1e-12)
 
 
-# --- compose_condition ------------------------------------------------------
-
-
-def _toy_tokens():
-    q = np.array([2.0, 0.0])
-    text = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    ip = (np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
-    return q, text, ip
-
-
-def test_compose_disabled_ip_equals_text_only():
-    q, text, ip = _toy_tokens()
-    np.testing.assert_array_equal(
-        compose_condition(q, text, ip, ip_scale=0.0),
-        compose_condition(q, text, None),
-    )
-
-
-def test_compose_duplicated_tokens_double():
-    q, text, _ = _toy_tokens()
-    np.testing.assert_allclose(
-        compose_condition(q, text, text, ip_scale=1.0),
-        2.0 * compose_condition(q, text, None),
-        rtol=1e-12,
-    )
-
-
-def test_compose_hand_sum():
-    # text branch is the hand attention example; the single ip token
-    # contributes its value row exactly
-    q, text, ip = _toy_tokens()
-    w1 = 1.0 / (1.0 + math.exp(-4.0 / math.sqrt(2.0)))
-    expected = np.array([w1 + 0.5, (1.0 - w1) + 0.5])
-    np.testing.assert_allclose(compose_condition(q, text, ip, ip_scale=1.0), expected, rtol=1e-12)
-
-
-def test_compose_linear_in_scale():
-    q, text, ip = _toy_tokens()
-    at0 = compose_condition(q, text, ip, 0.0)
-    at1 = compose_condition(q, text, ip, 1.0)
-    for s in (0.25, 0.5, 2.0, 3.75):
-        expected = at0 + s * (at1 - at0)
-        np.testing.assert_allclose(compose_condition(q, text, ip, s), expected, atol=1e-9)
-
-
-def test_compose_rejects_negative_scale():
-    q, text, ip = _toy_tokens()
-    with pytest.raises(ConfigError):
-        compose_condition(q, text, ip, -0.5)
-
-
 def test_split_tokens_shape():
     out = split_tokens(np.arange(16.0), 4)
     assert out.shape == (4, 4)
@@ -341,10 +289,27 @@ def test_projector_recovers_composed_from_clean_mean():
     proj = get_projector(3, SHAPE)
     cond = _cond("recoverable", "face", 1.0)
     mu = proj.mean(cond)
-    toks = split_tokens(cond.text, 4)
-    ip_toks = split_tokens(cond.ip, 4)
-    composed = compose_condition(proj.query, (toks, toks), (ip_toks, ip_toks), 1.0)
+    composed = proj.attend(cond.text) + 1.0 * proj.attend(cond.ip)
     np.testing.assert_allclose(proj.recover_composed(mu), composed, atol=1e-9)
+
+
+def test_mean_at_zero_scale_equals_text_only_mean():
+    # the image branch is disabled exactly: an image at weight 0 leaves the
+    # content channels bit for bit the text-only mean's, and the identity
+    # channels zero (-0.0 where id_map @ ip is negative, so equal in value)
+    proj = get_projector(3, SHAPE)
+    with_ip = proj.mean(_cond("a quiet harbor", "a face", 0.0))
+    text_only = proj.mean(_cond("a quiet harbor"))
+    assert with_ip[:, :, 4:].tobytes() == text_only[:, :, 4:].tobytes()
+    np.testing.assert_array_equal(with_ip, text_only)
+
+
+def test_mean_content_channels_linear_in_scale():
+    proj = get_projector(3, SHAPE)
+    content = lambda s: proj.mean(_cond("a quiet harbor", "a face", s))[:, :, 4:]
+    at0, at1 = content(0.0), content(1.0)
+    for s in (0.25, 0.5, 2.0, 3.75):
+        np.testing.assert_allclose(content(s), at0 + s * (at1 - at0), atol=1e-9)
 
 
 def _closed_form_mean(proj, cond):

@@ -9,7 +9,7 @@ import pytest
 
 from multishot.conditioning import Condition, MeanProjector, encode_text_mock
 from multishot.config import PipelineConfig, config_from_json, config_to_json
-from multishot.errors import ConfigError
+from multishot.errors import ConfigError, ParseError
 
 
 def test_defaults_are_valid():
@@ -49,6 +49,9 @@ def test_defaults_are_valid():
         {"n_shots": 2**16, "frames_per_shot": 2**16},
         {"height": 2**32},
     ],
+    # each case is named by its keys and values, so a case added or removed
+    # renames no other
+    ids=lambda kwargs: ",".join(f"{key}={value}" for key, value in kwargs.items()),
 )
 def test_invalid_values_rejected(kwargs):
     with pytest.raises(ConfigError) as excinfo:
@@ -129,7 +132,8 @@ def test_json_rejects_unknown_keys():
         config_from_json(b'{"user_input": "x"}')
     with pytest.raises(ConfigError):
         config_from_json(b"[1, 2]")
-    with pytest.raises(ConfigError):
+    # a document that is not JSON is refused by the one JSON reader
+    with pytest.raises(ParseError, match="the config document is not valid JSON"):
         config_from_json(b"{nope")
 
 

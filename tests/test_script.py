@@ -19,22 +19,27 @@ from multishot.script import (
 )
 from multishot.casting import derive_avatars
 from multishot.config import PipelineConfig
+from multishot.pipeline import build_story
 
 STORY_INPUT = "a story of a classic seaside town and its ferryman"
 
 
 class RecordingClient:
-    """Wraps the mock client, recording every (instruction, context)."""
+    """Wraps the mock client, recording every (instruction, context) and
+    every decoded completion."""
 
     deterministic = True
 
     def __init__(self):
         self.inner = MockLlmClient()
         self.calls = []
+        self.completions = []
 
     def complete(self, instruction, context):
         self.calls.append((instruction, json.loads(context)))
-        return self.inner.complete(instruction, context)
+        completion = self.inner.complete(instruction, context)
+        self.completions.append(json.loads(completion))
+        return completion
 
 
 class ScriptedClient:
@@ -214,6 +219,27 @@ def _full_story(n=4, shots_per_avatar=2):
     avatars, assignment = derive_avatars(descriptions, MockLlmClient(), config)
     scripts = generate_script_sequence(descriptions, MockLlmClient(), assignment)
     return Story(STORY_INPUT, descriptions, scripts, avatars)
+
+
+def test_each_completion_is_the_story_fragment_it_fills():
+    # each completion, put at its story.json path, with the user input and
+    # the avatar seeds that no completion holds, is the story build_story
+    # makes: shots[j].short, avatars[i] and shots[j].avatar_id, shots[j].script
+    config = PipelineConfig(n_shots=5, shots_per_avatar=2)
+    client = RecordingClient()
+    story = build_story(STORY_INPUT, config, client)
+    tasks = [context["task"] for _, context in client.calls]
+    assert tasks == ["expand", "avatars"] + ["script"] * 5
+    expand, cast, *scripts = client.completions
+    doc = {
+        "user_input": STORY_INPUT,
+        "avatars": [{**avatar, "seed": config.avatar_seed(avatar["id"])}
+                    for avatar in cast["avatars"]],
+        "shots": [{**short, **shot, "script": script}
+                  for short, shot, script in zip(expand["shots"], cast["shots"], scripts,
+                                                 strict=True)],
+    }
+    assert serialize_story(parse_story(json.dumps(doc).encode())) == serialize_story(story)
 
 
 def test_roundtrip_thirty_shots_byte_identical():
