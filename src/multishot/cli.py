@@ -8,6 +8,10 @@ Subcommands mirror the pipeline stages:
     metrics    score a run directory and write report.json
     run        everything end to end
 
+`script --out`, `keyframes --out` and `metrics --report` write through
+pipeline.command_output, whose one rule, stated with pipeline.RUN_FILES,
+keeps each from rewriting a finished or locked run's files.
+
 Exit codes: 0 success, 1 validation/config error, 2 I/O or transport error.
 Flag precedence: CLI flag > config file > built-in default; the effective
 config is always persisted next to the artifacts it produced, and
@@ -17,17 +21,15 @@ config is always persisted next to the artifacts it produced, and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
 from .config import MODES, PipelineConfig, config_from_json
-from .errors import MultishotError, StageFailure, StateError, TransportError
+from .errors import MultishotError, StageFailure, TransportError
 from .pipeline import (
-    KEYFRAME_DIR,
-    MANIFEST_FILE,
     REPORT_FILE,
     build_story,
+    command_output,
     compute_metrics_for_run,
     generate_run,
     read_manifest,
@@ -115,32 +117,20 @@ def _load_config(args) -> tuple:
 
 def _cmd_script(args) -> int:
     config, _ = _load_config(args)
-    story = build_story(args.input, config)
-    write_file(args.out, serialize_story(story))
+    with command_output(args.out):
+        story = build_story(args.input, config)
+        write_file(args.out, serialize_story(story))
     print(f"wrote {args.out} ({len(story.scripts)} shots, {len(story.avatars)} avatars)")
     return 0
 
 
 def _cmd_keyframes(args) -> int:
     story = parse_story(Path(args.story).read_bytes())
-    config, _ = _load_config(args)
-    config = config.merged(n_shots=len(story.scripts))
-    out = Path(args.out)
-    # DIR/keyframes is where a run in DIR keeps its keyframes, also through
-    # a symlink: hold DIR's run lock while writing, so no command writing DIR
-    # races this one, and never rewrite a finished run behind its manifest
-    target = out.resolve()
-    run_dir = target.parent
-    in_run = target.name == KEYFRAME_DIR and run_dir.is_dir()
-    with run_lock(run_dir) if in_run else contextlib.nullcontext():
-        if in_run and (run_dir / MANIFEST_FILE).exists():
-            raise StateError(
-                f"{out} belongs to the finished run in {run_dir}; "
-                "use `multishot generate` to regenerate a run"
-            )
+    config = _load_config(args)[0].merged(n_shots=len(story.scripts))
+    with command_output(args.out):
         keyframes = render_keyframes(story, config)
-        write_keyframes(keyframes, out)
-    print(f"wrote {len(keyframes)} keyframes to {out}")
+        write_keyframes(keyframes, Path(args.out))
+    print(f"wrote {len(keyframes)} keyframes to {args.out}")
     return 0
 
 
@@ -153,19 +143,12 @@ def _cmd_generate(args) -> int:
 
 
 def _render_table(report) -> str:
-    def fmt(value):
-        return "null" if value is None else f"{value:.4f}"
-
     headers = [f"CLIP({d})" for d in DOMAIN_FIELDS]
     headers += ["FC(within)", "FC(cross)", "SC(within)", "SC(cross)", "PSNR"]
-    values = [fmt(report.clip_by_domain.get(d)) for d in DOMAIN_FIELDS]
-    values += [
-        fmt(report.fc_within),
-        fmt(report.fc_cross),
-        fmt(report.sc_within),
-        fmt(report.sc_cross),
-        fmt(report.psnr_pairs),
-    ]
+    values = [report.clip_by_domain.get(d) for d in DOMAIN_FIELDS]
+    values += [report.fc_within, report.fc_cross, report.sc_within, report.sc_cross,
+               report.psnr_pairs]
+    values = ["null" if value is None else f"{value:.4f}" for value in values]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     line = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
     row = "  ".join(v.rjust(w) for v, w in zip(values, widths))

@@ -18,6 +18,11 @@ These are ``RUN_FILES``. Before its first stage a run deletes them
 file, and ``verify_manifest`` holds while it equals their hashes. Its one
 writer, ``write_manifest``, ends every run, so a finished run has every
 artifact. Each file is written through ``tensorio.atomic_write``.
+Commands write through ``command_output``, whose one rule is: a path that
+names, after symlinks and ``..`` are resolved, one of D's RUN_FILES, D's
+keyframes/ or D's .lock is written under D's run lock, and refused while D
+holds manifest.json; a manifest, a lock, and any file but report.json of
+the run whose lock the caller holds are refused outright.
 
 Equal (user_input, config) produce byte-identical artifacts on one
 numpy/BLAS build and CPU kernel; another kernel can change report.json
@@ -26,8 +31,6 @@ an avatar portrait's, which comes from story.json (ROADMAP item 6).
 The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.
-timeline.json restates what config.json gives (frame f belongs to shot
-f // k) and nothing reads it.
 """
 
 from __future__ import annotations
@@ -226,18 +229,41 @@ def verify_manifest(run_dir: Path) -> bool:
 @contextlib.contextmanager
 def run_lock(run_dir: Path):
     """Exclusive ownership of a run directory; fails fast when the
-    directory is unwritable or already locked."""
+    directory is missing, unwritable or already locked."""
     lock_path = Path(run_dir) / LOCK_FILE
     try:
-        handle = open(lock_path, "x")
+        open(lock_path, "x").close()
     except FileExistsError:
         raise StateError(f"run directory is locked: {lock_path}") from None
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such directory: {run_dir}") from None
     try:
-        handle.close()
         yield
     finally:
         with contextlib.suppress(OSError):
             lock_path.unlink()
+
+
+@contextlib.contextmanager
+def command_output(path, held=None):
+    """Guard the block in which a command writes ``path``, by the rule
+    stated with RUN_FILES; ``held`` is the run whose lock the caller holds."""
+    target = Path(path).resolve()
+    run_dir = next((target.parents[len(Path(pattern).parts) - 1]
+                    for pattern in (*RUN_FILES, KEYFRAME_DIR, LOCK_FILE)
+                    if target.match(pattern)), None)
+    name = run_dir and target.relative_to(run_dir).as_posix()
+    own = held is not None and run_dir == Path(held).resolve()
+    if name in (MANIFEST_FILE, LOCK_FILE) or own and name != REPORT_FILE:
+        raise InputError(f"{path} is the run's own {name}; write outside the run's files")
+    if run_dir is None or own:
+        yield
+        return
+    with run_lock(run_dir):
+        if (run_dir / MANIFEST_FILE).exists():
+            raise StateError(f"{path} belongs to the finished run in {run_dir}; "
+                             "use `multishot generate` to regenerate a run")
+        yield
 
 
 @contextlib.contextmanager
@@ -271,31 +297,19 @@ def clear_run(run_dir: Path) -> None:
 
 def compute_metrics_for_run(run_dir, report_path=None) -> MetricsReport:
     """Metrics stage, standalone: recompute the report purely from the
-    persisted artifacts (frames.vgt + story.json + config.json). A run
-    whose failed/stage.txt exists raises ``StateError`` naming the stage.
-    A ``report_path`` that resolves to another of the run's RUN_FILES, or
-    its lock, raises ``InputError`` before anything is read or written."""
+    persisted artifacts (frames.vgt + story.json + config.json) and write it
+    through ``command_output``; the caller holds run_dir's lock. A failed
+    run raises ``StateError`` naming the stage its failed/stage.txt names."""
     run_dir = Path(run_dir)
     target = Path(report_path) if report_path else run_dir / REPORT_FILE
-    try:
-        name = target.resolve().relative_to(run_dir.resolve())
-    except ValueError:  # outside the run directory
-        name = None
-    if name is not None and name != Path(REPORT_FILE) and any(
-        len(name.parts) == len(Path(pattern).parts) and name.match(pattern)
-        for pattern in (*RUN_FILES, LOCK_FILE)
-    ):
-        raise InputError(
-            f"report path {target} is the run's own {name.as_posix()}; "
-            f"write the report to {REPORT_FILE} or outside the run's files"
-        )
-    if (run_dir / FAILED_FILE).exists():
-        stage, _, error = (run_dir / FAILED_FILE).read_text(encoding="utf-8").partition("\n")
-        raise StateError(f"the run in {run_dir} failed in its {stage} stage: {error.strip()}")
-    config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
-    story = parse_story((run_dir / STORY_FILE).read_bytes())
-    report = build_report(load_timeline(run_dir, config), story, config)
-    write_report(target, report)
+    with command_output(target, held=run_dir):
+        if (run_dir / FAILED_FILE).exists():
+            stage, _, error = (run_dir / FAILED_FILE).read_text(encoding="utf-8").partition("\n")
+            raise StateError(f"the run in {run_dir} failed in its {stage} stage: {error.strip()}")
+        config, _extras = config_from_json((run_dir / CONFIG_FILE).read_bytes())
+        story = parse_story((run_dir / STORY_FILE).read_bytes())
+        report = build_report(load_timeline(run_dir, config), story, config)
+        write_report(target, report)
     return report
 
 

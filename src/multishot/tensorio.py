@@ -93,15 +93,18 @@ def read_json(text, what: str):
 def atomic_write(path):
     """A binary handle on a temporary sibling of ``path`` that replaces
     ``path`` when the block ends; if the block raises, the temporary is
-    removed and ``path`` is left as it was."""
+    removed and ``path`` is left as it was. A missing directory raises
+    ``FileNotFoundError`` naming it."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}{TEMP_SUFFIX}")
     try:
         with open(temp, "xb") as handle:
             yield handle
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, FileNotFoundError) and exc.filename == str(temp):
+            raise FileNotFoundError(f"no such directory: {path.parent}") from None
         raise
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,95 @@ def test_keyframes_refuses_a_symlink_to_a_finished_runs_keyframes(tmp_path, caps
     assert "finished run" in capsys.readouterr().err
     assert verify_manifest(out)
     assert {p.name: p.read_bytes() for p in (out / "keyframes").iterdir()} == keyframes
+
+
+@pytest.fixture(scope="module")
+def finished_runs(tmp_path_factory):
+    """Two finished 1-shot runs, A and B, and a story file beside them."""
+    root = tmp_path_factory.mktemp("finished")
+    for name in ("A", "B"):
+        assert cli(["run", "--input", STORY_INPUT, "--shots", "1", "--frames-per-shot", "2",
+                    "--out", str(root / name)]) == 0
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "1",
+                "--out", str(root / "story.json")]) == 0
+    return root
+
+
+def _files(folder):
+    return {p.relative_to(folder).as_posix(): p.read_bytes()
+            for p in folder.rglob("*") if p.is_file()}
+
+
+#: Each writing command by the target it takes, and the name it writes in a
+#: run directory.
+_WRITERS = {
+    "script": (lambda runs, out: ["script", "--input", STORY_INPUT, "--shots", "1",
+                                  "--out", out], "story.json"),
+    "keyframes": (lambda runs, out: ["keyframes", "--story", str(runs / "story.json"),
+                                     "--out", out], "keyframes"),
+    "metrics": (lambda runs, out: ["metrics", "--run", str(runs / "A"), "--report", out],
+                "report.json"),
+}
+
+
+@pytest.mark.parametrize("target", ["B/story.json", "B/config.json", "B/report.json",
+                                    "B/manifest.json", "B/keyframes", "symlink", "locked",
+                                    "unfinished", "plain"])
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_every_writing_command_keeps_the_run_directory_rule(
+        finished_runs, tmp_path, capsys, command, target):
+    # script --out, keyframes --out and metrics --report share one rule: a
+    # finished run's files, a manifest and a locked run's files are refused,
+    # however the path is spelled, and any other run directory is written
+    # under its lock
+    argv, name = _WRITERS[command]
+    run_b = finished_runs / "B"
+    before = _files(run_b)
+    folder = tmp_path / target
+    if target.startswith("B/"):
+        out = run_b / target[2:]
+    elif target == "symlink":  # a link elsewhere that names B's file
+        out = tmp_path / f"link-{name}"
+        out.symlink_to(run_b / name, target_is_directory=name == "keyframes")
+    else:
+        if target == "unfinished":
+            shutil.copytree(run_b, folder)
+            (folder / "manifest.json").unlink()
+        else:
+            folder.mkdir()
+        if target == "locked":
+            (folder / ".lock").touch()
+        out = folder / name
+    code = cli(argv(finished_runs, str(out)))
+    captured = capsys.readouterr()
+    if target in ("unfinished", "plain"):
+        assert code == 0, captured.err
+        assert f"{out}" in captured.out
+        assert out.exists() and not (folder / ".lock").exists()
+        return
+    assert code == 1
+    message = {"B/manifest.json": "the run's own manifest.json",
+               "locked": "run directory is locked"}.get(target, "finished run")
+    assert message in captured.err
+    if target == "locked":
+        assert sorted(p.name for p in folder.iterdir()) == [".lock"]
+    assert _files(run_b) == before
+    assert verify_manifest(run_b)
+
+
+@pytest.mark.parametrize("case", ["run", "report", "script"])
+def test_a_missing_directory_is_named_as_given(finished_runs, tmp_path, capsys, case):
+    # the error names the user's directory, not the lock or the temporary
+    # file a command would have made inside it
+    missing = tmp_path / "nope"
+    argv = {"run": ["metrics", "--run", str(missing)],
+            "report": ["metrics", "--run", str(finished_runs / "A"),
+                       "--report", str(missing / "r.json")],
+            "script": ["script", "--input", STORY_INPUT, "--out", str(missing / "story.json")]}
+    assert cli(argv[case]) == 2
+    err = capsys.readouterr().err
+    assert f"no such directory: {missing}" in err
+    assert ".lock" not in err and ".partial" not in err
 
 
 def _wrong_shape(frames):
