@@ -47,7 +47,6 @@ from .script import (
     serialize_story,
 )
 from .smoothing import (
-    DenoiseTrace,
     FrameStream,
     LatentQueue,
     init_queue,

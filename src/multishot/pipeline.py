@@ -11,18 +11,31 @@ and leaves a self-contained directory behind:
     timeline.json   per-frame {global_frame, shot} labels and the mode
     report.json     metrics report
     manifest.json   sha256 of every artifact above
-    failed/         stage.txt, when a stage failed
+    failed/         stage.txt, when a stage failed or was interrupted
 
 These are ``RUN_FILES``. Before its first stage a run deletes them
 (``clear_run``); the manifest hashes the artifacts among them, no other
-file, and ``verify_manifest`` holds while it equals their hashes. Its one
-writer, ``write_manifest``, ends every run, so a finished run has every
-artifact. Each file is written through ``tensorio.atomic_write``.
-Commands write through ``command_output``, whose one rule is: a path that
-names, after symlinks and ``..`` are resolved, one of D's RUN_FILES, D's
-keyframes/ or D's .lock is written under D's run lock, and refused while D
-holds manifest.json; a manifest, a lock, and any file but report.json of
-the run whose lock the caller holds are refused outright.
+file, and ``verify_manifest`` holds while it equals their hashes. Each
+file is written through ``tensorio.atomic_write`` inside a stage, and the
+manifest's stage ends every run. So a run directory is in one of four
+states, which the commands follow:
+
+* finished, with manifest.json: ``metrics`` rescores it, writers refuse
+  its files;
+* failed or interrupted, with failed/stage.txt naming the stage and the error
+  (any exception, a KeyboardInterrupt too): ``metrics`` refuses it, writers
+  accept it, ``run`` and ``generate`` clear it;
+* in use or killed, with .lock: every command refuses it (a SIGKILL leaves it);
+* none of these, its files written stage by stage: writers accept it.
+
+The writers, ``script --out``, ``keyframes --out`` and ``metrics
+--report``, write through ``command_output``, whose one rule is: a path
+that names, after symlinks and ``..`` are resolved, one of D's
+RUN_FILES, D's keyframes/ or D's .lock is written under D's run lock,
+and refused while D holds manifest.json; a manifest, a lock, and any
+file but report.json of the run whose lock the caller holds are refused
+outright. Then a path that is itself a symlink to anything but a
+directory is refused, because the write would replace the link.
 
 Equal (user_input, config) produce byte-identical artifacts on one
 numpy/BLAS build and CPU kernel; another kernel can change report.json
@@ -55,7 +68,7 @@ from .script import (
     parse_story,
     serialize_story,
 )
-from .smoothing import DenoiseTrace, FrameStream, build_plan
+from .smoothing import FrameStream, build_plan
 from .tensorio import (
     TEMP_SUFFIX,
     canonical_json,
@@ -109,16 +122,13 @@ def render_keyframes(story: Story, config: PipelineConfig) -> List[np.ndarray]:
 
 
 def generate_timeline(
-    story: Story,
-    keyframes: List[np.ndarray],
-    config: PipelineConfig,
-    trace: Optional[DenoiseTrace] = None,
+    story: Story, keyframes: List[np.ndarray], config: PipelineConfig
 ) -> FrameStream:
     """Generation stage: build the conditioning plan and return the run's
     frames as a stream that samples them, windowed clips or the fifo-reset
     queue, as it is iterated. ``run_timeline`` collects it into one array."""
     plan = build_plan(story, keyframes, config)
-    return FrameStream(plan, config, trace)
+    return FrameStream(plan, config)
 
 
 # --------------------------------------------------------------------------
@@ -256,27 +266,32 @@ def command_output(path, held=None):
     own = held is not None and run_dir == Path(held).resolve()
     if name in (MANIFEST_FILE, LOCK_FILE) or own and name != REPORT_FILE:
         raise InputError(f"{path} is the run's own {name}; write outside the run's files")
-    if run_dir is None or own:
-        yield
-        return
-    with run_lock(run_dir):
-        if (run_dir / MANIFEST_FILE).exists():
-            raise StateError(f"{path} belongs to the finished run in {run_dir}; "
-                             "use `multishot generate` to regenerate a run")
+    with contextlib.ExitStack() as guard:
+        if run_dir is not None and not own:
+            guard.enter_context(run_lock(run_dir))
+            if (run_dir / MANIFEST_FILE).exists():
+                raise StateError(f"{path} belongs to the finished run in {run_dir}; "
+                                 "use `multishot generate` to regenerate a run")
+        if Path(path).is_symlink() and not target.is_dir():
+            raise InputError(f"{path} is a symlink; write to the file it names, {target}")
         yield
 
 
 @contextlib.contextmanager
 def _stage(run_dir: Path, name: str):
-    """Run one stage; on failure write failed/stage.txt: the stage name,
-    then ``ExceptionType: message``."""
+    """Run one stage; when it raises anything, a KeyboardInterrupt too,
+    write failed/stage.txt: the stage name, then ``ExceptionType:
+    message``. An ``Exception`` leaves as ``StageFailure``, anything else
+    unchanged."""
     try:
         yield
-    except Exception as exc:
+    except BaseException as exc:
         marker = run_dir / FAILED_FILE
         with contextlib.suppress(OSError):
             marker.parent.mkdir(exist_ok=True)
             write_file(marker, f"{name}\n{type(exc).__name__}: {exc}\n".encode("utf-8"))
+        if not isinstance(exc, Exception):
+            raise
         raise StageFailure(name, exc) from exc
 
 
@@ -339,7 +354,8 @@ def _run(get_story: Callable[[], Story], config: PipelineConfig, out_dir) -> Dic
         with _stage(run_dir, "metrics"):
             compute_metrics_for_run(run_dir)
 
-        return write_manifest(run_dir)
+        with _stage(run_dir, "manifest"):
+            return write_manifest(run_dir)
 
 
 def run_pipeline(user_input: str, config: PipelineConfig, out_dir) -> Dict[str, str]:

@@ -41,7 +41,7 @@ is the closed form A_T x_T + B_T mu(c), the main correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -60,11 +60,11 @@ class LatentQueue:
     """The latents in flight as one (n, h, w, d) array, head first: row p
     is at level p + 1 and holds global frame head + p, whose noise
     generator is ``rngs[p]``. Warm-up dummies have negative frames. Every
-    tick reads the plan, config and trace from the stream the queue
-    samples, and the schedule and per-frame conditions init_queue built
-    once: ``shots[i]`` is the shot whose condition frame i + 1 - T carries
-    and ``conds[i]`` is that condition, so the rows of a tick take theirs
-    as one slice from index ``ticks``."""
+    tick reads the plan and config from the stream the queue samples, and
+    the schedule and per-frame conditions init_queue built once:
+    ``conds[i]`` is the condition frame i + 1 - T carries, so the rows of
+    a tick take theirs as one slice from index ``ticks``. The backend
+    ``denoiser`` sees every call, with its level and condition."""
 
     stream: "FrameStream"
     denoiser: DenoiserBackend
@@ -72,7 +72,6 @@ class LatentQueue:
     latents: np.ndarray
     rngs: List[np.random.Generator]
     head: int
-    shots: List[int]
     conds: List[Condition]
 
     @property
@@ -80,34 +79,6 @@ class LatentQueue:
         """Ticks run so far: the head starts at frame 1 - T and moves one
         frame a tick."""
         return self.head + self.schedule.T - 1
-
-    @property
-    def emitted(self) -> int:
-        """Story frames emitted so far."""
-        return max(self.head, 0)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One denoiser call on a story frame, recorded before its tick makes it."""
-
-    tick: int
-    global_frame: int
-    level: int
-    condition_shot: int
-
-
-@dataclass
-class DenoiseTrace:
-    """Append-only instrumentation of every story-frame denoise call."""
-
-    records: List[TraceRecord] = field(default_factory=list)
-
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
-    def for_frame(self, global_frame: int) -> List[TraceRecord]:
-        return [r for r in self.records if r.global_frame == global_frame]
 
 
 def shot_for_frame(global_frame: int, k: int, L: int) -> int:
@@ -143,10 +114,10 @@ def init_queue(stream: "FrameStream", denoiser: DenoiserBackend) -> LatentQueue:
         rng.standard_normal(out=row)
         if level < T:
             row *= schedule.noise_by_level[level]
-    k, L = config.frames_per_shot, config.boundary
-    shots = [0] * (T - 1) + [shot_for_frame(f, k, L) for f in range(stream.shape[0])]
-    conds = [stream.plan[shot] for shot in shots]
-    return LatentQueue(stream, denoiser, schedule, latents, rngs, 1 - T, shots, conds)
+    k, L, plan = config.frames_per_shot, config.boundary, stream.plan
+    conds = [plan[0]] * (T - 1)
+    conds += [plan[shot_for_frame(f, k, L)] for f in range(stream.shape[0])]
+    return LatentQueue(stream, denoiser, schedule, latents, rngs, 1 - T, conds)
 
 
 def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
@@ -154,7 +125,8 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     then the head is emitted and fresh noise enqueued.
 
     The rows take their conditions as one slice of the queue's per-frame
-    list; a row loop runs only for trace records.
+    list. The queue's backend is called once per row, row p at level
+    p + 1, so a backend that records its calls sees the whole tick.
     Returns (global_frame, frame) when a story frame is emitted, None while
     warm-up dummies are being discarded; the frame is a copy, sharing no
     memory with the queue. Once the plan is exhausted the queue drains (no
@@ -164,15 +136,7 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     if not rows:
         raise StateError("queue is empty")
     stream, schedule = queue.stream, queue.schedule
-    config, trace = stream.config, stream.trace
-    first, tick_no = queue.ticks, queue.ticks + 1
-    if trace is not None:
-        for pos in range(rows):
-            frame = queue.head + pos
-            if frame >= 0:
-                trace.append(TraceRecord(tick=tick_no, global_frame=frame, level=pos + 1,
-                                         condition_shot=queue.shots[first + pos]))
-
+    config, first = stream.config, queue.ticks
     next_frame = queue.head + rows
     enqueue = next_frame < stream.shape[0]
     stepped = np.empty((rows + enqueue,) + queue.latents.shape[1:])
@@ -210,17 +174,12 @@ class FrameStream:
     (see ``generate_shot_clip``), or each frame as the fifo-reset queue
     emits it. ``shape`` is the shape of all the frames stacked, known
     before any frame is sampled, so a writer can put each frame on disk
-    and drop it. Every iteration samples afresh and, with a trace, appends
-    its denoise calls to it. A trace records queue ticks, so a windowed
-    stream, which has no queue, raises ``ConfigError`` when given one."""
+    and drop it. Every iteration samples afresh. To watch the queue, drive
+    ``init_queue(stream, backend)`` and ``tick`` with a backend that
+    records its calls."""
 
     plan: List[Condition]
     config: PipelineConfig
-    trace: Optional[DenoiseTrace] = None
-
-    def __post_init__(self):
-        if self.trace is not None and self.config.mode == "windowed":
-            raise ConfigError("a DenoiseTrace records fifo-reset queue ticks; windowed has none")
 
     @property
     def shape(self) -> Tuple[int, ...]:

@@ -27,7 +27,7 @@ from multishot.pipeline import build_story, generate_timeline, render_keyframes,
 from multishot.script import MockLlmClient, expand_story, generate_script_sequence
 from multishot.script import DOMAIN_FIELDS, Story, serialize_story, parse_story
 from multishot.seeds import spawn_rng
-from multishot.smoothing import DenoiseTrace, run_timeline
+from multishot.smoothing import FrameStream, build_plan, init_queue, run_timeline, tick
 from multishot.tensorio import read_tensor_file, write_tensor_file
 
 TOY_STORY = "the life of a lighthouse keeper named Edda"
@@ -95,31 +95,46 @@ def test_criterion_3_fifo_structural_invariants():
     start = time.perf_counter()
     config = PipelineConfig(n_shots=3, frames_per_shot=8, steps=20)
     story = build_story(TOY_STORY, config)
-    keyframes = render_keyframes(story, config)
-    trace = DenoiseTrace()
-    frames = run_timeline(generate_timeline(story, keyframes, config, trace=trace))
+    plan = build_plan(story, render_keyframes(story, config), config)
+    world, seen = config.world(), []
+
+    def recorder(x_t, t, cond, schedule):
+        seen.append((t, cond))
+        return world(x_t, t, cond, schedule)
+
+    # the queue observed through its backend: row t of a tick holds frame
+    # head + t - 1, so every story-frame call is (tick, frame, level, shot)
+    queue = init_queue(FrameStream(plan, config), recorder)
+    calls, emitted = [], []
+    while len(queue.latents):
+        head = queue.head
+        seen.clear()
+        result = tick(queue)
+        calls += [(queue.ticks, head + t - 1, t, plan.index(cond))
+                  for t, cond in seen if head + t > 0]
+        if result is not None:
+            emitted.append(result[0])
     elapsed = time.perf_counter() - start
 
     T, k, total = 20, 8, 24
-    assert len(frames) == total
+    assert emitted == list(range(total))
     emission_ticks = []
     for gf in range(total):
-        records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
-        assert [r.level for r in records] == list(range(T, 0, -1)), f"frame {gf}"
-        emission_ticks.append(records[-1].tick)  # the level-1 tick emits the frame
+        records = [(tk, level) for tk, f, level, _ in calls if f == gf]
+        assert [level for _, level in records] == list(range(T, 0, -1)), f"frame {gf}"
+        emission_ticks.append(records[-1][0])  # the level-1 tick emits the frame
     assert emission_ticks == sorted(emission_ticks)
     assert emission_ticks[0] == T  # frame 0 after exactly T ticks
-    violations = sum(1 for r in trace.records if r.condition_shot != r.global_frame // k)
+    violations = sum(1 for _, f, _, shot in calls if shot != f // k)
     assert violations == 0
     assert elapsed < 5.0
-    _shared["trace"] = trace
+    _shared["calls"] = calls
     _shared["emission_ticks"] = emission_ticks
-    _report_pass(3, f"{len(trace.records)} records, levels T..1 per frame, 0 purity violations, {elapsed:.1f}s")
+    _report_pass(3, f"{len(calls)} calls, levels T..1 per frame, 0 purity violations, {elapsed:.1f}s")
 
 
 def test_criterion_4_reset_boundary_overlap():
-    trace = _shared["trace"]
-    first_shot1_tick = min(r.tick for r in trace.records if r.condition_shot == 1)
+    first_shot1_tick = min(tk for tk, _, _, shot in _shared["calls"] if shot == 1)
     last_shot0_emit = max(_shared["emission_ticks"][:8])  # shot 0's k = 8 frames
     assert first_shot1_tick < last_shot0_emit
     overlap = last_shot0_emit - first_shot1_tick

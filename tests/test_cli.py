@@ -307,15 +307,16 @@ _WRITERS = {
 
 
 @pytest.mark.parametrize("target", ["B/story.json", "B/config.json", "B/report.json",
-                                    "B/manifest.json", "B/keyframes", "symlink", "locked",
-                                    "unfinished", "plain"])
+                                    "B/manifest.json", "B/keyframes", "symlink", "file-link",
+                                    "locked", "unfinished", "plain"])
 @pytest.mark.parametrize("command", sorted(_WRITERS))
 def test_every_writing_command_keeps_the_run_directory_rule(
         finished_runs, tmp_path, capsys, command, target):
     # script --out, keyframes --out and metrics --report share one rule: a
     # finished run's files, a manifest and a locked run's files are refused,
     # however the path is spelled, and any other run directory is written
-    # under its lock
+    # under its lock. A symlink to a file is refused wherever it points: the
+    # write would replace the link, not the file the lock guards
     argv, name = _WRITERS[command]
     run_b = finished_runs / "B"
     before = _files(run_b)
@@ -325,6 +326,11 @@ def test_every_writing_command_keeps_the_run_directory_rule(
     elif target == "symlink":  # a link elsewhere that names B's file
         out = tmp_path / f"link-{name}"
         out.symlink_to(run_b / name, target_is_directory=name == "keyframes")
+    elif target == "file-link":  # a link elsewhere that names a plain directory's file
+        folder.mkdir()
+        (folder / name).write_bytes(b"not a run's file")
+        out = tmp_path / f"link-{name}"
+        out.symlink_to(folder / name)
     else:
         if target == "unfinished":
             shutil.copytree(run_b, folder)
@@ -341,10 +347,13 @@ def test_every_writing_command_keeps_the_run_directory_rule(
         assert f"{out}" in captured.out
         assert out.exists() and not (folder / ".lock").exists()
         return
-    assert code == 1
-    message = {"B/manifest.json": "the run's own manifest.json",
+    assert code == 1, captured.err
+    message = {"B/manifest.json": "the run's own manifest.json", "file-link": "is a symlink",
                "locked": "run directory is locked"}.get(target, "finished run")
     assert message in captured.err
+    if target == "file-link":
+        assert out.is_symlink() and out.readlink() == folder / name
+        assert _files(folder) == {name: b"not a run's file"}
     if target == "locked":
         assert sorted(p.name for p in folder.iterdir()) == [".lock"]
     assert _files(run_b) == before

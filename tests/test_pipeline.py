@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import multishot.clips as clips_module
 import multishot.smoothing as smoothing_module
+import multishot.tensorio as tensorio_module
 from multishot.cli import cli
 from multishot.clips import frame_seed
 from multishot.config import MODES, SCALE_LIMIT, PipelineConfig
@@ -236,6 +237,58 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
         assert not (out / name).exists(), name
     assert cli(["metrics", "--run", str(out)]) != 0
     assert not (out / REPORT_FILE).exists()
+
+
+_TINY = PipelineConfig(n_shots=2, frames_per_shot=2, steps=4)
+#: The stage that writes each file of a run, by the first part of its path.
+_STAGE_OF = {"story.json": "script", "keyframes": "keyframes", FRAMES_FILE: "generate",
+             TIMELINE_FILE: "generate", "config.json": "generate", REPORT_FILE: "metrics",
+             MANIFEST_FILE: "manifest"}
+
+
+def _tiny_run_writes():
+    """The first part of the path of each ``atomic_write`` of a tiny run,
+    in order: counted, so the fault test follows the artifact list."""
+    real, written = tensorio_module.atomic_write, []
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.setattr(tensorio_module, "atomic_write",
+                      lambda path: written.append(Path(path)) or real(path))
+        run_pipeline(STORY_INPUT, _TINY, out)
+        return [path.relative_to(out).parts[0] for path in written]
+
+
+_TINY_RUN_WRITES = _tiny_run_writes()
+
+
+@pytest.mark.parametrize("fault", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("index", range(1, len(_TINY_RUN_WRITES) + 1))
+def test_a_run_stopped_at_any_write_is_marked_with_its_stage(tmp_path, monkeypatch, index,
+                                                             fault):
+    # whichever write fails, and whether with an error or an interrupt, the
+    # run leaves a marker naming the stage of that write: no manifest
+    # vouches for it, metrics refuses it, and a clean rerun verifies
+    stage = _STAGE_OF[_TINY_RUN_WRITES[index - 1]]
+    real, count = tensorio_module.atomic_write, []
+
+    def faulty(path):
+        count.append(path)
+        if len(count) == index:
+            raise fault("synthetic write fault")
+        return real(path)
+
+    monkeypatch.setattr(tensorio_module, "atomic_write", faulty)
+    out = tmp_path / "run"
+    with pytest.raises(StageFailure if fault is OSError else fault) as excinfo:
+        run_pipeline(STORY_INPUT, _TINY, out)
+    monkeypatch.undo()
+    if fault is OSError:
+        assert excinfo.value.stage == stage
+    marker = out / "failed" / "stage.txt"
+    assert marker.read_text().splitlines() == [stage, f"{fault.__name__}: synthetic write fault"]
+    assert not verify_manifest(out) and not (out / LOCK_FILE).exists()
+    assert cli(["metrics", "--run", str(out)]) == 1
+    run_pipeline(STORY_INPUT, _TINY, out)
+    assert verify_manifest(out) and not marker.exists()
 
 
 def test_rerun_clears_what_a_killed_run_left_and_nothing_else(tmp_path):

@@ -21,7 +21,6 @@ from multishot.errors import ConfigError, ShapeError, StateError
 from multishot.metrics import IdentityChannelMean
 from multishot.pipeline import build_story, generate_timeline, render_keyframes
 from multishot.smoothing import (
-    DenoiseTrace,
     FrameStream,
     build_plan,
     init_queue,
@@ -62,7 +61,7 @@ def test_init_queue_structure(small_chain):
     queue = init_queue(FrameStream(plan, config), config.world())
     assert len(queue.latents) == 4
     assert queue.head == -3
-    assert queue.emitted == 0
+    assert queue.ticks == 0
 
 
 def test_init_queue_noise_scaling(small_chain):
@@ -125,9 +124,9 @@ def test_queue_takes_each_frames_condition_once_at_short_boundary():
         return np.zeros_like(x_t)
 
     queue = init_queue(FrameStream(plan, config), backend)
-    assert queue.shots == [0, 0] + [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-    assert queue.shots[2:] == [shot_for_frame(f, 4, 2) for f in range(12)]
-    assert queue.conds == [plan[shot] for shot in queue.shots]
+    shots = [0, 0] + [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    assert shots[2:] == [shot_for_frame(f, 4, 2) for f in range(12)]
+    assert queue.conds == [plan[shot] for shot in shots]
     while len(queue.latents):
         head, rows = queue.head, len(queue.latents)
         seen.clear()
@@ -138,50 +137,53 @@ def test_queue_takes_each_frames_condition_once_at_short_boundary():
         ]
 
 
+def _drive(config, plan):
+    """Tick a queue until it is empty, through a backend that records each
+    call it gets. Row t of a tick holds frame head + t - 1, head read
+    before the tick, so the calls on story frames come back in order as
+    (tick, frame, level, condition), beside each emission as (tick, frame)
+    and the emptied queue."""
+    world, seen = config.world(), []
 
-def _drive(config, plan, trace=None):
-    queue = init_queue(FrameStream(plan, config, trace), config.world())
-    emitted = []
-    while queue.emitted < config.n_shots * config.frames_per_shot:
+    def recorder(x_t, t, cond, schedule):
+        seen.append((t, cond))
+        return world(x_t, t, cond, schedule)
+
+    queue = init_queue(FrameStream(plan, config), recorder)
+    calls, emitted = [], []
+    while len(queue.latents):
+        head = queue.head
+        seen.clear()
         result = tick(queue)
+        calls += [(queue.ticks, head + t - 1, t, cond) for t, cond in seen if head + t > 0]
         if result is not None:
-            emitted.append(result)
-    return emitted, queue
+            emitted.append((queue.ticks, result[0]))
+    return calls, emitted, queue
 
 
 def test_first_emission_after_exactly_T_ticks(small_chain):
     config, _, _, plan = small_chain
-    emitted, queue = _drive(config, plan)
-    first_gf, _ = emitted[0]
-    assert first_gf == 0
+    _, emitted, queue = _drive(config, plan)
     # frame 0 spent one tick per level
+    assert emitted[0] == (config.steps, 0)
     assert queue.ticks == config.n_shots * config.frames_per_shot + config.steps - 1
-
-
-def test_trace_in_windowed_mode_is_a_config_error(small_chain):
-    # a trace records queue ticks: a windowed stream has none to record
-    config, _, _, plan = small_chain
-    with pytest.raises(ConfigError, match="windowed"):
-        FrameStream(plan, config.merged(mode="windowed"), DenoiseTrace())
-    FrameStream(plan, config.merged(mode="windowed"))
 
 
 def test_emission_order_consecutive(small_chain):
     config, _, _, plan = small_chain
-    emitted, _ = _drive(config, plan)
-    assert [gf for gf, _ in emitted] == list(range(6))
+    _, emitted, _ = _drive(config, plan)
+    assert [gf for _, gf in emitted] == list(range(6))
 
 
 def test_trace_levels_and_purity(small_chain):
+    # the backend's record of every call: each frame is denoised at levels
+    # T..1, always under its own shot's condition
     config, _, _, plan = small_chain
-    trace = DenoiseTrace()
-    _drive(config, plan, trace=trace)
+    calls, _, _ = _drive(config, plan)
     T, k = config.steps, config.frames_per_shot
     for gf in range(config.n_shots * k):
-        records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
-        assert [r.level for r in records] == list(range(T, 0, -1))
-    assert all(r.condition_shot == r.global_frame // k for r in trace.records)
-    assert all(r.global_frame >= 0 for r in trace.records)
+        assert [level for _, f, level, _ in calls if f == gf] == list(range(T, 0, -1))
+    assert all(cond is plan[f // k] for _, f, _, cond in calls)
 
 
 def test_enqueued_noise_is_fresh_from_seed_stream(small_chain):
@@ -203,7 +205,7 @@ def test_queue_drains_after_plan_exhausted(small_chain):
     config, _, _, plan = small_chain
     queue = init_queue(FrameStream(plan, config), config.world())
     sizes = []
-    while queue.emitted < 6:
+    while queue.head < 6:
         tick(queue)
         sizes.append(len(queue.latents))
     # enqueues stop at the last planned frame, then the queue shrinks to zero
@@ -224,7 +226,7 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
     queue = init_queue(FrameStream(plan, config), world)
     rngs = {}
     emitted = []
-    while queue.emitted < n * k:
+    while queue.head < n * k:
         before, head = queue.latents.copy(), queue.head
         result = tick(queue)
         expected = []
@@ -262,7 +264,7 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
         return analytic_eps(x_t, t, world, cond, schedule)
 
     queues = [init_queue(FrameStream(plan, config), d) for d in (plain, world)]
-    while queues[0].emitted < config.n_shots * config.frames_per_shot:
+    while queues[0].head < config.n_shots * config.frames_per_shot:
         a, b = (tick(q) for q in queues)
         assert (a is None) == (b is None)
         if a is not None:
@@ -287,7 +289,7 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
 
 def test_tick_on_empty_queue_raises(small_chain):
     config, _, _, plan = small_chain
-    _, queue = _drive(config, plan)
+    _, _, queue = _drive(config, plan)
     assert len(queue.latents) == 0
     with pytest.raises(StateError):
         tick(queue)
@@ -311,29 +313,18 @@ def test_queue_properties_over_shapes(n, k, T, eta, data):
         Condition(text=encode_text_mock(f"shot {j}", config.embed_dim, config.encoder_seed))
         for j in range(n)
     ]
-    trace = DenoiseTrace()
-    queue = init_queue(FrameStream(plan, config, trace), config.world())
-    emitted = []
-    while queue.emitted < n * k and queue.ticks < n * k + T + 4:
-        result = tick(queue)
-        if result is not None:
-            emitted.append(result[0])
-            # frame f leaves on tick f + T
-            assert queue.ticks == result[0] + T
-    assert emitted == list(range(n * k))
+    calls, emitted, queue = _drive(config, plan)
+    # frame f leaves on tick f + T
+    assert emitted == [(f + T, f) for f in range(n * k)]
     assert queue.ticks == n * k + T - 1
-    assert len(queue.latents) == 0
     for gf in range(n * k):
-        records = sorted(trace.for_frame(gf), key=lambda r: r.tick)
-        assert [r.level for r in records] == list(range(T, 0, -1))
-    assert all(r.condition_shot == shot_for_frame(r.global_frame, k, L)
-               for r in trace.records)
+        assert [level for _, f, level, _ in calls if f == gf] == list(range(T, 0, -1))
+    assert all(cond is plan[shot_for_frame(f, k, L)] for _, f, _, cond in calls)
     # shot j's condition is first denoised the tick after frame first_j
     # enters: first_0 = 0, first_j = j*k + k - L
     for j in range(n):
         first = 0 if j == 0 else j * k + k - L
-        first_record = next(r for r in trace.records if r.condition_shot == j)
-        assert first_record.tick == first + 1
+        assert next(t for t, _, _, cond in calls if cond is plan[j]) == first + 1
 
 
 # --- run_timeline ---------------------------------------------------------------
