@@ -24,7 +24,7 @@ for avatar, identity in zip(story.avatars, render_avatar(story.avatars, config))
 print(f"\n{len(keyframes)} keyframes, one per shot, conditioned on the full")
 print("five-domain script text plus the shot's avatar embedding")
 
-feature = IdentityChannelMean(config.identity_channels)
+feature = IdentityChannelMean()
 features = [feature(kf) for kf in keyframes]
 by_avatar = [script.avatar_id for script in story.scripts]
 

@@ -16,7 +16,7 @@ The latent mean of a condition is produced by a fixed seeded projector.
 With ``attend(v)`` the fixed query attending over ``v`` split into tokens
 and ``s`` the image weight, mu(c) at every pixel is
 
-* identity channels (the first ``d_id``):
+* identity channels (the first ``IDENTITY_CHANNELS``):
   ``IDENTITY_GAIN * s * id_map @ unit(attend(ip))``, spatially constant and
   zero without an image, so two conditions sharing an image embedding and
   scale have identical identity channels regardless of text;
@@ -25,7 +25,12 @@ and ``s`` the image weight, mu(c) at every pixel is
   random spatial pattern linear in the composed vector, giving every
   condition a distinct, recoverable covariance signature.
 
-Everything here is a pure function of its inputs; nothing is learned.
+Everything here is a pure function of its inputs; nothing is learned. The
+sizes and gains of the toy world are module constants, not settings:
+``EMBED_DIM`` (an embedding's width, the encoders' default), ``TOKENS``
+(the chunks an embedding is split into), ``IDENTITY_CHANNELS`` (the
+leading latent channels that carry identity), ``IDENTITY_GAIN`` and
+``CONTENT_GAIN``.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ import numpy as np
 from .errors import ConfigError, InputError, ShapeError
 from .seeds import spawn_rng
 
-DEFAULT_EMBED_DIM = 16
-DEFAULT_TOKENS = 4
-DEFAULT_IDENTITY_CHANNELS = 4
+EMBED_DIM = 16
+TOKENS = 4
+IDENTITY_CHANNELS = 4
 IDENTITY_GAIN = 6.0
 CONTENT_GAIN = 5.0
 
@@ -94,7 +99,7 @@ def _token_vector(token: str, d_e: int, seed: int) -> np.ndarray:
     return vector
 
 
-def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -> np.ndarray:
+def encode_text_mock(prompt: str, d_e: int = EMBED_DIM, seed: int = 0) -> np.ndarray:
     """Deterministic text featurizer: hash each token to a seeded Gaussian
     vector, sum, and normalize to a read-only unit vector.
 
@@ -112,7 +117,7 @@ def encode_text_mock(prompt: str, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0) -
 
 
 def encode_image_mock(
-    latent: np.ndarray, d_e: int = DEFAULT_EMBED_DIM, seed: int = 0
+    latent: np.ndarray, d_e: int = EMBED_DIM, seed: int = 0
 ) -> np.ndarray:
     """Fixed seeded linear map of the latent, as a read-only unit vector
     (see :func:`unit_vector`; a zero latent maps to the first basis vector).
@@ -150,12 +155,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def split_tokens(vector: np.ndarray, n_tokens: int = DEFAULT_TOKENS) -> np.ndarray:
-    """Tokenize an embedding by splitting it into contiguous chunks."""
+def split_tokens(vector: np.ndarray) -> np.ndarray:
+    """Tokenize an embedding by splitting it into TOKENS contiguous chunks."""
     vector = np.asarray(vector, dtype=float)
-    if vector.ndim != 1 or vector.size % n_tokens != 0:
-        raise ShapeError(f"cannot split length-{vector.size} vector into {n_tokens} tokens")
-    return vector.reshape(n_tokens, vector.size // n_tokens)
+    if vector.ndim != 1 or vector.size % TOKENS != 0:
+        raise ShapeError(f"cannot split length-{vector.size} vector into {TOKENS} tokens")
+    return vector.reshape(TOKENS, vector.size // TOKENS)
 
 
 @dataclass(frozen=True)
@@ -168,11 +173,10 @@ class MeanProjector:
     """
 
     query: np.ndarray
-    id_map: np.ndarray  # (d_id, d_token)
-    basis: np.ndarray  # (h*w*(d-d_id), d_token)
-    basis_pinv: np.ndarray  # (d_token, h*w*(d-d_id))
+    id_map: np.ndarray  # (IDENTITY_CHANNELS, d_token)
+    basis: np.ndarray  # (h*w*(d-IDENTITY_CHANNELS), d_token)
+    basis_pinv: np.ndarray  # (d_token, h*w*(d-IDENTITY_CHANNELS))
     shape: Tuple[int, int, int]
-    d_id: int
 
     def attend(self, vector: np.ndarray) -> np.ndarray:
         """The shared token featurizer: fixed query over split tokens."""
@@ -182,9 +186,9 @@ class MeanProjector:
     def mean(self, cond: Condition) -> np.ndarray:
         """Deterministic latent mean mu(c) for the Gaussian world.
 
-        Identity channels (0..d_id-1) depend only on the image embedding and
-        ip_scale; the remaining channels depend on the full composed vector,
-        ``attend(text) + ip_scale * attend(ip)``.
+        Identity channels (0..IDENTITY_CHANNELS-1) depend only on the image
+        embedding and ip_scale; the remaining channels depend on the full
+        composed vector, ``attend(text) + ip_scale * attend(ip)``.
         """
         text = self.attend(cond.text)
         ip = np.zeros_like(text) if cond.ip is None else self.attend(cond.ip)
@@ -194,44 +198,39 @@ class MeanProjector:
         ip_norm = norm(ip)
         ip_unit = ip / ip_norm if ip_norm > 1e-12 else ip
         identity = IDENTITY_GAIN * cond.ip_scale * (self.id_map @ ip_unit)
-        out[:, :, : self.d_id] = identity[None, None, :]
+        out[:, :, :IDENTITY_CHANNELS] = identity[None, None, :]
         content = CONTENT_GAIN * (self.basis @ composed)
-        out[:, :, self.d_id :] = content.reshape(h, w, d - self.d_id)
+        out[:, :, IDENTITY_CHANNELS:] = content.reshape(h, w, d - IDENTITY_CHANNELS)
         return out
 
     def recover_composed(self, frame: np.ndarray) -> np.ndarray:
         """Least-squares inverse of the content channels back to the
         composed attention vector; used by the toy alignment scorer."""
-        rest = np.asarray(frame)[:, :, self.d_id :].ravel() / CONTENT_GAIN
+        rest = np.asarray(frame)[:, :, IDENTITY_CHANNELS:].ravel() / CONTENT_GAIN
         return self.basis_pinv @ rest
 
 
 @lru_cache(maxsize=1)
-def get_projector(
-    projector_seed: int,
-    shape: Tuple[int, int, int],
-    d_e: int = DEFAULT_EMBED_DIM,
-    d_id: int = DEFAULT_IDENTITY_CHANNELS,
-) -> MeanProjector:
-    """Build (and cache) the fixed seeded projector for a configuration.
+def get_projector(projector_seed: int, shape: Tuple[int, int, int]) -> MeanProjector:
+    """Build (and cache) the fixed seeded projector for a latent shape.
 
     A run uses one projector, and at a 64x64x16 latent its basis and
     pseudo-inverse take 3 MB, so the cache keeps only the latest."""
     h, w, d = shape
-    if d_id > d:
-        raise ConfigError(f"identity channels {d_id} exceed latent channels {d}")
-    if d_e % DEFAULT_TOKENS != 0:
-        raise ConfigError(f"embed dim {d_e} not divisible into {DEFAULT_TOKENS} tokens")
-    d_token = d_e // DEFAULT_TOKENS
-    rng = spawn_rng("mean-projector", projector_seed, shape, d_e, DEFAULT_TOKENS, d_id)
+    if d <= IDENTITY_CHANNELS:
+        raise ConfigError(
+            f"latent channels {d} must exceed the {IDENTITY_CHANNELS} identity channels"
+        )
+    d_token = EMBED_DIM // TOKENS
+    rng = spawn_rng("mean-projector", projector_seed, shape, EMBED_DIM, TOKENS, IDENTITY_CHANNELS)
     query = rng.standard_normal(d_token)
-    id_map = rng.standard_normal((d_id, d_token)) / np.sqrt(d_token)
+    id_map = rng.standard_normal((IDENTITY_CHANNELS, d_token)) / np.sqrt(d_token)
     fields = [rng.standard_normal((h, w)) for _ in range((d_token + 1) // 2)]
     columns = []
     for m in range(d_token):
-        direction = rng.standard_normal(d - d_id)
+        direction = rng.standard_normal(d - IDENTITY_CHANNELS)
         direction /= norm(direction)
         pattern = fields[m // 2][:, :, None] * direction[None, None, :]
         columns.append(pattern.ravel())
     basis = np.stack(columns, axis=1)
-    return MeanProjector(query, id_map, basis, np.linalg.pinv(basis), shape, d_id)
+    return MeanProjector(query, id_map, basis, np.linalg.pinv(basis), shape)

@@ -3,25 +3,20 @@ dataclass, with the single-seed fan-out that makes one flag reproduce a
 whole run. Stage functions take the config itself and derive the schedule,
 world, shapes and seeds they need from it.
 
-The toy world's fixed constants are not knobs: the schedule ends live in
-make_schedule, the style feature width in StyleGram and the PSNR peak in
-psnr, each as the default of the primitive that uses it, and the token
-count and gains are constants of conditioning."""
+The toy world's fixed constants are not knobs: the embedding width, token
+count, identity channels and gains are constants of conditioning (a config
+reads the first and the third as ``embed_dim`` and ``identity_channels``),
+the style feature width and the PSNR peak are constants of metrics, and the
+schedule ends are the defaults of make_schedule."""
 
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
-from .conditioning import (
-    DEFAULT_EMBED_DIM,
-    DEFAULT_IDENTITY_CHANNELS,
-    DEFAULT_TOKENS,
-    MeanProjector,
-    get_projector,
-)
+from .conditioning import EMBED_DIM, IDENTITY_CHANNELS, MeanProjector, get_projector
 from .diffusion import GaussianWorld, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .seeds import derive_seed
@@ -65,14 +60,16 @@ class PipelineConfig:
     height: int = 8
     width: int = 8
     channels: int = 8
-    identity_channels: int = DEFAULT_IDENTITY_CHANNELS
-    embed_dim: int = DEFAULT_EMBED_DIM
     ip_scale: float = 1.0
     sigma0: float = 0.5
     shots_per_avatar: int = 2
     reset_boundary: Optional[int] = None
     seed: int = 0
     llm_endpoint: str = ""
+
+    # constants of the toy world, readable here but not config.json keys
+    embed_dim: ClassVar[int] = EMBED_DIM
+    identity_channels: ClassVar[int] = IDENTITY_CHANNELS
 
     def __post_init__(self):
         self.validate()
@@ -87,7 +84,7 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         positive = (
             "n_shots", "frames_per_shot", "steps", "height", "width", "channels",
-            "identity_channels", "embed_dim", "shots_per_avatar",
+            "shots_per_avatar",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -111,15 +108,13 @@ class PipelineConfig:
                 "reset_boundary applies to fifo-reset only; windowed mode needs "
                 f"reset_boundary=frames_per_shot, got {self.reset_boundary}"
             )
-        if self.identity_channels >= self.channels:
-            # the channels past identity_channels carry the text; without
-            # one, no frame depends on its prompt
+        if self.channels <= IDENTITY_CHANNELS:
+            # the channels past the identity channels carry the text;
+            # without one, no frame depends on its prompt
             raise ConfigError(
-                f"identity_channels must be less than channels={self.channels}, "
-                f"got {self.identity_channels}"
+                f"channels must exceed the {IDENTITY_CHANNELS} identity channels, "
+                f"got {self.channels}"
             )
-        if self.embed_dim % DEFAULT_TOKENS != 0:
-            raise ConfigError(f"embed_dim must be divisible by {DEFAULT_TOKENS} tokens")
         for name in ("sigma0", "ip_scale"):
             if not 0 <= getattr(self, name) <= SCALE_LIMIT:
                 raise ConfigError(
@@ -166,9 +161,7 @@ class PipelineConfig:
         return make_schedule(self.steps)
 
     def projector(self) -> MeanProjector:
-        return get_projector(
-            self.projector_seed, self.latent_shape, self.embed_dim, self.identity_channels
-        )
+        return get_projector(self.projector_seed, self.latent_shape)
 
     def world(self) -> GaussianWorld:
         """The Gaussian world, computing each condition's mean once.

@@ -23,13 +23,17 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .conditioning import DEFAULT_IDENTITY_CHANNELS, encode_text_mock, norm
+from .conditioning import IDENTITY_CHANNELS, encode_text_mock, norm
 from .config import PipelineConfig
-from .errors import ConfigError, InputError, ShapeError, ValidationError
+from .errors import InputError, ShapeError, ValidationError
 from .script import DOMAIN_FIELDS, Story
 from .seeds import spawn_rng
 
 PSNR_CAP_DB = 100.0
+#: The peak value of a frame element in psnr.
+PSNR_PEAK = 1.0
+#: The width of StyleGram's seeded feature map.
+STYLE_CHANNELS = 6
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,17 +56,15 @@ class FeatureExtractor(Protocol):
 class IdentityChannelMean:
     """Toy face features: spatial mean of the identity channels."""
 
-    d_id: int = DEFAULT_IDENTITY_CHANNELS
-
     def __call__(self, frame: np.ndarray) -> np.ndarray:
-        return np.asarray(frame)[:, :, : self.d_id].mean(axis=(0, 1))
+        return np.asarray(frame)[:, :, :IDENTITY_CHANNELS].mean(axis=(0, 1))
 
 
 @lru_cache(maxsize=64)
-def _style_weights(seed: int, channels: int, d: int) -> np.ndarray:
-    """StyleGram's seeded (channels, d) feature map, shared read-only."""
-    weights = spawn_rng("style-features", seed, channels, d).standard_normal(
-        (channels, d)
+def _style_weights(seed: int, d: int) -> np.ndarray:
+    """StyleGram's seeded (STYLE_CHANNELS, d) feature map, shared read-only."""
+    weights = spawn_rng("style-features", seed, STYLE_CHANNELS, d).standard_normal(
+        (STYLE_CHANNELS, d)
     ) / np.sqrt(d)
     weights.flags.writeable = False
     return weights
@@ -74,12 +76,11 @@ class StyleGram:
     map, mean-centered over pixels so constant channels do not dominate."""
 
     seed: int = 0
-    channels: int = 6
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         frame = np.asarray(frame)
         h, w, d = frame.shape
-        feats = frame.reshape(h * w, d) @ _style_weights(self.seed, self.channels, d).T
+        feats = frame.reshape(h * w, d) @ _style_weights(self.seed, d).T
         feats = feats - feats.mean(axis=0, keepdims=True)
         gram = feats.T @ feats / (h * w)
         return gram.ravel()
@@ -119,18 +120,17 @@ def consistency_scores(
     return within, cross
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_value: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 for identical inputs."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB at peak PSNR_PEAK, capped at
+    PSNR_CAP_DB for identical inputs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if max_value <= 0:
-        raise ConfigError(f"max_value must be positive, got {max_value}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * math.log10(max_value**2 / mse), PSNR_CAP_DB)
+    return min(10.0 * math.log10(PSNR_PEAK**2 / mse), PSNR_CAP_DB)
 
 
 def clip_score_mock(
@@ -182,7 +182,7 @@ def build_report(frames: np.ndarray, story: Story, config: PipelineConfig) -> Me
             f"{len(frames)} frames for {n_shots} shots of {k}, expected {n_shots * k}"
         )
     clips = frames.reshape((n_shots, k) + frames.shape[1:])
-    face = IdentityChannelMean(d_id=config.identity_channels)
+    face = IdentityChannelMean()
     style = StyleGram(seed=config.style_seed)
 
     fc_within, fc_cross = consistency_scores(clips, face)

@@ -281,18 +281,14 @@ class HttpLlmClient:
                 {"role": "user", "content": context},
             ]
         }
-        try:
-            response = self.session.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
-            )
-            status = getattr(response, "status_code", 200)
-            if status >= 400:
-                raise TransportError(f"LLM endpoint returned HTTP {status}")
-            payload = response.json()
-        except TransportError:
-            raise
-        except Exception as exc:  # connection errors, bad JSON, timeouts
-            raise TransportError(f"LLM request failed: {exc}") from exc
+        # connection errors, timeouts and bad JSON reach call_llm as they are
+        response = self.session.post(
+            self.endpoint, json=body, headers=headers, timeout=self.timeout
+        )
+        status = getattr(response, "status_code", 200)
+        if status >= 400:
+            raise TransportError(f"LLM endpoint returned HTTP {status}")
+        payload = response.json()
         content = payload.get("content") if isinstance(payload, dict) else None
         if not isinstance(content, str):
             raise ParseError("LLM response missing string 'content' field")

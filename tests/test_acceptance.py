@@ -214,8 +214,8 @@ def test_criterion_8_metric_unit_values():
     within, _ = consistency_scores(three, Identity())
     assert abs(within - 0.4714) < 1e-3
 
-    assert abs(psnr(np.zeros((2, 2)), np.ones((2, 2)), 1.0) - 0.0) < 1e-3
-    assert abs(psnr(np.zeros((2, 2)), np.full((2, 2), 0.1), 1.0) - 20.0) < 1e-3
+    assert abs(psnr(np.zeros((2, 2)), np.ones((2, 2))) - 0.0) < 1e-3
+    assert abs(psnr(np.zeros((2, 2)), np.full((2, 2), 0.1)) - 20.0) < 1e-3
 
     out = attention(
         np.array([2.0, 0.0]),

@@ -232,7 +232,7 @@ def test_shared_avatar_keyframes_close_in_identity_channels():
     story = build_story(STORY_INPUT, config)
     keyframes = render_keyframes(story, config)
     assert story.scripts[0].avatar_id == story.scripts[1].avatar_id
-    feat = IdentityChannelMean(config.identity_channels)
+    feat = IdentityChannelMean()
     distance = np.abs(feat(keyframes[0]) - feat(keyframes[1]))
     bound = 3.0 * config.sigma0 / np.sqrt(config.height * config.width)
     assert (distance < bound).all()
@@ -245,7 +245,7 @@ def test_avatar_group_dispersion_ratio():
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)
         keyframes = render_keyframes(story, config)
-        feat = IdentityChannelMean(config.identity_channels)
+        feat = IdentityChannelMean()
         groups = {}
         for script, kf in zip(story.scripts, keyframes):
             groups.setdefault(script.avatar_id, []).append(feat(kf))

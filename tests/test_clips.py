@@ -87,7 +87,7 @@ def test_frame_identity_stays_near_keyframe_identity(chain):
     # frame and keyframe identity features agree within sampler noise
     config, story, keyframes = chain
     world = config.world()
-    feat = IdentityChannelMean(config.identity_channels)
+    feat = IdentityChannelMean()
     clip = _clip(*chain, shot=1)
     mu_id = feat(world.mean_map(build_shot_condition(story.descriptions[1], keyframes[1], config)))
     bound = 3.0 * config.sigma0 / np.sqrt(config.height * config.width)

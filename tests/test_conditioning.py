@@ -170,10 +170,10 @@ def test_attention_permutation_invariance(seed):
 
 
 def test_split_tokens_shape():
-    out = split_tokens(np.arange(16.0), 4)
+    out = split_tokens(np.arange(16.0))
     assert out.shape == (4, 4)
     with pytest.raises(ShapeError):
-        split_tokens(np.arange(10.0), 4)
+        split_tokens(np.arange(10.0))
 
 
 # --- condition types --------------------------------------------------------
@@ -312,9 +312,10 @@ def test_mean_content_channels_linear_in_scale():
         np.testing.assert_allclose(content(s), at0 + s * (at1 - at0), atol=1e-9)
 
 
-def _closed_form_mean(proj, cond):
-    """mu(c) rebuilt from the projector's arrays, with the token split and
-    the softmax spelled out here rather than taken from the package."""
+def _closed_form_mean(proj, cond, d_id):
+    """mu(c) rebuilt from the projector's arrays, with the token split, the
+    softmax and the d_id identity channels spelled out here rather than
+    taken from the package."""
 
     def attend(vector):
         tokens = np.reshape(vector, (4, -1))  # 4 contiguous tokens
@@ -325,25 +326,28 @@ def _closed_form_mean(proj, cond):
     h, w, d = proj.shape
     s = cond.ip_scale
     composed = attend(cond.text)
-    identity = np.zeros(proj.d_id)
+    identity = np.zeros(d_id)
     if cond.ip is not None:
         ip = attend(cond.ip)
         composed = composed + s * ip
         identity = IDENTITY_GAIN * s * (proj.id_map @ (ip / np.linalg.norm(ip)))
     content = CONTENT_GAIN * (proj.basis @ composed)
     return np.concatenate(
-        [np.broadcast_to(identity, (h, w, proj.d_id)), content.reshape(h, w, d - proj.d_id)],
+        [np.broadcast_to(identity, (h, w, d_id)), content.reshape(h, w, d - d_id)],
         axis=2,
     )
 
 
 @pytest.mark.parametrize("scale", [None, 0.0, 1.0, 2.5])
-@pytest.mark.parametrize("shape, d_e, d_id", [((8, 8, 8), 16, 4), ((3, 5, 6), 8, 2)])
+@pytest.mark.parametrize("shape, d_e, d_id", [((8, 8, 8), 16, 4), ((3, 5, 6), 16, 4)])
 def test_projector_mean_matches_closed_form(shape, d_e, d_id, scale):
     # identity channels IDENTITY_GAIN * s * id_map @ unit(attend(ip)), content
     # channels CONTENT_GAIN * basis @ (attend(text) + s * attend(ip)); no image
-    # (scale None) leaves the identity channels at zero
-    proj = get_projector(4, shape, d_e=d_e, d_id=d_id)
+    # (scale None) leaves the identity channels at zero. d_e and d_id are the
+    # toy world's embedding width and identity channels, as the closed form
+    # states them
+    proj = get_projector(4, shape)
+    assert proj.id_map.shape == (d_id, d_e // 4)
     text = encode_text_mock("a keeper climbs the tower stairs", d_e, 0)
     if scale is None:
         cond = Condition(text=text)
@@ -351,21 +355,12 @@ def test_projector_mean_matches_closed_form(shape, d_e, d_id, scale):
         cond = Condition(text=text, ip=encode_text_mock("weathered face", d_e, 0), ip_scale=scale)
     mu = proj.mean(cond)
     assert mu.shape == shape
-    assert np.abs(mu - _closed_form_mean(proj, cond)).max() <= 1e-12
-
-
-def test_projector_accepts_every_channel_as_identity():
-    # d_id == d is the widest identity get_projector builds: the content
-    # basis is empty and every channel of the mean is identity
-    proj = get_projector(0, (2, 2, 4), d_e=16, d_id=4)
-    assert proj.basis.shape == (0, 4)
-    cond = Condition(text=encode_text_mock("text", 16, 0), ip=encode_text_mock("face", 16, 0),
-                     ip_scale=1.0)
-    assert proj.mean(cond).shape == (2, 2, 4)
+    assert np.abs(mu - _closed_form_mean(proj, cond, d_id)).max() <= 1e-12
 
 
 def test_projector_rejects_bad_dims():
-    with pytest.raises(ConfigError):
-        get_projector(0, (8, 8, 3), d_id=4)
-    with pytest.raises(ConfigError):
-        get_projector(0, SHAPE, d_e=15)
+    # a latent needs a content channel past the 4 identity channels, as a
+    # config does
+    for channels in (3, 4):
+        with pytest.raises(ConfigError, match="identity channels"):
+            get_projector(0, (8, 8, channels))

@@ -26,8 +26,8 @@ def test_defaults_are_valid():
         {"mode": "sideways"},
         {"frames_per_shot": 0},
         {"steps": 0},
-        {"identity_channels": 9},
-        {"embed_dim": 15},
+        # fewer channels than the identity channels
+        {"channels": 3},
         {"sigma0": -1.0},
         {"eta": 1.5},
         {"ip_scale": -0.5},
@@ -44,7 +44,7 @@ def test_defaults_are_valid():
         {"ip_scale": 1e308},
         {"ip_scale": 1e20},
         # no content channel left for the text
-        {"identity_channels": 8},
+        {"channels": 4},
         # a .vgt dimension is a uint32
         {"n_shots": 2**16, "frames_per_shot": 2**16},
         {"height": 2**32},
@@ -130,6 +130,11 @@ def test_json_rejects_unknown_keys():
         config_from_json(b'{"pairing": "consecutive"}')
     with pytest.raises(ConfigError, match="unknown config keys: \\['user_input'\\]"):
         config_from_json(b'{"user_input": "x"}')
+    # the embedding width and the identity channels are constants of the
+    # toy world, not keys
+    for key, value in (("embed_dim", 16), ("identity_channels", 4)):
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            config_from_json(json.dumps({key: value}).encode())
     with pytest.raises(ConfigError):
         config_from_json(b"[1, 2]")
     # a document that is not JSON is refused by the one JSON reader

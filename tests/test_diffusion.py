@@ -379,7 +379,7 @@ def test_analytic_eps_rejects_a_mean_of_another_shape():
 
 
 def test_analytic_eps_matches_textbook_and_writes_no_input():
-    config = PipelineConfig(height=3, width=2, channels=4, embed_dim=16, identity_channels=2)
+    config = PipelineConfig(height=3, width=2, channels=5)
     sched, world = make_schedule(10), config.world()
     cond = Condition(text=encode_text_mock("a tide pool", 16, config.encoder_seed))
     mu = world.mean_map(cond)  # the memo hands out read-only means
@@ -398,7 +398,7 @@ def test_analytic_eps_follows_the_schedule_it_is_handed():
     # before the next is made from ready arrays, so that in CPython the next
     # takes the freed one's memory and id: coefficients found by that id
     # would be the other schedule's
-    config = PipelineConfig(height=2, width=2, channels=3, embed_dim=16, identity_channels=1)
+    config = PipelineConfig(height=2, width=2, channels=5)
     world = config.world()
     cond = Condition(text=encode_text_mock("a salt marsh", 16, config.encoder_seed))
     [x_t] = _frozen(spawn_rng("eps-two-schedules").standard_normal(config.latent_shape))
@@ -423,7 +423,7 @@ def test_analytic_eps_of_a_float32_latent_is_float64():
 def test_two_threads_on_one_fresh_world_match_one_thread():
     # the two chains build the schedule's coefficient table and the world's
     # mean memo at once; neither takes a lock to read them
-    config = PipelineConfig(height=3, width=2, channels=4, embed_dim=16, identity_channels=2)
+    config = PipelineConfig(height=3, width=2, channels=5)
     cond = Condition(text=encode_text_mock("a kelp forest", 16, config.encoder_seed))
     seeds = (21, 22)
     alone = [sample_reverse(config.world(), [cond], make_schedule(30),
@@ -499,7 +499,7 @@ def _single_chain(world, cond, sched, seed, shape, eta=0.0):
 
 
 def test_sample_reverse_batch_rows_equal_single_chains():
-    config = PipelineConfig(height=4, width=3, channels=4, embed_dim=16, identity_channels=2)
+    config = PipelineConfig(height=4, width=3, channels=5)
     sched, world = make_schedule(12), config.world()
     conds = [Condition(text=encode_text_mock(f"shot {j}", 16, config.encoder_seed))
              for j in range(3)]

@@ -6,7 +6,7 @@ import math
 import tempfile
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +175,11 @@ def test_config_json_carries_flags_but_not_location(default_run):
     assert doc["seed"] == 0 and doc["mode"] == "fifo-reset"
     # story.json records the input; cross-shot metrics pair consecutive shots
     assert "out_dir" not in doc and "user_input" not in doc and "pairing" not in doc
+    # every field in field order and nothing more: the embedding width and the
+    # identity channels are constants of the toy world, read but never written
+    assert list(doc) == [f.name for f in fields(PipelineConfig)] and len(doc) == 14
+    config = PipelineConfig.from_dict(doc)
+    assert config.embed_dim == 16 and config.identity_channels == 4
 
 
 def test_lock_blocks_concurrent_runs(tmp_path):
@@ -493,7 +498,7 @@ def test_every_validated_scale_gives_finite_frames_and_report(sigma0, ip_scale, 
     # any sigma0 and ip_scale validate accepts runs to the end with finite
     # frames and a finite report; warnings are errors, so no float overflows
     config = PipelineConfig(n_shots=2, frames_per_shot=2, steps=steps, mode=mode, height=2,
-                            width=2, channels=4, identity_channels=2, sigma0=sigma0,
+                            width=2, channels=5, sigma0=sigma0,
                             ip_scale=ip_scale)
     with tempfile.TemporaryDirectory() as out:
         run_pipeline(STORY_INPUT, config, out)

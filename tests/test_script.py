@@ -358,10 +358,12 @@ def test_http_client_status_error():
 
 
 def test_http_client_connection_error():
+    # the client lets a connection error through; call_llm names the task
     session = StubSession(ConnectionError("refused"))
     client = HttpLlmClient("https://llm.example", api_key="", session=session)
-    with pytest.raises(TransportError):
-        client.complete("inst", "{}")
+    message = "^LLM client failed while expanding the story: refused$"
+    with pytest.raises(TransportError, match=message):
+        expand_story(STORY_INPUT, 2, client)
 
 
 def test_http_client_missing_content():

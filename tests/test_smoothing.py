@@ -393,7 +393,7 @@ def test_fifo_frames_converge_to_their_shots_mean(default_chain):
     # per-shot mean of identity channels lands within 0.1 of the shot's
     # latent-mean identity channels: the queue never leaks a neighbor's
     # conditioning into converged frames (5 seeds)
-    feat = IdentityChannelMean(4)
+    feat = IdentityChannelMean()
     for seed in range(5):
         config = PipelineConfig(seed=seed)
         story = build_story(STORY_INPUT, config)

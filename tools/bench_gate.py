@@ -1,4 +1,5 @@
-"""Benchmark gate: one traced op per workload, checked against closed forms.
+"""Benchmark gate: one traced op per workload, checked against closed forms,
+then one untraced second per workload, checked for peak memory.
 
 For each workload, runs ``perfbench/run.py --seed 1 --seconds 1 --trace 1``
 and reads the last two lines it prints: the run record (closed-form call
@@ -6,6 +7,12 @@ counts) and the result. run.py exits 0 even when a check fails, so the gate
 prints one line of measured and expected values per workload and exits 1
 at the first workload whose result is not correct, has a failed op, or has
 a count off its closed form; a run.py that exits nonzero fails the gate too.
+
+Then it runs ``perfbench/run.py --seed 1 --seconds 1 --trace 0`` on each
+workload, which also measures peak memory in a child op
+(``perfbench/peak_rss.py``) that the traced runs skip, and exits 1 unless
+each result is correct with no failed op and ``windowed-wide``'s
+``peak_rss_mb`` exceeds ``fifo-story``'s by at most 20.
 
 Run it from anywhere:
 
@@ -27,6 +34,16 @@ import workloads
 from multishot.config import PipelineConfig
 
 WORKLOADS = ("fifo-story", "windowed-wide")
+
+#: The most windowed-wide's peak_rss_mb may exceed fifo-story's. No stage
+#: holds a run's frames: the generate stage writes each frame to frames.vgt
+#: as it is sampled. windowed-wide's peak is set by its generate stage,
+#: whose worker thread's malloc arena adds about 3 MB to the keyframes
+#: stage's image encoder matrix: about 17.5 MB above fifo-story's, against
+#: about 14.6 MB with one sampling thread. When the generate stage held its
+#: 16 MB of float64 frames, the difference was about 22 MB. A difference
+#: cancels the interpreter and numpy baseline, which varies between machines.
+PEAK_RSS_GAP_MB = 20
 
 
 def check(record: dict, result: dict) -> bool:
@@ -80,15 +97,27 @@ def check(record: dict, result: dict) -> bool:
         steps[0] == steps[1] and llm[0] == llm[1])
 
 
+def run(workload: str, trace: int) -> tuple:
+    """The run record and the result of one second of the workload."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+    out = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+    return tuple(map(json.loads, out.stdout.splitlines()[-2:]))
+
+
 def main() -> int:
     for workload in WORKLOADS:
-        command = [sys.executable, "perfbench/run.py", "--workload", workload,
-                   "--seed", "1", "--seconds", "1", "--trace", "1"]
-        out = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
-        record, result = map(json.loads, out.stdout.splitlines()[-2:])
-        if not check(record, result):
+        if not check(*run(workload, trace=1)):
             return 1
-    return 0
+    results = [run(workload, trace=0)[1] for workload in WORKLOADS]
+    peaks = [result["metrics"]["peak_rss_mb"]["value"] for result in results]
+    for workload, result, peak in zip(WORKLOADS, results, peaks):
+        print(workload, "untraced correct:", result["correct"], "failed:", result["failed"],
+              "peak_rss_mb:", peak, flush=True)
+    gap = peaks[1] - peaks[0]
+    print(f"peak_rss_mb {WORKLOADS[1]} - {WORKLOADS[0]}: {gap} (limit {PEAK_RSS_GAP_MB})")
+    ok = all(r["correct"] and r["failed"] == 0 for r in results) and gap <= PEAK_RSS_GAP_MB
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
