@@ -23,7 +23,7 @@ from multishot.seeds import spawn_rng
 schedule = make_schedule(4, 0.1, 0.4)
 print("linear schedule, T=4, beta 0.1..0.4")
 print("  betas      ", schedule.betas)
-print("  alpha_bars ", schedule.alpha_bars, " (cumulative products of 1-beta)")
+print("  alpha_bars ", schedule.by_level[1:], " (cumulative products of 1-beta)")
 
 # forward noising and its exact inversion
 rng = np.random.default_rng(0)

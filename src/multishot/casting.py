@@ -85,16 +85,16 @@ def derive_avatars(
 
 
 def render_avatar(profiles: List[AvatarProfile], config: PipelineConfig) -> List[np.ndarray]:
-    """Render the avatars' portraits in one batch and return their image
-    embeddings, in the order of ``profiles``."""
-    d_e, encoder_seed = config.embed_dim, config.encoder_seed
+    """Render the avatars' portraits in one batch, avatar ``id``'s chain
+    from ``config.avatar_seed(id)``, and return their image embeddings, in
+    the order of ``profiles``."""
     conds = [
-        Condition(text=encode_text_mock(profile.prompt.as_text(), d_e, encoder_seed))
+        Condition(text=encode_text_mock(profile.prompt.as_text(), seed=config.encoder_seed))
         for profile in profiles
     ]
-    rngs = [spawn_rng("reverse-init", profile.seed) for profile in profiles]
+    rngs = [spawn_rng("reverse-init", config.avatar_seed(profile.id)) for profile in profiles]
     portraits = sample_reverse(config.world(), conds, config.schedule(), rngs, config.latent_shape)
-    return [encode_image_mock(portrait, d_e, encoder_seed) for portrait in portraits]
+    return [encode_image_mock(portrait, seed=config.encoder_seed) for portrait in portraits]
 
 
 def generate_keyframe(
@@ -105,7 +105,7 @@ def generate_keyframe(
     keyframes in one batch."""
     conds = [
         Condition(
-            text=encode_text_mock(script.as_text(), config.embed_dim, config.encoder_seed),
+            text=encode_text_mock(script.as_text(), seed=config.encoder_seed),
             ip=identity,
             ip_scale=config.ip_scale,
         )

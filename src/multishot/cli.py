@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import MODES, PipelineConfig, config_from_json
@@ -58,61 +59,51 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multishot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = _Parser(add_help=False)  # the flags of every command that reads a config
+    configured.add_argument("--seed", type=int, default=None)
+    configured.add_argument("--config", default=None, help="config file (JSON)")
 
-    p = sub.add_parser("script", help="expand input into a story file")
+    p = sub.add_parser("script", parents=[configured], help="expand input into a story file")
     p.add_argument("--input", required=True, help="one-sentence story input")
-    p.add_argument("--shots", type=int, default=None, help="number of shots")
+    p.add_argument("--shots", dest="n_shots", type=int, default=None, help="number of shots")
     p.add_argument("--llm-endpoint", default=None, help="HTTP LLM URL (default: offline mock)")
     p.add_argument("--shots-per-avatar", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="config file (JSON)")
     p.add_argument("--out", default="story.json", help="story file to write")
 
-    p = sub.add_parser("keyframes", help="render keyframe tensors from a story file")
+    p = sub.add_parser("keyframes", parents=[configured],
+                       help="render keyframe tensors from a story file")
     p.add_argument("--story", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="directory for one .vgt keyframe per shot")
 
-    p = sub.add_parser("generate", help="run every stage after the script from a story file")
+    p = sub.add_parser("generate", parents=[configured],
+                       help="run every stage after the script from a story file")
     p.add_argument("--story", required=True)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="run directory to write")
 
     p = sub.add_parser("metrics", help="score a run directory")
     p.add_argument("--run", required=True)
     p.add_argument("--report", default=None, help="report path (default RUN/report.json)")
 
-    p = sub.add_parser("run", help="full pipeline: story to report")
+    p = sub.add_parser("run", parents=[configured], help="full pipeline: story to report")
     p.add_argument("--input", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", dest="n_shots", type=int, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="run directory (default 'run')")
     return parser
 
 
 def _load_config(args) -> tuple:
-    """Config precedence: CLI flag > config file > defaults."""
+    """Config precedence: CLI flag > config file > defaults; a flag sets its dest's field."""
     extras = {}
-    if getattr(args, "config", None):
+    if args.config:
         config, extras = config_from_json(Path(args.config).read_bytes())
     else:
         config = PipelineConfig()
-    config = config.merged(
-        n_shots=getattr(args, "shots", None),
-        frames_per_shot=getattr(args, "frames_per_shot", None),
-        mode=getattr(args, "mode", None),
-        seed=getattr(args, "seed", None),
-        llm_endpoint=getattr(args, "llm_endpoint", None),
-        shots_per_avatar=getattr(args, "shots_per_avatar", None),
-    )
-    return config, extras
+    flags = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    return config.merged(**flags), extras
 
 
 def _cmd_script(args) -> int:
@@ -126,7 +117,7 @@ def _cmd_script(args) -> int:
 
 def _cmd_keyframes(args) -> int:
     story = parse_story(Path(args.story).read_bytes())
-    config = _load_config(args)[0].merged(n_shots=len(story.scripts))
+    config, _ = _load_config(args)
     with command_output(args.out):
         keyframes = render_keyframes(story, config)
         write_keyframes(keyframes, Path(args.out))

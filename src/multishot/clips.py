@@ -33,10 +33,9 @@ def build_shot_condition(
     short: ShotDescription, keyframe_latent: np.ndarray, config: PipelineConfig
 ) -> Condition:
     """The single condition a shot's frames are denoised under."""
-    d_e, encoder_seed = config.embed_dim, config.encoder_seed
     return Condition(
-        text=encode_text_mock(short.text, d_e, encoder_seed),
-        ip=encode_image_mock(keyframe_latent, d_e, encoder_seed),
+        text=encode_text_mock(short.text, seed=config.encoder_seed),
+        ip=encode_image_mock(keyframe_latent, seed=config.encoder_seed),
         ip_scale=config.ip_scale,
     )
 

@@ -105,7 +105,9 @@ def encode_text_mock(prompt: str, d_e: int = EMBED_DIM, seed: int = 0) -> np.nda
 
     Token-level hashing means texts sharing words get correlated embeddings,
     which is what lets alignment scores downstream prefer a frame's own
-    script over an unrelated one.
+    script over an unrelated one. The program leaves ``d_e`` at EMBED_DIM,
+    the only width :func:`split_tokens` takes; it stays a parameter because
+    the benchmark's oracle passes it positionally (ROADMAP item 2).
     """
     stripped = prompt.strip()
     if not stripped:
@@ -121,6 +123,7 @@ def encode_image_mock(
 ) -> np.ndarray:
     """Fixed seeded linear map of the latent, as a read-only unit vector
     (see :func:`unit_vector`; a zero latent maps to the first basis vector).
+    ``d_e`` stays at EMBED_DIM, as in :func:`encode_text_mock`.
     """
     flat = np.asarray(latent, dtype=float).ravel()
     weights = spawn_rng("image-encoder", seed, d_e, flat.size).standard_normal(
@@ -156,11 +159,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def split_tokens(vector: np.ndarray) -> np.ndarray:
-    """Tokenize an embedding by splitting it into TOKENS contiguous chunks."""
+    """Tokenize an EMBED_DIM-wide embedding by splitting it into TOKENS
+    contiguous chunks."""
     vector = np.asarray(vector, dtype=float)
-    if vector.ndim != 1 or vector.size % TOKENS != 0:
-        raise ShapeError(f"cannot split length-{vector.size} vector into {TOKENS} tokens")
-    return vector.reshape(TOKENS, vector.size // TOKENS)
+    if vector.shape != (EMBED_DIM,):
+        raise ShapeError(f"an embedding must have shape ({EMBED_DIM},), got {vector.shape}")
+    return vector.reshape(TOKENS, EMBED_DIM // TOKENS)
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,6 @@ class PipelineConfig:
 
     # -- (de)serialization --------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
@@ -209,7 +206,7 @@ class PipelineConfig:
 
 def config_to_json(config: PipelineConfig) -> bytes:
     """Canonical config document: every field, in field order."""
-    return canonical_json(config.to_dict())
+    return canonical_json(asdict(config))
 
 
 def config_from_json(data: bytes):

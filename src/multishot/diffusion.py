@@ -24,14 +24,15 @@ level, for chains in lockstep and the staggered FIFO queue alike, then one
 buffers with the same operations in the same order as the textbook
 expressions above, so a batched row is bitwise the single step.
 
-Neither kernel works out a level's scalars per call. ``NoiseSchedule``
-holds read-only tables of sqrt(a_t) and sqrt(1 - a_t) by level, which
-``ddim_step`` indexes with its level vector. ``analytic_eps`` reads its five
-scalars at level t from one table per (schedule, sigma0), built at the
-first call and kept on the schedule, each from the textbook expression and
-stored as a read-only 0-d float64 array. A ufunc takes a 0-d float64 array
-faster than a Python float, and with the float64 means every mean map here
-returns, each product rounds as the textbook's does.
+Neither kernel works out a level's scalars per call. A schedule is its
+betas; ``NoiseSchedule`` derives from them, once, read-only tables of a_t,
+sqrt(a_t) and sqrt(1 - a_t) by level, which ``ddim_step`` indexes with its
+level vector. ``analytic_eps`` reads its five scalars at level t from
+columns built from those tables per (schedule, sigma0) at the first call
+and kept on the schedule; each scalar is a read-only 0-d float64 view. A
+ufunc takes a 0-d float64 array faster than a Python float, and with the
+float64 means every mean map here returns, each product rounds as the
+textbook's does.
 
 The analytic backend treats clean data as x0 ~ N(mu(c), sigma0^2 I) for a
 condition-dependent mean mu(c). The posterior mean of x0 given x_t is then
@@ -58,22 +59,17 @@ from .errors import ConfigError, NumericError, ScheduleError, ShapeError
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variance increments and their cumulative products.
-
-    ``betas``, ``alphas`` and ``alpha_bars`` all have length T and are
-    indexed by t - 1 in storage; use :meth:`alpha_bar` for the 1-based view
-    with the alpha_bar(0) == 1 convention. ``by_level`` is that view as a
-    read-only table of length T + 1, built once: ``by_level[t]`` is
-    alpha_bar(t), so a level vector looks all its rows up at once.
-    ``signal_by_level`` and ``noise_by_level`` are read-only tables of
-    sqrt(alpha_bar(t)) and sqrt(1 - alpha_bar(t)) in the same layout.
+    """A schedule is its per-step variance increments ``betas``, of length
+    T; everything else is derived from them once, as read-only tables of
+    length T + 1 indexed by level. ``by_level[t]`` is alpha_bar(t), the
+    cumulative product of 1 - beta with alpha_bar(0) == 1, so a level
+    vector looks all its rows up at once; ``signal_by_level`` and
+    ``noise_by_level`` hold sqrt(alpha_bar(t)) and sqrt(1 - alpha_bar(t)).
     ``eps_coefficients`` holds the analytic backend's per-level scalars,
     one table per prior std, filled on first use (see :func:`analytic_eps`).
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
     T: int = field(init=False)
     by_level: np.ndarray = field(init=False, repr=False, compare=False)
     signal_by_level: np.ndarray = field(init=False, repr=False, compare=False)
@@ -83,7 +79,7 @@ class NoiseSchedule:
     )
 
     def __post_init__(self):
-        table = np.concatenate(([1.0], self.alpha_bars))
+        table = np.concatenate(([1.0], np.cumprod(1.0 - self.betas)))
         tables = {"by_level": table, "signal_by_level": np.sqrt(table),
                   "noise_by_level": np.sqrt(1.0 - table)}
         for name, values in tables.items():
@@ -110,9 +106,7 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.3) -> No
         raise ConfigError(
             f"betas must satisfy 0 < start <= end < 1, got [{beta_start}, {beta_end}]"
         )
-    betas = np.linspace(beta_start, beta_end, T)
-    alphas = 1.0 - betas
-    return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
+    return NoiseSchedule(betas=np.linspace(beta_start, beta_end, T))
 
 
 def add_noise(x0: np.ndarray, eps: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
@@ -248,21 +242,18 @@ def analytic_eps(
 def _eps_coefficients(sigma0: float, schedule: NoiseSchedule) -> tuple:
     """``analytic_eps``'s scalars at level t in entry t: sqrt(a) sigma0^2,
     1 - a, a sigma0^2 + 1 - a, sqrt(a) and sqrt(1 - a) for a = alpha_bar(t)
-    (see the module header). The table is kept in
+    (see the module header), as 0-d views of read-only columns built from
+    the schedule's tables. The table is kept in
     ``schedule.eps_coefficients`` under ``sigma0``; two threads that miss
     at once build equal tables and keep the first, so a lookup takes no
     lock."""
     s2 = sigma0**2
-    levels = [None]
-    for t in range(1, schedule.T + 1):
-        a = schedule.alpha_bar(t)
-        scalars = []
-        for value in (np.sqrt(a) * s2, 1.0 - a, a * s2 + (1.0 - a), np.sqrt(a), np.sqrt(1.0 - a)):
-            scalar = np.array(value, dtype=np.float64)
-            scalar.flags.writeable = False
-            scalars.append(scalar)
-        levels.append(tuple(scalars))
-    return schedule.eps_coefficients.setdefault(sigma0, tuple(levels))
+    a, signal = schedule.by_level, schedule.signal_by_level
+    columns = (signal * s2, 1.0 - a, a * s2 + (1.0 - a), signal, schedule.noise_by_level)
+    for column in columns:
+        column.flags.writeable = False
+    levels = (None,) + tuple(tuple(c[t, ...] for c in columns) for t in range(1, schedule.T + 1))
+    return schedule.eps_coefficients.setdefault(sigma0, levels)
 
 
 def reverse_step(

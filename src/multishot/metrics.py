@@ -152,7 +152,7 @@ def clip_score_mock(
     scores = {}
     for domain in DOMAIN_FIELDS:
         text = getattr(script, domain)
-        target = proj.attend(encode_text_mock(text, config.embed_dim, config.encoder_seed))
+        target = proj.attend(encode_text_mock(text, seed=config.encoder_seed))
         scores[domain] = float(np.mean([cosine(c, target) for c in composed]))
     return scores
 

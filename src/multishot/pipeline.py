@@ -39,8 +39,7 @@ directory is refused, because the write would replace the link.
 
 Equal (user_input, config) produce byte-identical artifacts on one
 numpy/BLAS build and CPU kernel; another kernel can change report.json
-(ROADMAP item 1). Every seed derives from the config's root seed except
-an avatar portrait's, which comes from story.json (ROADMAP item 6).
+(ROADMAP item 1). Every seed derives from the config's root seed.
 The metrics stage recomputes from story.json, config.json and the
 persisted float32 frames alone, which is why deleting report.json and
 rerunning only the metrics stage reproduces it byte-identically.

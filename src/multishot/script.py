@@ -58,7 +58,8 @@ class DomainPrompt:
 
 @dataclass(frozen=True)
 class AvatarProfile:
-    """A recurring character: its portrait prompt and render seed."""
+    """A recurring character: its portrait prompt, and the ``seed`` story.json
+    records for the benchmark's oracle only (ROADMAP item 2 removes it)."""
 
     id: str
     prompt: DomainPrompt
@@ -395,9 +396,9 @@ def generate_script_sequence(
 # Canonical story document.
 
 
-def story_to_document(story: Story) -> dict:
-    """Build the canonical JSON document (fixed key order)."""
-    return {
+def serialize_story(story: Story) -> bytes:
+    """Canonical serialization, in schema key order."""
+    return canonical_json({
         "user_input": story.user_input,
         "avatars": [
             {"id": a.id, "prompt": a.prompt.domains(), "seed": a.seed} for a in story.avatars
@@ -406,12 +407,7 @@ def story_to_document(story: Story) -> dict:
             {"short": desc.text, "script": script.domains(), "avatar_id": script.avatar_id}
             for desc, script in zip(story.descriptions, story.scripts)
         ],
-    }
-
-
-def serialize_story(story: Story) -> bytes:
-    """Canonical serialization, in schema key order."""
-    return canonical_json(story_to_document(story))
+    })
 
 
 def parse_story(data: bytes) -> Story:

@@ -82,10 +82,11 @@ def canonical_json(payload) -> bytes:
 
 def read_json(text, what: str):
     """The JSON document ``text``, a str or UTF-8 bytes; one that is not
-    valid JSON raises ``ParseError`` naming it as ``what``."""
+    valid JSON, or nests too deeply to decode, raises ``ParseError``
+    naming it as ``what``."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 

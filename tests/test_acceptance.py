@@ -46,7 +46,8 @@ def test_criterion_1_diffusion_exactness():
     start = time.perf_counter()
     schedule = make_schedule(50)
     for t in range(2, 51):
-        assert abs(schedule.alpha_bar(t) / schedule.alpha_bar(t - 1) - schedule.alphas[t - 1]) < 1e-12
+        ratio = schedule.alpha_bar(t) / schedule.alpha_bar(t - 1)
+        assert abs(ratio - (1.0 - schedule.betas[t - 1])) < 1e-12
     rng = spawn_rng("acceptance-inversion")
     worst = 0.0
     for _ in range(1000):

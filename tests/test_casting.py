@@ -171,12 +171,19 @@ def test_render_avatar_deterministic(toy_setup):
 
 
 def test_same_prompt_different_seed_different_embedding(toy_setup):
+    # a portrait renders from the config's avatar_seed(id): the seed the
+    # profile carries is not read, and another root seed or another id
+    # gives another portrait
     config, story = toy_setup
     base = story.avatars[0]
-    twin = type(base)(id=base.id, prompt=base.prompt, seed=base.seed + 1)
     [a] = render_avatar([base], config)
-    [b] = render_avatar([twin], config)
+    twin = type(base)(id=base.id, prompt=base.prompt, seed=base.seed + 1)
+    assert np.array_equal(render_avatar([twin], config)[0], a)
+    [b] = render_avatar([base], config.merged(seed=config.seed + 1))
     assert cosine(a, b) < 1.0 - 1e-6
+    renamed = type(base)(id=base.id + "_b", prompt=base.prompt, seed=base.seed)
+    [c] = render_avatar([renamed], config)
+    assert cosine(a, c) < 1.0 - 1e-6
 
 
 def test_keyframe_ip_scale_zero_ignores_avatar(toy_setup):

@@ -1,17 +1,20 @@
 """The command-line surface: subcommands, flags, exit codes."""
 
+import argparse
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multishot.cli import cli
+import multishot.pipeline
+from multishot.cli import _build_parser, cli
 from multishot.config import PipelineConfig
 from multishot.errors import ParseError
 from multishot.pipeline import make_llm, run_lock, verify_manifest
@@ -19,6 +22,7 @@ from multishot.script import HttpLlmClient, MockLlmClient, parse_story
 from multishot.tensorio import read_tensor_file, write_tensor_file
 
 STORY_INPUT = "the life of a lighthouse keeper named Edda"
+FIELDS = {f.name for f in fields(PipelineConfig)}
 
 
 def test_run_writes_all_artifact_kinds(tmp_path, capsys):
@@ -557,3 +561,91 @@ def test_config_file_precedence(tmp_path):
     assert effective["seed"] == 9           # flag wins over file
     frames = json.loads((out / "timeline.json").read_text())["frames"]
     assert len(frames) == 4  # 2 shots x 2 frames
+
+    # every config flag of run lands in config.json, over the file's value
+    flags = {"n_shots": ("--shots", 1), "frames_per_shot": ("--frames-per-shot", 3),
+             "mode": ("--mode", "windowed"), "seed": ("--seed", 4)}
+    assert set(flags) == _config_dests("run")
+    argv = [arg for flag, value in flags.values() for arg in (flag, str(value))]
+    out = tmp_path / "flagrun"
+    assert cli(["run", "--input", STORY_INPUT, "--config", str(config_path), *argv,
+                "--out", str(out)]) == 0
+    effective = json.loads((out / "config.json").read_text())
+    assert {name: effective[name] for name in flags} == {
+        name: value for name, (_, value) in flags.items()}
+
+
+def test_every_config_flag_of_script_reaches_the_story(tmp_path, monkeypatch):
+    endpoints = []
+
+    class Client(MockLlmClient):  # stands in for the HTTP client, sends nothing
+        def __init__(self, endpoint):
+            endpoints.append(endpoint)
+
+    monkeypatch.setattr(multishot.pipeline, "HttpLlmClient", Client)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"n_shots": 2, "shots_per_avatar": 1, "seed": 5}))
+    flags = {"n_shots": ("--shots", 3), "shots_per_avatar": ("--shots-per-avatar", 3),
+             "seed": ("--seed", 4), "llm_endpoint": ("--llm-endpoint", "http://llm.invalid")}
+    assert set(flags) == _config_dests("script")
+    argv = [arg for flag, value in flags.values() for arg in (flag, str(value))]
+    target = tmp_path / "story.json"
+    assert cli(["script", "--input", STORY_INPUT, "--config", str(config_path), *argv,
+                "--out", str(target)]) == 0
+    story = parse_story(target.read_bytes())
+    assert len(story.scripts) == 3 and [a.id for a in story.avatars] == ["avatar_00"]
+    assert story.avatars[0].seed == PipelineConfig(seed=4).avatar_seed("avatar_00")
+    assert endpoints == ["http://llm.invalid"]
+
+
+def _subparsers():
+    [action] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _config_dests(command) -> set:
+    return {a.dest for a in _subparsers()[command]._actions} & FIELDS
+
+
+def test_every_flag_sets_a_config_field_by_name():
+    # a flag is read into the config by its dest alone, so a dest that is
+    # neither a field nor a command's own argument would be dropped
+    own = {"input", "out", "story", "config", "run", "report", "help"}
+    commands = _subparsers()
+    assert sorted(commands) == ["generate", "keyframes", "metrics", "run", "script"]
+    for command, parser in commands.items():
+        for action in parser._actions:
+            assert action.dest in FIELDS | own, f"{command} {action.option_strings}"
+
+
+def test_generate_renders_portraits_from_the_run_seed(tmp_path):
+    # story.json's avatar seeds are not read: a story written at another
+    # root seed gives the keyframes of the run's own seed
+    stories, keyframes = [], []
+    for written in (0, 7):
+        story = tmp_path / f"story_{written}.json"
+        assert cli(["script", "--input", STORY_INPUT, "--shots", "2", "--seed", str(written),
+                    "--out", str(story)]) == 0
+        out = tmp_path / f"run_{written}"
+        assert cli(["generate", "--story", str(story), "--frames-per-shot", "1", "--seed", "7",
+                    "--out", str(out)]) == 0
+        stories.append(story.read_bytes())
+        keyframes.append([p.read_bytes() for p in sorted((out / "keyframes").iterdir())])
+    assert stories[0] != stories[1]  # the avatar seeds the stories record differ
+    assert len(keyframes[0]) == 2 and keyframes[0] == keyframes[1]
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [(["generate", "--story", "deep.json", "--out", "run"], "the story document"),
+     (["run", "--input", STORY_INPUT, "--config", "deep.json"], "the config document")],
+    ids=["story", "config"],
+)
+def test_deeply_nested_json_exits_one(tmp_path, monkeypatch, capsys, argv, what):
+    # json.loads raises RecursionError on it, which read_json turns into its ParseError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} is not valid JSON: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]

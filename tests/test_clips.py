@@ -7,7 +7,7 @@ import pytest
 
 import multishot.clips
 from multishot.clips import build_shot_condition, frame_seed, generate_shot_clip
-from multishot.conditioning import encode_text_mock
+from multishot.conditioning import EMBED_DIM, encode_text_mock
 from multishot.config import PipelineConfig
 from multishot.diffusion import sample_reverse
 from multishot.errors import ConfigError
@@ -64,7 +64,7 @@ def test_text_condition_uses_short_description_not_script(chain, monkeypatch):
     config, story, keyframes = chain
     seen = []
 
-    def recording_encoder(text, d_e, seed):
+    def recording_encoder(text, d_e=EMBED_DIM, seed=0):
         seen.append(text)
         return encode_text_mock(text, d_e, seed)
 

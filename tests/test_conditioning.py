@@ -176,6 +176,12 @@ def test_split_tokens_shape():
         split_tokens(np.arange(10.0))
 
 
+def test_an_embedding_of_another_width_is_refused():
+    # 8 splits into 4 tokens too, but the projector's query is 16 / 4 wide
+    with pytest.raises(ShapeError, match=r"must have shape \(16,\), got \(8,\)"):
+        get_projector(0, (8, 8, 8)).mean(Condition(text=encode_text_mock("x", 8)))
+
+
 # --- condition types --------------------------------------------------------
 
 

@@ -37,13 +37,13 @@ def test_schedule_hand_example():
     sched = make_schedule(4, 0.1, 0.4)
     np.testing.assert_allclose(sched.betas, [0.1, 0.2, 0.3, 0.4], rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        sched.alpha_bars, [0.9, 0.72, 0.504, 0.3024], rtol=1e-12
+        sched.by_level[1:], [0.9, 0.72, 0.504, 0.3024], rtol=1e-12
     )
 
 
 def test_schedule_single_step():
     sched = make_schedule(1, 0.1, 0.1)
-    np.testing.assert_allclose(sched.alpha_bars, [0.9], rtol=1e-15)
+    np.testing.assert_allclose(sched.by_level[1:], [0.9], rtol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -59,10 +59,10 @@ def test_schedule_product_identity():
     sched = make_schedule(50)
     for t in range(2, sched.T + 1):
         ratio = sched.alpha_bar(t) / sched.alpha_bar(t - 1)
-        assert abs(ratio - sched.alphas[t - 1]) < 1e-12
+        assert abs(ratio - (1.0 - sched.betas[t - 1])) < 1e-12
     assert sched.alpha_bar(0) == 1.0
     assert sched.alpha_bar(sched.T) > 0
-    assert np.all(np.diff(sched.alpha_bars) < 0)
+    assert np.all(np.diff(sched.by_level[1:]) < 0)
     assert np.all(np.diff(sched.betas) >= 0)
 
 
@@ -402,9 +402,9 @@ def test_analytic_eps_follows_the_schedule_it_is_handed():
     world = config.world()
     cond = Condition(text=encode_text_mock("a salt marsh", 16, config.encoder_seed))
     [x_t] = _frozen(spawn_rng("eps-two-schedules").standard_normal(config.latent_shape))
-    arrays = {T: (s.betas, s.alphas, s.alpha_bars) for T in (10, 50) for s in [make_schedule(T)]}
+    betas = {T: make_schedule(T).betas for T in (10, 50)}
     for T in (10, 50, 10, 50):
-        sched = NoiseSchedule(*arrays[T])
+        sched = NoiseSchedule(betas[T])
         for t in range(1, T + 1):
             expected = _textbook_eps(x_t, t, world, cond, sched)
             assert analytic_eps(x_t, t, world, cond, sched).tobytes() == expected.tobytes()

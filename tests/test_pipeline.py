@@ -119,8 +119,9 @@ def test_manifest_fails_when_an_artifact_is_missing(tmp_path):
 
 @pytest.mark.parametrize(
     "doc",
-    [b"{not json", b"\xff\xfe", b"[]", b"{}", b'{"files": ["frames.vgt"]}'],
-    ids=["invalid-json", "not-utf8", "not-an-object", "no-files", "files-not-an-object"],
+    [b"{not json", b"\xff\xfe", b"[]", b"{}", b'{"files": ["frames.vgt"]}', b"[" * 100_000],
+    ids=["invalid-json", "not-utf8", "not-an-object", "no-files", "files-not-an-object",
+         "nested-too-deeply"],
 )
 def test_malformed_manifest_does_not_verify(tmp_path, doc):
     (tmp_path / MANIFEST_FILE).write_bytes(doc)

@@ -87,6 +87,8 @@ def test_expand_rejects_bad_inputs():
 def test_expand_parse_errors():
     cases = [
         ("1. A line.\n2. Another.", "the expand completion is not valid JSON"),
+        # json.loads raises RecursionError on it, which read_json turns into ParseError
+        ("[" * 100_000, "the expand completion is not valid JSON"),
         (json.dumps({"shorts": [{"short": "a"}, {"short": "b"}]}), "missing field shots"),
         (json.dumps({"shots": [{"short": "only one"}]}), "has 1 shots, expected 2"),
         (json.dumps({"shots": [{"short": "a"}, {"short": " \t"}]}),
