@@ -69,11 +69,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--llm-endpoint", default=None, help="HTTP LLM URL (default: offline mock)")
     p.add_argument("--shots-per-avatar", type=int, default=None)
     p.add_argument("--out", default="story.json", help="story file to write")
+    p.set_defaults(func=_cmd_script)
 
     p = sub.add_parser("keyframes", parents=[configured],
                        help="render keyframe tensors from a story file")
     p.add_argument("--story", required=True)
     p.add_argument("--out", required=True, help="directory for one .vgt keyframe per shot")
+    p.set_defaults(func=_cmd_keyframes)
 
     p = sub.add_parser("generate", parents=[configured],
                        help="run every stage after the script from a story file")
@@ -81,10 +83,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--frames-per-shot", type=int, default=None)
     p.add_argument("--out", required=True, help="run directory to write")
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("metrics", help="score a run directory")
     p.add_argument("--run", required=True)
     p.add_argument("--report", default=None, help="report path (default RUN/report.json)")
+    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("run", parents=[configured], help="full pipeline: story to report")
     p.add_argument("--input", required=True)
@@ -92,6 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames-per-shot", type=int, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--out", default=None, help="run directory (default 'run')")
+    p.set_defaults(func=_cmd_run)
     return parser
 
 
@@ -166,15 +171,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "script": _cmd_script,
-    "keyframes": _cmd_keyframes,
-    "generate": _cmd_generate,
-    "metrics": _cmd_metrics,
-    "run": _cmd_run,
-}
-
-
 def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, StageFailure):
         return _exit_code_for(exc.__cause__) if exc.__cause__ else 1
@@ -192,7 +188,7 @@ def cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (MultishotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

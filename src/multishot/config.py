@@ -1,7 +1,9 @@
 """Run-level configuration: every knob of the pipeline in one serializable
 dataclass, with the single-seed fan-out that makes one flag reproduce a
 whole run. Stage functions take the config itself and derive the schedule,
-world, shapes and seeds they need from it.
+world, shapes and seeds they need from it. A config checks each field as it
+is built, against one table of ranges, ``BOUNDS``; a schedule checks its
+own betas.
 
 The toy world's fixed constants are not knobs: the embedding width, token
 count, identity channels and gains are constants of conditioning (a config
@@ -35,6 +37,19 @@ MODES = ("windowed", "fifo-reset")
 #: element stays below about 1e10, its square times any identity-channel
 #: count below 1e30, and sigma0**2 * x_t below 1e22.
 SCALE_LIMIT = 1e6
+
+#: Each bounded field's inclusive range; a dimension of frames.vgt is a uint32.
+BOUNDS = {
+    **dict.fromkeys(("n_shots", "frames_per_shot", "steps", "shots_per_avatar"), (1, math.inf)),
+    "height": (1, MAX_DIM),
+    "width": (1, MAX_DIM),
+    # the channels past the identity channels carry the text; without one,
+    # no frame depends on its prompt
+    "channels": (IDENTITY_CHANNELS + 1, MAX_DIM),
+    "eta": (0, 1),
+    "sigma0": (0, SCALE_LIMIT),
+    "ip_scale": (0, SCALE_LIMIT),
+}
 
 #: Each field annotation's description and the Python types it accepts. A
 #: bool is never a number, and an int given for a float is kept as an int,
@@ -72,28 +87,18 @@ class PipelineConfig:
     identity_channels: ClassVar[int] = IDENTITY_CHANNELS
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
             expected, types = FIELD_TYPES[f.type]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        positive = (
-            "n_shots", "frames_per_shot", "steps", "height", "width", "channels",
-            "shots_per_avatar",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # the dimensions of frames.vgt, each a uint32
-        shape = (self.n_shots * self.frames_per_shot, *self.latent_shape)
-        for name, dim in zip(("n_shots * frames_per_shot", "height", "width", "channels"), shape):
-            if dim > MAX_DIM:
-                raise ConfigError(f"{name} must be at most {MAX_DIM}, a .vgt dimension, got {dim}")
+        for name, (low, high) in BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:  # NaN and the infinities fail too
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {value!r}")
+        frames = self.n_shots * self.frames_per_shot  # a dimension of frames.vgt too
+        if frames > MAX_DIM:
+            raise ConfigError(f"n_shots * frames_per_shot must be at most {MAX_DIM}, got {frames}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got '{self.mode}'")
         if not 1 <= self.boundary <= self.frames_per_shot:
@@ -101,25 +106,11 @@ class PipelineConfig:
                 f"reset_boundary must lie in [1, frames_per_shot={self.frames_per_shot}], "
                 f"got {self.reset_boundary}"
             )
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.mode == "windowed" and self.boundary != self.frames_per_shot:
             raise ConfigError(
                 "reset_boundary applies to fifo-reset only; windowed mode needs "
                 f"reset_boundary=frames_per_shot, got {self.reset_boundary}"
             )
-        if self.channels <= IDENTITY_CHANNELS:
-            # the channels past the identity channels carry the text;
-            # without one, no frame depends on its prompt
-            raise ConfigError(
-                f"channels must exceed the {IDENTITY_CHANNELS} identity channels, "
-                f"got {self.channels}"
-            )
-        for name in ("sigma0", "ip_scale"):
-            if not 0 <= getattr(self, name) <= SCALE_LIMIT:
-                raise ConfigError(
-                    f"{name} must lie in [0, {SCALE_LIMIT:g}], got {getattr(self, name)}"
-                )
 
     # -- derived pieces -----------------------------------------------------
 
@@ -190,14 +181,6 @@ class PipelineConfig:
 
     # -- (de)serialization --------------------------------------------------
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
     def merged(self, **overrides) -> "PipelineConfig":
         """Apply overrides, ignoring None values (CLI flag precedence)."""
         changes = {k: v for k, v in overrides.items() if v is not None}
@@ -219,4 +202,7 @@ def config_from_json(data: bytes):
     extras = {"out_dir": doc.pop("out_dir")} if "out_dir" in doc else {}
     if not isinstance(extras.get("out_dir", ""), str):
         raise ConfigError(f"out_dir must be a string, got {extras['out_dir']!r}")
-    return PipelineConfig.from_dict(doc), extras
+    unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return PipelineConfig(**doc), extras

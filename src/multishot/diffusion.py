@@ -25,14 +25,14 @@ buffers with the same operations in the same order as the textbook
 expressions above, so a batched row is bitwise the single step.
 
 Neither kernel works out a level's scalars per call. A schedule is its
-betas; ``NoiseSchedule`` derives from them, once, read-only tables of a_t,
-sqrt(a_t) and sqrt(1 - a_t) by level, which ``ddim_step`` indexes with its
-level vector. ``analytic_eps`` reads its five scalars at level t from
-columns built from those tables per (schedule, sigma0) at the first call
-and kept on the schedule; each scalar is a read-only 0-d float64 view. A
-ufunc takes a 0-d float64 array faster than a Python float, and with the
-float64 means every mean map here returns, each product rounds as the
-textbook's does.
+betas, which ``NoiseSchedule`` checks; it derives from them, once,
+read-only tables of a_t, sqrt(a_t) and sqrt(1 - a_t) by level, which
+``ddim_step`` indexes with its level vector. ``analytic_eps`` reads its
+five scalars at level t from columns built from those tables per
+(schedule, sigma0) at the first call and kept on the schedule; each scalar
+is a read-only 0-d float64 view. A ufunc takes a 0-d float64 array faster
+than a Python float, and with the float64 means every mean map here
+returns, each product rounds as the textbook's does.
 
 The analytic backend treats clean data as x0 ~ N(mu(c), sigma0^2 I) for a
 condition-dependent mean mu(c). The posterior mean of x0 given x_t is then
@@ -59,12 +59,14 @@ from .errors import ConfigError, NumericError, ScheduleError, ShapeError
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """A schedule is its per-step variance increments ``betas``, of length
-    T; everything else is derived from them once, as read-only tables of
-    length T + 1 indexed by level. ``by_level[t]`` is alpha_bar(t), the
-    cumulative product of 1 - beta with alpha_bar(0) == 1, so a level
-    vector looks all its rows up at once; ``signal_by_level`` and
-    ``noise_by_level`` hold sqrt(alpha_bar(t)) and sqrt(1 - alpha_bar(t)).
+    """A schedule is its per-step variance increments ``betas``: it refuses
+    (``ConfigError``) all but a non-empty 1-D array of values in (0, 1), of
+    length T, and keeps a read-only float copy. Everything else is derived
+    from them once, as read-only tables of length T + 1 indexed by level.
+    ``by_level[t]`` is alpha_bar(t), the cumulative product of 1 - beta
+    with alpha_bar(0) == 1, so a level vector looks all its rows up at
+    once; ``signal_by_level`` and ``noise_by_level`` hold sqrt(alpha_bar(t))
+    and sqrt(1 - alpha_bar(t)).
     ``eps_coefficients`` holds the analytic backend's per-level scalars,
     one table per prior std, filled on first use (see :func:`analytic_eps`).
     """
@@ -79,8 +81,13 @@ class NoiseSchedule:
     )
 
     def __post_init__(self):
-        table = np.concatenate(([1.0], np.cumprod(1.0 - self.betas)))
-        tables = {"by_level": table, "signal_by_level": np.sqrt(table),
+        betas = self.betas
+        if not (isinstance(betas, np.ndarray) and betas.ndim == 1 and betas.size
+                and np.all((betas > 0) & (betas < 1))):
+            raise ConfigError(f"betas must be a non-empty 1-D array in (0, 1), got {betas!r}")
+        betas = betas.astype(float)
+        table = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
+        tables = {"betas": betas, "by_level": table, "signal_by_level": np.sqrt(table),
                   "noise_by_level": np.sqrt(1.0 - table)}
         for name, values in tables.items():
             values.flags.writeable = False
@@ -100,12 +107,8 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.3) -> No
     Defaults drive alpha_bar(T) to ~2e-4 at T=50 so a unit Gaussian is a
     faithful stand-in for the fully noised marginal.
     """
-    if T < 1:
-        raise ConfigError(f"need at least one step, got T={T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(
-            f"betas must satisfy 0 < start <= end < 1, got [{beta_start}, {beta_end}]"
-        )
+    if beta_start > beta_end:
+        raise ConfigError(f"beta_start must not exceed beta_end, got [{beta_start}, {beta_end}]")
     return NoiseSchedule(betas=np.linspace(beta_start, beta_end, T))
 
 

@@ -17,7 +17,7 @@ through the extractor protocol without touching the scoring code.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -75,7 +75,7 @@ class StyleGram:
     """Toy style features: flattened Gram of a fixed seeded linear feature
     map, mean-centered over pixels so constant channels do not dominate."""
 
-    seed: int = 0
+    seed: int
 
     def __call__(self, frame: np.ndarray) -> np.ndarray:
         frame = np.asarray(frame)
@@ -168,9 +168,6 @@ class MetricsReport:
     psnr_pairs: Optional[float]
     clip_by_domain: Dict[str, float]
     counts: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_report(frames: np.ndarray, story: Story, config: PipelineConfig) -> MetricsReport:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -168,7 +169,7 @@ def load_timeline(run_dir: Path, config: PipelineConfig) -> np.ndarray:
 
 
 def write_report(path: Path, report: MetricsReport) -> None:
-    write_file(path, canonical_json(report.to_dict()))
+    write_file(path, canonical_json(asdict(report)))
 
 
 def read_report(path) -> MetricsReport:

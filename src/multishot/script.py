@@ -89,8 +89,8 @@ class Story:
     """A full narrative plan: descriptions, scripts, and avatar roster.
 
     Shot j is position j of ``descriptions`` and ``scripts``. A story is
-    built fully populated: both lists have one entry per shot, avatar ids
-    are unique, every script's avatar is on the roster, and no text is blank.
+    built fully populated: one or more shots, each in both lists, unique
+    avatar ids, every script's avatar on the roster, and no blank text.
     """
 
     user_input: str
@@ -104,6 +104,8 @@ class Story:
                 f"story is not fully populated: {len(self.descriptions)} descriptions, "
                 f"{len(self.scripts)} scripts"
             )
+        if not self.scripts:
+            raise ValidationError("a story needs at least one shot")
         check_roster([a.id for a in self.avatars], [s.avatar_id for s in self.scripts])
         texts = {"user_input": self.user_input}
         texts.update({f"shots[{j}].short": d.text for j, d in enumerate(self.descriptions)})

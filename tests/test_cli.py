@@ -59,6 +59,26 @@ def test_keyframes_subcommand(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [f"shot_{i:04d}.vgt" for i in range(2)]
 
 
+def test_keyframes_refuses_a_story_with_no_shots(tmp_path, capsys):
+    # rendering no keyframe would delete every keyframe already in the
+    # directory; the story is refused as it is read, and they stay
+    story_path = tmp_path / "story.json"
+    assert cli(["script", "--input", STORY_INPUT, "--shots", "2", "--out", str(story_path)]) == 0
+    out = tmp_path / "kf"
+    assert cli(["keyframes", "--story", str(story_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc = json.loads(story_path.read_text())
+    doc["shots"] = []
+    story_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["keyframes", "--story", str(story_path), "--out", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # generate names the story, not a config field the user never set
+    assert cli(["generate", "--story", str(story_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: a story needs at least one shot") == 2 and "n_shots" not in err
+
+
 @pytest.mark.parametrize(
     "path",
     ["shots[1].short", "shots[0].script.camera", "avatars[0].prompt.hdr"],

@@ -1,15 +1,19 @@
 """Pipeline configuration: validation, precedence, serialization."""
 
 import json
+import math
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
 from multishot.conditioning import Condition, MeanProjector, encode_text_mock
-from multishot.config import PipelineConfig, config_from_json, config_to_json
+from multishot.config import BOUNDS, PipelineConfig, config_from_json, config_to_json
 from multishot.errors import ConfigError, ParseError
+
+KINDS = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def test_defaults_are_valid():
@@ -59,6 +63,32 @@ def test_invalid_values_rejected(kwargs):
     assert any(key in str(excinfo.value) for key in kwargs)
 
 
+def test_every_bound_is_a_numeric_field():
+    assert all(KINDS.get(name) in ("int", "float") for name in BOUNDS)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_each_bound_is_accepted_and_the_value_past_it_refused(name):
+    # past a bound is the next integer, or the next float, outward
+    for bound, outward in zip(BOUNDS[name], (-1, 1)):
+        if math.isinf(bound):
+            continue
+        assert getattr(PipelineConfig(**{name: bound}), name) == bound
+        if KINDS[name] == "int":
+            past = bound + outward
+        else:
+            past = math.nextafter(bound, outward * math.inf)
+        with pytest.raises(ConfigError, match=f"^{name} must be in \\["):
+            PipelineConfig(**{name: past})
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BOUNDS if KINDS[n] == "float"))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_bounded_float_refuses_nan_and_the_infinities(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be in \\["):
+        PipelineConfig(**{name: value})
+
+
 def test_eta_applies_in_both_modes_and_reset_boundary_to_fifo_reset_only():
     for mode in ("windowed", "fifo-reset"):
         assert PipelineConfig(mode=mode, eta=0.5).eta == 0.5
@@ -79,13 +109,13 @@ def test_wrongly_typed_values_rejected_naming_the_field(field, value):
     # an integral float is not an integer and a number is finite (json
     # parses NaN and Infinity)
     with pytest.raises(ConfigError, match=f"^{field} must be "):
-        PipelineConfig.from_dict({field: value})
+        PipelineConfig(**{field: value})
 
 
 def test_numbers_are_stored_as_given():
     # an int is a valid float field and stays an int, so config.json keeps
     # the bytes it was written with
-    cfg = PipelineConfig.from_dict({"eta": 0, "sigma0": 1, "ip_scale": 2, "reset_boundary": 3})
+    cfg, _ = config_from_json(b'{"eta": 0, "sigma0": 1, "ip_scale": 2, "reset_boundary": 3}')
     assert [type(v) for v in (cfg.eta, cfg.sigma0, cfg.ip_scale)] == [int, int, int]
     assert b'"sigma0": 1,' in config_to_json(cfg)
 

@@ -55,6 +55,17 @@ def test_schedule_rejects_bad_bounds(T, start, end):
         make_schedule(T, start, end)
 
 
+@pytest.mark.parametrize(
+    "betas",
+    [[0.1, 0.2], np.array([]), np.array([0.0, 0.1]), np.array([0.1, 1.0]),
+     np.array([0.1, np.nan]), np.full((2, 2), 0.1)],
+    ids=["list", "empty", "zero", "one", "nan", "2-d"],
+)
+def test_schedule_refuses_bad_betas(betas):
+    with pytest.raises(ConfigError, match="^betas must be a non-empty 1-D array"):
+        NoiseSchedule(betas)
+
+
 def test_schedule_product_identity():
     sched = make_schedule(50)
     for t in range(2, sched.T + 1):
@@ -449,11 +460,16 @@ def test_two_threads_on_one_fresh_world_match_one_thread():
 
 
 def test_schedule_tables_are_read_only():
-    sched = make_schedule(6)
+    betas = np.linspace(0.1, 0.3, 6)
+    sched = NoiseSchedule(betas)
+    # the schedule keeps its own copy: a write to the caller's array
+    # changes neither its betas nor the tables derived from them
+    betas[0] = 0.5
+    assert sched.betas[0] == 0.1 and sched.by_level[1] == 1.0 - sched.betas[0]
     _const_world(0.0, 0.5)(arr(1.0), 3, None, sched)
     [levels] = sched.eps_coefficients.values()
     assert isinstance(levels, tuple) and len(levels) == sched.T + 1 and levels[0] is None
-    tables = [sched.by_level, sched.signal_by_level, sched.noise_by_level]
+    tables = [sched.betas, sched.by_level, sched.signal_by_level, sched.noise_by_level]
     for table in tables + [c for level in levels[1:] for c in level]:
         with pytest.raises(ValueError):
             table[...] = 0.0

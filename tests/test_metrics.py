@@ -1,5 +1,7 @@
 """Consistency scores, PSNR, per-domain alignment, and the report builder."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -239,7 +241,7 @@ def test_report_deterministic_and_complete(toy_chain):
     frames = run_timeline(generate_timeline(story, keyframes, config))
     a = build_report(frames, story, config)
     b = build_report(frames, story, config)
-    assert a.to_dict() == b.to_dict()
+    assert asdict(a) == asdict(b)
     assert set(a.clip_by_domain) == {"character", "background", "relations", "camera", "hdr"}
     assert a.psnr_pairs is not None
     assert a.counts == {"shots": 4, "frames": 32}

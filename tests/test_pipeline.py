@@ -179,7 +179,7 @@ def test_config_json_carries_flags_but_not_location(default_run):
     # every field in field order and nothing more: the embedding width and the
     # identity channels are constants of the toy world, read but never written
     assert list(doc) == [f.name for f in fields(PipelineConfig)] and len(doc) == 14
-    config = PipelineConfig.from_dict(doc)
+    config = PipelineConfig(**doc)
     assert config.embed_dim == 16 and config.identity_channels == 4
 
 
@@ -496,7 +496,7 @@ def _finite_report(value) -> bool:
     mode=st.sampled_from(MODES),
 )
 def test_every_validated_scale_gives_finite_frames_and_report(sigma0, ip_scale, steps, mode):
-    # any sigma0 and ip_scale validate accepts runs to the end with finite
+    # any sigma0 and ip_scale a config accepts runs to the end with finite
     # frames and a finite report; warnings are errors, so no float overflows
     config = PipelineConfig(n_shots=2, frames_per_shot=2, steps=steps, mode=mode, height=2,
                             width=2, channels=5, sigma0=sigma0,

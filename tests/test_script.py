@@ -280,6 +280,13 @@ def test_serialize_requires_population():
         serialize_story(Story(STORY_INPUT, _descriptions(3), [], []))
 
 
+def test_story_with_no_shots_rejected():
+    doc = json.loads(serialize_story(_full_story()).decode())
+    doc["shots"] = []
+    with pytest.raises(ValidationError, match="^a story needs at least one shot$"):
+        parse_story(json.dumps(doc).encode())
+
+
 def test_story_rejects_duplicate_avatar_ids():
     story = _full_story()
     with pytest.raises(ValidationError, match="duplicate avatar ids"):
