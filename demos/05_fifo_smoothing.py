@@ -2,9 +2,10 @@
 
 Every tick denoises all T slots one level, emits the fully denoised head,
 and enqueues fresh noise carrying the condition of whichever shot owns the
-entering frame. A backend that records each call it gets, with its level
-and condition, shows the next shot's conditioning entering the queue while
-the previous shot is still denoising: the reset boundary in action.
+entering frame. A backend that records each tick's one call, with every
+row's level and condition, shows the next shot's conditioning entering the
+queue while the previous shot is still denoising: the reset boundary in
+action.
 
 Run: python3 demos/05_fifo_smoothing.py
 """
@@ -23,13 +24,14 @@ shot_of = {cond: j for j, cond in enumerate(plan)}
 world, calls = config.world(), []
 
 
-def recorder(x_t, t, cond, schedule):
-    calls.append((t, cond))
-    return world(x_t, t, cond, schedule)
+def recorder(x, levels, conds, schedule):
+    calls.extend(zip(levels.tolist(), conds))
+    return world(x, levels, conds, schedule)
 
 
-# row t of a tick holds frame head + t - 1, so each call names its frame;
-# warm-up dummies (negative frames) are left out of the table
+# a tick is one call whose row t - 1 is at level t and holds frame
+# head + t - 1, so each row names its frame; warm-up dummies (negative
+# frames) are left out of the table
 queue = init_queue(FrameStream(plan, config), recorder)
 ticks, emission_ticks, frames = {}, {}, []
 while len(queue.latents):

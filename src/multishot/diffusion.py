@@ -19,20 +19,21 @@ sampler; eta > 0 adds noise drawn from the generator that gave x_T.
 
 ``reverse_step`` is the one place a backend or ``ddim_step`` is called
 and eta noise is drawn. It works on batches: each row of axis 0 at its own
-level, for chains in lockstep and the staggered FIFO queue alike, then one
-``ddim_step`` over the level vector. Both kernels compute through ``out=``
-buffers with the same operations in the same order as the textbook
-expressions above, so a batched row is bitwise the single step.
+level, for chains in lockstep and the staggered FIFO queue alike, with one
+backend call over the whole batch and then one ``ddim_step`` over the
+level vector. Both kernels compute through ``out=`` buffers with the same
+operations in the same order as the textbook expressions above, and each
+row from that row alone, so a batched row is bitwise the single step.
 
 Neither kernel works out a level's scalars per call. A schedule is its
 betas, which ``NoiseSchedule`` checks; it derives from them, once,
 read-only tables of a_t, sqrt(a_t) and sqrt(1 - a_t) by level, which
-``ddim_step`` indexes with its level vector. ``analytic_eps`` reads its
-five scalars at level t from columns built from those tables per
-(schedule, sigma0) at the first call and kept on the schedule; each scalar
-is a read-only 0-d float64 view. A ufunc takes a 0-d float64 array faster
-than a Python float, and with the float64 means every mean map here
-returns, each product rounds as the textbook's does.
+``ddim_step`` indexes with its level vector. ``analytic_eps`` indexes in
+the same way five read-only columns built from those tables per
+(schedule, sigma0) at the first call and kept on the schedule. An int
+level gives a 0-d view, which a ufunc takes faster than a Python float;
+with the float64 means every mean map here returns, each product rounds
+as the textbook's does.
 
 The analytic backend treats clean data as x0 ~ N(mu(c), sigma0^2 I) for a
 condition-dependent mean mu(c). The posterior mean of x0 given x_t is then
@@ -67,8 +68,8 @@ class NoiseSchedule:
     with alpha_bar(0) == 1, so a level vector looks all its rows up at
     once; ``signal_by_level`` and ``noise_by_level`` hold sqrt(alpha_bar(t))
     and sqrt(1 - alpha_bar(t)).
-    ``eps_coefficients`` holds the analytic backend's per-level scalars,
-    one table per prior std, filled on first use (see :func:`analytic_eps`).
+    ``eps_coefficients`` holds the analytic backend's per-level columns,
+    one set per prior std, filled on first use (see :func:`analytic_eps`).
     """
 
     betas: np.ndarray
@@ -105,11 +106,12 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.3) -> No
     """Linear beta schedule from beta_start to beta_end inclusive.
 
     Defaults drive alpha_bar(T) to ~2e-4 at T=50 so a unit Gaussian is a
-    faithful stand-in for the fully noised marginal.
+    faithful stand-in for the fully noised marginal. A T below 1 gives no
+    betas, which ``NoiseSchedule`` refuses.
     """
     if beta_start > beta_end:
         raise ConfigError(f"beta_start must not exceed beta_end, got [{beta_start}, {beta_end}]")
-    return NoiseSchedule(betas=np.linspace(beta_start, beta_end, T))
+    return NoiseSchedule(betas=np.linspace(beta_start, beta_end, max(T, 0)))
 
 
 def add_noise(x0: np.ndarray, eps: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
@@ -188,9 +190,13 @@ def ddim_step(
 
 
 class DenoiserBackend(Protocol):
-    """Pure evaluation contract: (x_t, t, condition, schedule) -> eps_hat."""
+    """Pure evaluation contract: (x (B, ...), levels, conds, schedule) ->
+    eps_hat (B, ...), a new array. Row b of ``x`` is at level ``levels``
+    (an int, for every row) or ``levels[b]`` (an int vector), under
+    ``conds[b]``."""
 
-    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
+    def __call__(self, x: np.ndarray, levels, conds: Sequence,
+                 schedule: NoiseSchedule) -> np.ndarray:
         ...
 
 
@@ -210,79 +216,83 @@ class GaussianWorld:
         if self.sigma0 < 0:
             raise ConfigError(f"prior std must be nonnegative, got {self.sigma0}")
 
-    def __call__(self, x_t: np.ndarray, t: int, cond, schedule: NoiseSchedule) -> np.ndarray:
-        return analytic_eps(x_t, t, self, cond, schedule)
+    def __call__(self, x: np.ndarray, levels, conds: Sequence,
+                 schedule: NoiseSchedule) -> np.ndarray:
+        return analytic_eps(x, levels, self, conds, schedule)
 
 
 def analytic_eps(
-    x_t: np.ndarray,
-    t: int,
+    x: np.ndarray,
+    levels,
     world: GaussianWorld,
-    cond,
+    conds: Sequence,
     schedule: NoiseSchedule,
 ) -> np.ndarray:
-    """Exact noise prediction under the Gaussian world (see module header),
-    as a new float64 array."""
-    if not 1 <= t <= schedule.T:
-        raise ScheduleError(f"step {t} outside [1, {schedule.T}]")
-    mu = world.mean_map(cond)
-    if mu.shape != x_t.shape:
-        raise ShapeError(f"mean {mu.shape} vs x_t {x_t.shape}")
-    levels = schedule.eps_coefficients.get(world.sigma0)
-    if levels is None:
-        levels = _eps_coefficients(world.sigma0, schedule)
-    x_scale, mu_scale, denom, signal, noise_scale = levels[t]
-    out = np.empty(x_t.shape)
-    np.multiply(x_t, x_scale, out=out)
-    out += np.multiply(mu, mu_scale)
-    out /= denom  # E[x0 | x_t]
-    out *= signal
-    np.subtract(x_t, out, out=out)
-    out /= noise_scale
+    """Exact noise prediction under the Gaussian world (see module header)
+    for every row of ``x``, as a new float64 array: row b at ``levels``
+    (an int) or ``levels[b]`` (an int vector), under ``conds[b]``. Row b
+    is computed from row b alone, so it is bitwise its batch of one."""
+    if np.ndim(levels) and np.shape(levels) != (len(x),):
+        raise ShapeError(f"levels {np.shape(levels)} vs x {x.shape}: one level per row")
+    flat = np.ravel(levels)
+    bad = np.flatnonzero((flat < 1) | (flat > schedule.T))
+    if bad.size:
+        raise ScheduleError(f"step {flat[bad[0]]} outside [1, {schedule.T}]")
+    columns = schedule.eps_coefficients.get(world.sigma0)
+    if columns is None:
+        columns = _eps_coefficients(world.sigma0, schedule)
+    x_scale, mu_scale, denom, signal, noise_scale = columns
+    # an int level reads a 0-d view, a level vector a (B, 1, ...) column
+    at = levels if not np.ndim(levels) else np.reshape(levels, (-1,) + (1,) * (x.ndim - 1))
+    mu = np.array([world.mean_map(cond) for cond in conds], dtype=float)
+    if mu.shape != x.shape:
+        raise ShapeError(f"{len(conds)} means of shape {mu.shape[1:]} for x {x.shape}")
+    mu *= mu_scale[at, ...]
+    out = np.multiply(x, x_scale[at, ...], out=np.empty(x.shape))
+    out += mu
+    out /= denom[at, ...]  # E[x0 | x_t]
+    out *= signal[at, ...]
+    np.subtract(x, out, out=out)
+    out /= noise_scale[at, ...]
     return out
 
 
 def _eps_coefficients(sigma0: float, schedule: NoiseSchedule) -> tuple:
-    """``analytic_eps``'s scalars at level t in entry t: sqrt(a) sigma0^2,
-    1 - a, a sigma0^2 + 1 - a, sqrt(a) and sqrt(1 - a) for a = alpha_bar(t)
-    (see the module header), as 0-d views of read-only columns built from
-    the schedule's tables. The table is kept in
-    ``schedule.eps_coefficients`` under ``sigma0``; two threads that miss
-    at once build equal tables and keep the first, so a lookup takes no
-    lock."""
+    """``analytic_eps``'s five read-only columns, indexed by level t:
+    sqrt(a) sigma0^2, 1 - a, a sigma0^2 + 1 - a, sqrt(a) and sqrt(1 - a)
+    for a = alpha_bar(t) (see the module header), built from the
+    schedule's tables. They are kept in ``schedule.eps_coefficients``
+    under ``sigma0``; two threads that miss at once build equal columns and
+    keep the first, so a lookup takes no lock."""
     s2 = sigma0**2
     a, signal = schedule.by_level, schedule.signal_by_level
     columns = (signal * s2, 1.0 - a, a * s2 + (1.0 - a), signal, schedule.noise_by_level)
     for column in columns:
         column.flags.writeable = False
-    levels = (None,) + tuple(tuple(c[t, ...] for c in columns) for t in range(1, schedule.T + 1))
-    return schedule.eps_coefficients.setdefault(sigma0, levels)
+    return schedule.eps_coefficients.setdefault(sigma0, columns)
 
 
 def reverse_step(
     denoiser: DenoiserBackend, x: np.ndarray, levels, conds: Sequence, schedule: NoiseSchedule,
     eta: float = 0.0, rngs: Sequence[np.random.Generator] = (), out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Denoise row b of ``x`` at ``levels[b]`` under ``conds[b]``, handing
-    the backend a Python int, then step the batch one level down in one
-    ``ddim_step`` with ``eta`` and ``out``, row b's noise drawn from
-    ``rngs[b]`` at eta > 0. ``levels`` is an int array, one per row, or an
-    int, which keeps ``ddim_step`` on its faster scalar path. An eps_hat of
-    another shape than its row, or a wrong generator count, is refused."""
+    """Denoise the batch in one backend call, row b at ``levels[b]`` under
+    ``conds[b]``, then step it one level down in one ``ddim_step`` with
+    ``eta`` and ``out``, row b's noise drawn from ``rngs[b]`` at eta > 0.
+    ``levels`` is an int array, one per row, or an int, which keeps
+    ``ddim_step`` on its faster scalar path; the backend gets it as given.
+    An eps_hat of another shape than ``x``, or a wrong count of conditions
+    or generators, is refused."""
     if len(conds) != len(x) or (eta != 0.0 and len(rngs) != len(x)):
         raise ShapeError(f"{len(conds)} conditions and {len(rngs)} generators for {len(x)} rows")
-    eps, row_shape = np.empty_like(x), x.shape[1:]
-    for row, t, cond, eps_row in zip(x, np.full(len(x), levels).tolist(), conds, eps):
-        eps_hat = denoiser(row, t, cond, schedule)
-        if np.shape(eps_hat) != row_shape:
-            raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x_t {row_shape}")
-        eps_row[...] = eps_hat
-    eps_hat = None  # the last row's output need not live through ddim_step
+    eps_hat = denoiser(x, levels, conds, schedule)
+    if np.shape(eps_hat) != x.shape:
+        raise ShapeError(f"denoiser returned {np.shape(eps_hat)} for x {x.shape}")
     noise = None if eta == 0.0 else np.empty_like(x)
     if noise is not None:
         for rng, noise_row in zip(rngs, noise):
             rng.standard_normal(out=noise_row)
-    return ddim_step(x, eps, levels, levels - 1, schedule, eta=eta, noise=noise, out=out)
+    return ddim_step(x, eps_hat, levels, levels - 1, schedule, eta=eta, noise=noise, out=out)
 
 
 def sample_reverse(

@@ -3,11 +3,11 @@
 The queue is one (n, h, w, d) array of latents, one row per noise level,
 head at level 1 and tail at level n = T until the story runs out of frames.
 Every tick denoises each latent one level under the condition of the shot
-that owns its global frame, with one ``reverse_step`` over the level
-vector 1..n, dequeues the head (now fully denoised) for emission, and
-enqueues fresh unit noise at level T for the next frame. Because each
-entering latent brings fresh noise and its own shot's embeddings, the
-enqueue rule IS the reset boundary.
+that owns its global frame, with one ``reverse_step``, and so one backend
+call, over the level vector 1..n, dequeues the head (now fully denoised)
+for emission, and enqueues fresh unit noise at level T for the next frame.
+Because each entering latent brings fresh noise and its own shot's
+embeddings, the enqueue rule IS the reset boundary.
 
 Row p is always at level p + 1 and frames enter in order, so the queue's
 only state is its latents, their generators and its head frame, and the
@@ -32,11 +32,12 @@ soon as it is finished, so the pipeline writes every frame to disk and
 drops it; run_timeline collects a stream into the (N*k, h, w, d) array
 that frames.vgt stores, for callers that want the whole run in memory.
 
-A frame draws x_T and its eta noise from one generator, and the backend
-sees one row at a time, so the queue samples independent chains: at any
-eta each frame is bitwise ``sample_reverse`` of its generator under the
-condition shot_for_frame names. With the analytic backend and eta = 0 it
-is the closed form A_T x_T + B_T mu(c), the main correctness oracle.
+A frame draws x_T and its eta noise from one generator, and the analytic
+backend computes each row of a tick's call from that row alone, so the
+queue samples independent chains: at any eta each frame is bitwise
+``sample_reverse`` of its generator under the condition shot_for_frame
+names. With the analytic backend and eta = 0 it is the closed form
+A_T x_T + B_T mu(c), the main correctness oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class LatentQueue:
     the schedule and per-frame conditions init_queue built once:
     ``conds[i]`` is the condition frame i + 1 - T carries, so the rows of
     a tick take theirs as one slice from index ``ticks``. The backend
-    ``denoiser`` sees every call, with its level and condition."""
+    ``denoiser`` gets each tick as one call, with every row's level and
+    condition."""
 
     stream: "FrameStream"
     denoiser: DenoiserBackend
@@ -125,8 +127,9 @@ def tick(queue: LatentQueue) -> Optional[Tuple[int, np.ndarray]]:
     then the head is emitted and fresh noise enqueued.
 
     The rows take their conditions as one slice of the queue's per-frame
-    list. The queue's backend is called once per row, row p at level
-    p + 1, so a backend that records its calls sees the whole tick.
+    list. The queue's backend is called once for the whole tick, with the
+    level vector 1..n, so row p is at ``levels[p]`` = p + 1 and a backend
+    that records its calls sees the tick in one call.
     Returns (global_frame, frame) when a story frame is emitted, None while
     warm-up dummies are being discarded; the frame is a copy, sharing no
     memory with the queue. Once the plan is exhausted the queue drains (no

@@ -99,12 +99,13 @@ def test_criterion_3_fifo_structural_invariants():
     plan = build_plan(story, render_keyframes(story, config), config)
     world, seen = config.world(), []
 
-    def recorder(x_t, t, cond, schedule):
-        seen.append((t, cond))
-        return world(x_t, t, cond, schedule)
+    def recorder(x, levels, conds, schedule):
+        seen.extend(zip(levels.tolist(), conds))
+        return world(x, levels, conds, schedule)
 
-    # the queue observed through its backend: row t of a tick holds frame
-    # head + t - 1, so every story-frame call is (tick, frame, level, shot)
+    # the queue observed through its backend: a tick is one call, and its
+    # row at level t holds frame head + t - 1, so every story-frame row is
+    # (tick, frame, level, shot)
     queue = init_queue(FrameStream(plan, config), recorder)
     calls, emitted = [], []
     while len(queue.latents):
@@ -131,7 +132,7 @@ def test_criterion_3_fifo_structural_invariants():
     assert elapsed < 5.0
     _shared["calls"] = calls
     _shared["emission_ticks"] = emission_ticks
-    _report_pass(3, f"{len(calls)} calls, levels T..1 per frame, 0 purity violations, {elapsed:.1f}s")
+    _report_pass(3, f"{len(calls)} rows, levels T..1 per frame, 0 purity violations, {elapsed:.1f}s")
 
 
 def test_criterion_4_reset_boundary_overlap():

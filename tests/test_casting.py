@@ -208,7 +208,8 @@ def _single_chain(cond, config, seed):
     schedule, world = config.schedule(), config.world()
     x = spawn_rng("reverse-init", seed).standard_normal(config.latent_shape)
     for t in range(schedule.T, 0, -1):
-        x = ddim_step(x, analytic_eps(x, t, world, cond, schedule), t, t - 1, schedule)
+        eps = analytic_eps(x[None], t, world, [cond], schedule)[0]
+        x = ddim_step(x, eps, t, t - 1, schedule)
     return x
 
 

@@ -48,7 +48,7 @@ def test_schedule_single_step():
 
 @pytest.mark.parametrize(
     "T,start,end",
-    [(0, 0.1, 0.2), (4, 0.0, 0.2), (4, 0.3, 0.2), (4, 0.1, 1.0), (4, -0.1, 0.2)],
+    [(0, 0.1, 0.2), (-1, 0.1, 0.2), (4, 0.0, 0.2), (4, 0.3, 0.2), (4, 0.1, 1.0), (4, -0.1, 0.2)],
 )
 def test_schedule_rejects_bad_bounds(T, start, end):
     with pytest.raises(ConfigError):
@@ -290,23 +290,24 @@ def test_ddim_step_in_place_and_level_vector_shape():
 
 
 @pytest.mark.parametrize("levels", [3, np.array([1, 3, 4])], ids=["int", "vector"])
-def test_reverse_step_hands_each_row_its_level_as_an_int(levels):
-    # row b is denoised at levels[b] under conds[b], the backend sees a
-    # Python int, and the batch then takes ddim_step's one step
+def test_reverse_step_calls_the_backend_once_with_the_batch(levels):
+    # the whole batch goes to the backend in one call, with the levels as
+    # given and the conditions in row order, and row b's eps_hat is its
+    # batch of one; the batch then takes ddim_step's one step
     sched = make_schedule(4, 0.1, 0.4)
     world = _const_world(1.0, 0.5, shape=(2,))
     x = np.random.default_rng(1).standard_normal((3, 2))
     seen = []
 
-    def backend(x_t, t, cond, schedule):
-        seen.append((type(t), t, cond))
-        return world(x_t, t, cond, schedule)
+    def backend(x, levels, conds, schedule):
+        seen.append((x.shape, levels, list(conds)))
+        return world(x, levels, conds, schedule)
 
     per_row = np.broadcast_to(levels, 3)
-    eps = np.stack([analytic_eps(row, int(t), world, None, sched) for row, t in zip(x, per_row)])
+    eps = np.stack([_eps_row(row, t, world, None, sched) for row, t in zip(x, per_row.tolist())])
     expected = ddim_step(x, eps, per_row, per_row - 1, sched)
     assert reverse_step(backend, x, levels, ["a", "b", "c"], sched).tobytes() == expected.tobytes()
-    assert seen == [(int, int(t), c) for t, c in zip(per_row, "abc")]
+    assert seen == [(x.shape, levels, ["a", "b", "c"])]
 
 
 def test_reverse_step_draws_each_rows_eta_noise_from_its_generator():
@@ -317,7 +318,7 @@ def test_reverse_step_draws_each_rows_eta_noise_from_its_generator():
     world = _const_world(1.0, 0.5, shape=(2,))
     x = np.random.default_rng(1).standard_normal((3, 2))
     levels, conds = np.array([1, 3, 4]), [None] * 3
-    eps = np.stack([analytic_eps(row, int(t), world, None, sched) for row, t in zip(x, levels)])
+    eps = np.stack([_eps_row(row, t, world, None, sched) for row, t in zip(x, levels.tolist())])
     noise = np.stack([spawn_rng("row", b).standard_normal(2) for b in range(3)])
     expected = ddim_step(x, eps, levels, levels - 1, sched, eta=0.5, noise=noise)
     rngs = [spawn_rng("row", b) for b in range(3)]
@@ -339,24 +340,29 @@ def _const_world(mu_value, sigma0, shape=(1,)):
     return GaussianWorld(sigma0=sigma0, mean_map=lambda cond: mu)
 
 
+def _eps_row(x_t, t, world, cond, sched):
+    """``analytic_eps`` of one row at an int level: its batch of one."""
+    return analytic_eps(x_t[None], t, world, [cond], sched)[0]
+
+
 def test_analytic_eps_degenerate_prior():
     sched = make_schedule(1, 0.36, 0.36)
     world = _const_world(1.0, 0.0)
-    out = analytic_eps(arr(1.0), 1, world, None, sched)
+    out = _eps_row(arr(1.0), 1, world, None, sched)
     np.testing.assert_allclose(out, [(1.0 - 0.8) / 0.6], rtol=1e-9)
 
 
 def test_analytic_eps_zero_mean_unit_prior():
     sched = make_schedule(1, 0.36, 0.36)
     world = _const_world(0.0, 1.0)
-    out = analytic_eps(arr(1.0), 1, world, None, sched)
+    out = _eps_row(arr(1.0), 1, world, None, sched)
     np.testing.assert_allclose(out, [0.6], rtol=1e-9)  # x_t * sqrt(1 - a)
 
 
 def test_analytic_eps_on_mean_input():
     sched = make_schedule(1, 0.36, 0.36)
     world = _const_world(1.7, 0.0)
-    out = analytic_eps(arr(0.8 * 1.7), 1, world, None, sched)
+    out = _eps_row(arr(0.8 * 1.7), 1, world, None, sched)
     np.testing.assert_allclose(out, [0.0], atol=1e-12)
 
 
@@ -372,21 +378,33 @@ def test_analytic_eps_matches_monte_carlo_regression():
     x_t = np.sqrt(0.64) * x0 + 0.6 * eps
     slope, intercept = np.polyfit(x_t, eps, 1)
     world = _const_world(mu, sigma0)
-    predicted = analytic_eps(arr(1.0), 1, world, None, sched)[0] / 1.0  # slope at mu=0
+    predicted = _eps_row(arr(1.0), 1, world, None, sched)[0] / 1.0  # slope at mu=0
     assert abs(slope - predicted) < 0.01
     assert abs(intercept) < 0.01
 
 
 def test_analytic_eps_range_check():
-    sched = make_schedule(2, 0.1, 0.2)
+    sched, world = make_schedule(2, 0.1, 0.2), _const_world(0.0, 1.0)
     with pytest.raises(ScheduleError):
-        analytic_eps(arr(1.0), 3, _const_world(0.0, 1.0), None, sched)
+        _eps_row(arr(1.0), 3, world, None, sched)
+    # a level vector is checked row by row
+    for levels, bad in (([1, 3], 3), ([0, 1], 0)):
+        with pytest.raises(ScheduleError, match=f"step {bad} "):
+            analytic_eps(np.ones((2, 1)), np.array(levels), world, [None] * 2, sched)
+
+
+def test_analytic_eps_wants_one_level_and_one_condition_per_row():
+    sched, world, x = make_schedule(2, 0.1, 0.2), _const_world(0.0, 1.0), np.ones((2, 1))
+    with pytest.raises(ShapeError, match="one level per row"):
+        analytic_eps(x, np.array([1, 2, 1]), world, [None] * 2, sched)
+    with pytest.raises(ShapeError, match="3 means of shape"):
+        analytic_eps(x, 1, world, [None] * 3, sched)
 
 
 def test_analytic_eps_rejects_a_mean_of_another_shape():
     sched = make_schedule(2, 0.1, 0.2)
     with pytest.raises(ShapeError, match="mean"):
-        analytic_eps(arr(1.0), 1, _const_world(0.0, 1.0, shape=(2,)), None, sched)
+        _eps_row(arr(1.0), 1, _const_world(0.0, 1.0, shape=(2,)), None, sched)
 
 
 def test_analytic_eps_matches_textbook_and_writes_no_input():
@@ -401,7 +419,7 @@ def test_analytic_eps_matches_textbook_and_writes_no_input():
         other = GaussianWorld(sigma0=sigma0, mean_map=world.mean_map)
         for t in range(1, sched.T + 1):
             expected = _textbook_eps(x_t, t, other, cond, sched)
-            assert analytic_eps(x_t, t, other, cond, sched).tobytes() == expected.tobytes()
+            assert _eps_row(x_t, t, other, cond, sched).tobytes() == expected.tobytes()
 
 
 def test_analytic_eps_follows_the_schedule_it_is_handed():
@@ -418,7 +436,7 @@ def test_analytic_eps_follows_the_schedule_it_is_handed():
         sched = NoiseSchedule(betas[T])
         for t in range(1, T + 1):
             expected = _textbook_eps(x_t, t, world, cond, sched)
-            assert analytic_eps(x_t, t, world, cond, sched).tobytes() == expected.tobytes()
+            assert _eps_row(x_t, t, world, cond, sched).tobytes() == expected.tobytes()
         del sched
 
 
@@ -426,9 +444,45 @@ def test_analytic_eps_of_a_float32_latent_is_float64():
     sched, world = make_schedule(8), _const_world(0.25, 0.5, shape=(3, 2))
     x_t = spawn_rng("eps-f32").standard_normal((3, 2)).astype(np.float32)
     for t in (1, 4, 8):
-        out = analytic_eps(x_t, t, world, None, sched)
+        out = _eps_row(x_t, t, world, None, sched)
         assert out.dtype == np.float64
         assert out.tobytes() == _textbook_eps(x_t, t, world, None, sched).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma0=st.sampled_from([0.0, 0.5]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    T=st.integers(min_value=1, max_value=12),
+    B=st.integers(min_value=1, max_value=5),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(5, 7)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_shipped_backend_conformance(sigma0, dtype, T, B, shape, seed, data):
+    # the DenoiserBackend the package ships, on a batch of mixed levels and
+    # conditions: a new float64 (B, ...) array, the same on every call,
+    # written to neither x nor a cached mean, an int level the same as its
+    # vector, and each row bitwise that row's batch of one
+    config = PipelineConfig(height=shape[0], width=shape[1], channels=shape[2], sigma0=sigma0)
+    world, sched = config.world(), make_schedule(T)
+    texts = data.draw(st.lists(st.sampled_from(["a reef", "a dune", "a fjord"]),
+                               min_size=B, max_size=B), label="texts")
+    conds = [Condition(text=encode_text_mock(text, 16, config.encoder_seed)) for text in texts]
+    levels = np.array(data.draw(st.lists(st.integers(1, T), min_size=B, max_size=B),
+                                label="levels"))
+    [x] = _frozen(spawn_rng("conformance", seed).standard_normal((B,) + shape).astype(dtype))
+    means = [world.mean_map(cond) for cond in conds]
+    before = [mean.tobytes() for mean in means]
+    eps = world(x, levels, conds, sched)
+    assert eps.shape == x.shape and eps.dtype == np.float64
+    assert world(x, levels, conds, sched).tobytes() == eps.tobytes()
+    assert [mean.tobytes() for mean in means] == before
+    for b, t in enumerate(levels.tolist()):
+        assert world(x[b:b + 1], t, conds[b:b + 1], sched)[0].tobytes() == eps[b].tobytes()
+    t = int(levels[0])
+    assert (world(x, t, conds, sched).tobytes()
+            == world(x, np.full(B, t), conds, sched).tobytes())
 
 
 def test_two_threads_on_one_fresh_world_match_one_thread():
@@ -466,11 +520,11 @@ def test_schedule_tables_are_read_only():
     # changes neither its betas nor the tables derived from them
     betas[0] = 0.5
     assert sched.betas[0] == 0.1 and sched.by_level[1] == 1.0 - sched.betas[0]
-    _const_world(0.0, 0.5)(arr(1.0), 3, None, sched)
-    [levels] = sched.eps_coefficients.values()
-    assert isinstance(levels, tuple) and len(levels) == sched.T + 1 and levels[0] is None
+    _const_world(0.0, 0.5)(np.ones((1, 1)), 3, [None], sched)
+    [columns] = sched.eps_coefficients.values()
+    assert len(columns) == 5 and all(c.shape == (sched.T + 1,) for c in columns)
     tables = [sched.betas, sched.by_level, sched.signal_by_level, sched.noise_by_level]
-    for table in tables + [c for level in levels[1:] for c in level]:
+    for table in tables + list(columns):
         with pytest.raises(ValueError):
             table[...] = 0.0
     assert sched.T == 6

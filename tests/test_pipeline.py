@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multishot.clips as clips_module
+import multishot.diffusion as diffusion_module
 import multishot.smoothing as smoothing_module
 import multishot.tensorio as tensorio_module
 from multishot.cli import cli
@@ -467,6 +468,39 @@ def test_windowed_mode_run(tmp_path):
     timeline = json.loads((tmp_path / "windowed" / TIMELINE_FILE).read_text())
     assert timeline["mode"] == "windowed"
     assert [f["shot"] for f in timeline["frames"]] == [j for j in range(4) for _ in range(8)]
+
+
+@pytest.mark.parametrize("mode,boundary", [("fifo-reset", 3), ("fifo-reset", 2),
+                                           ("windowed", None)])
+def test_denoised_rows_and_backend_calls_keep_their_closed_forms(tmp_path, monkeypatch,
+                                                                 mode, boundary):
+    # A avatar and n keyframe chains of T levels, and n*k frames of T levels
+    # each, plus T(T-1)/2 rows on the fifo-reset queue's warm-up latents;
+    # each reverse step makes one backend call: one per level of the two
+    # casting batches, then one per queue tick or per level of each
+    # windowed frame
+    config = PipelineConfig(n_shots=3, frames_per_shot=3, steps=4, mode=mode,
+                            reset_boundary=boundary, height=2, width=2)
+    counts = {"rows": 0, "calls": 0, "steps": 0}
+    eps, step = diffusion_module.analytic_eps, diffusion_module.ddim_step
+
+    def counted_eps(x, *args):
+        counts["rows"] += len(x)
+        counts["calls"] += 1
+        return eps(x, *args)
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion_module, "analytic_eps", counted_eps)
+    monkeypatch.setattr(diffusion_module, "ddim_step", counted_step)
+    run_pipeline(STORY_INPUT, config, tmp_path / "run")
+    n, k, T = config.n_shots, config.frames_per_shot, config.steps
+    avatars = math.ceil(n / config.shots_per_avatar)
+    fifo = mode == "fifo-reset"
+    assert counts["rows"] == (avatars + n) * T + n * k * T + (T * (T - 1) // 2 if fifo else 0)
+    assert counts["calls"] == counts["steps"] == 2 * T + (n * k + T - 1 if fifo else n * k * T)
 
 
 def test_run_dir_self_contained_for_metrics(tmp_path):

@@ -113,15 +113,16 @@ def test_queue_reads_its_stream_and_builds_the_schedule_once(small_chain, monkey
 def test_queue_takes_each_frames_condition_once_at_short_boundary():
     # k=4, L=2: frames 4-5 keep shot 0's condition and 8-9 shot 1's, and the
     # T-1 warm-up dummies carry shot 0's. The list is built once per
-    # stream; every tick hands the backend the slice its rows hold.
+    # stream; every tick hands the backend the slice its rows hold, in one
+    # call with row p at level p + 1.
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=3, reset_boundary=2,
                             height=2, width=2)
     plan = ["cond 0", "cond 1", "cond 2"]
     seen = []
 
-    def backend(x_t, t, cond, schedule):
-        seen.append((t, cond))
-        return np.zeros_like(x_t)
+    def backend(x, levels, conds, schedule):
+        seen.append(list(zip(levels.tolist(), conds)))
+        return np.zeros_like(x)
 
     queue = init_queue(FrameStream(plan, config), backend)
     shots = [0, 0] + [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
@@ -131,23 +132,24 @@ def test_queue_takes_each_frames_condition_once_at_short_boundary():
         head, rows = queue.head, len(queue.latents)
         seen.clear()
         tick(queue)
-        assert seen == [
+        assert seen == [[
             (pos + 1, plan[0 if head + pos < 0 else shot_for_frame(head + pos, 4, 2)])
             for pos in range(rows)
-        ]
+        ]]
 
 
 def _drive(config, plan):
-    """Tick a queue until it is empty, through a backend that records each
-    call it gets. Row t of a tick holds frame head + t - 1, head read
-    before the tick, so the calls on story frames come back in order as
-    (tick, frame, level, condition), beside each emission as (tick, frame)
-    and the emptied queue."""
+    """Tick a queue until it is empty, through a backend that records the
+    level and condition of each row it gets. A tick is one call, and its
+    row at level t holds frame head + t - 1, head read before the tick, so
+    the rows of story frames come back in order as (tick, frame, level,
+    condition), beside each emission as (tick, frame) and the emptied
+    queue."""
     world, seen = config.world(), []
 
-    def recorder(x_t, t, cond, schedule):
-        seen.append((t, cond))
-        return world(x_t, t, cond, schedule)
+    def recorder(x, levels, conds, schedule):
+        seen.extend(zip(levels.tolist(), conds))
+        return world(x, levels, conds, schedule)
 
     queue = init_queue(FrameStream(plan, config), recorder)
     calls, emitted = [], []
@@ -233,7 +235,7 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
         for pos, latent in enumerate(before):
             frame = head + pos
             shot = 0 if frame < 0 else shot_for_frame(frame, k, config.boundary)
-            eps = analytic_eps(latent, pos + 1, world, plan[shot], schedule)
+            eps = analytic_eps(latent[None], pos + 1, world, [plan[shot]], schedule)[0]
             if frame not in rngs:
                 rngs[frame] = spawn_rng("queue-noise", config.timeline_seed, frame)
                 rngs[frame].standard_normal(latent.shape)  # its x_T
@@ -253,17 +255,21 @@ def test_tick_steps_each_latent_alone_and_emits_copies(small_chain, eta):
         assert frame.tobytes() == snapshot.tobytes()
 
 
-def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
-    # a backend written to the documented contract, (x_t, t, cond,
-    # schedule) -> eps_hat with nothing else, runs both batched samplers
-    # and gives what the reference backend gives
+def test_batched_backend_drives_queue_and_sampler(small_chain):
+    # a backend written to the documented contract, (x, levels, conds,
+    # schedule) -> eps_hat for the whole batch with nothing else, runs both
+    # batched samplers and gives what the reference backend gives. This one
+    # evaluates each row as a batch of one, so the match also shows that
+    # the reference computes each row from that row alone
     config, _, _, plan = small_chain
     schedule, world = config.schedule(), config.world()
 
-    def plain(x_t, t, cond, schedule):
-        return analytic_eps(x_t, t, world, cond, schedule)
+    def rowwise(x, levels, conds, schedule):
+        rows = zip(x, np.broadcast_to(levels, len(x)).tolist(), conds)
+        return np.stack([analytic_eps(row[None], t, world, [cond], schedule)[0]
+                         for row, t, cond in rows])
 
-    queues = [init_queue(FrameStream(plan, config), d) for d in (plain, world)]
+    queues = [init_queue(FrameStream(plan, config), d) for d in (rowwise, world)]
     while queues[0].head < config.n_shots * config.frames_per_shot:
         a, b = (tick(q) for q in queues)
         assert (a is None) == (b is None)
@@ -274,12 +280,12 @@ def test_plain_four_argument_backend_drives_queue_and_sampler(small_chain):
     def rngs():
         return [spawn_rng("reverse-init", seed) for seed in (3, 4)]
 
-    assert (sample_reverse(plain, plan, schedule, rngs(), shape).tobytes()
+    assert (sample_reverse(rowwise, plan, schedule, rngs(), shape).tobytes()
             == sample_reverse(world, plan, schedule, rngs(), shape).tobytes())
 
-    # an eps_hat that would broadcast into the batch row is refused instead
-    def flat(x_t, t, cond, schedule):
-        return plain(x_t, t, cond, schedule)[..., :1]
+    # an eps_hat that would broadcast into the batch is refused instead
+    def flat(x, levels, conds, schedule):
+        return rowwise(x, levels, conds, schedule)[..., :1]
 
     with pytest.raises(ShapeError):
         tick(init_queue(FrameStream(plan, config), flat))
@@ -536,9 +542,9 @@ def test_eta_frames_match_closed_form_steps(eta, boundary, sigma0, mode):
 )
 def test_every_frame_is_sample_reverse_of_its_own_generator(mode, eta, boundary):
     # one noise rule for every chain: a frame's generator gives its x_T and
-    # all its eta draws, and the backend sees one row at a time, so every
-    # frame of either mode is bitwise the batch-of-one chain of its
-    # generator under the condition shot_for_frame names
+    # all its eta draws, and the backend computes each row from that row
+    # alone, so every frame of either mode is bitwise the batch-of-one
+    # chain of its generator under the condition shot_for_frame names
     config = PipelineConfig(n_shots=3, frames_per_shot=4, steps=8, eta=eta, mode=mode,
                             reset_boundary=boundary, height=4, width=4)
     story = build_story(STORY_INPUT, config)

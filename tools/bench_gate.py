@@ -48,26 +48,24 @@ PEAK_RSS_GAP_MB = 20
 
 def check(record: dict, result: dict) -> bool:
     """Print the workload's line and return whether every check holds."""
-    counts = record["closed_form_counts"]
     # the per-world memo evaluates each distinct condition's mean once
     means = [result["metrics"][f"conditioning.mean_{name}"]["value"]
              for name in ("calls", "distinct")]
-    # the fifo-reset queue denoises each of its n*k frames at T levels,
-    # plus T(T-1)/2 calls on warm-up latents; the metric counts the
-    # denoiser spans whose parent is a tick, so a span on a function
-    # between the two would read 0 here
-    config = workloads.WORKLOADS[record["workload"]].config
-    n, k, T = config["n_shots"], config["frames_per_shot"], config["steps"]
+    # The defaults of PipelineConfig count, so the workload dict alone is
+    # not enough.
+    full = PipelineConfig(**workloads.WORKLOADS[record["workload"]].config)
+    n, k, T = full.n_shots, full.frames_per_shot, full.steps
+    fifo = full.mode == "fifo-reset"
+    # the fifo-reset queue makes one denoiser call per tick, whatever its
+    # rows; the metric counts the denoiser spans whose parent is a tick, so
+    # a span on a function between the two would read 0 here
     queue = [result["metrics"]["smoothing.queue_denoise_calls"]["value"],
-             n * k * T + T * (T - 1) // 2 if config["mode"] == "fifo-reset" else 0]
+             n * k + T - 1 if fifo else 0]
     # attention: one for each of the A avatars' text-only means, two for
     # each shot's keyframe mean and two for its clip mean (text and
     # image), five for its alignment targets. cosine: k(k-1)/2 frame
     # pairs per shot for each of the two extractors, one per consecutive
-    # shot pair for each, and one per frame and domain. The defaults of
-    # PipelineConfig count, so the workload dict alone is not enough.
-    full = PipelineConfig(**config)
-    n, k = full.n_shots, full.frames_per_shot
+    # shot pair for each, and one per frame and domain.
     avatars = math.ceil(n / full.shots_per_avatar)
     attention = [result["metrics"]["conditioning.attention_calls"]["value"],
                  avatars + 9 * n]
@@ -77,9 +75,15 @@ def check(record: dict, result: dict) -> bool:
     # stage's two batches (avatar portraits, keyframes), then one per
     # queue tick (fifo-reset) or per level of each frame's chain
     # (windowed), so a rewrite of the step path cannot add or drop one
-    T = full.steps
     steps = [result["metrics"]["diffusion.step_calls"]["value"],
-             2 * T + (n * k + T - 1 if full.mode == "fifo-reset" else n * k * T)]
+             2 * T + (n * k + T - 1 if fifo else n * k * T)]
+    # run.py expects one denoiser call per denoised row,
+    # (A + n)T + nkT (+ T(T-1)/2 in fifo-reset), but a reverse step makes
+    # one call for its whole batch; until the tracer counts rows, the gate
+    # holds eps to the reverse step count, and tier-1 keeps the per-row
+    # form (tests/test_pipeline.py)
+    counts = dict(record["closed_form_counts"], eps=[
+        record["closed_form_counts"]["eps"][0], steps[1]])
     # LLM calls: one to expand the story, one to propose the avatars
     # and one to write each shot's script
     llm = [result["metrics"]["script.llm_calls"]["value"], n + 2]
